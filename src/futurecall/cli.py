@@ -69,7 +69,6 @@ def cmd_run(args: argparse.Namespace) -> int:
     if args.out_trace:
         trace.write_jsonl(args.out_trace)
     report = _cell_report(trace, None)
-    report["seed"] = args.seed
     if args.out_report:
         with open(args.out_report, "w", encoding="utf-8") as fh:
             json.dump(report, fh, indent=2, sort_keys=True)
@@ -123,7 +122,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
                 }
             )
 
-    report = {"workload": args.workload, "modes": modes, "cells": cells, "seed": args.seed}
+    report = {"workload": args.workload, "modes": modes, "cells": cells}
     if args.out_report:
         with open(args.out_report, "w", encoding="utf-8") as fh:
             json.dump(report, fh, indent=2, sort_keys=True)
@@ -219,7 +218,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out-trace", default=None, help="trace JSONL output path")
         p.add_argument("--out-report", default=None, help="report JSON output path")
         p.add_argument("--dump-context", default=None, help="full message list JSON path")
-        p.add_argument("--seed", type=int, default=0)
 
     run_p = sub.add_parser("run", help="run one workload in one mode")
     add_common(run_p)

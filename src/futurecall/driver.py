@@ -1,17 +1,24 @@
 """The conversation loop: decode turns, dispatch calls, integrate results.
 
-The driver owns the standard call/return protocol: every assistant tool call
-is immediately followed by a tool message for the same call id, always. In
-async modes that tool message carries a future placeholder (or a futurized
-output structure) instead of the finished result, and resolved values are
-bound into the context through user messages at turn boundaries. Failures and
-cancellations are likewise injected as user messages; if they land after the
-model's final answer the conversation reopens for recovery turns.
+The four modes are two switches. Sequential calling splits a multi-call turn
+into one-call turns (the scripted decoder splits script entries; a live turn
+with several calls is rejected). Sync calling answers each call with its
+outcome before the next decode. Async calling answers at once with a future
+placeholder (or a futurized output structure) and binds resolved values into
+the context through user messages at turn boundaries; failure reports arrive
+the same way and reopen the conversation if they land after the final answer.
 
-Decoding is strictly sequential, one turn at a time. Scripted decoders pick
-their next turn by the integration state of required call outcomes, so sync
-and async runs share one script; a chat-completions client can stand in for
-the scripted decoder in wall-clock mode.
+That leaves two execution models. Sync modes run each turn as one batch:
+same-turn calls overlap in time, their effects and results apply in emitted
+order, and ``@Fk`` references become concrete values. Async modes submit
+every call to the dependency-aware scheduler, and references become future
+identifiers. Either way every assistant tool call is immediately followed by
+a tool message for its call id.
+
+Decoding is strictly sequential. Scripted decoders pick their next turn by
+the integration state of required call outcomes, so sync and async runs share
+one script; a chat-completions client can stand in for the scripted decoder
+in wall-clock mode.
 """
 
 from __future__ import annotations
@@ -24,7 +31,6 @@ from typing import Any
 from .clock import VirtualClock, WallClock
 from .errors import (
     CANCELLED_DEPENDENCY,
-    EXECUTION_ERROR,
     ContextOverflowError,
     DeadlockError,
     ErrorInfo,
@@ -33,16 +39,17 @@ from .errors import (
     ScriptExhaustedError,
     ValidationError,
 )
-from .executor import Executor, StateStore, ToolExecutionError
-from .futures import CANCELLED, FAILED, RESOLVED, FutureStore
+from .executor import Executor, StateStore
+from .futures import FAILED, RESOLVED, FutureStore, extract_field
 from .scheduler import DONE, FAILED as CALL_FAILED, CallRecord, Scheduler, SessionState
-from .schema import AWAIT_FUTURE_NAME, futurize_output_template
+from .schema import AWAIT_FUTURE_NAME, futurize_output_template, map_leaves
 from .trace import AWAIT, DECODE, EXEC, INTEGRATE, RunTrace
 from .workload import (
     CallSpec,
     ScriptTurn,
     WorkloadSpec,
     build_tool_bindings,
+    check_turn,
     parse_call_ref,
 )
 
@@ -305,7 +312,6 @@ class TurnDriver:
         self.call_turn: dict[str, int] = {}
         self.calls: dict[str, CallRecord] = {}
         self._reported: set[str] = set()  # call ids whose outcome is in context
-        self._integrated_fids: set[str] = set()
         self._turn_no = 0
         self._boundary_no = 0
         self._live_t0 = 0.0
@@ -423,12 +429,10 @@ class TurnDriver:
             self._reported.add(call_id)
             if state.status == RESOLVED:
                 bindings[fid] = state.value
-                self._integrated_fids.add(fid)
                 for field_id in self.store.field_ids(fid):
                     field_state = self.store.state_of(field_id)
                     if field_state.status == RESOLVED:
                         bindings[field_id] = field_state.value
-                    self._integrated_fids.add(field_id)
             else:
                 error = self._call_error(call_id, state)
                 failures.append(
@@ -440,7 +444,6 @@ class TurnDriver:
                         "origin_call": error.origin_call,
                     }
                 )
-                self._integrated_fids.add(fid)
         if bindings:
             ordered = {fid: bindings[fid] for fid in sorted(bindings)}
             self._append(
@@ -486,6 +489,12 @@ class TurnDriver:
         return t0, t1
 
     def _execute_turn(self, turn: ScriptTurn) -> None:
+        check_turn(turn, self.tools, f"turn {self._turn_no + 1}")
+        if not is_parallel(self.mode) and len(turn.emit) > 1:
+            raise ValidationError(
+                f"turn {self._turn_no + 1}: {len(turn.emit)} calls in one turn under "
+                f"sequential calling ({self.mode})"
+            )
         if turn.is_final:
             self._decode(turn.decode_time)
             with self.clock.guard():
@@ -495,27 +504,27 @@ class TurnDriver:
         if turn.is_await:
             self._handle_await(turn)
             return
-        if is_async(self.mode):
-            self._emit_async(turn)
-        elif self.mode == SYNC_SEQUENTIAL:
-            self._emit_sync_sequential(turn)
-        else:
-            self._emit_sync_parallel(turn)
+        self._emit_calls(turn)
 
-    # -- async emission -------------------------------------------------------------------
+    # -- call emission ------------------------------------------------------------------
 
-    def _emit_async(self, turn: ScriptTurn) -> None:
+    def _emit_calls(self, turn: ScriptTurn) -> None:
+        """Build the turn's calls and the assistant message carrying them.
+
+        Async modes then submit the calls to the scheduler and answer each
+        with a placeholder; sync modes run the turn as one batch and answer
+        each call with its outcome.
+        """
         self._decode(turn.decode_time)
+        bind = self._ref_future if is_async(self.mode) else self._ref_value
         with self.clock.guard():
-            prepared: list[tuple[CallSpec, CallRecord]] = []
-            tool_calls: list[ToolCall] = []
+            records: list[CallRecord] = []
             for spec in turn.emit:
-                args = self._substitute_refs_async(spec.args)
                 tool = self.tools[spec.name]
                 record = CallRecord(
                     call_id=spec.call_id,
                     tool=spec.name,
-                    args=args,
+                    args=self._substitute_refs(spec.args, bind),
                     annotation=tool.annotation,
                     invocation_index=tool.next_invocation(),
                 )
@@ -524,155 +533,85 @@ class TurnDriver:
                 )
                 self.calls[spec.call_id] = record
                 self.call_turn[spec.call_id] = self._turn_no
-                tool_calls.append(ToolCall(spec.call_id, spec.name, args))
-                prepared.append((spec, record))
-            self._append(Message(role="assistant", content="", tool_calls=tool_calls))
-            for spec, record in prepared:
-                annotation = record.annotation
-                template = annotation.outputs if annotation is not None else None
-                if template is None:
-                    template = self.tools[spec.name].schema.outputs
-                placeholder = futurize_output_template(
-                    template, record.result_future, self.store
-                )
-                fid = self.scheduler.submit(record)
-                self.call_futures[spec.call_id] = fid
-                self._append(
-                    Message(role="tool", content=placeholder, call_id=spec.call_id)
-                )
-
-    def _substitute_refs_async(self, args: Any) -> Any:
-        def walk(node):
-            if isinstance(node, dict):
-                return {k: walk(v) for k, v in node.items()}
-            if isinstance(node, list):
-                return [walk(v) for v in node]
-            ref = parse_call_ref(node)
-            if ref is None:
-                return node
-            call_id, fpath = ref
-            base = self.call_futures[call_id]
-            if fpath is None:
-                return base
-            return self.store.create_field(base, fpath)
-
-        return walk(args)
-
-    # -- sync emission ---------------------------------------------------------------------
-
-    def _emit_sync_sequential(self, turn: ScriptTurn) -> None:
-        spec = turn.emit[0]
-        self._decode(turn.decode_time)
-        with self.clock.guard():
-            args = self._substitute_refs_sync(spec.args)
-            tool = self.tools[spec.name]
-            record = CallRecord(
-                call_id=spec.call_id,
-                tool=spec.name,
-                args=args,
-                annotation=tool.annotation,
-                invocation_index=tool.next_invocation(),
-            )
-            record.result_future = self.store.create(kind="result", owner_call=spec.call_id)
-            self.calls[spec.call_id] = record
-            self.call_turn[spec.call_id] = self._turn_no
+                records.append(record)
+            # Registered only now: a decoder cannot name a placeholder it has
+            # not received yet, so a same-turn reference stays literal.
+            for record in records:
+                self.call_futures[record.call_id] = record.result_future
             self._append(
                 Message(
                     role="assistant",
                     content="",
-                    tool_calls=[ToolCall(spec.call_id, spec.name, args)],
+                    tool_calls=[ToolCall(r.call_id, r.tool, r.args) for r in records],
                 )
             )
-            fid = self.scheduler.submit(record)
-            self.call_futures[spec.call_id] = fid
-        self.clock.run_until(lambda: self.store.state_of(fid).is_terminal)
-        with self.clock.guard():
-            state = self.store.state_of(fid)
-            if state.status == RESOLVED:
-                content: Any = state.value
-            else:
-                content = {"error": self._call_error(spec.call_id, state).to_json()}
-            self._append(Message(role="tool", content=content, call_id=spec.call_id))
-            self._reported.add(spec.call_id)
-            self._integrated_fids.add(fid)
+            if is_async(self.mode):
+                self._submit(records)
+                return
+        self._run_batch(records)
 
-    def _emit_sync_parallel(self, turn: ScriptTurn) -> None:
-        """Parallel execution with serial semantics: same-turn calls overlap in
-        time, but reads, writes and returns are evaluated in emitted order."""
-        self._decode(turn.decode_time)
+    def _submit(self, records: list[CallRecord]) -> None:
+        for record in records:
+            annotation = record.annotation
+            template = annotation.outputs if annotation is not None else None
+            if template is None:
+                template = self.tools[record.tool].schema.outputs
+            placeholder = futurize_output_template(template, record.result_future, self.store)
+            self.scheduler.submit(record)
+            self._append(Message(role="tool", content=placeholder, call_id=record.call_id))
+
+    def _run_batch(self, records: list[CallRecord]) -> None:
+        """Sync execution: same-turn calls overlap in time, but their effects
+        and results apply in emitted order once the slowest one is done."""
         with self.clock.guard():
             t0 = self.clock.now()
-            batch: list[tuple[CallSpec, CallRecord]] = []
-            tool_calls = []
-            for spec in turn.emit:
-                tool = self.tools[spec.name]
-                record = CallRecord(
-                    call_id=spec.call_id,
-                    tool=spec.name,
-                    args=spec.args,
-                    annotation=tool.annotation,
-                    invocation_index=tool.next_invocation(),
-                )
-                record.result_future = self.store.create(
-                    kind="result", owner_call=spec.call_id
-                )
-                self.calls[spec.call_id] = record
-                self.call_futures[spec.call_id] = record.result_future
-                self.call_turn[spec.call_id] = self._turn_no
-                tool_calls.append(ToolCall(spec.call_id, spec.name, spec.args))
-                batch.append((spec, record))
-            self._append(Message(role="assistant", content="", tool_calls=tool_calls))
-            completion = t0 + max(
-                (self.tools[s.name].latency_for(r.invocation_index) for s, r in batch),
-                default=0.0,
-            )
-        self.clock.run_until_time(completion)
+            latencies = [self.tools[r.tool].latency_for(r.invocation_index) for r in records]
+        self.clock.run_until_time(t0 + max(latencies))
         with self.clock.guard():
-            for spec, record in batch:
-                tool = self.tools[spec.name]
-                latency = tool.latency_for(record.invocation_index)
+            for record, latency in zip(records, latencies):
                 record.exec_start, record.exec_end = t0, t0 + latency
-                self.trace.record(t0, t0 + latency, EXEC, spec.call_id, self._turn_no)
-                args = self._substitute_refs_sync(spec.args)
-                try:
-                    value = tool.behavior(args, record.invocation_index, self.state)
-                except ToolExecutionError as exc:
-                    record.error = ErrorInfo(EXECUTION_ERROR, str(exc), spec.call_id)
-                    record.advance_status(CALL_FAILED)
-                    self.store.fail(record.result_future, record.error)
-                    content: Any = {"error": record.error.to_json()}
-                else:
+                self._record_exec(record)
+                value, error = self.executor.invoke(record, record.args)
+                if error is None:
                     record.advance_status(DONE)
                     self.store.resolve(record.result_future, value)
-                    content = value
-                self._append(Message(role="tool", content=content, call_id=spec.call_id))
-                self._reported.add(spec.call_id)
-                self._integrated_fids.add(record.result_future)
+                    content: Any = value
+                else:
+                    record.error = error
+                    record.advance_status(CALL_FAILED)
+                    self.store.fail(record.result_future, error)
+                    content = {"error": error.to_json()}
+                self._append(Message(role="tool", content=content, call_id=record.call_id))
+                self._reported.add(record.call_id)
 
-    def _substitute_refs_sync(self, args: Any) -> Any:
-        def walk(node):
-            if isinstance(node, dict):
-                return {k: walk(v) for k, v in node.items()}
-            if isinstance(node, list):
-                return [walk(v) for v in node]
+    # -- argument references ------------------------------------------------------------
+
+    def _substitute_refs(self, args: Any, bind) -> Any:
+        """Replace each ``@Fk[.path]`` leaf naming an emitted call with
+        ``bind(call id, field path)``; other leaves stay literal text."""
+
+        def leaf(node: Any, _path: tuple) -> Any:
             ref = parse_call_ref(node)
-            if ref is None:
+            if ref is None or ref[0] not in self.call_futures:
                 return node
-            call_id, fpath = ref
-            fid = self.call_futures[call_id]
-            state = self.store.state_of(fid)
-            if state.status == RESOLVED:
-                if fpath is None:
-                    return state.value
-                from .futures import extract_field
+            return bind(*ref)
 
-                found, value = extract_field(state.value, fpath)
-                return value if found else {"error": f"path not found: {fpath}"}
-            if not state.is_terminal:
-                return node
+        return map_leaves(args, leaf)
+
+    def _ref_future(self, call_id: str, fpath: str | None) -> str:
+        fid = self.call_futures[call_id]
+        return fid if fpath is None else self.store.create_field(fid, fpath)
+
+    def _ref_value(self, call_id: str, fpath: str | None) -> Any:
+        # Sync modes finish every call before the next decode, so each
+        # referenced call is terminal here.
+        state = self.store.state_of(self.call_futures[call_id])
+        if state.status != RESOLVED:
             return {"error": self._call_error(call_id, state).to_json()}
-
-        return walk(args)
+        if fpath is None:
+            return state.value
+        found, value = extract_field(state.value, fpath)
+        return value if found else {"error": f"path not found: {fpath}"}
 
     # -- await handling -----------------------------------------------------------------------
 
@@ -684,7 +623,7 @@ class TurnDriver:
         t0, t1 = self._decode(offset)
         with self.clock.guard():
             raw_ids = spec.args.get("future_ids", [])
-            translated = self._substitute_refs_async(raw_ids)
+            translated = self._substitute_refs(raw_ids, self._ref_future)
             self._append(
                 Message(
                     role="assistant",
@@ -693,16 +632,10 @@ class TurnDriver:
                 )
             )
             unknown = [fid for fid in translated if not self.store.known(fid)]
-        if unknown:
-            with self.clock.guard():
-                self._append(
-                    Message(
-                        role="tool",
-                        content={"error": f"unknown futures: {sorted(unknown)}"},
-                        call_id=spec.call_id,
-                    )
-                )
-            return
+            if unknown:
+                error = {"error": f"unknown futures: {sorted(unknown)}"}
+                self._append(Message(role="tool", content=error, call_id=spec.call_id))
+                return
         states = self.store.wait_for(list(translated))
         with self.clock.guard():
             t_end = self.clock.now()
@@ -711,13 +644,11 @@ class TurnDriver:
             values: dict[str, Any] = {}
             for fid in translated:
                 state = states[fid]
+                owner = self.store.owner_of(fid)
                 if state.status == RESOLVED:
                     values[fid] = state.value
                 else:
-                    owner = self.store.owner_of(fid)
                     values[fid] = {"error": self._call_error(owner, state).to_json()}
-                self._integrated_fids.add(fid)
-                owner = self.store.owner_of(fid)
                 if owner is not None and self.call_futures.get(owner) == fid:
                     self._reported.add(owner)
             self._append(Message(role="tool", content=values, call_id=spec.call_id))
@@ -738,9 +669,17 @@ def run_workload(
     decoder=None,
     strict_cancellation: bool | None = None,
 ) -> RunTrace:
-    """Run one conversation and return its trace."""
+    """Run one conversation and return its trace.
+
+    A wall clock created here from its name is shut down on every exit, so no
+    timer outlives the run.
+    """
     clock_obj = make_clock(clock, workload.delay_scale) if isinstance(clock, str) else clock
-    driver = TurnDriver(
-        workload, mode, clock=clock_obj, decoder=decoder, strict_cancellation=strict_cancellation
-    )
-    return driver.run()
+    try:
+        driver = TurnDriver(
+            workload, mode, clock=clock_obj, decoder=decoder, strict_cancellation=strict_cancellation
+        )
+        return driver.run()
+    finally:
+        if clock_obj is not clock and not clock_obj.is_virtual:
+            clock_obj.shutdown()

@@ -120,7 +120,6 @@ class Executor:
         self.state = state
         self.strict_cancellation = strict_cancellation
         self.on_exec_interval = on_exec_interval or (lambda call: None)
-        self.in_flight = 0
         scheduler.on_dispatch = self.dispatch
 
     # -- dispatch ---------------------------------------------------------------
@@ -135,17 +134,10 @@ class Executor:
             raise GatesPendingError(f"{call.call_id}: gates still pending: {sorted(pending)}")
         call.advance_status(DISPATCHED)
         call.dispatched_at = self.clock.now()
-        self.in_flight += 1
-        self.run_worker(call)
-
-    def run_worker(self, call: CallRecord) -> None:
-        """Await argument futures, then execute across the latency interval."""
-        arg_futures = sorted(call.argument_futures)
-        self.store.add_waiter(arg_futures, lambda: self._on_arguments_ready(call))
+        self.store.add_waiter(sorted(call.argument_futures), lambda: self._on_arguments_ready(call))
 
     def _on_arguments_ready(self, call: CallRecord) -> None:
         if call.terminal:
-            self.in_flight -= 1
             return
         for fid in sorted(call.argument_futures):
             state = self.store.state_of(fid)
@@ -153,13 +145,11 @@ class Executor:
                 # The producing call failed upstream; this call consumes it.
                 origin = self._origin_of(state)
                 cause = state.cause if state.status == CANCELLED else fid
-                self.in_flight -= 1
                 self.scheduler.mark_cancelled(call, cause, origin)
                 return
         try:
             concrete = substitute_resolved(call.args, self.store)
         except Exception as exc:  # substitution failure surfaces as the call's failure
-            self.in_flight -= 1
             self._fail(call, ErrorInfo(EXECUTION_ERROR, str(exc), call.call_id))
             return
         call.advance_status(RUNNING)
@@ -174,26 +164,30 @@ class Executor:
             return self.store.owner_of(state.cause) or "unknown"
         return "unknown"
 
+    def invoke(self, call: CallRecord, args: Any) -> tuple[Any, ErrorInfo | None]:
+        """Run the call's tool behavior; any exception it raises becomes the
+        call's execution error instead of escaping the run."""
+        try:
+            return self.tools[call.tool].behavior(args, call.invocation_index, self.state), None
+        except ToolExecutionError as exc:
+            return None, ErrorInfo(EXECUTION_ERROR, str(exc), call.call_id)
+        except Exception as exc:
+            return None, ErrorInfo(EXECUTION_ERROR, f"{type(exc).__name__}: {exc}", call.call_id)
+
     def _complete(self, call: CallRecord, concrete_args: dict) -> None:
-        self.in_flight -= 1
         if call.terminal:
             return
         call.exec_end = self.clock.now()
-        tool = self.tools[call.tool]
-        try:
-            value = tool.behavior(concrete_args, call.invocation_index, self.state)
-        except ToolExecutionError as exc:
-            self._fail(call, ErrorInfo(EXECUTION_ERROR, str(exc), call.call_id))
-            return
-        except Exception as exc:
-            self._fail(call, ErrorInfo(EXECUTION_ERROR, f"{type(exc).__name__}: {exc}", call.call_id))
+        value, error = self.invoke(call, concrete_args)
+        if error is not None:
+            self._fail(call, error)
             return
         call.advance_status(DONE)
         self.on_exec_interval(call)
         self.store.resolve(call.result_future, value)
         if call.session_version is not None:
             self.scheduler.session.complete_write(
-                call.session_version, value, tool.session_reducer
+                call.session_version, value, self.tools[call.tool].session_reducer
             )
         self.scheduler.release(call)
 

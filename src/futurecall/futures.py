@@ -24,9 +24,8 @@ RESOLVED = "resolved"
 FAILED = "failed"
 CANCELLED = "cancelled"
 
-_BASE_ID_RE = re.compile(r"^fut_\d+$")
-_FULL_ID_RE = re.compile(r"^fut_\d+(\.[^.\s]+)*$")
-_SEGMENT_RE = re.compile(r"^[^.\s]+$")
+_FULL_ID_RE = re.compile(r"fut_\d+(\.[^.\s]+)*")
+_SEGMENT_RE = re.compile(r"[^.\s]+")
 
 
 @dataclass(frozen=True)
@@ -42,10 +41,6 @@ class FutureState:
     def is_terminal(self) -> bool:
         return self.status != PENDING
 
-    @property
-    def is_resolved(self) -> bool:
-        return self.status == RESOLVED
-
 
 PENDING_STATE = FutureState(PENDING)
 
@@ -59,13 +54,13 @@ def split_future_id(fid: str) -> tuple[str, str | None]:
 
 
 def looks_like_future_id(text: str) -> bool:
-    return bool(_FULL_ID_RE.match(text))
+    return bool(_FULL_ID_RE.fullmatch(text))
 
 
 def valid_field_path(path: str) -> bool:
     """True when every dotted segment can appear inside a future identifier."""
     segments = path.split(".")
-    return all(_SEGMENT_RE.match(seg) for seg in segments)
+    return all(_SEGMENT_RE.fullmatch(seg) for seg in segments)
 
 
 def extract_field(value: Any, path: str) -> tuple[bool, Any]:
@@ -96,10 +91,8 @@ class FutureRecord:
     fid: str
     kind: str
     state: FutureState = PENDING_STATE
-    created_at: float = 0.0
     resolved_at: float | None = None
     owner_call: str | None = None
-    terminal_transitions: int = 0
     waiters: list[_Waiter] = field(default_factory=list)
 
 
@@ -142,9 +135,7 @@ class FutureStore:
     def create(self, kind: str = "result", owner_call: str | None = None) -> str:
         fid = f"fut_{self._counter}"
         self._counter += 1
-        self._records[fid] = FutureRecord(
-            fid=fid, kind=kind, created_at=self._now(), owner_call=owner_call
-        )
+        self._records[fid] = FutureRecord(fid=fid, kind=kind, owner_call=owner_call)
         return fid
 
     def create_field(self, base: str, path: str) -> str:
@@ -159,9 +150,7 @@ class FutureStore:
         fid = f"{base}.{path}"
         if fid in self._records:
             return fid
-        self._records[fid] = FutureRecord(
-            fid=fid, kind="field", created_at=self._now(), owner_call=base_rec.owner_call
-        )
+        self._records[fid] = FutureRecord(fid=fid, kind="field", owner_call=base_rec.owner_call)
         self._fields.setdefault(base, []).append(fid)
         if base_rec.state.is_terminal:
             self._settle_field(fid, base_rec)
@@ -204,9 +193,6 @@ class FutureStore:
             rec = self._records.get(base)
         return rec.owner_call if rec else None
 
-    def kind_of(self, fid: str) -> str:
-        return self._require(fid).kind
-
     def _require(self, fid: str) -> FutureRecord:
         rec = self._records.get(fid)
         if rec is None:
@@ -232,8 +218,6 @@ class FutureStore:
             raise AlreadyTerminalError(f"{fid} is already {rec.state.status}")
         rec.state = state
         rec.resolved_at = self._now()
-        rec.terminal_transitions += 1
-        assert rec.terminal_transitions == 1
         waiters, rec.waiters = rec.waiters, []
         self.terminal_count += 1
         for waiter in waiters:

@@ -20,13 +20,13 @@ from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from .errors import (
+    CANCELLED_DEPENDENCY,
     BadPathTemplateError,
     DuplicateCallIdError,
     ErrorInfo,
     FuturecallError,
     NotTerminalError,
 )
-from .errors import CANCELLED_DEPENDENCY
 from .futures import RESOLVED, FutureStore, looks_like_future_id
 from .schema import DependencyAnnotation, scan_future_refs
 
@@ -47,21 +47,10 @@ _STATUS_ORDER = [QUEUED, ADMITTED, DISPATCHED, RUNNING, DONE, FAILED]
 TERMINAL_STATUSES = {DONE, FAILED, CANCELLED_STATUS}
 
 
-class NotYetResolvable:
-    """Sentinel: a path template needs values that are still pending."""
+# Sentinel: a path template needs values that are still pending.
+NOT_YET_RESOLVABLE = object()
 
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "NotYetResolvable"
-
-
-NOT_YET_RESOLVABLE = NotYetResolvable()
+SESSION_PREFIX = "$session/"
 
 
 class FailedPathDependency(FuturecallError):
@@ -137,13 +126,6 @@ def conflicts(a: Access, b: Access) -> bool:
     return regions_overlap(a, b)
 
 
-# Root-level fallback for unannotated tools: serializes everything while
-# still letting decoding overlap execution.
-ROOT_FALLBACK = DependencyAnnotation(
-    reads=[], writes=[], session_read=False, session_write=False
-)
-
-
 def fallback_accesses() -> list[Access]:
     root = ResourcePath(())
     return [Access(root, READ, True), Access(root, WRITE, True)]
@@ -217,7 +199,6 @@ class CallRecord:
     invocation_index: int = 0
     blocking_gates: set[str] = field(default_factory=set)
     argument_futures: set[str] = field(default_factory=set)
-    resolved_accesses: list[Access] | None = None
     labels: list[AccessLabel] = field(default_factory=list)
     session_version: int | None = None
     submitted_at: float = 0.0
@@ -262,12 +243,45 @@ def _scalar_text(value: Any) -> str:
     raise BadPathTemplateError(f"path segment value must be scalar, got {type(value).__name__}")
 
 
+def _session_binding(template: str) -> tuple[str, str]:
+    """Binding name and tail of a ``$session/name/tail`` template."""
+    name, _, tail = template[len(SESSION_PREFIX):].partition("/")
+    if not name:
+        raise BadPathTemplateError("$session/ needs a binding name")
+    return name, tail
+
+
+def _param_span(text: str, segment: str) -> tuple[int, int] | None:
+    """Span of the first ``{param}`` in text, or None when there is none."""
+    start = text.find("{")
+    if start < 0:
+        return None
+    end = text.find("}", start)
+    if end < 0:
+        raise BadPathTemplateError(f"unbalanced braces in segment {segment!r}")
+    return start, end
+
+
+def check_path_template(template: str) -> None:
+    """Raise BadPathTemplateError for a template malformed on syntax alone:
+    neither /-rooted nor session-relative, an empty ``$session/`` binding
+    name, or unbalanced braces. ``resolve_paths`` makes the same checks."""
+    if template.startswith(SESSION_PREFIX):
+        _session_binding(template)
+    elif not template.startswith("/"):
+        raise BadPathTemplateError(f"path template must be /-rooted: {template!r}")
+    for segment in template.split("/"):
+        rest = segment
+        while (span := _param_span(rest, segment)) is not None:
+            rest = rest[span[1] + 1 :]
+
+
 def resolve_paths(
     annotation: DependencyAnnotation | None,
     args: dict,
     session: SessionState,
     store: FutureStore,
-) -> list[Access] | NotYetResolvable:
+) -> list[Access] | object:
     """Materialize a call's access set, or report it is not yet resolvable.
 
     Argument-parameterized segments substitute the call's argument values
@@ -282,13 +296,10 @@ def resolve_paths(
     for mode, decls in ((READ, annotation.reads), (WRITE, annotation.writes)):
         for decl in decls:
             template = decl.path
-            if template.startswith("$session/"):
+            if template.startswith(SESSION_PREFIX):
                 if session.writes_in_flight:
                     return NOT_YET_RESOLVABLE
-                rest = template[len("$session/"):]
-                if not rest:
-                    raise BadPathTemplateError("$session/ needs a binding name")
-                name, _, tail = rest.partition("/")
+                name, tail = _session_binding(template)
                 if name not in session.bindings:
                     raise BadPathTemplateError(f"unknown session binding {name!r}")
                 bound = session.bindings[name]
@@ -301,31 +312,22 @@ def resolve_paths(
                 raise BadPathTemplateError(f"path template must be /-rooted: {template!r}")
 
             filled_segments: list[str] = []
-            pending = False
             for segment in template.split("/")[1:]:
-                if segment == "":
-                    continue
                 if "{" in segment:
-                    filled, seg_pending = _fill_segment(segment, args, store)
-                    if seg_pending:
-                        pending = True
-                        break
+                    filled, pending = _fill_segment(segment, args, store)
+                    if pending:
+                        return NOT_YET_RESOLVABLE
                     filled_segments.append(filled)
-                else:
+                elif segment:
                     filled_segments.append(segment)
-            if pending:
-                return NOT_YET_RESOLVABLE
             accesses.append(Access(ResourcePath(tuple(filled_segments)), mode, decl.subtree))
     return accesses
 
 
 def _fill_segment(segment: str, args: dict, store: FutureStore) -> tuple[str, bool]:
     out = segment
-    while "{" in out:
-        start = out.index("{")
-        end = out.find("}", start)
-        if end < 0:
-            raise BadPathTemplateError(f"unbalanced braces in segment {segment!r}")
+    while (span := _param_span(out, segment)) is not None:
+        start, end = span
         param = out[start + 1 : end]
         if param not in args:
             raise BadPathTemplateError(f"unknown parameter {param!r} in path template")
@@ -445,7 +447,6 @@ class Scheduler:
         return admitted
 
     def _admit(self, call: CallRecord, accesses: list[Access], now: float) -> None:
-        call.resolved_accesses = accesses
         call.blocking_gates = self.blocking_gates(call, accesses)
         annotation = call.annotation
         if annotation is not None and annotation.session_write:
@@ -457,7 +458,6 @@ class Scheduler:
             self.live_labels.append(label)
         call.advance_status(ADMITTED)
         call.admitted_at = now
-        self._assert_gate_dag(call)
         self._awaiting_dispatch.append(call)
 
     def blocking_gates(self, call: CallRecord, accesses: list[Access]) -> set[str]:
@@ -484,14 +484,6 @@ class Scheduler:
                 kind = "session-raw" if annotation.session_read else "session-waw"
                 self._add_edge(producer, call.call_id, kind)
         return gates
-
-    def _assert_gate_dag(self, call: CallRecord) -> None:
-        # Every blocking gate belongs to a strictly earlier admission, so the
-        # gate graph cannot contain a cycle; cheap sanity check.
-        for gate in call.blocking_gates:
-            owner = self.store.owner_of(gate)
-            if owner == call.call_id:
-                raise FuturecallError(f"{call.call_id}: self-blocking gate")
 
     # -- dispatch & release ------------------------------------------------------
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import copy
 import json
 from dataclasses import dataclass, field, replace
-from typing import Any
+from typing import Any, Callable
 
 from .errors import InvalidSchemaError, UnresolvedArgumentError, ValidationError
 from .futures import RESOLVED, FutureStore, looks_like_future_id, valid_field_path
@@ -223,6 +223,19 @@ def await_future_schema() -> FunctionSchema:
     )
 
 
+def map_leaves(node: Any, fn: Callable[[Any, tuple], Any], path: tuple = ()) -> Any:
+    """Copy a JSON value with every leaf replaced by ``fn(leaf, key_path)``.
+
+    Leaves are values other than dicts and lists; the key path holds the dict
+    keys and list indices leading from the root to the leaf.
+    """
+    if isinstance(node, dict):
+        return {key: map_leaves(val, fn, path + (key,)) for key, val in node.items()}
+    if isinstance(node, list):
+        return [map_leaves(val, fn, path + (i,)) for i, val in enumerate(node)]
+    return fn(node, path)
+
+
 def futurize_output_template(example: Any, base: str, store: FutureStore) -> Any:
     """Replace every scalar leaf of an example output with a field future id.
 
@@ -233,46 +246,42 @@ def futurize_output_template(example: Any, base: str, store: FutureStore) -> Any
     if example is None:
         return base
 
-    def walk(node: Any, path: list[str]) -> Any:
-        if isinstance(node, dict):
-            return {key: walk(val, path + [str(key)]) for key, val in node.items()}
-        if isinstance(node, list):
-            return [walk(val, path + [str(i)]) for i, val in enumerate(node)]
-        if isinstance(node, (str, int, float, bool)):
-            if not path:
-                return base
-            dotted = ".".join(path)
-            if not valid_field_path(dotted):
-                # Keys that cannot appear in a dotted identifier (dots,
-                # whitespace) keep their literal example value.
-                return node
-            return store.create_field(base, dotted)
-        return node
+    def leaf(node: Any, path: tuple) -> Any:
+        if not isinstance(node, (str, int, float, bool)):
+            return node
+        if not path:
+            return base
+        dotted = ".".join(str(key) for key in path)
+        if not valid_field_path(dotted):
+            # Keys that cannot appear in a dotted identifier (dots,
+            # whitespace) keep their literal example value.
+            return node
+        return store.create_field(base, dotted)
 
-    return walk(example, [])
-
-
-def _walk_leaves(args: Any, loc: str):
-    if isinstance(args, dict):
-        for key, val in args.items():
-            yield from _walk_leaves(val, f"{loc}.{key}" if loc else str(key))
-    elif isinstance(args, list):
-        for i, val in enumerate(args):
-            yield from _walk_leaves(val, f"{loc}[{i}]")
-    else:
-        yield loc, args
+    return map_leaves(example, leaf)
 
 
 def scan_future_refs(args: Any, store: FutureStore) -> list[tuple[str, str]]:
     """Find every string leaf that is a registered future (or field) identifier.
 
     Matching is exact whole-leaf equality, never substring search, so prose
-    arguments that merely mention an identifier are left alone.
+    arguments that merely mention an identifier are left alone. Each match
+    comes with its location, such as ``xs[0]`` or ``a.b``.
     """
     refs: list[tuple[str, str]] = []
-    for loc, leaf in _walk_leaves(args, ""):
-        if isinstance(leaf, str) and looks_like_future_id(leaf) and store.known(leaf):
-            refs.append((loc, leaf))
+
+    def leaf(node: Any, path: tuple) -> Any:
+        if isinstance(node, str) and looks_like_future_id(node) and store.known(node):
+            loc = ""
+            for key in path:
+                if isinstance(key, int):
+                    loc += f"[{key}]"
+                else:
+                    loc += f".{key}" if loc else str(key)
+            refs.append((loc, node))
+        return node
+
+    map_leaves(args, leaf)
     return refs
 
 
@@ -283,11 +292,7 @@ def substitute_resolved(args: Any, store: FutureStore) -> Any:
     Resolved state; callers wait on argument futures before substituting.
     """
 
-    def walk(node: Any) -> Any:
-        if isinstance(node, dict):
-            return {key: walk(val) for key, val in node.items()}
-        if isinstance(node, list):
-            return [walk(val) for val in node]
+    def leaf(node: Any, path: tuple) -> Any:
         if isinstance(node, str) and looks_like_future_id(node) and store.known(node):
             state = store.state_of(node)
             if state.status != RESOLVED:
@@ -295,7 +300,7 @@ def substitute_resolved(args: Any, store: FutureStore) -> Any:
             return copy.deepcopy(state.value)
         return node
 
-    return walk(args)
+    return map_leaves(args, leaf)
 
 
 def load_schema_file(path: str) -> list[tuple[FunctionSchema, DependencyAnnotation | None]]:

@@ -40,11 +40,12 @@ import copy
 import json
 import re
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Container
 
-from .errors import ParseError, ValidationError
+from .errors import BadPathTemplateError, ParseError, ValidationError
 from .executor import StateStore, ToolBinding, ToolExecutionError
-from .schema import AWAIT_FUTURE_NAME, DependencyAnnotation, FunctionSchema
+from .scheduler import check_path_template
+from .schema import AWAIT_FUTURE_NAME, DependencyAnnotation, FunctionSchema, map_leaves
 
 CALL_REF_RE = re.compile(r"^@([A-Za-z_][\w-]*)(\.[^.\s]+(?:\.[^.\s]+)*)?$")
 
@@ -60,19 +61,6 @@ def parse_call_ref(value: Any) -> tuple[str, str | None] | None:
     return call_id, fpath[1:] if fpath else None
 
 
-def iter_call_refs(args: Any):
-    if isinstance(args, dict):
-        for value in args.values():
-            yield from iter_call_refs(value)
-    elif isinstance(args, list):
-        for value in args:
-            yield from iter_call_refs(value)
-    else:
-        ref = parse_call_ref(args)
-        if ref is not None:
-            yield ref
-
-
 @dataclass
 class CallSpec:
     call_id: str
@@ -85,7 +73,7 @@ class ScriptTurn:
     """One scripted decoder turn: emitted calls or the final answer.
 
     ``tokens`` is an optional emission timeline of (text, time offset) pairs
-    with non-decreasing offsets; ``ttft`` is the delay before the first token.
+    with non-decreasing offsets.
     """
 
     emit: list[CallSpec] = field(default_factory=list)
@@ -93,7 +81,6 @@ class ScriptTurn:
     decode_time: float = 1.0
     requires: list[str] = field(default_factory=list)
     tokens: list[tuple[str, float]] | None = None
-    ttft: float = 0.0
 
     @property
     def is_final(self) -> bool:
@@ -102,6 +89,32 @@ class ScriptTurn:
     @property
     def is_await(self) -> bool:
         return bool(self.emit) and self.emit[0].name == AWAIT_FUTURE_NAME
+
+
+def check_turn(turn: ScriptTurn, tool_names: Container[str], where: str) -> None:
+    """Checks one decoder turn needs on its own, scripted or live.
+
+    A turn is a final answer or emits calls, never both; every emitted name
+    is a known tool, or ``await_future`` alone in its turn with a list of
+    future id strings.
+    """
+    if turn.decode_time <= 0:
+        raise ValidationError(f"{where}: decode_time must be positive")
+    if turn.is_final == bool(turn.emit):
+        raise ValidationError(f"{where}: exactly one of 'emit' or 'final' is required")
+    if turn.tokens is not None:
+        offsets = [off for _, off in turn.tokens]
+        if any(b < a for a, b in zip(offsets, offsets[1:])):
+            raise ValidationError(f"{where}: token offsets must not decrease")
+    for call in turn.emit:
+        if call.name == AWAIT_FUTURE_NAME:
+            if len(turn.emit) != 1:
+                raise ValidationError(f"{where}: {AWAIT_FUTURE_NAME} must be alone in its turn")
+            ids = call.args.get("future_ids", []) if isinstance(call.args, dict) else None
+            if not isinstance(ids, list) or not all(isinstance(i, str) for i in ids):
+                raise ValidationError(f"{where}: {AWAIT_FUTURE_NAME} needs a list of id strings")
+        elif call.name not in tool_names:
+            raise ValidationError(f"{where}: unknown tool {call.name!r}")
 
 
 @dataclass
@@ -134,39 +147,34 @@ class WorkloadSpec:
         names = set(self.tool_names())
         if len(names) != len(self.tools):
             raise ValidationError("duplicate tool names")
+        for tool in self.tools:
+            if tool.annotation is None:
+                continue
+            for decl in tool.annotation.reads + tool.annotation.writes:
+                try:
+                    check_path_template(decl.path)
+                except BadPathTemplateError as exc:
+                    raise ValidationError(f"tool {tool.schema.name!r}: {exc}") from exc
         emitted: set[str] = set()
         for turn_no, turn in enumerate(self.script):
-            if turn.decode_time <= 0:
-                raise ValidationError(f"script[{turn_no}]: decode_time must be positive")
-            if turn.is_final == bool(turn.emit):
-                raise ValidationError(
-                    f"script[{turn_no}]: exactly one of 'emit' or 'final' is required"
-                )
-            if turn.tokens is not None:
-                offsets = [off for _, off in turn.tokens]
-                if any(b < a for a, b in zip(offsets, offsets[1:])):
-                    raise ValidationError(f"script[{turn_no}]: token offsets must not decrease")
+            check_turn(turn, names, f"script[{turn_no}]")
             for ref in turn.requires:
                 if ref not in emitted:
                     raise ValidationError(
                         f"script[{turn_no}]: trigger references {ref!r} before it is emitted"
                     )
-            if turn.is_await and len(turn.emit) != 1:
-                raise ValidationError(
-                    f"script[{turn_no}]: {AWAIT_FUTURE_NAME} must be alone in its turn"
-                )
             for call in turn.emit:
-                if call.name != AWAIT_FUTURE_NAME and call.name not in names:
-                    raise ValidationError(f"script[{turn_no}]: unknown tool {call.name!r}")
                 if call.call_id in emitted:
                     raise ValidationError(f"duplicate call id {call.call_id!r}")
                 # Same-turn references are impossible: a decoder cannot name a
                 # placeholder it has not received yet.
-                for ref_call, _ in iter_call_refs(call.args):
-                    if ref_call not in emitted:
+                refs: list = []
+                map_leaves(call.args, lambda leaf, _: refs.append(parse_call_ref(leaf)))
+                for ref in refs:
+                    if ref is not None and ref[0] not in emitted:
                         raise ValidationError(
                             f"script[{turn_no}]: {call.call_id} references "
-                            f"{ref_call!r} before an earlier turn emitted it"
+                            f"{ref[0]!r} before an earlier turn emitted it"
                         )
             for call in turn.emit:
                 emitted.add(call.call_id)
@@ -239,7 +247,6 @@ def workload_from_json(data: dict) -> WorkloadSpec:
                 decode_time=float(raw_turn.get("decode_time", 1.0)),
                 requires=list((raw_turn.get("when") or {}).get("resolved", [])),
                 tokens=tokens,
-                ttft=float(raw_turn.get("ttft", 0.0)),
             )
         )
     spec = WorkloadSpec(
@@ -282,8 +289,7 @@ def strip_annotations(base: WorkloadSpec) -> WorkloadSpec:
 
 
 def _render_write_value(template: str, call_id: str, args: dict, reads: dict) -> Any:
-    rendered = template
-    rendered = rendered.replace("{call}", call_id)
+    rendered = template.replace("{call}", call_id)
     if "{args}" in rendered:
         rendered = rendered.replace("{args}", json.dumps(args, sort_keys=True))
     if "{reads}" in rendered:

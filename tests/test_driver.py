@@ -1,10 +1,12 @@
 from __future__ import annotations
 
 import json
+import threading
+import time
 
 import pytest
 
-from futurecall import WallClock, lint_context, run_workload
+from futurecall import MODES, TurnDriver, WallClock, lint_context, run_workload
 from futurecall.driver import Message, ScriptedDecoder, ToolCall, await_detection_offset
 from futurecall.errors import (
     ContextOverflowError,
@@ -147,6 +149,73 @@ class TestFailureInjection:
         }
         with pytest.raises(ScriptExhaustedError):
             run_workload(workload_from_json(data), "async-sequential")
+
+
+def ref_workload(error_at=None):
+    """F1 returns an id; F2 writes a path templated on ``@F1.id``."""
+    return workload_from_json(
+        {
+            "tools": [
+                {
+                    "schema": {"name": "mint", "description": "", "parameters": {}},
+                    "annotation": {"reads": [], "writes": []},
+                    "latency": 2,
+                    "returns": [{"id": "a.txt"}],
+                    "error_at": error_at or {},
+                },
+                {
+                    "schema": {"name": "save", "description": "", "parameters": {}},
+                    "annotation": {"reads": [], "writes": [{"path": "/files/{name}"}]},
+                    "latency": 1,
+                    "returns": [{"saved": True}],
+                },
+            ],
+            "script": [
+                {"emit": [{"id": "F1", "name": "mint", "args": {}}], "decode_time": 1},
+                {
+                    "when": {"resolved": ["F1"]},
+                    "emit": [{"id": "F2", "name": "save", "args": {"name": "@F1.id"}}],
+                    "decode_time": 1,
+                },
+                {"when": {"resolved": ["F2"]}, "final": "x", "decode_time": 1},
+            ],
+        }
+    )
+
+
+def emitted_args(trace, call_id):
+    for message in trace.messages:
+        for tool_call in message.tool_calls or []:
+            if tool_call.call_id == call_id:
+                return tool_call.args
+    raise AssertionError(f"{call_id} never emitted")
+
+
+class TestSyncBatch:
+    @pytest.mark.parametrize("mode", ["sync-sequential", "sync-parallel"])
+    def test_context_shows_concrete_arguments(self, mode):
+        trace = run_workload(ref_workload(), mode)
+        assert emitted_args(trace, "F2") == {"name": "a.txt"}
+
+    @pytest.mark.parametrize("mode", ["sync-sequential", "sync-parallel"])
+    def test_template_fed_by_failed_call_still_runs(self, mode):
+        # The path template is never resolved in sync modes: F2 receives
+        # F1's error as its argument and runs.
+        trace = run_workload(ref_workload(error_at={"0": "boom"}), mode)
+        assert trace.call_status == {"F1": "failed", "F2": "done"}
+        assert emitted_args(trace, "F2")["name"]["error"]["origin_call"] == "F1"
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_tool_crash_is_recorded_as_failed_call(self, mode):
+        driver = TurnDriver(ref_workload(), mode)
+
+        def crash(args, invocation, state):
+            raise KeyError("missing")
+
+        driver.tools["save"].behavior = crash
+        trace = driver.run()
+        assert trace.call_status == {"F1": "done", "F2": "failed"}
+        assert driver.calls["F2"].error.message == "KeyError: 'missing'"
 
 
 def await_workload(tokens=None):
@@ -380,6 +449,35 @@ class TestWallClock:
         w_order = [(e.kind, e.id) for e in wall.events]
         assert v_order == w_order
         assert abs(wall.end_to_end - virtual.end_to_end) < 2.0  # noise in units
+
+    def test_timers_stop_when_a_run_raises(self):
+        data = {
+            "tools": [
+                {
+                    "schema": {"name": "t", "description": "", "parameters": {}},
+                    "annotation": {"reads": [], "writes": []},
+                    "latency": 10000,
+                    "returns": [{}],
+                }
+            ],
+            "script": [
+                {"emit": [{"id": f"C{i}", "name": "t"}], "decode_time": 0.1} for i in range(6)
+            ]
+            + [{"final": "x", "decode_time": 0.1}],
+            "context_budget": 5,
+            "delay_scale": 0.01,
+        }
+        before = set(threading.enumerate())
+        with pytest.raises(ContextOverflowError):
+            run_workload(workload_from_json(data), "async-sequential", clock="wall")
+        timers = [
+            t for t in threading.enumerate() if isinstance(t, threading.Timer) and t not in before
+        ]
+        assert timers, "expected the run to have started timers"
+        deadline = time.monotonic() + 5  # a leaked timer would fire after 100 s
+        for timer in timers:
+            timer.join(timeout=max(0.0, deadline - time.monotonic()))
+        assert not any(timer.is_alive() for timer in timers)
 
     def test_live_decoder_requires_wall_clock(self):
         from futurecall import ChatCompletionsDecoder

@@ -126,6 +126,37 @@ class TestWorkloadLoading:
                 }
             )
 
+    @pytest.mark.parametrize("order", [("A", "AW"), ("AW", "A")])
+    def test_await_beside_a_tool_call_rejected(self, order):
+        calls = {
+            "A": {"id": "A", "name": "t"},
+            "AW": {"id": "AW", "name": "await_future", "args": {"future_ids": []}},
+        }
+        with pytest.raises(ValidationError, match="alone in its turn"):
+            workload_from_json(
+                {
+                    "tools": [{"schema": {"name": "t", "description": "", "parameters": {}}}],
+                    "script": [{"emit": [calls[k] for k in order]}, {"final": "x"}],
+                }
+            )
+
+    @pytest.mark.parametrize(
+        "path", ["files/x", "$session/", "$session//x", "/files/{name", "/a/{x}{y"]
+    )
+    def test_malformed_annotation_template_rejected(self, path):
+        with pytest.raises(ValidationError, match="tool 't'"):
+            workload_from_json(
+                {
+                    "tools": [
+                        {
+                            "schema": {"name": "t", "description": "", "parameters": {}},
+                            "annotation": {"reads": [], "writes": [{"path": path}]},
+                        }
+                    ],
+                    "script": [{"final": "x"}],
+                }
+            )
+
     def test_fig1_fixture_shape(self):
         spec = load_workload(fixture_path("fig1"))
         calls = [c for turn in spec.script for c in turn.emit]
