@@ -1,8 +1,9 @@
 """Golden virtual traces: every fixture in every mode, pinned byte for byte.
 
-The digests are sha256 over ``RunTrace.to_jsonl()``. A refactor that claims
-to keep behaviour must leave every entry unchanged; a change that shifts a
-virtual trace on purpose updates the entry and says why.
+The digests are sha256 over ``RunTrace.to_jsonl()`` and over the recorded
+dependency edge list. A refactor that claims to keep behaviour must leave
+every entry unchanged; a change that shifts a virtual trace on purpose
+updates the entry and says why.
 """
 
 from __future__ import annotations
@@ -40,6 +41,35 @@ GOLDEN = {
     ("pairs", "async-parallel"): ("aa58307385a1490ef18c645c87d3f2ad50da28684f535b4cbbb47735d0cd6a55", 9.0),
 }
 
+# sha256 of ``repr(trace.edges)``. Edges are not in the JSONL, yet
+# cancellation walks them in recorded order, so their order is pinned too.
+GOLDEN_EDGES = {
+    ("fig1", "sync-sequential"): "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
+    ("fig1", "sync-parallel"): "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
+    ("fig1", "async-sequential"): "dc95c6d8613773f0886681afd5794762e81de4ea81e6eac0c92bf5812e13952f",
+    ("fig1", "async-parallel"): "dc95c6d8613773f0886681afd5794762e81de4ea81e6eac0c92bf5812e13952f",
+    ("vehicle", "sync-sequential"): "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
+    ("vehicle", "sync-parallel"): "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
+    ("vehicle", "async-sequential"): "a017bebbc39e70d40dd8a3499903f95d29ba6c151096e3900dcef8eaab388aa4",
+    ("vehicle", "async-parallel"): "a017bebbc39e70d40dd8a3499903f95d29ba6c151096e3900dcef8eaab388aa4",
+    ("diamond", "sync-sequential"): "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
+    ("diamond", "sync-parallel"): "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
+    ("diamond", "async-sequential"): "8fbf44bfee1d60902e31c1c3e7624aa62f3d1eb8c4204763bfaf36947b3534b7",
+    ("diamond", "async-parallel"): "8fbf44bfee1d60902e31c1c3e7624aa62f3d1eb8c4204763bfaf36947b3534b7",
+    ("fail-chain", "sync-sequential"): "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
+    ("fail-chain", "sync-parallel"): "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
+    ("fail-chain", "async-sequential"): "139a0b7a19b65d5ee7eb95322915c9b420a9b4df323f72f93de8c9a7abdb1b46",
+    ("fail-chain", "async-parallel"): "139a0b7a19b65d5ee7eb95322915c9b420a9b4df323f72f93de8c9a7abdb1b46",
+    ("thinking", "sync-sequential"): "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
+    ("thinking", "sync-parallel"): "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
+    ("thinking", "async-sequential"): "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
+    ("thinking", "async-parallel"): "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
+    ("pairs", "sync-sequential"): "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
+    ("pairs", "sync-parallel"): "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
+    ("pairs", "async-sequential"): "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
+    ("pairs", "async-parallel"): "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
+}
+
 
 @pytest.mark.parametrize("name,mode", sorted(GOLDEN), ids=lambda v: v)
 def test_virtual_trace_matches_golden(name, mode):
@@ -47,3 +77,9 @@ def test_virtual_trace_matches_golden(name, mode):
     trace = run_fixture(name, mode)
     assert trace.end_to_end == end_to_end
     assert hashlib.sha256(trace.to_jsonl().encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("name,mode", sorted(GOLDEN_EDGES), ids=lambda v: v)
+def test_edge_list_matches_golden(name, mode):
+    trace = run_fixture(name, mode)
+    assert hashlib.sha256(repr(trace.edges).encode()).hexdigest() == GOLDEN_EDGES[(name, mode)]
