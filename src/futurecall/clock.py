@@ -23,13 +23,12 @@ from .errors import DeadlockError, EmptyQueueError
 
 
 class ScheduledEvent:
-    __slots__ = ("fire_time", "seq", "fn", "cancelled")
+    __slots__ = ("fire_time", "seq", "fn")
 
     def __init__(self, fire_time: float, seq: int, fn: Callable[[], Any]):
         self.fire_time = fire_time
         self.seq = seq
         self.fn = fn
-        self.cancelled = False
 
     def __lt__(self, other: "ScheduledEvent") -> bool:
         return (self.fire_time, self.seq) < (other.fire_time, other.seq)
@@ -40,7 +39,8 @@ class VirtualClock:
 
     ``schedule`` enqueues at ``now + delay``; ``advance`` pops the earliest
     event, moves time forward to its fire time, and executes it. Ties fire in
-    insertion order.
+    insertion order. Scheduled events are never withdrawn, so every queued
+    event is live and ``pending`` is a constant-time emptiness test.
     """
 
     is_virtual = True
@@ -64,19 +64,17 @@ class VirtualClock:
         return event
 
     def pending(self) -> bool:
-        return any(not e.cancelled for e in self._queue)
+        return bool(self._queue)
 
     def advance(self) -> ScheduledEvent:
         """Fire the single earliest pending event."""
-        while self._queue:
-            event = heapq.heappop(self._queue)
-            if event.cancelled:
-                continue
-            assert event.fire_time >= self._now
-            self._now = event.fire_time
-            event.fn()
-            return event
-        raise EmptyQueueError("advance() on an empty event queue")
+        if not self._queue:
+            raise EmptyQueueError("advance() on an empty event queue")
+        event = heapq.heappop(self._queue)
+        assert event.fire_time >= self._now
+        self._now = event.fire_time
+        event.fn()
+        return event
 
     def run_until(self, predicate: Callable[[], bool]) -> None:
         """Fire events until the predicate holds; the queue must not drain first."""
@@ -89,13 +87,7 @@ class VirtualClock:
         """Fire every event due at or before ``target``, then set now = target."""
         if target < self._now:
             raise ValueError(f"cannot rewind clock from {self._now} to {target}")
-        while self._queue:
-            head = self._queue[0]
-            if head.cancelled:
-                heapq.heappop(self._queue)
-                continue
-            if head.fire_time > target:
-                break
+        while self._queue and self._queue[0].fire_time <= target:
             self.advance()
         self._now = target
 

@@ -312,6 +312,9 @@ class TurnDriver:
         self.call_turn: dict[str, int] = {}
         self.calls: dict[str, CallRecord] = {}
         self._reported: set[str] = set()  # call ids whose outcome is in context
+        self._used_ids: set[str] = set()  # every call and await id emitted so far
+        self._terminal: list[str] = []  # async call ids turned terminal since the last boundary
+        self._trigger: tuple[list[str], int] = ([], 0)  # requires list, count known reported
         self._turn_no = 0
         self._boundary_no = 0
         self._live_t0 = 0.0
@@ -367,16 +370,19 @@ class TurnDriver:
             return not self._has_unreported_outcomes()
 
     def _has_unreported_outcomes(self) -> bool:
-        for call_id, fid in self.call_futures.items():
-            if call_id in self._reported:
-                continue
-            if self.store.state_of(fid).is_terminal:
-                return True
-        return False
+        return any(call_id not in self._reported for call_id in self._terminal)
 
     def _trigger_satisfied(self, requires: list[str]) -> bool:
+        """True once every required call is reported. ``_reported`` only
+        grows, so the check resumes where the last one for this list stopped."""
         with self.clock.guard():
-            return all(ref in self._reported for ref in requires)
+            checked, done = self._trigger
+            if checked is not requires:
+                done = 0
+            while done < len(requires) and requires[done] in self._reported:
+                done += 1
+            self._trigger = (requires, done)
+            return done == len(requires)
 
     def _wait_progress(self) -> None:
         before = self.store.terminal_count
@@ -420,12 +426,12 @@ class TurnDriver:
         bindings: dict[str, Any] = {}
         failures: list[dict] = []
         now = self.clock.now()
-        for call_id, fid in self.call_futures.items():
+        terminal, self._terminal = self._terminal, []
+        for call_id in terminal:
             if call_id in self._reported:
-                continue
+                continue  # an await already returned it
+            fid = self.call_futures[call_id]
             state = self.store.state_of(fid)
-            if not state.is_terminal:
-                continue
             self._reported.add(call_id)
             if state.status == RESOLVED:
                 bindings[fid] = state.value
@@ -495,6 +501,7 @@ class TurnDriver:
                 f"turn {self._turn_no + 1}: {len(turn.emit)} calls in one turn under "
                 f"sequential calling ({self.mode})"
             )
+        self._check_new_ids(turn)
         if turn.is_final:
             self._decode(turn.decode_time)
             with self.clock.guard():
@@ -507,6 +514,17 @@ class TurnDriver:
         self._emit_calls(turn)
 
     # -- call emission ------------------------------------------------------------------
+
+    def _check_new_ids(self, turn: ScriptTurn) -> None:
+        """A live decoder may repeat a call id. The turn is rejected: a second
+        call would overwrite the first one's record, and a second answer
+        under one id leaves the context ambiguous."""
+        for spec in turn.emit:
+            if spec.call_id in self._used_ids:
+                raise ValidationError(
+                    f"turn {self._turn_no + 1}: duplicate call id {spec.call_id!r}"
+                )
+            self._used_ids.add(spec.call_id)
 
     def _emit_calls(self, turn: ScriptTurn) -> None:
         """Build the turn's calls and the assistant message carrying them.
@@ -558,6 +576,9 @@ class TurnDriver:
                 template = self.tools[record.tool].schema.outputs
             placeholder = futurize_output_template(template, record.result_future, self.store)
             self.scheduler.submit(record)
+            self.store.add_waiter(
+                [record.result_future], lambda call_id=record.call_id: self._terminal.append(call_id)
+            )
             self._append(Message(role="tool", content=placeholder, call_id=record.call_id))
 
     def _run_batch(self, records: list[CallRecord]) -> None:

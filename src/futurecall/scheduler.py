@@ -4,9 +4,17 @@ Decoded calls enter a FIFO admission queue. The head is admitted once its
 resource path templates resolve (argument- and session-parameterized segments
 included). Admission registers read/write access labels, each backed by a
 pending gate future, and collects the gates of every conflicting live label
-as blocking dependencies. A call is dispatched when all its blocking gates
-have resolved; completing (or cancelling) a call releases its labels, which
-resolves the gates and unblocks waiters.
+as blocking dependencies. Completing (or cancelling) a call releases its
+labels, which resolves the gates.
+
+Dispatch is event-driven: admission registers one store waiter on the call's
+blocking gates, and the waiter queues the call for dispatch once the last
+gate is terminal. Live labels sit in a trie keyed by path segment, so a
+conflict lookup visits the path's ancestors, the equal node and, for a
+subtree access, the descendants, rather than every live label; this is the
+structure of multi-granularity locking (Gray, Lorie, Putzolu & Traiger,
+"Granularity of Locks and Degrees of Consistency in a Shared Data Base",
+1976).
 
 Two regions overlap when their paths are equal or one is an ancestor of the
 other and the ancestor's label covers its subtree. A pair of accesses
@@ -16,8 +24,9 @@ never conflict, which is what lets independent calls run in parallel.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Any, Callable, Iterator
 
 from .errors import (
     CANCELLED_DEPENDENCY,
@@ -102,11 +111,15 @@ class Access:
 
 @dataclass
 class AccessLabel:
-    """A live access registered in the state tree, backed by a gate future."""
+    """A live access registered in the state tree, backed by a gate future.
+
+    ``seq`` is the label's registration order within its scheduler.
+    """
 
     access: Access
     owner: str
     gate: str
+    seq: int
 
 
 def regions_overlap(a: Access, b: Access) -> bool:
@@ -124,6 +137,103 @@ def conflicts(a: Access, b: Access) -> bool:
     if a.mode != WRITE and b.mode != WRITE:
         return False
     return regions_overlap(a, b)
+
+
+# Per access mode, the (mode, subtree) label keys to look at on a proper
+# ancestor (subtree labels only) and at or below the path (both scopes).
+_LOOKUP_KEYS = {
+    READ: ([(WRITE, True)], [(WRITE, False), (WRITE, True)]),
+    WRITE: (
+        [(READ, True), (WRITE, True)],
+        [(READ, False), (READ, True), (WRITE, False), (WRITE, True)],
+    ),
+}
+
+
+class _PathNode:
+    """One state-tree node: children by segment and, apart from them, the
+    live labels registered at exactly this path, keyed by (mode, subtree)
+    and then by registration order."""
+
+    __slots__ = ("children", "labels")
+
+    def __init__(self):
+        self.children: dict[str, _PathNode] = {}
+        self.labels: dict[tuple[str, bool], dict[int, AccessLabel]] = {}
+
+    def collect(self, keys: list[tuple[str, bool]], out: list[AccessLabel]) -> None:
+        for key in keys:
+            labels = self.labels.get(key)
+            if labels:
+                out.extend(labels.values())
+
+    def descendants(self) -> Iterator["_PathNode"]:
+        stack = list(self.children.values())
+        while stack:
+            node = stack.pop()
+            yield node
+            stack.extend(node.children.values())
+
+
+class LabelIndex:
+    """Live labels by path: a lookup touches the path's depth, the nodes
+    below a subtree access and the labels it returns; iteration yields
+    labels in registration order."""
+
+    def __init__(self):
+        self._root = _PathNode()
+        self._live: dict[int, AccessLabel] = {}
+
+    def __iter__(self) -> Iterator[AccessLabel]:
+        return iter(self._live.values())
+
+    def add(self, label: AccessLabel) -> None:
+        node = self._root
+        for segment in label.access.path.segments:
+            child = node.children.get(segment)
+            if child is None:
+                child = node.children[segment] = _PathNode()
+            node = child
+        key = (label.access.mode, label.access.subtree)
+        node.labels.setdefault(key, {})[label.seq] = label
+        self._live[label.seq] = label
+
+    def remove(self, label: AccessLabel) -> None:
+        del self._live[label.seq]
+        trail = [self._root]
+        for segment in label.access.path.segments:
+            trail.append(trail[-1].children[segment])
+        node = trail[-1]
+        key = (label.access.mode, label.access.subtree)
+        del node.labels[key][label.seq]
+        if not node.labels[key]:
+            del node.labels[key]
+        # Prune nodes left with neither labels nor children, so subtree
+        # walks only ever see live state.
+        for depth in range(len(trail) - 1, 0, -1):
+            node = trail[depth]
+            if node.labels or node.children:
+                break
+            del trail[depth - 1].children[label.access.path.segments[depth - 1]]
+
+    def overlapping(self, access: Access) -> list[AccessLabel]:
+        """Live labels that may conflict with the access: subtree labels on
+        proper ancestors, labels at the equal path and, for a subtree access,
+        every label below it. A read only looks at writers."""
+        covering, any_scope = _LOOKUP_KEYS[access.mode]
+        found: list[AccessLabel] = []
+        node = self._root
+        for segment in access.path.segments:
+            if node.labels:
+                node.collect(covering, found)
+            node = node.children.get(segment)
+            if node is None:
+                return found
+        node.collect(any_scope, found)
+        if access.subtree:
+            for below in node.descendants():
+                below.collect(any_scope, found)
+        return found
 
 
 def fallback_accesses() -> list[Access]:
@@ -349,9 +459,12 @@ class Scheduler:
 
     Owns enqueue order, label registration, blocking-gate computation and
     release. Dispatch itself is delegated through ``on_dispatch`` so the
-    executor decides how dispatched calls run. ``pump`` is invoked on every
-    submission and on every future resolution; those are the only events that
-    can unblock either the queue head or an admitted call.
+    executor decides how dispatched calls run. Each admitted call waits on a
+    store waiter over its blocking gates; the waiter puts it on the ready
+    list, and the next pass dispatches the ready calls in admission order.
+    ``pump`` runs on every submission and on every future transition: the
+    queue head may wait on a pending ``{param}`` value or an in-flight
+    session write, which any transition can settle.
     """
 
     def __init__(
@@ -367,13 +480,20 @@ class Scheduler:
         self.on_dispatch = on_dispatch or (lambda call: None)
         self.calls: dict[str, CallRecord] = {}
         self.queue: list[CallRecord] = []
-        self.live_labels: list[AccessLabel] = []
+        self.label_index = LabelIndex()
         self.edges: list[DependencyEdge] = []
         self._edge_keys: set[tuple[str, str, str]] = set()
-        self._awaiting_dispatch: list[CallRecord] = []
+        self._label_seq = itertools.count()
+        self._admission_seq = itertools.count()
+        self._ready: list[tuple[int, CallRecord]] = []  # (admission seq, call)
         self._pumping = False
         self._pump_again = False
         store.add_observer(lambda fid: self.pump())
+
+    @property
+    def live_labels(self) -> list[AccessLabel]:
+        """Live labels in registration order."""
+        return list(self.label_index)
 
     # -- submission ----------------------------------------------------------
 
@@ -453,27 +573,31 @@ class Scheduler:
             call.session_version = self.session.reserve_write(call.call_id)
         for access in accesses:
             gate = self.store.create(kind="access-label", owner_call=call.call_id)
-            label = AccessLabel(access=access, owner=call.call_id, gate=gate)
+            label = AccessLabel(access, call.call_id, gate, next(self._label_seq))
             call.labels.append(label)
-            self.live_labels.append(label)
+            self.label_index.add(label)
         call.advance_status(ADMITTED)
         call.admitted_at = now
-        self._awaiting_dispatch.append(call)
+        seq = next(self._admission_seq)
+        self.store.add_waiter(call.blocking_gates, lambda: self._ready.append((seq, call)))
 
     def blocking_gates(self, call: CallRecord, accesses: list[Access]) -> set[str]:
-        """Gates of every live conflicting label, plus the preceding session gate."""
+        """Gates of every live conflicting label, plus the preceding session gate.
+
+        Gates and edges are recorded in label registration order, then
+        access order, as a scan over all live labels would record them.
+        """
+        hits = []
+        for index, access in enumerate(accesses):
+            for label in self.label_index.overlapping(access):
+                if label.owner != call.call_id and conflicts(label.access, access):
+                    hits.append((label.seq, index, label))
+        hits.sort()  # (seq, index) pairs are unique: labels are never compared
         gates: set[str] = set()
-        for label in self.live_labels:
-            if label.owner == call.call_id:
-                continue
-            for access in accesses:
-                if conflicts(label.access, access):
-                    gates.add(label.gate)
-                    self._add_edge(
-                        label.owner,
-                        call.call_id,
-                        _gate_edge_kind(label.access.mode, access.mode),
-                    )
+        for _, index, label in hits:
+            gates.add(label.gate)
+            kind = _gate_edge_kind(label.access.mode, accesses[index].mode)
+            self._add_edge(label.owner, call.call_id, kind)
         annotation = call.annotation
         if annotation is not None and (annotation.session_read or annotation.session_write):
             gate = self.session.latest_gate()
@@ -488,17 +612,14 @@ class Scheduler:
     # -- dispatch & release ------------------------------------------------------
 
     def _try_dispatch(self) -> None:
-        ready = []
-        still_waiting = []
-        for call in self._awaiting_dispatch:
-            if call.terminal:
-                continue
-            if all(self.store.state_of(g).is_terminal for g in call.blocking_gates):
-                ready.append(call)
-            else:
-                still_waiting.append(call)
-        self._awaiting_dispatch = still_waiting
-        for call in ready:
+        """Dispatch, in admission order, the calls whose gates all became
+        terminal since the last pass; calls readied meanwhile wait for the
+        next pass."""
+        if not self._ready:
+            return
+        ready, self._ready = self._ready, []
+        ready.sort()  # admission seqs are unique: calls are never compared
+        for call in [call for _, call in ready if not call.terminal]:
             self.on_dispatch(call)
 
     def release(self, call: CallRecord) -> None:
@@ -511,7 +632,8 @@ class Scheduler:
         for label in call.labels:
             if not self.store.state_of(label.gate).is_terminal:
                 self.store.resolve(label.gate, {"released_by": call.call_id})
-        self.live_labels = [lab for lab in self.live_labels if lab.owner != call.call_id]
+        for label in call.labels:
+            self.label_index.remove(label)
         if call.session_version is not None and call.status != DONE:
             self.session.abort_write(call.session_version)
         self.pump()

@@ -164,8 +164,6 @@ class WorkloadSpec:
                         f"script[{turn_no}]: trigger references {ref!r} before it is emitted"
                     )
             for call in turn.emit:
-                if call.call_id in emitted:
-                    raise ValidationError(f"duplicate call id {call.call_id!r}")
                 # Same-turn references are impossible: a decoder cannot name a
                 # placeholder it has not received yet.
                 refs: list = []
@@ -177,6 +175,8 @@ class WorkloadSpec:
                             f"{ref[0]!r} before an earlier turn emitted it"
                         )
             for call in turn.emit:
+                if call.call_id in emitted:
+                    raise ValidationError(f"duplicate call id {call.call_id!r}")
                 emitted.add(call.call_id)
         if not any(turn.is_final for turn in self.script):
             raise ValidationError("script never produces a final answer")

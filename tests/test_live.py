@@ -8,7 +8,14 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
 
-from futurecall import MODES, ChatCompletionsDecoder, lint_context, run_workload
+from futurecall import (
+    MODES,
+    ChatCompletionsDecoder,
+    TurnDriver,
+    WallClock,
+    lint_context,
+    run_workload,
+)
 from futurecall.errors import ValidationError
 from futurecall.workload import workload_from_json
 
@@ -57,7 +64,7 @@ def calls(*named_args):
     }
 
 
-def run_live(stub, mode, *replies):
+def live_setup(stub, *replies):
     stub.replies.extend(replies)
     spec = workload_from_json(
         {
@@ -76,6 +83,11 @@ def run_live(stub, mode, *replies):
     decoder = ChatCompletionsDecoder(
         tool_schemas=[], endpoint=f"http://127.0.0.1:{stub.server_port}", model="stub"
     )
+    return spec, decoder
+
+
+def run_live(stub, mode, *replies):
+    spec, decoder = live_setup(stub, *replies)
     return run_workload(spec, mode, clock="wall", decoder=decoder)
 
 
@@ -113,3 +125,34 @@ def test_await_needs_id_strings(stub):
 def test_sequential_mode_rejects_a_multi_call_turn(stub, mode):
     with pytest.raises(ValidationError, match="2 calls in one turn"):
         run_live(stub, mode, calls(("send", {}), ("send", {})))
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_reused_call_id_is_rejected_before_it_runs(stub, mode):
+    # Both turns name their call c0; the second must not replace the first.
+    spec, decoder = live_setup(stub, calls(("send", {})), calls(("send", {})), {"content": "done"})
+    clock = WallClock(delay_scale=spec.delay_scale)
+    driver = TurnDriver(spec, mode, clock=clock, decoder=decoder)
+    try:
+        with pytest.raises(ValidationError, match="duplicate call id 'c0'"):
+            driver.run()
+    finally:
+        clock.shutdown()
+    assert list(driver.calls) == ["c0"]
+    assert driver.calls["c0"].invocation_index == 0
+    assert [m.role for m in driver.messages] == ["assistant", "tool"]
+
+
+@pytest.mark.parametrize("mode", ["sync-parallel", "async-parallel"])
+def test_repeated_call_id_within_a_turn_is_rejected(stub, mode):
+    reply = calls(("send", {}), ("send", {}))
+    reply["tool_calls"][1]["id"] = "c0"
+    with pytest.raises(ValidationError, match="duplicate call id 'c0'"):
+        run_live(stub, mode, reply)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_await_reusing_a_call_id_is_rejected(stub, mode):
+    wait = calls(("await_future", {"future_ids": ["@c0"]}))
+    with pytest.raises(ValidationError, match="duplicate call id 'c0'"):
+        run_live(stub, mode, calls(("send", {})), wait)

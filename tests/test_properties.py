@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from futurecall import (
+    DependencyAnnotation,
     FutureStore,
     VirtualClock,
     effective_union,
@@ -13,8 +14,18 @@ from futurecall import (
     substitute_resolved,
     transform_schema,
 )
-from futurecall.scheduler import READ, WRITE, Access, ResourcePath, conflicts
-from futurecall.schema import FunctionSchema, ParamSpec
+from futurecall.scheduler import (
+    READ,
+    WRITE,
+    Access,
+    CallRecord,
+    ResourcePath,
+    Scheduler,
+    SessionState,
+    conflicts,
+    resolve_paths,
+)
+from futurecall.schema import AccessDecl, FunctionSchema, ParamSpec
 
 # -- interval properties ------------------------------------------------------
 
@@ -157,3 +168,64 @@ def test_transform_idempotent_for_any_parameter_map(params):
     once = transform_schema(schema)
     assert transform_schema(once) == once
     assert all(p.accepts_future for p in once.parameters.values())
+
+
+# -- label index against a scan of every live label -----------------------------
+
+# Segments spelled like an access mode or a missing key must behave as plain
+# path segments.
+index_paths = st.lists(st.sampled_from(["a", "b", "read", "write", "None"]), max_size=3)
+index_accesses = st.lists(
+    st.tuples(index_paths, st.sampled_from([READ, WRITE]), st.booleans()), min_size=1, max_size=3
+)
+index_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("admit"), index_accesses),
+        st.tuples(st.just("release"), st.integers(0, 30)),
+    ),
+    max_size=30,
+)
+
+
+def _scan_edge_kind(producer_mode: str, consumer_mode: str) -> str:
+    if producer_mode == WRITE:
+        return "gate-raw" if consumer_mode == READ else "gate-waw"
+    return "gate-war"
+
+
+@given(index_ops)
+@settings(max_examples=200, deadline=None)
+def test_blocking_gates_match_a_scan_of_live_labels(ops):
+    clock = VirtualClock()
+    store = FutureStore(clock)
+    session = SessionState(store=store)
+    scheduler = Scheduler(store, session, clock)
+    calls: list[CallRecord] = []
+    for n, (op, arg) in enumerate(ops):
+        if op == "release":
+            live = [c for c in calls if not c.terminal]
+            if live:
+                scheduler.mark_cancelled(live[arg % len(live)], "fut_cause", "origin")
+            continue
+        decls = {READ: [], WRITE: []}
+        for segments, mode, subtree in arg:
+            decls[mode].append(AccessDecl("/" + "/".join(segments), subtree))
+        annotation = DependencyAnnotation(reads=decls[READ], writes=decls[WRITE])
+        call = CallRecord(call_id=f"C{n}", tool="t", args={}, annotation=annotation)
+        accesses = resolve_paths(annotation, {}, session, store)
+
+        gates: set[str] = set()
+        edges: list[tuple[str, str, str]] = []
+        for label in scheduler.live_labels:
+            for access in accesses:
+                if conflicts(label.access, access):
+                    gates.add(label.gate)
+                    edge = (label.owner, call.call_id, _scan_edge_kind(label.access.mode, access.mode))
+                    if edge not in edges:
+                        edges.append(edge)
+        before = len(scheduler.edges)
+        scheduler.submit(call)
+        calls.append(call)
+        assert call.blocking_gates == gates
+        assert [(e.producer, e.consumer, e.kind) for e in scheduler.edges[before:]] == edges
+        assert scheduler.live_labels == [lab for c in calls if not c.terminal for lab in c.labels]

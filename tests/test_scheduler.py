@@ -2,7 +2,8 @@ from __future__ import annotations
 
 import pytest
 
-from futurecall import DependencyAnnotation, FutureStore, VirtualClock
+import futurecall.scheduler as scheduler_mod
+from futurecall import DependencyAnnotation, FutureStore, VirtualClock, run_workload
 from futurecall.errors import (
     BadPathTemplateError,
     DuplicateCallIdError,
@@ -10,6 +11,7 @@ from futurecall.errors import (
     NotTerminalError,
 )
 from futurecall.schema import AccessDecl
+from futurecall.workload import workload_from_json
 from futurecall.scheduler import (
     NOT_YET_RESOLVABLE,
     READ,
@@ -300,3 +302,47 @@ class TestGateDag:
         scheduler.submit(head)
         scheduler.submit(later)
         assert later.status == "queued"
+
+
+class TestWorkGrowth:
+    """Scheduler work counted, not timed: it must grow with calls and
+    edges, not with the square of the live calls."""
+
+    def test_wide_turn_of_disjoint_writes_is_linear(self, monkeypatch):
+        n = 400
+        counts = {"state_of": 0, "conflicts": 0}
+        state_of, conflicts_fn = FutureStore.state_of, scheduler_mod.conflicts
+
+        def counted_state_of(self, fid):
+            counts["state_of"] += 1
+            return state_of(self, fid)
+
+        def counted_conflicts(a, b):
+            counts["conflicts"] += 1
+            return conflicts_fn(a, b)
+
+        monkeypatch.setattr(FutureStore, "state_of", counted_state_of)
+        monkeypatch.setattr(scheduler_mod, "conflicts", counted_conflicts)
+        ids = [f"C{k}" for k in range(n)]
+        spec = workload_from_json(
+            {
+                "tools": [
+                    {
+                        "schema": {"name": "put", "description": "", "parameters": {}},
+                        "annotation": {"writes": [{"path": "/items/{k}"}]},
+                        "latency": 1,
+                        "returns": [{}],
+                    }
+                ],
+                "script": [
+                    {"emit": [{"id": i, "name": "put", "args": {"k": k}} for k, i in enumerate(ids)]},
+                    {"when": {"resolved": ids}, "final": "done"},
+                ],
+                "context_budget": 2 * n + 16,
+            }
+        )
+        trace = run_workload(spec, "async-parallel")
+        assert set(trace.call_status.values()) == {"done"}
+        assert trace.edges == []
+        assert counts["state_of"] <= 4 * n
+        assert counts["conflicts"] == 0

@@ -140,6 +140,17 @@ class TestWorkloadLoading:
                 }
             )
 
+    @pytest.mark.parametrize("turns", [[["A", "A"]], [["A"], ["A"]]], ids=["same-turn", "later-turn"])
+    def test_reused_call_id_rejected(self, turns):
+        with pytest.raises(ValidationError, match="duplicate call id 'A'"):
+            workload_from_json(
+                {
+                    "tools": [{"schema": {"name": "t", "description": "", "parameters": {}}}],
+                    "script": [{"emit": [{"id": i, "name": "t"} for i in ids]} for ids in turns]
+                    + [{"final": "x"}],
+                }
+            )
+
     @pytest.mark.parametrize(
         "path", ["files/x", "$session/", "$session//x", "/files/{name", "/a/{x}{y"]
     )
