@@ -140,7 +140,9 @@ def test_reused_call_id_is_rejected_before_it_runs(stub, mode):
         clock.shutdown()
     assert list(driver.calls) == ["c0"]
     assert driver.calls["c0"].invocation_index == 0
-    assert [m.role for m in driver.messages] == ["assistant", "tool"]
+    # A resolved-futures message may follow in async modes; no second
+    # assistant turn may.
+    assert [m.role for m in driver.messages if m.role != "user"] == ["assistant", "tool"]
 
 
 @pytest.mark.parametrize("mode", ["sync-parallel", "async-parallel"])
