@@ -32,6 +32,7 @@ from .errors import (
     IncompleteTraceError,
     OverlappingDecodeError,
 )
+from .scheduler import EDGE_KINDS
 from .trace import RunTrace
 
 
@@ -316,23 +317,13 @@ def annotation_confusion(
     }
 
 
-CAUSAL_EDGE_KINDS = {
-    "arg",
-    "gate-raw",
-    "gate-war",
-    "gate-waw",
-    "session-raw",
-    "session-waw",
-}
-
-
 def trace_dag(trace: RunTrace) -> DependencyDag:
     """Dependency DAG of a finished run: measured durations, recorded edges."""
     durations = dict(trace.call_durations)
     edges = [
         (producer, consumer)
         for producer, consumer, kind in trace.edges
-        if kind in CAUSAL_EDGE_KINDS and producer in durations and consumer in durations
+        if kind in EDGE_KINDS and producer in durations and consumer in durations
     ]
     return DependencyDag(durations=durations, edges=edges)
 

@@ -1,37 +1,28 @@
 """Clocks driving a run: a deterministic virtual clock and a wall-clock twin.
 
-The virtual clock is a discrete-event queue in abstract time units. Events
-fire in (time, insertion sequence) order, time never decreases, and two runs
-of the same workload produce identical event orderings, which is what makes
-traces byte-reproducible.
-
-The wall clock keeps the same interface but maps one time unit to
-``delay_scale`` seconds, fires scheduled work on timer threads, and reports
-timestamps back in units so the two modes stay comparable.
+Both fire one discrete-event queue in abstract time units, in (time, insertion
+sequence) order, and run every handler on the thread that drives the clock, so
+the runtime needs no locks. Time never decreases, and two virtual-clock runs
+of one workload fire identical orderings, which makes traces byte-reproducible.
+The clocks differ only where time moves: the virtual clock jumps to the next
+event, the wall clock (one unit lasts ``delay_scale`` seconds) sleeps until the
+event falls due.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-import threading
 import time
-from contextlib import nullcontext
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
 from .errors import DeadlockError, EmptyQueueError
 
 
-class ScheduledEvent:
-    __slots__ = ("fire_time", "seq", "fn")
-
-    def __init__(self, fire_time: float, seq: int, fn: Callable[[], Any]):
-        self.fire_time = fire_time
-        self.seq = seq
-        self.fn = fn
-
-    def __lt__(self, other: "ScheduledEvent") -> bool:
-        return (self.fire_time, self.seq) < (other.fire_time, other.seq)
+class ScheduledEvent(NamedTuple):
+    fire_time: float
+    seq: int  # unique, so ties on time fire in insertion order and fn is never compared
+    fn: Callable[[], Any]
 
 
 class VirtualClock:
@@ -44,17 +35,20 @@ class VirtualClock:
     """
 
     is_virtual = True
+    _now = 0.0  # set on the instance once time first moves
 
-    def __init__(self, start: float = 0.0):
-        self._now = start
+    def __init__(self):
         self._queue: list[ScheduledEvent] = []
         self._seq = itertools.count()
 
     def now(self) -> float:
         return self._now
 
-    def guard(self):
-        return nullcontext()
+    def _advance_to(self, target: float) -> None:
+        """The one step where time moves: the virtual clock jumps."""
+        if target < self._now:
+            raise ValueError(f"cannot rewind clock from {self._now} to {target}")
+        self._now = target
 
     def schedule(self, delay: float, fn: Callable[[], Any]) -> ScheduledEvent:
         if delay < 0:
@@ -71,8 +65,7 @@ class VirtualClock:
         if not self._queue:
             raise EmptyQueueError("advance() on an empty event queue")
         event = heapq.heappop(self._queue)
-        assert event.fire_time >= self._now
-        self._now = event.fire_time
+        self._advance_to(event.fire_time)
         event.fn()
         return event
 
@@ -84,72 +77,76 @@ class VirtualClock:
             self.advance()
 
     def run_until_time(self, target: float) -> None:
-        """Fire every event due at or before ``target``, then set now = target."""
-        if target < self._now:
-            raise ValueError(f"cannot rewind clock from {self._now} to {target}")
+        """Fire every event due at or before ``target``, then move time to it."""
         while self._queue and self._queue[0].fire_time <= target:
             self.advance()
-        self._now = target
+        self._advance_to(target)
 
     def run_all(self) -> None:
         while self.pending():
             self.advance()
 
 
-class WallClock:
-    """Real-time clock with the VirtualClock interface.
+class WallClock(VirtualClock):
+    """The virtual clock's queue, fired in real time.
 
-    One abstract unit lasts ``delay_scale`` seconds. Scheduled work runs on
-    timer threads; every handler executes under the guard lock, so state
-    mutations stay atomic exactly like in the single-threaded virtual mode.
+    One abstract unit lasts ``delay_scale`` seconds and ``now`` reads real
+    time in units. Where the virtual clock jumps, this clock sleeps until the
+    event's wall time; an event already overdue fires at once, so the ordering
+    is the virtual clock's. Every handler runs on the calling thread.
     """
 
     is_virtual = False
 
-    def __init__(self, delay_scale: float = 1.0, wait_timeout: float = 30.0):
+    # bench/tracing.py wraps these per class and restores them from the
+    # class's own ``__dict__``, so they are named here, not only inherited.
+    schedule = VirtualClock.schedule
+    run_until = VirtualClock.run_until
+    run_until_time = VirtualClock.run_until_time
+
+    def __init__(self, delay_scale: float = 1.0):
         if delay_scale <= 0:
             raise ValueError("delay_scale must be positive")
+        super().__init__()
         self._scale = delay_scale
         self._epoch = time.monotonic()
-        self._lock = threading.RLock()
-        self._cond = threading.Condition(self._lock)
-        self._wait_timeout = wait_timeout
-        self._timers: list[threading.Timer] = []
 
-    def now(self) -> float:
+    @property
+    def _now(self) -> float:
         return (time.monotonic() - self._epoch) / self._scale
 
-    def guard(self):
-        return self._lock
+    def _advance_to(self, target: float) -> None:
+        delay = (target - self._now) * self._scale
+        if delay > 0:
+            time.sleep(delay)
 
-    def schedule(self, delay: float, fn: Callable[[], Any]) -> threading.Timer:
-        if delay < 0:
-            raise ValueError(f"negative delay {delay}")
+    def run_alongside(self, fn: Callable[[], Any]) -> Any:
+        """Return ``fn()``, run on a helper thread while this thread fires
+        events as they fall due, or re-raise what it raised. ``fn`` must touch
+        no run state: handlers run on this thread only, so no lock is needed."""
+        import threading
 
-        def fire():
-            with self._cond:
-                fn()
-                self._cond.notify_all()
+        outcome: list[tuple[Any, BaseException | None]] = []
 
-        timer = threading.Timer(delay * self._scale, fire)
-        timer.daemon = True
-        self._timers.append(timer)
-        timer.start()
-        return timer
+        def work() -> None:
+            try:
+                outcome.append((fn(), None))
+            except BaseException as exc:  # re-raised on the calling thread
+                outcome.append((None, exc))
 
-    def run_until(self, predicate: Callable[[], bool]) -> None:
-        # Callers already hold the guard in wall mode; Condition reuses it.
-        with self._cond:
-            if not self._cond.wait_for(predicate, timeout=self._wait_timeout):
-                raise DeadlockError(
-                    f"condition not satisfied within {self._wait_timeout}s of wall time"
-                )
-
-    def run_until_time(self, target: float) -> None:
-        remaining = (target - self.now()) * self._scale
-        if remaining > 0:
-            time.sleep(remaining)
+        helper = threading.Thread(target=work, daemon=True)
+        helper.start()
+        while helper.is_alive():
+            due = self._queue[0].fire_time if self._queue else None
+            if due is not None and due <= self._now:
+                self.advance()
+            else:
+                helper.join(None if due is None else (due - self._now) * self._scale)
+        value, error = outcome[0]
+        if error is not None:
+            raise error
+        return value
 
     def shutdown(self) -> None:
-        for timer in self._timers:
-            timer.cancel()
+        """Drop the queued events, which a run that raised leaves behind."""
+        self._queue.clear()

@@ -214,18 +214,34 @@ class ChatCompletionsDecoder:
             timeout=120,
         )
         response.raise_for_status()
-        message = response.json()["choices"][0]["message"]
-        if message.get("tool_calls"):
+        try:
+            message = response.json()["choices"][0]["message"]
+            tool_calls = message.get("tool_calls")
+        except (ValueError, LookupError, TypeError, AttributeError) as exc:
+            raise ValidationError(f"live reply without choices[0].message: {exc!r}") from exc
+        if tool_calls:
             emit = [
-                CallSpec(
-                    call_id=tc.get("id", f"live{self._turns_used}_{i}"),
-                    name=tc["function"]["name"],
-                    args=json.loads(tc["function"].get("arguments") or "{}"),
-                )
-                for i, tc in enumerate(message["tool_calls"])
+                self._call_from_reply(tc, f"live{self._turns_used}_{i}")
+                for i, tc in enumerate(tool_calls)
             ]
             return ScriptTurn(emit=emit)
         return ScriptTurn(final=message.get("content") or "")
+
+    @staticmethod
+    def _call_from_reply(tool_call: Any, default_id: str) -> CallSpec:
+        """One reply tool call; ``check_turn`` then checks its name and arguments."""
+        function = tool_call.get("function") if isinstance(tool_call, dict) else None
+        name = function.get("name") if isinstance(function, dict) else None
+        if not isinstance(name, str):
+            raise ValidationError(f"live tool call without function.name: {tool_call!r}")
+        try:
+            args = json.loads(function.get("arguments") or "{}")
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"live tool call {name!r}: arguments are not JSON text") from exc
+        call_id = tool_call.get("id", default_id)
+        if not isinstance(call_id, str):
+            raise ValidationError(f"live tool call {name!r}: id must be a string")
+        return CallSpec(call_id=call_id, name=name, args=args)
 
 
 def _to_chat_message(msg: Message) -> dict:
@@ -340,11 +356,9 @@ class TurnDriver:
     def run(self) -> RunTrace:
         self.trace.started = self.clock.now()
         if self.workload.task:
-            with self.clock.guard():
-                self._append(Message(role="user", content=self.workload.task))
+            self._append(Message(role="user", content=self.workload.task))
         while True:
-            with self.clock.guard():
-                self._boundary()
+            self._boundary()
             if self.final_answer is not None:
                 if self._drained():
                     break
@@ -357,17 +371,22 @@ class TurnDriver:
             if not self._trigger_satisfied(self.decoder.requires()):
                 self._wait_progress()
                 continue
-            self._live_t0 = self.clock.now()
-            turn = self.decoder.next_turn(self.messages)
+            if self.decoder.realtime:
+                # Calls in flight finish on this thread while the request is
+                # out; the request gets its own copy of the context.
+                self._live_t0 = self.clock.now()
+                context = list(self.messages)
+                turn = self.clock.run_alongside(lambda: self.decoder.next_turn(context))
+            else:
+                turn = self.decoder.next_turn(self.messages)
             self._execute_turn(turn)
         self._finish()
         return self.trace
 
     def _drained(self) -> bool:
-        with self.clock.guard():
-            if any(not c.terminal for c in self.calls.values()):
-                return False
-            return not self._has_unreported_outcomes()
+        if any(not c.terminal for c in self.calls.values()):
+            return False
+        return not self._has_unreported_outcomes()
 
     def _has_unreported_outcomes(self) -> bool:
         return any(call_id not in self._reported for call_id in self._terminal)
@@ -375,14 +394,13 @@ class TurnDriver:
     def _trigger_satisfied(self, requires: list[str]) -> bool:
         """True once every required call is reported. ``_reported`` only
         grows, so the check resumes where the last one for this list stopped."""
-        with self.clock.guard():
-            checked, done = self._trigger
-            if checked is not requires:
-                done = 0
-            while done < len(requires) and requires[done] in self._reported:
-                done += 1
-            self._trigger = (requires, done)
-            return done == len(requires)
+        checked, done = self._trigger
+        if checked is not requires:
+            done = 0
+        while done < len(requires) and requires[done] in self._reported:
+            done += 1
+        self._trigger = (requires, done)
+        return done == len(requires)
 
     def _wait_progress(self) -> None:
         before = self.store.terminal_count
@@ -396,26 +414,25 @@ class TurnDriver:
             ) from exc
 
     def _finish(self) -> None:
-        with self.clock.guard():
-            self.trace.finished = self.clock.now()
-            leaked = self.store.pending_ids()
-            if leaked:
-                raise LeakedFutureError(f"pending futures at drain time: {sorted(leaked)}")
-            violations = lint_context(self.messages)
-            if violations:
-                raise ProtocolViolationError("; ".join(violations))
-            self.trace.final_answer = self.final_answer
-            self.trace.final_state = self.state.snapshot()
-            self.trace.messages = list(self.messages)
-            self.trace.edges = [
-                (e.producer, e.consumer, e.kind) for e in self.scheduler.edges
-            ]
-            for call_id, call in self.calls.items():
-                self.trace.call_status[call_id] = call.status
-                if call.exec_start is not None and call.exec_end is not None:
-                    self.trace.call_durations[call_id] = call.exec_end - call.exec_start
-                else:
-                    self.trace.call_durations[call_id] = 0.0
+        self.trace.finished = self.clock.now()
+        leaked = self.store.pending_ids()
+        if leaked:
+            raise LeakedFutureError(f"pending futures at drain time: {sorted(leaked)}")
+        violations = lint_context(self.messages)
+        if violations:
+            raise ProtocolViolationError("; ".join(violations))
+        self.trace.final_answer = self.final_answer
+        self.trace.final_state = self.state.snapshot()
+        self.trace.messages = list(self.messages)
+        self.trace.edges = [
+            (e.producer, e.consumer, e.kind) for e in self.scheduler.edges
+        ]
+        for call_id, call in self.calls.items():
+            self.trace.call_status[call_id] = call.status
+            if call.exec_start is not None and call.exec_end is not None:
+                self.trace.call_durations[call_id] = call.exec_end - call.exec_start
+            else:
+                self.trace.call_durations[call_id] = 0.0
 
     # -- turn boundary work ------------------------------------------------------------
 
@@ -504,9 +521,8 @@ class TurnDriver:
         self._check_new_ids(turn)
         if turn.is_final:
             self._decode(turn.decode_time)
-            with self.clock.guard():
-                self._append(Message(role="assistant", content=turn.final))
-                self.final_answer = turn.final
+            self._append(Message(role="assistant", content=turn.final))
+            self.final_answer = turn.final
             return
         if turn.is_await:
             self._handle_await(turn)
@@ -535,37 +551,36 @@ class TurnDriver:
         """
         self._decode(turn.decode_time)
         bind = self._ref_future if is_async(self.mode) else self._ref_value
-        with self.clock.guard():
-            records: list[CallRecord] = []
-            for spec in turn.emit:
-                tool = self.tools[spec.name]
-                record = CallRecord(
-                    call_id=spec.call_id,
-                    tool=spec.name,
-                    args=self._substitute_refs(spec.args, bind),
-                    annotation=tool.annotation,
-                    invocation_index=tool.next_invocation(),
-                )
-                record.result_future = self.store.create(
-                    kind="result", owner_call=spec.call_id
-                )
-                self.calls[spec.call_id] = record
-                self.call_turn[spec.call_id] = self._turn_no
-                records.append(record)
-            # Registered only now: a decoder cannot name a placeholder it has
-            # not received yet, so a same-turn reference stays literal.
-            for record in records:
-                self.call_futures[record.call_id] = record.result_future
-            self._append(
-                Message(
-                    role="assistant",
-                    content="",
-                    tool_calls=[ToolCall(r.call_id, r.tool, r.args) for r in records],
-                )
+        records: list[CallRecord] = []
+        for spec in turn.emit:
+            tool = self.tools[spec.name]
+            record = CallRecord(
+                call_id=spec.call_id,
+                tool=spec.name,
+                args=self._substitute_refs(spec.args, bind),
+                annotation=tool.annotation,
+                invocation_index=tool.next_invocation(),
             )
-            if is_async(self.mode):
-                self._submit(records)
-                return
+            record.result_future = self.store.create(
+                kind="result", owner_call=spec.call_id
+            )
+            self.calls[spec.call_id] = record
+            self.call_turn[spec.call_id] = self._turn_no
+            records.append(record)
+        # Registered only now: a decoder cannot name a placeholder it has
+        # not received yet, so a same-turn reference stays literal.
+        for record in records:
+            self.call_futures[record.call_id] = record.result_future
+        self._append(
+            Message(
+                role="assistant",
+                content="",
+                tool_calls=[ToolCall(r.call_id, r.tool, r.args) for r in records],
+            )
+        )
+        if is_async(self.mode):
+            self._submit(records)
+            return
         self._run_batch(records)
 
     def _submit(self, records: list[CallRecord]) -> None:
@@ -584,26 +599,24 @@ class TurnDriver:
     def _run_batch(self, records: list[CallRecord]) -> None:
         """Sync execution: same-turn calls overlap in time, but their effects
         and results apply in emitted order once the slowest one is done."""
-        with self.clock.guard():
-            t0 = self.clock.now()
-            latencies = [self.tools[r.tool].latency_for(r.invocation_index) for r in records]
+        t0 = self.clock.now()
+        latencies = [self.tools[r.tool].latency_for(r.invocation_index) for r in records]
         self.clock.run_until_time(t0 + max(latencies))
-        with self.clock.guard():
-            for record, latency in zip(records, latencies):
-                record.exec_start, record.exec_end = t0, t0 + latency
-                self._record_exec(record)
-                value, error = self.executor.invoke(record, record.args)
-                if error is None:
-                    record.advance_status(DONE)
-                    self.store.resolve(record.result_future, value)
-                    content: Any = value
-                else:
-                    record.error = error
-                    record.advance_status(CALL_FAILED)
-                    self.store.fail(record.result_future, error)
-                    content = {"error": error.to_json()}
-                self._append(Message(role="tool", content=content, call_id=record.call_id))
-                self._reported.add(record.call_id)
+        for record, latency in zip(records, latencies):
+            record.exec_start, record.exec_end = t0, t0 + latency
+            self._record_exec(record)
+            value, error = self.executor.invoke(record, record.args)
+            if error is None:
+                record.advance_status(DONE)
+                self.store.resolve(record.result_future, value)
+                content: Any = value
+            else:
+                record.error = error
+                record.advance_status(CALL_FAILED)
+                self.store.fail(record.result_future, error)
+                content = {"error": error.to_json()}
+            self._append(Message(role="tool", content=content, call_id=record.call_id))
+            self._reported.add(record.call_id)
 
     # -- argument references ------------------------------------------------------------
 
@@ -642,45 +655,35 @@ class TurnDriver:
         if not is_async(self.mode):
             offset = turn.decode_time
         t0, t1 = self._decode(offset)
-        with self.clock.guard():
-            raw_ids = spec.args.get("future_ids", [])
-            translated = self._substitute_refs(raw_ids, self._ref_future)
-            self._append(
-                Message(
-                    role="assistant",
-                    content="",
-                    tool_calls=[ToolCall(spec.call_id, AWAIT_FUTURE_NAME, {"future_ids": translated})],
-                )
+        raw_ids = spec.args.get("future_ids", [])
+        translated = self._substitute_refs(raw_ids, self._ref_future)
+        self._append(
+            Message(
+                role="assistant",
+                content="",
+                tool_calls=[ToolCall(spec.call_id, AWAIT_FUTURE_NAME, {"future_ids": translated})],
             )
-            unknown = [fid for fid in translated if not self.store.known(fid)]
-            if unknown:
-                error = {"error": f"unknown futures: {sorted(unknown)}"}
-                self._append(Message(role="tool", content=error, call_id=spec.call_id))
-                return
+        )
+        unknown = [fid for fid in translated if not self.store.known(fid)]
+        if unknown:
+            error = {"error": f"unknown futures: {sorted(unknown)}"}
+            self._append(Message(role="tool", content=error, call_id=spec.call_id))
+            return
         states = self.store.wait_for(list(translated))
-        with self.clock.guard():
-            t_end = self.clock.now()
-            if is_async(self.mode):
-                self.trace.record(t1, t_end, AWAIT, spec.call_id, self._turn_no)
-            values: dict[str, Any] = {}
-            for fid in translated:
-                state = states[fid]
-                owner = self.store.owner_of(fid)
-                if state.status == RESOLVED:
-                    values[fid] = state.value
-                else:
-                    values[fid] = {"error": self._call_error(owner, state).to_json()}
-                if owner is not None and self.call_futures.get(owner) == fid:
-                    self._reported.add(owner)
-            self._append(Message(role="tool", content=values, call_id=spec.call_id))
-
-
-def make_clock(kind: str, delay_scale: float = 1.0):
-    if kind == "virtual":
-        return VirtualClock()
-    if kind == "wall":
-        return WallClock(delay_scale=delay_scale)
-    raise ValidationError(f"unknown clock kind {kind!r}")
+        t_end = self.clock.now()
+        if is_async(self.mode):
+            self.trace.record(t1, t_end, AWAIT, spec.call_id, self._turn_no)
+        values: dict[str, Any] = {}
+        for fid in translated:
+            state = states[fid]
+            owner = self.store.owner_of(fid)
+            if state.status == RESOLVED:
+                values[fid] = state.value
+            else:
+                values[fid] = {"error": self._call_error(owner, state).to_json()}
+            if owner is not None and self.call_futures.get(owner) == fid:
+                self._reported.add(owner)
+        self._append(Message(role="tool", content=values, call_id=spec.call_id))
 
 
 def run_workload(
@@ -692,15 +695,16 @@ def run_workload(
 ) -> RunTrace:
     """Run one conversation and return its trace.
 
-    A wall clock created here from its name is shut down on every exit, so no
-    timer outlives the run.
+    ``clock`` is a clock object or the name of one ("virtual" or "wall"),
+    built at the workload's ``delay_scale``.
     """
-    clock_obj = make_clock(clock, workload.delay_scale) if isinstance(clock, str) else clock
-    try:
-        driver = TurnDriver(
-            workload, mode, clock=clock_obj, decoder=decoder, strict_cancellation=strict_cancellation
-        )
-        return driver.run()
-    finally:
-        if clock_obj is not clock and not clock_obj.is_virtual:
-            clock_obj.shutdown()
+    if clock == "virtual":
+        clock = VirtualClock()
+    elif clock == "wall":
+        clock = WallClock(delay_scale=workload.delay_scale)
+    elif isinstance(clock, str):
+        raise ValidationError(f"unknown clock kind {clock!r}")
+    driver = TurnDriver(
+        workload, mode, clock=clock, decoder=decoder, strict_cancellation=strict_cancellation
+    )
+    return driver.run()

@@ -30,16 +30,14 @@ from .futures import CANCELLED, FAILED, FutureStore
 from .scheduler import (
     DISPATCHED,
     DONE,
+    EDGE_KINDS,
     FAILED as CALL_FAILED,
+    PROPAGATING_EDGE_KINDS,
     RUNNING,
     CallRecord,
     Scheduler,
 )
 from .schema import DependencyAnnotation, FunctionSchema, substitute_resolved
-
-# Edge kinds that carry a failed call's effect to its consumer.
-PROPAGATING_EDGE_KINDS = {"arg", "gate-raw", "session-raw"}
-ALL_GATE_EDGE_KINDS = PROPAGATING_EDGE_KINDS | {"gate-war", "gate-waw", "session-waw"}
 
 
 class ToolExecutionError(Exception):
@@ -213,7 +211,7 @@ class Executor:
         every gate edge. Returns cancelled call ids in cancellation order.
         """
         root = self.scheduler.calls[failed_call_id]
-        kinds = ALL_GATE_EDGE_KINDS if self.strict_cancellation else PROPAGATING_EDGE_KINDS
+        kinds = EDGE_KINDS if self.strict_cancellation else PROPAGATING_EDGE_KINDS
         consumers: dict[str, list[str]] = {}
         for edge in self.scheduler.edges:
             if edge.kind in kinds:

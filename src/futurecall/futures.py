@@ -99,9 +99,9 @@ class FutureRecord:
 class FutureStore:
     """All futures of one conversation run, with waiter wakeups.
 
-    Mutations are atomic with respect to each other: in virtual-clock runs the
-    whole runtime is single-threaded, and in wall-clock runs every entry point
-    holds the runtime guard lock before touching the store.
+    Mutations are atomic with respect to each other because the whole runtime
+    is single-threaded on either clock: every handler runs on the thread that
+    drives the clock.
     """
 
     def __init__(self, clock=None):

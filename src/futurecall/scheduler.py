@@ -336,13 +336,20 @@ class CallRecord:
         self.status = new
 
 
+# A consumer waits on an argument future, on a conflicting access label's gate
+# (read/write after write, write after read) or on a session binding's write.
+EDGE_KINDS = frozenset({"arg", "gate-raw", "gate-waw", "gate-war", "session-raw", "session-waw"})
+# The kinds that carry a failed call's effect to its consumer.
+PROPAGATING_EDGE_KINDS = frozenset({"arg", "gate-raw", "session-raw"})
+
+
 @dataclass(frozen=True)
 class DependencyEdge:
     """A recorded producer -> consumer constraint between two calls."""
 
     producer: str
     consumer: str
-    kind: str  # arg | gate-raw | gate-war | gate-waw | session-raw | session-waw
+    kind: str  # one of EDGE_KINDS
 
 
 def _scalar_text(value: Any) -> str:

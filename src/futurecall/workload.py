@@ -94,9 +94,9 @@ class ScriptTurn:
 def check_turn(turn: ScriptTurn, tool_names: Container[str], where: str) -> None:
     """Checks one decoder turn needs on its own, scripted or live.
 
-    A turn is a final answer or emits calls, never both; every emitted name
-    is a known tool, or ``await_future`` alone in its turn with a list of
-    future id strings.
+    A turn is a final answer or emits calls, never both; every call's
+    arguments are an object; every emitted name is a known tool, or
+    ``await_future`` alone in its turn with a list of future id strings.
     """
     if turn.decode_time <= 0:
         raise ValidationError(f"{where}: decode_time must be positive")
@@ -107,10 +107,12 @@ def check_turn(turn: ScriptTurn, tool_names: Container[str], where: str) -> None
         if any(b < a for a, b in zip(offsets, offsets[1:])):
             raise ValidationError(f"{where}: token offsets must not decrease")
     for call in turn.emit:
+        if not isinstance(call.args, dict):
+            raise ValidationError(f"{where}: arguments of {call.name!r} must be a JSON object")
         if call.name == AWAIT_FUTURE_NAME:
             if len(turn.emit) != 1:
                 raise ValidationError(f"{where}: {AWAIT_FUTURE_NAME} must be alone in its turn")
-            ids = call.args.get("future_ids", []) if isinstance(call.args, dict) else None
+            ids = call.args.get("future_ids", [])
             if not isinstance(ids, list) or not all(isinstance(i, str) for i in ids):
                 raise ValidationError(f"{where}: {AWAIT_FUTURE_NAME} needs a list of id strings")
         elif call.name not in tool_names:

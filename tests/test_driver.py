@@ -450,7 +450,18 @@ class TestWallClock:
         assert v_order == w_order
         assert abs(wall.end_to_end - virtual.end_to_end) < 2.0  # noise in units
 
-    def test_timers_stop_when_a_run_raises(self):
+    def test_wall_run_starts_no_thread(self, monkeypatch):
+        # Event handlers run on the driver's thread; a scripted wall run starts
+        # no thread, also when it raises with calls still in flight.
+        started = []
+        original_start = threading.Thread.start
+
+        def start(thread):
+            started.append(thread)
+            original_start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", start)
+        run_fixture("fig1", "async-parallel", clock=WallClock(delay_scale=0.002))
         data = {
             "tools": [
                 {
@@ -467,17 +478,22 @@ class TestWallClock:
             "context_budget": 5,
             "delay_scale": 0.01,
         }
-        before = set(threading.enumerate())
         with pytest.raises(ContextOverflowError):
             run_workload(workload_from_json(data), "async-sequential", clock="wall")
-        timers = [
-            t for t in threading.enumerate() if isinstance(t, threading.Timer) and t not in before
-        ]
-        assert timers, "expected the run to have started timers"
-        deadline = time.monotonic() + 5  # a leaked timer would fire after 100 s
-        for timer in timers:
-            timer.join(timeout=max(0.0, deadline - time.monotonic()))
-        assert not any(timer.is_alive() for timer in timers)
+        assert started == []
+
+    def test_run_alongside_fires_due_events_and_reraises(self):
+        clock = WallClock(delay_scale=0.001)
+        fired = []
+        clock.schedule(5, lambda: fired.append(threading.get_ident()))
+        assert clock.run_alongside(lambda: time.sleep(0.05) or "reply") == "reply"
+        assert fired == [threading.get_ident()]
+
+        def fail():
+            raise KeyError("lost")
+
+        with pytest.raises(KeyError, match="lost"):
+            clock.run_alongside(fail)
 
     def test_live_decoder_requires_wall_clock(self):
         from futurecall import ChatCompletionsDecoder

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
@@ -24,7 +25,10 @@ class _StubHandler(BaseHTTPRequestHandler):
     def do_POST(self):
         body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
         self.server.requests.append(body)
-        data = json.dumps({"choices": [{"message": self.server.replies.pop(0)}]}).encode()
+        time.sleep(self.server.delays.get(len(self.server.requests), 0.0))
+        reply = self.server.replies.pop(0)
+        envelope = reply.pop("envelope") if "envelope" in reply else {"choices": [{"message": reply}]}
+        data = json.dumps(envelope).encode()
         self.send_response(200)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(data)))
@@ -40,6 +44,7 @@ def stub(monkeypatch):
     monkeypatch.setenv("NO_PROXY", "127.0.0.1")
     server = HTTPServer(("127.0.0.1", 0), _StubHandler)
     server.requests, server.replies = [], []
+    server.delays = {}  # request number (from 1) -> seconds to wait before replying
     thread = threading.Thread(target=server.serve_forever, args=(0.01,), daemon=True)
     thread.start()
     try:
@@ -64,7 +69,7 @@ def calls(*named_args):
     }
 
 
-def live_setup(stub, *replies):
+def live_setup(stub, *replies, latency=1):
     stub.replies.extend(replies)
     spec = workload_from_json(
         {
@@ -72,7 +77,7 @@ def live_setup(stub, *replies):
                 {
                     "schema": {"name": "send", "description": "", "parameters": {}},
                     "annotation": {"reads": [], "writes": [{"path": "/outbox"}]},
-                    "latency": 1,
+                    "latency": latency,
                     "returns": [{"sent": True}],
                 }
             ],
@@ -158,3 +163,42 @@ def test_await_reusing_a_call_id_is_rejected(stub, mode):
     wait = calls(("await_future", {"future_ids": ["@c0"]}))
     with pytest.raises(ValidationError, match="duplicate call id 'c0'"):
         run_live(stub, mode, calls(("send", {})), wait)
+
+
+@pytest.mark.parametrize("mode", ["async-sequential", "async-parallel"])
+def test_calls_run_while_the_next_turn_decodes(stub, mode):
+    # c0 takes about 10 ms; the second reply takes about 50 ms to arrive.
+    stub.delays[2] = 0.05
+    second = calls(("send", {}))
+    second["tool_calls"][0]["id"] = "c1"
+    spec, decoder = live_setup(stub, calls(("send", {})), second, {"content": "done"}, latency=10)
+    trace = run_workload(spec, mode, clock="wall", decoder=decoder)
+    decode_start, decode_end = trace.decode_intervals()[1]
+    _, exec_end = trace.exec_intervals_by_call()["c0"]
+    assert decode_start < exec_end < decode_end
+    placeholder = next(m.content for m in trace.messages if m.call_id == "c0")
+    bound = [
+        json.loads(m["content"]) for m in stub.requests[2]["messages"] if m["role"] == "user"
+    ]
+    assert {"resolved_futures": {placeholder: {"sent": True}}} in bound
+
+
+def tool_call(function):
+    return {"content": "", "tool_calls": [{"id": "c0", "type": "function", "function": function}]}
+
+
+@pytest.mark.parametrize(
+    "reply, message",
+    [
+        (tool_call({"name": "send", "arguments": "{"}), "arguments are not JSON"),
+        (tool_call({"arguments": "{}"}), "without function.name"),
+        (tool_call({"name": "send", "arguments": "[1, 2]"}), "must be a JSON object"),
+        (tool_call({"name": "send", "arguments": '"x"'}), "must be a JSON object"),
+        ({"content": "", "tool_calls": [{"id": None, "function": {"name": "send"}}]}, "id must be"),
+        ({"envelope": {"choices": []}}, "without choices"),
+    ],
+    ids=["unparsable-arguments", "no-name", "list-arguments", "string-arguments", "null-id", "no-choices"],
+)
+def test_malformed_reply_is_a_validation_error(stub, reply, message):
+    with pytest.raises(ValidationError, match=message):
+        run_live(stub, "async-parallel", reply)

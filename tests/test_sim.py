@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import time
+
 import pytest
 
-from futurecall import VirtualClock, load_workload, make_latency_sweep, run_workload
-from futurecall.errors import EmptyQueueError, ParseError, ValidationError
+from futurecall import VirtualClock, WallClock, load_workload, make_latency_sweep, run_workload
+from futurecall.errors import DeadlockError, EmptyQueueError, ParseError, ValidationError
 from futurecall.workload import strip_annotations, workload_from_json
 
 from conftest import fixture_path
@@ -64,6 +66,36 @@ class TestVirtualClock:
         clock.run_until_time(3.0)
         with pytest.raises(ValueError):
             clock.run_until_time(1.0)
+
+
+@pytest.fixture(params=["virtual", "wall"])
+def clock(request):
+    return VirtualClock() if request.param == "virtual" else WallClock(delay_scale=0.001)
+
+
+class TestClockContract:
+    def test_events_fire_in_time_then_insertion_order(self, clock):
+        order = []
+        clock.schedule(2, lambda: order.append("late"))
+        clock.schedule(1, lambda: order.append("first"))
+        clock.schedule(1, lambda: order.append("second"))
+        clock.run_until(lambda: len(order) == 3)
+        assert order == ["first", "second", "late"]
+        assert clock.now() >= 2.0
+
+    def test_handler_error_reaches_the_caller(self, clock):
+        def handler():
+            raise RuntimeError("handler failed")
+
+        clock.schedule(1, handler)
+        with pytest.raises(RuntimeError, match="handler failed"):
+            clock.run_until(lambda: False)
+
+    def test_unsatisfiable_wait_on_an_empty_queue_fails_at_once(self, clock):
+        t0 = time.monotonic()
+        with pytest.raises(DeadlockError):
+            clock.run_until(lambda: False)
+        assert time.monotonic() - t0 < 1.0
 
 
 class TestWorkloadLoading:
@@ -137,6 +169,16 @@ class TestWorkloadLoading:
                 {
                     "tools": [{"schema": {"name": "t", "description": "", "parameters": {}}}],
                     "script": [{"emit": [calls[k] for k in order]}, {"final": "x"}],
+                }
+            )
+
+    @pytest.mark.parametrize("args", [[1, 2], "x"], ids=["list", "string"])
+    def test_non_object_arguments_rejected(self, args):
+        with pytest.raises(ValidationError, match="must be a JSON object"):
+            workload_from_json(
+                {
+                    "tools": [{"schema": {"name": "t", "description": "", "parameters": {}}}],
+                    "script": [{"emit": [{"id": "A", "name": "t", "args": args}]}, {"final": "x"}],
                 }
             )
 
