@@ -20,10 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from graphlib import CycleError, TopologicalSorter
 from typing import Iterable, Sequence
-
-from scipy import stats as _scipy_stats
 
 from .errors import (
     CycleDetectedError,
@@ -151,21 +148,36 @@ class DependencyDag:
 
 
 def critical_path(dag: DependencyDag) -> float:
-    """Longest node-weighted path; edges contribute precedence only."""
-    graph: dict[str, set[str]] = {node: set() for node in dag.durations}
+    """Longest node-weighted path; edges contribute precedence only.
+
+    One topological (Kahn) pass: a node finishes at its latest producer's
+    finish plus its own duration, and its consumers become ready once every
+    producer has finished.
+    """
+    durations = dag.durations
+    consumers: dict[str, list[str]] = {node: [] for node in durations}
+    waiting = dict.fromkeys(durations, 0)  # unfinished producers, per edge
     for producer, consumer in dag.edges:
-        if producer not in graph or consumer not in graph:
+        if producer not in consumers or consumer not in consumers:
             raise DomainError(f"edge ({producer}, {consumer}) references unknown node")
-        graph[consumer].add(producer)
-    try:
-        order = list(TopologicalSorter(graph).static_order())
-    except CycleError as exc:
-        raise CycleDetectedError(str(exc)) from exc
-    longest: dict[str, float] = {}
-    for node in order:
-        upstream = max((longest[p] for p in graph[node]), default=0.0)
-        longest[node] = upstream + dag.durations[node]
-    return max(longest.values(), default=0.0)
+        consumers[producer].append(consumer)
+        waiting[consumer] += 1
+    start = dict.fromkeys(durations, 0.0)
+    finish: dict[str, float] = {}
+    ready = [node for node, count in waiting.items() if count == 0]
+    while ready:
+        node = ready.pop()
+        end = finish[node] = start[node] + durations[node]
+        for consumer in consumers[node]:
+            if end > start[consumer]:
+                start[consumer] = end
+            waiting[consumer] -= 1
+            if waiting[consumer] == 0:
+                ready.append(consumer)
+    if len(finish) < len(durations):
+        stuck = sorted(node for node in durations if node not in finish)
+        raise CycleDetectedError(f"dependency cycle through or behind {stuck}")
+    return max(finish.values(), default=0.0)
 
 
 def ideal_speedup(t_llm: float, t_tool: float, t_cp: float) -> float:
@@ -270,8 +282,10 @@ def paired_log_speedup_test(pairs: Sequence[tuple[float, float]]) -> PairedTestR
         if mean < 0:
             return PairedTestResult(geomean, -math.inf, 1.0)
         return PairedTestResult(geomean, 0.0, 1.0)
+    from scipy import stats  # deferred: importing scipy costs about a second
+
     t_stat = mean / math.sqrt(var / n)
-    p_value = float(_scipy_stats.t.sf(t_stat, n - 1))
+    p_value = float(stats.t.sf(t_stat, n - 1))
     return PairedTestResult(geomean, t_stat, p_value)
 
 
@@ -282,8 +296,10 @@ def mcnemar(b: int, c: int) -> dict:
         raise DomainError("discordant counts must be non-negative")
     if b + c == 0:
         return {"chi2": 0.0, "p": 1.0}
+    from scipy import stats  # deferred: importing scipy costs about a second
+
     chi2 = (b - c) ** 2 / (b + c)
-    return {"chi2": chi2, "p": float(_scipy_stats.chi2.sf(chi2, 1))}
+    return {"chi2": chi2, "p": float(stats.chi2.sf(chi2, 1))}
 
 
 def annotation_confusion(

@@ -424,9 +424,7 @@ class TurnDriver:
         self.trace.final_answer = self.final_answer
         self.trace.final_state = self.state.snapshot()
         self.trace.messages = list(self.messages)
-        self.trace.edges = [
-            (e.producer, e.consumer, e.kind) for e in self.scheduler.edges
-        ]
+        self.trace.edges = list(map(tuple, self.scheduler.edges))
         for call_id, call in self.calls.items():
             self.trace.call_status[call_id] = call.status
             if call.exec_start is not None and call.exec_end is not None:

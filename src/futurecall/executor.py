@@ -17,7 +17,8 @@ is enabled.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import deque
+from dataclasses import dataclass
 from typing import Any, Callable
 
 from .errors import (
@@ -125,9 +126,7 @@ class Executor:
     def dispatch(self, call: CallRecord) -> None:
         if call.terminal:
             return
-        pending = [
-            g for g in call.blocking_gates if not self.store.state_of(g).is_terminal
-        ]
+        pending = self.store.pending_among(call.blocking_gates)
         if pending:
             raise GatesPendingError(f"{call.call_id}: gates still pending: {sorted(pending)}")
         call.advance_status(DISPATCHED)
@@ -213,14 +212,14 @@ class Executor:
         root = self.scheduler.calls[failed_call_id]
         kinds = EDGE_KINDS if self.strict_cancellation else PROPAGATING_EDGE_KINDS
         consumers: dict[str, list[str]] = {}
-        for edge in self.scheduler.edges:
-            if edge.kind in kinds:
-                consumers.setdefault(edge.producer, []).append(edge.consumer)
+        for producer, consumer, kind in self.scheduler.edges:
+            if kind in kinds:
+                consumers.setdefault(producer, []).append(consumer)
         cancelled: list[str] = []
         seen = {failed_call_id}
-        frontier = [failed_call_id]
+        frontier = deque([failed_call_id])
         while frontier:
-            current = frontier.pop(0)
+            current = frontier.popleft()
             for consumer_id in consumers.get(current, []):
                 if consumer_id in seen:
                     continue

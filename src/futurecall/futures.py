@@ -243,10 +243,23 @@ class FutureStore:
 
     # -- waiting -----------------------------------------------------------
 
+    def _pending_records(self, fids: Iterable[str]) -> list[FutureRecord]:
+        """Records of the listed futures still pending, in the given order."""
+        records = self._records
+        out = []
+        for fid in fids:
+            rec = records.get(fid) or self._require(fid)
+            if rec.state.status == PENDING:
+                out.append(rec)
+        return out
+
+    def pending_among(self, fids: Iterable[str]) -> list[str]:
+        """The listed futures that are still pending, in the given order."""
+        return [rec.fid for rec in self._pending_records(fids)]
+
     def add_waiter(self, fids: Iterable[str], callback: Callable[[], None]) -> None:
         """Invoke ``callback`` exactly once when every listed future is terminal."""
-        records = [self._require(fid) for fid in fids]
-        open_records = [rec for rec in records if not rec.state.is_terminal]
+        open_records = self._pending_records(fids)
         if not open_records:
             callback()
             return

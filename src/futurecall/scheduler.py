@@ -14,7 +14,10 @@ conflict lookup visits the path's ancestors, the equal node and, for a
 subtree access, the descendants, rather than every live label; this is the
 structure of multi-granularity locking (Gray, Lorie, Putzolu & Traiger,
 "Granularity of Locks and Degrees of Consistency in a Shared Data Base",
-1976).
+1976). The index alone decides conflicts at admission: each node keeps its
+labels by (mode, scope), so a lookup returns exactly the conflicting labels
+and admission makes no pairwise check. ``conflicts()`` stays as the pairwise
+reference the index is tested against.
 
 Two regions overlap when their paths are equal or one is an ancestor of the
 other and the ancestor's label covers its subtree. A pair of accesses
@@ -26,7 +29,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator
+from typing import Any, Callable, Iterator, NamedTuple
 
 from .errors import (
     CANCELLED_DEPENDENCY,
@@ -343,8 +346,16 @@ EDGE_KINDS = frozenset({"arg", "gate-raw", "gate-waw", "gate-war", "session-raw"
 PROPAGATING_EDGE_KINDS = frozenset({"arg", "gate-raw", "session-raw"})
 
 
-@dataclass(frozen=True)
-class DependencyEdge:
+# Gate edge kind by (producer label mode, consumer access mode); read/read
+# pairs never conflict.
+_GATE_EDGE_KINDS = {
+    (WRITE, READ): "gate-raw",
+    (WRITE, WRITE): "gate-waw",
+    (READ, WRITE): "gate-war",
+}
+
+
+class DependencyEdge(NamedTuple):
     """A recorded producer -> consumer constraint between two calls."""
 
     producer: str
@@ -489,7 +500,6 @@ class Scheduler:
         self.queue: list[CallRecord] = []
         self.label_index = LabelIndex()
         self.edges: list[DependencyEdge] = []
-        self._edge_keys: set[tuple[str, str, str]] = set()
         self._label_seq = itertools.count()
         self._admission_seq = itertools.count()
         self._ready: list[tuple[int, CallRecord]] = []  # (admission seq, call)
@@ -518,17 +528,13 @@ class Scheduler:
         return call.result_future
 
     def _record_argument_edges(self, call: CallRecord) -> None:
+        producers: set[str] = set()
         for _, fid in scan_future_refs(call.args, self.store):
             call.argument_futures.add(fid)
             producer = self.store.owner_of(fid)
-            if producer and producer != call.call_id:
-                self._add_edge(producer, call.call_id, "arg")
-
-    def _add_edge(self, producer: str, consumer: str, kind: str) -> None:
-        key = (producer, consumer, kind)
-        if key not in self._edge_keys:
-            self._edge_keys.add(key)
-            self.edges.append(DependencyEdge(producer, consumer, kind))
+            if producer and producer != call.call_id and producer not in producers:
+                producers.add(producer)
+                self.edges.append(DependencyEdge(producer, call.call_id, "arg"))
 
     # -- admission -------------------------------------------------------------
 
@@ -592,28 +598,37 @@ class Scheduler:
         """Gates of every live conflicting label, plus the preceding session gate.
 
         Gates and edges are recorded in label registration order, then
-        access order, as a scan over all live labels would record them.
+        access order, as a scan over all live labels would record them. All
+        of a call's gate and session edges are recorded here, once per
+        (producer, kind), so de-duplication needs only this call's keys.
         """
-        hits = []
-        for index, access in enumerate(accesses):
-            for label in self.label_index.overlapping(access):
-                if label.owner != call.call_id and conflicts(label.access, access):
-                    hits.append((label.seq, index, label))
+        consumer = call.call_id
+        overlapping = self.label_index.overlapping
+        hits = [
+            (label.seq, index, label)
+            for index, access in enumerate(accesses)
+            for label in overlapping(access)
+            if label.owner != consumer
+        ]
         hits.sort()  # (seq, index) pairs are unique: labels are never compared
         gates: set[str] = set()
+        recorded: set[tuple[str, str]] = set()
+        edges = self.edges
         for _, index, label in hits:
             gates.add(label.gate)
-            kind = _gate_edge_kind(label.access.mode, accesses[index].mode)
-            self._add_edge(label.owner, call.call_id, kind)
+            key = (label.owner, _GATE_EDGE_KINDS[label.access.mode, accesses[index].mode])
+            if key not in recorded:
+                recorded.add(key)
+                edges.append(DependencyEdge(key[0], consumer, key[1]))
         annotation = call.annotation
         if annotation is not None and (annotation.session_read or annotation.session_write):
             gate = self.session.latest_gate()
             gates.add(gate)
             version = self.session.reserved_version
             producer = self.session.gate_owners.get(version)
-            if producer and producer != call.call_id:
+            if producer and producer != consumer:
                 kind = "session-raw" if annotation.session_read else "session-waw"
-                self._add_edge(producer, call.call_id, kind)
+                edges.append(DependencyEdge(producer, consumer, kind))
         return gates
 
     # -- dispatch & release ------------------------------------------------------
@@ -661,10 +676,3 @@ class Scheduler:
             self.store.cancel(call.result_future, cause_future)
         self.release(call)
 
-
-def _gate_edge_kind(producer_mode: str, consumer_mode: str) -> str:
-    if producer_mode == WRITE and consumer_mode == READ:
-        return "gate-raw"
-    if producer_mode == WRITE and consumer_mode == WRITE:
-        return "gate-waw"
-    return "gate-war"

@@ -153,7 +153,7 @@ class DependencyAnnotation:
         def decls(items) -> list[AccessDecl]:
             out = []
             for item in items or []:
-                if not isinstance(item, dict) or "path" not in item:
+                if not isinstance(item, dict) or not isinstance(item.get("path"), str):
                     raise ValidationError(f"bad access label {item!r}")
                 out.append(AccessDecl(path=item["path"], subtree=bool(item.get("subtree", False))))
             return out

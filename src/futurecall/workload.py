@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import copy
 import json
+import math
 import re
 from dataclasses import dataclass, field
 from typing import Any, Container
@@ -196,80 +197,152 @@ def load_workload(path: str) -> WorkloadSpec:
     return workload_from_json(data)
 
 
+def _number(value: Any, what: str, positive: bool = False) -> Any:
+    """Return value if it is a finite JSON number, >= 0 (> 0 when positive)."""
+    # type(), not isinstance(): a bool is an int subclass but no JSON number.
+    if type(value) in (int, float) and (value > 0 if positive else value >= 0) and value < math.inf:
+        return value
+    bound = "> 0" if positive else ">= 0"
+    raise ValidationError(f"{what} must be a finite number {bound}, got {value!r}")
+
+
+_JSON_TYPE_NAMES = {dict: "object", list: "list", str: "string"}
+
+
+def _typed(value: Any, kind: type, what: str) -> Any:
+    """Return value if it is an instance of kind (dict, list or str)."""
+    if not isinstance(value, kind):
+        raise ValidationError(f"{what} must be a JSON {_JSON_TYPE_NAMES[kind]}, got {value!r}")
+    return value
+
+
+def _latency(value: Any, tool: str) -> float | list[float]:
+    what = f"tool {tool!r}: latency"
+    if isinstance(value, list):
+        for item in value:
+            _number(item, what)
+        return value
+    return _number(value, what)
+
+
+def _error_at(value: Any, tool: str) -> dict[int, str]:
+    what = f"tool {tool!r}: error_at"
+    try:
+        return {int(k): v for k, v in _typed(value, dict, what).items()}
+    except ValueError as exc:
+        raise ValidationError(f"{what} keys must be invocation indices: {exc}") from exc
+
+
+def _state_ops(state_spec: Any, op: str, tool: str) -> list[dict]:
+    what = f"tool {tool!r}: state {op}"
+    ops = _typed(state_spec.get(op, []), list, what)
+    for item in ops:
+        _typed(_typed(item, dict, f"{what} entry").get("path"), str, f"{what} path")
+    return ops
+
+
+def _returns(value: Any, tool: str) -> list | None:
+    return None if value is None else _typed(value, list, f"tool {tool!r}: returns")
+
+
+def _trigger(when: Any, where: str) -> list[str]:
+    resolved = _typed(when, dict, f"{where}: when").get("resolved", [])
+    return list(_typed(resolved, list, f"{where}: when.resolved"))
+
+
+def _tokens(value: Any, where: str) -> list[tuple[str, float]]:
+    what = f"{where}: tokens"
+    out = []
+    for pair in _typed(value, list, what):
+        if not isinstance(pair, list) or len(pair) != 2 or not isinstance(pair[0], str):
+            raise ValidationError(f"{what} must be [text, offset] pairs, got {pair!r}")
+        out.append((pair[0], float(_number(pair[1], f"{what} offset"))))
+    return out
+
+
 def workload_from_json(data: dict) -> WorkloadSpec:
     if not isinstance(data, dict):
         raise ValidationError("workload root must be a JSON object")
     tools = []
-    for entry in data.get("tools", []):
-        if "schema" not in entry:
+    for entry in _typed(data.get("tools", []), list, "tools"):
+        if not isinstance(entry, dict) or "schema" not in entry:
             raise ValidationError(f"tool entry without schema: {entry!r}")
         schema = FunctionSchema.from_json(entry["schema"])
         annotation = None
         raw_annotation = entry.get("annotation")
         if raw_annotation is not None:
-            annotation = DependencyAnnotation.from_json(raw_annotation)
+            what = f"tool {schema.name!r}: annotation"
+            annotation = DependencyAnnotation.from_json(_typed(raw_annotation, dict, what))
             if annotation.outputs is None and schema.outputs is not None:
                 annotation.outputs = schema.outputs
-        state_spec = entry.get("state") or {}
+        state_spec = _typed(entry.get("state") or {}, dict, f"tool {schema.name!r}: state")
         tools.append(
             ToolSpec(
                 schema=schema,
                 annotation=annotation,
-                latency=entry.get("latency", 0.0),
-                returns=entry.get("returns"),
-                error_at={int(k): v for k, v in (entry.get("error_at") or {}).items()},
+                latency=_latency(entry.get("latency", 0.0), schema.name),
+                returns=_returns(entry.get("returns"), schema.name),
+                error_at=_error_at(entry.get("error_at") or {}, schema.name),
                 state_reads=[
                     (r["path"], bool(r.get("subtree", False)))
-                    for r in state_spec.get("reads", [])
+                    for r in _state_ops(state_spec, "reads", schema.name)
                 ],
                 state_writes=[
-                    (w["path"], w.get("value", "")) for w in state_spec.get("writes", [])
+                    (w["path"], w.get("value", ""))
+                    for w in _state_ops(state_spec, "writes", schema.name)
                 ],
                 kind=entry.get("kind", "function"),
-                answers=entry.get("answers", {}) or {},
+                answers=_typed(entry.get("answers") or {}, dict, f"tool {schema.name!r}: answers"),
             )
         )
     script = []
-    for raw_turn in data.get("script", []):
-        emit = [
-            CallSpec(
-                call_id=c.get("id", f"call{len(script)}_{i}"),
-                name=c["name"],
-                args=c.get("args", {}),
-            )
-            for i, c in enumerate(raw_turn.get("emit", []) or [])
-        ]
+    for raw_turn in _typed(data.get("script", []), list, "script"):
+        where = f"script[{len(script)}]"
+        _typed(raw_turn, dict, where)
+        try:
+            emit = [
+                CallSpec(
+                    call_id=c.get("id", f"call{len(script)}_{i}"),
+                    name=c["name"],
+                    args=c.get("args", {}),
+                )
+                for i, c in enumerate(_typed(raw_turn.get("emit") or [], list, f"{where}: emit"))
+            ]
+        except (AttributeError, KeyError) as exc:  # an entry that is no object, or has no name
+            raise ValidationError(f"{where}: emitted calls must be objects with a name") from exc
         tokens = None
         if raw_turn.get("tokens") is not None:
-            tokens = [(str(t[0]), float(t[1])) for t in raw_turn["tokens"]]
+            tokens = _tokens(raw_turn["tokens"], where)
+        decode_time = _number(raw_turn.get("decode_time", 1.0), f"{where}: decode_time", True)
         script.append(
             ScriptTurn(
                 emit=emit,
                 final=raw_turn.get("final"),
-                decode_time=float(raw_turn.get("decode_time", 1.0)),
-                requires=list((raw_turn.get("when") or {}).get("resolved", [])),
+                decode_time=float(decode_time),
+                requires=_trigger(raw_turn.get("when") or {}, where),
                 tokens=tokens,
             )
         )
+    context_budget = data.get("context_budget", 64)
+    if type(context_budget) is not int or context_budget < 1:
+        raise ValidationError(f"context_budget must be an integer >= 1, got {context_budget!r}")
     spec = WorkloadSpec(
         tools=tools,
         script=script,
-        delay_scale=float(data.get("delay_scale", 1.0)),
-        context_budget=int(data.get("context_budget", 64)),
-        session_bindings=dict(data.get("session_bindings", {})),
+        delay_scale=float(_number(data.get("delay_scale", 1.0), "delay_scale", positive=True)),
+        context_budget=context_budget,
+        session_bindings=dict(_typed(data.get("session_bindings", {}), dict, "session_bindings")),
         task=data.get("task"),
         strict_cancellation=bool(data.get("strict_cancellation", False)),
     )
-    if spec.delay_scale <= 0:
-        raise ValidationError("delay_scale must be positive")
     spec.validate()
     return spec
 
 
 def make_latency_sweep(base: WorkloadSpec, delays: list[float]) -> list[WorkloadSpec]:
     """One workload per delay, every tool's latency overridden, all else intact."""
-    if any(d <= 0 for d in delays):
-        raise ValidationError("sweep delays must be positive")
+    for delay in delays:
+        _number(delay, "sweep delay", positive=True)
     out = []
     for delay in delays:
         spec = copy.deepcopy(base)

@@ -1,9 +1,13 @@
 from __future__ import annotations
 
 import json
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import futurecall
 from futurecall.cli import main
 
 from conftest import fixture_path
@@ -214,3 +218,21 @@ def test_unannotated_tools_conflict_via_root_fallback(tmp_path, capsys):
     assert main(["validate-annotations", "--predicted", path, "--truth", path]) == 0
     metrics = json.loads(capsys.readouterr().out.strip())
     assert metrics["tp"] == 2  # root fallback serializes the pair both ways
+
+
+def test_run_does_not_import_scipy():
+    # scipy is imported only by the significance tests; the CLI and every
+    # run would otherwise pay about a second at start-up.
+    src = str(pathlib.Path(futurecall.__file__).resolve().parents[1])
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import futurecall; "
+        "from futurecall.cli import main; "
+        "assert main(['run', '--workload', sys.argv[2], '--mode', 'async-parallel']) == 0; "
+        "print('scipy' in sys.modules)"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code, src, fixture_path("fig1")],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip().splitlines()[-1] == "False"

@@ -188,3 +188,59 @@ def test_per_invocation_latency_list():
     intervals = trace.exec_intervals_by_call()
     assert intervals["A"] == (1.0, 5.0)
     assert intervals["B"] == (2.0, 3.0)
+
+
+def superseded_writer_workload():
+    """R1 and R2 rewrite the /catalog subtree and P1, P2 read it, emitted
+    R1 P1 R2 P2; R1 (the first reindex) fails after all four are decoded."""
+    data = {
+        "tools": [
+            {
+                "schema": {"name": "reindex", "description": "", "parameters": {}},
+                "annotation": {"writes": [{"path": "/catalog", "subtree": True}]},
+                "latency": [9, 2],
+                "returns": [{}],
+                "error_at": {"0": "reindex failed"},
+                "state": {"writes": [{"path": "/catalog", "value": "{call}"}]},
+            },
+            {
+                "schema": {"name": "read", "description": "", "parameters": {}},
+                "annotation": {"reads": [{"path": "/catalog", "subtree": True}]},
+                "latency": 1,
+                "returns": [{}],
+                "state": {"reads": [{"path": "/catalog", "subtree": True}]},
+            },
+        ],
+        "script": [
+            {
+                "emit": [
+                    {"id": "R1", "name": "reindex", "args": {}},
+                    {"id": "P1", "name": "read", "args": {}},
+                    {"id": "R2", "name": "reindex", "args": {}},
+                    {"id": "P2", "name": "read", "args": {}},
+                ]
+            },
+            {"when": {"resolved": ["R1", "P1", "R2", "P2"]}, "final": "done"},
+        ],
+    }
+    return workload_from_json(data)
+
+
+@pytest.mark.parametrize(
+    "mode,expected",
+    [
+        # P2 keeps its gate-raw edge to R1 although R2 rewrote /catalog in
+        # between, so R1's failure cancels it. Pruning gates to the last
+        # writer would drop that edge and let P2 read R2's catalog.
+        ("async-sequential", {"R1": "failed", "P1": "cancelled", "R2": "done", "P2": "cancelled"}),
+        ("async-parallel", {"R1": "failed", "P1": "cancelled", "R2": "done", "P2": "cancelled"}),
+        ("sync-sequential", {"R1": "failed", "P1": "done", "R2": "done", "P2": "done"}),
+        ("sync-parallel", {"R1": "failed", "P1": "done", "R2": "done", "P2": "done"}),
+    ],
+)
+def test_failed_writer_cancels_readers_behind_a_later_writer(mode, expected):
+    trace = run_workload(superseded_writer_workload(), mode)
+    assert trace.call_status == expected
+    if mode.startswith("async"):
+        assert ("R1", "P2", "gate-raw") in trace.edges
+        assert ("R2", "P2", "gate-raw") in trace.edges

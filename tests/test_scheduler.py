@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 import futurecall.scheduler as scheduler_mod
@@ -308,8 +310,9 @@ class TestWorkGrowth:
     """Scheduler work counted, not timed: it must grow with calls and
     edges, not with the square of the live calls."""
 
-    def test_wide_turn_of_disjoint_writes_is_linear(self, monkeypatch):
-        n = 400
+    @staticmethod
+    def count_calls(monkeypatch) -> dict[str, int]:
+        """Count ``FutureStore.state_of`` and ``scheduler.conflicts`` calls."""
         counts = {"state_of": 0, "conflicts": 0}
         state_of, conflicts_fn = FutureStore.state_of, scheduler_mod.conflicts
 
@@ -323,6 +326,11 @@ class TestWorkGrowth:
 
         monkeypatch.setattr(FutureStore, "state_of", counted_state_of)
         monkeypatch.setattr(scheduler_mod, "conflicts", counted_conflicts)
+        return counts
+
+    def test_wide_turn_of_disjoint_writes_is_linear(self, monkeypatch):
+        n = 400
+        counts = self.count_calls(monkeypatch)
         ids = [f"C{k}" for k in range(n)]
         spec = workload_from_json(
             {
@@ -346,3 +354,54 @@ class TestWorkGrowth:
         assert trace.edges == []
         assert counts["state_of"] <= 4 * n
         assert counts["conflicts"] == 0
+
+    def test_burst_shaped_turn_costs_per_call_not_per_edge(self, monkeypatch):
+        # Every 16th call rewrites the /catalog subtree, the rest read it and
+        # write their own item: 16 writers, 240 readers and 3,960 edges, all
+        # recorded by admission from the label index alone.
+        n = 256
+        counts = self.count_calls(monkeypatch)
+        ids = [f"C{k}" for k in range(n)]
+        spec = workload_from_json(
+            {
+                "tools": [
+                    {
+                        "schema": {"name": "reindex", "description": "", "parameters": {}},
+                        "annotation": {"writes": [{"path": "/catalog", "subtree": True}]},
+                        "latency": 3,
+                        "returns": [{}],
+                    },
+                    {
+                        "schema": {"name": "stock", "description": "", "parameters": {}},
+                        "annotation": {
+                            "reads": [{"path": "/catalog", "subtree": True}],
+                            "writes": [{"path": "/items/{k}"}],
+                        },
+                        "latency": 1,
+                        "returns": [{}],
+                    },
+                ],
+                "script": [
+                    {
+                        "emit": [
+                            {"id": i, "name": "reindex", "args": {}}
+                            if k % 16 == 0
+                            else {"id": i, "name": "stock", "args": {"k": k}}
+                            for k, i in enumerate(ids)
+                        ]
+                    },
+                    {"when": {"resolved": ids}, "final": "done"},
+                ],
+                "context_budget": 2 * n + 16,
+            }
+        )
+        trace = run_workload(spec, "async-parallel")
+        assert set(trace.call_status.values()) == {"done"}
+        assert len(trace.edges) == 3960
+        # The edge list, order included, as recorded before admission
+        # stopped re-checking each candidate with ``conflicts()``.
+        assert hashlib.sha256(repr(trace.edges).encode()).hexdigest() == (
+            "c53ba168ebc4ce6df51c9903cf1a30ab3c7b98811de6480208ae96a3f1973d8b"
+        )
+        assert counts["conflicts"] == 0
+        assert counts["state_of"] <= 4 * n

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import json
 import time
 
 import pytest
 
 from futurecall import VirtualClock, WallClock, load_workload, make_latency_sweep, run_workload
+from futurecall.cli import main
 from futurecall.errors import DeadlockError, EmptyQueueError, ParseError, ValidationError
 from futurecall.workload import strip_annotations, workload_from_json
 
@@ -209,6 +211,67 @@ class TestWorkloadLoading:
                     "script": [{"final": "x"}],
                 }
             )
+
+    @pytest.mark.parametrize(
+        "where,key,value",
+        [
+            ("tool", "latency", "x"),
+            ("tool", "latency", -1),
+            ("tool", "latency", float("nan")),
+            ("tool", "latency", float("inf")),
+            ("tool", "latency", [1, "x"]),
+            ("tool", "latency", [1, -2]),
+            ("turn", "decode_time", "x"),
+            ("turn", "decode_time", float("nan")),
+            ("root", "delay_scale", float("nan")),
+            ("root", "delay_scale", "x"),
+            ("root", "context_budget", "x"),
+            ("root", "context_budget", 0),
+            ("root", "context_budget", 1.5),
+            ("turn", "tokens", "x"),
+            ("turn", "tokens", [["a"]]),
+            ("turn", "tokens", [["a", "x"]]),
+            ("tool", "error_at", ["boom"]),
+            ("tool", "error_at", {"first": "boom"}),
+            ("turn", "emit", "x"),
+            ("turn", "emit", ["t"]),
+            ("annotation", "writes", [{"path": 3}]),
+            ("tool", "state", {"writes": [{"path": 3, "value": "v"}]}),
+            ("root", "session_bindings", ["cwd"]),
+            ("root", "tools", {"schema": {}}),
+            ("root", "tools", ["schema"]),
+            ("root", "script", {"final": "x"}),
+            ("root", "script", ["x"]),
+            ("turn", "when", "A"),
+            ("tool", "annotation", "x"),
+            ("tool", "returns", 5),
+            ("tool", "answers", ["x"]),
+        ],
+        ids=lambda v: v if isinstance(v, str) else repr(v),
+    )
+    def test_malformed_value_rejected_at_parse_time(self, tmp_path, where, key, value):
+        data = {
+            "tools": [
+                {
+                    "schema": {"name": "t", "description": "", "parameters": {}},
+                    "annotation": {"writes": [{"path": "/a"}]},
+                    "latency": 1,
+                }
+            ],
+            "script": [{"emit": [{"id": "A", "name": "t"}]}, {"final": "x"}],
+        }
+        owner = {
+            "root": data,
+            "tool": data["tools"][0],
+            "annotation": data["tools"][0]["annotation"],
+            "turn": data["script"][0],
+        }[where]
+        owner[key] = value
+        with pytest.raises(ValidationError):
+            workload_from_json(data)
+        path = tmp_path / "w.json"
+        path.write_text(json.dumps(data))
+        assert main(["run", "--workload", str(path), "--mode", "sync-sequential"]) == 2
 
     def test_fig1_fixture_shape(self):
         spec = load_workload(fixture_path("fig1"))
