@@ -14,10 +14,9 @@ conflict lookup visits the path's ancestors, the equal node and, for a
 subtree access, the descendants, rather than every live label; this is the
 structure of multi-granularity locking (Gray, Lorie, Putzolu & Traiger,
 "Granularity of Locks and Degrees of Consistency in a Shared Data Base",
-1976). The index alone decides conflicts at admission: each node keeps its
-labels by (mode, scope), so a lookup returns exactly the conflicting labels
-and admission makes no pairwise check. ``conflicts()`` stays as the pairwise
-reference the index is tested against.
+1976). Each node keeps its labels by (mode, scope), so a lookup returns
+only labels that conflict; admission still confirms each candidate with
+``conflicts()``, the pairwise rule, one check per candidate label.
 
 Two regions overlap when their paths are equal or one is an ancestor of the
 other and the ancestor's label covers its subtree. A pair of accesses
@@ -608,7 +607,7 @@ class Scheduler:
             (label.seq, index, label)
             for index, access in enumerate(accesses)
             for label in overlapping(access)
-            if label.owner != consumer
+            if label.owner != consumer and conflicts(label.access, access)
         ]
         hits.sort()  # (seq, index) pairs are unique: labels are never compared
         gates: set[str] = set()

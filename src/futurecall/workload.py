@@ -198,21 +198,23 @@ def load_workload(path: str) -> WorkloadSpec:
 
 
 def _number(value: Any, what: str, positive: bool = False) -> Any:
-    """Return value if it is a finite JSON number, >= 0 (> 0 when positive)."""
-    # type(), not isinstance(): a bool is an int subclass but no JSON number.
-    if type(value) in (int, float) and (value > 0 if positive else value >= 0) and value < math.inf:
-        return value
+    """Return value if it is a finite number, >= 0 (> 0 when positive)."""
     bound = "> 0" if positive else ">= 0"
+    # A bool is an int subclass but no JSON number.
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            number = float(value)  # a huge JSON integer overflows here
+        except OverflowError:
+            number = math.inf
+        if math.isfinite(number) and (number > 0 if positive else number >= 0):
+            return value
     raise ValidationError(f"{what} must be a finite number {bound}, got {value!r}")
 
 
-_JSON_TYPE_NAMES = {dict: "object", list: "list", str: "string"}
-
-
 def _typed(value: Any, kind: type, what: str) -> Any:
-    """Return value if it is an instance of kind (dict, list or str)."""
+    """Return value if it is an instance of kind."""
     if not isinstance(value, kind):
-        raise ValidationError(f"{what} must be a JSON {_JSON_TYPE_NAMES[kind]}, got {value!r}")
+        raise ValidationError(f"{what} must be a {kind.__name__}, got {value!r}")
     return value
 
 
@@ -231,23 +233,6 @@ def _error_at(value: Any, tool: str) -> dict[int, str]:
         return {int(k): v for k, v in _typed(value, dict, what).items()}
     except ValueError as exc:
         raise ValidationError(f"{what} keys must be invocation indices: {exc}") from exc
-
-
-def _state_ops(state_spec: Any, op: str, tool: str) -> list[dict]:
-    what = f"tool {tool!r}: state {op}"
-    ops = _typed(state_spec.get(op, []), list, what)
-    for item in ops:
-        _typed(_typed(item, dict, f"{what} entry").get("path"), str, f"{what} path")
-    return ops
-
-
-def _returns(value: Any, tool: str) -> list | None:
-    return None if value is None else _typed(value, list, f"tool {tool!r}: returns")
-
-
-def _trigger(when: Any, where: str) -> list[str]:
-    resolved = _typed(when, dict, f"{where}: when").get("resolved", [])
-    return list(_typed(resolved, list, f"{where}: when.resolved"))
 
 
 def _tokens(value: Any, where: str) -> list[tuple[str, float]]:
@@ -275,21 +260,32 @@ def workload_from_json(data: dict) -> WorkloadSpec:
             annotation = DependencyAnnotation.from_json(_typed(raw_annotation, dict, what))
             if annotation.outputs is None and schema.outputs is not None:
                 annotation.outputs = schema.outputs
-        state_spec = _typed(entry.get("state") or {}, dict, f"tool {schema.name!r}: state")
+        what = f"tool {schema.name!r}: state"
+        state_spec = _typed(entry.get("state") or {}, dict, what)
+        state_ops = {}
+        for op in ("reads", "writes"):
+            state_ops[op] = _typed(state_spec.get(op, []), list, f"{what} {op}")
+            for item in state_ops[op]:
+                path = _typed(item, dict, f"{what} {op} entry").get("path")
+                _typed(path, str, f"{what} {op} path")
         tools.append(
             ToolSpec(
                 schema=schema,
                 annotation=annotation,
                 latency=_latency(entry.get("latency", 0.0), schema.name),
-                returns=_returns(entry.get("returns"), schema.name),
+                returns=(
+                    None
+                    if entry.get("returns") is None
+                    else _typed(entry["returns"], list, f"tool {schema.name!r}: returns")
+                ),
                 error_at=_error_at(entry.get("error_at") or {}, schema.name),
                 state_reads=[
                     (r["path"], bool(r.get("subtree", False)))
-                    for r in _state_ops(state_spec, "reads", schema.name)
+                    for r in state_ops["reads"]
                 ],
                 state_writes=[
                     (w["path"], w.get("value", ""))
-                    for w in _state_ops(state_spec, "writes", schema.name)
+                    for w in state_ops["writes"]
                 ],
                 kind=entry.get("kind", "function"),
                 answers=_typed(entry.get("answers") or {}, dict, f"tool {schema.name!r}: answers"),
@@ -313,13 +309,14 @@ def workload_from_json(data: dict) -> WorkloadSpec:
         tokens = None
         if raw_turn.get("tokens") is not None:
             tokens = _tokens(raw_turn["tokens"], where)
+        when = _typed(raw_turn.get("when") or {}, dict, f"{where}: when")
         decode_time = _number(raw_turn.get("decode_time", 1.0), f"{where}: decode_time", True)
         script.append(
             ScriptTurn(
                 emit=emit,
                 final=raw_turn.get("final"),
                 decode_time=float(decode_time),
-                requires=_trigger(raw_turn.get("when") or {}, where),
+                requires=list(_typed(when.get("resolved", []), list, f"{where}: when.resolved")),
                 tokens=tokens,
             )
         )

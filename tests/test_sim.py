@@ -221,6 +221,10 @@ class TestWorkloadLoading:
             ("tool", "latency", float("inf")),
             ("tool", "latency", [1, "x"]),
             ("tool", "latency", [1, -2]),
+            ("tool", "latency", 10**400),
+            ("turn", "decode_time", 10**400),
+            ("root", "delay_scale", 10**400),
+            ("turn", "tokens", [["a", 10**400]]),
             ("turn", "decode_time", "x"),
             ("turn", "decode_time", float("nan")),
             ("root", "delay_scale", float("nan")),
@@ -247,7 +251,7 @@ class TestWorkloadLoading:
             ("tool", "returns", 5),
             ("tool", "answers", ["x"]),
         ],
-        ids=lambda v: v if isinstance(v, str) else repr(v),
+        ids=lambda v: v if isinstance(v, str) else repr(v)[:40],
     )
     def test_malformed_value_rejected_at_parse_time(self, tmp_path, where, key, value):
         data = {
@@ -298,6 +302,19 @@ class TestLatencySweep:
         base = load_workload(fixture_path("pairs"))
         with pytest.raises(ValidationError):
             make_latency_sweep(base, [0])
+
+    @pytest.mark.parametrize("delay", [float("nan"), True, "5"], ids=repr)
+    def test_non_numeric_delay_rejected(self, delay):
+        base = load_workload(fixture_path("pairs"))
+        with pytest.raises(ValidationError):
+            make_latency_sweep(base, [delay])
+
+    def test_numeric_subclass_delay_accepted(self):
+        class Delay(float):
+            pass
+
+        (spec,) = make_latency_sweep(load_workload(fixture_path("pairs")), [Delay(2.5)])
+        assert all(t.latency == 2.5 for t in spec.tools)
 
 
 class TestReplayDeterminism:
