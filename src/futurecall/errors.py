@@ -47,12 +47,6 @@ class LeakedFutureError(FuturecallError):
     pass
 
 
-# -- schemas -----------------------------------------------------------------
-
-class InvalidSchemaError(FuturecallError):
-    pass
-
-
 # -- scheduling / execution ---------------------------------------------------
 
 class DuplicateCallIdError(FuturecallError):
@@ -87,6 +81,10 @@ class ParseError(FuturecallError):
 
 class ValidationError(FuturecallError):
     pass
+
+
+class InvalidSchemaError(ValidationError):
+    """A malformed tool schema: bad input, like any other validation error."""
 
 
 # -- conversation driver -------------------------------------------------------

@@ -12,7 +12,8 @@ independent calls are left untouched. By default the dependency edges that
 propagate cancellation are argument-future edges and read-after-failed-write
 gate edges; a blind overwrite of a failed call's region does not consume the
 failed effect, so write/write gate edges do not propagate unless strict mode
-is enabled.
+is enabled. A reader admitted after a later writer gates on that writer
+alone, so a failed write's effect stops where the region was overwritten.
 """
 
 from __future__ import annotations

@@ -3,15 +3,29 @@
 Decoded calls enter a FIFO admission queue. The head is admitted once its
 resource path templates resolve (argument- and session-parameterized segments
 included). Admission registers read/write access labels, each backed by a
-pending gate future, and collects the gates of every conflicting live label
-as blocking dependencies. Completing (or cancelling) a call releases its
+pending gate future, and collects the gates of the conflicting labels in the
+index as blocking dependencies. Completing (or cancelling) a call releases its
 labels, which resolves the gates.
+
+Gating follows version chains: a read waits on the last writer of its region,
+and a write waits on the last writer and the readers since. On admission,
+each write access supersedes the labels that lie inside its region: they
+leave the index, and every later access that would have conflicted with
+them conflicts with the write, so it waits on them through the write's gate.
+The recorded edges are thus a subset of those that gating on every
+unreleased conflicting label would record, with the same transitive closure:
+conflicting operations are ordered along each region's version chain
+(Bernstein, Hadzilacos & Goodman, "Concurrency Control and Recovery in
+Database Systems", 1987, ch. 5). A superseded label's gate still resolves
+when its owner releases. A call cancelled before dispatch keeps its labels
+until its own gates are terminal: later calls may wait on the labels it
+superseded only through it.
 
 Dispatch is event-driven: admission registers one store waiter on the call's
 blocking gates, and the waiter queues the call for dispatch once the last
-gate is terminal. Live labels sit in a trie keyed by path segment, so a
+gate is terminal. Indexed labels sit in a trie keyed by path segment, so a
 conflict lookup visits the path's ancestors, the equal node and, for a
-subtree access, the descendants, rather than every live label; this is the
+subtree access, the descendants, rather than every label; this is the
 structure of multi-granularity locking (Gray, Lorie, Putzolu & Traiger,
 "Granularity of Locks and Degrees of Consistency in a Shared Data Base",
 1976). Each node keeps its labels by (mode, scope), so a lookup returns
@@ -178,9 +192,9 @@ class _PathNode:
 
 
 class LabelIndex:
-    """Live labels by path: a lookup touches the path's depth, the nodes
-    below a subtree access and the labels it returns; iteration yields
-    labels in registration order."""
+    """Unsuperseded live labels by path: a lookup touches the path's depth,
+    the nodes below a subtree access and the labels it returns; iteration
+    yields labels in registration order."""
 
     def __init__(self):
         self._root = _PathNode()
@@ -201,22 +215,58 @@ class LabelIndex:
         self._live[label.seq] = label
 
     def remove(self, label: AccessLabel) -> None:
-        del self._live[label.seq]
-        trail = [self._root]
-        for segment in label.access.path.segments:
-            trail.append(trail[-1].children[segment])
-        node = trail[-1]
+        """Drop a label; one a later write already superseded is gone."""
+        if self._live.pop(label.seq, None) is None:
+            return
+        segments = label.access.path.segments
+        trail = self._trail(segments)
         key = (label.access.mode, label.access.subtree)
-        del node.labels[key][label.seq]
-        if not node.labels[key]:
-            del node.labels[key]
-        # Prune nodes left with neither labels nor children, so subtree
-        # walks only ever see live state.
+        labels = trail[-1].labels[key]
+        del labels[label.seq]
+        if not labels:
+            del trail[-1].labels[key]
+        self._prune(trail, segments)
+
+    def supersede(self, write: Access) -> None:
+        """Drop every label inside the write access's region: the
+        non-subtree labels at its path or, for a subtree write, every label
+        at or below its path."""
+        segments = write.path.segments
+        trail = self._trail(segments)
+        if len(trail) <= len(segments):
+            return
+        node, live = trail[-1], self._live
+        if write.subtree:
+            for below in (node, *node.descendants()):
+                for labels in below.labels.values():
+                    for seq in labels:
+                        del live[seq]
+            node.labels, node.children = {}, {}
+        else:
+            for key in ((READ, False), (WRITE, False)):
+                for seq in node.labels.pop(key, ()):
+                    del live[seq]
+        self._prune(trail, segments)
+
+    def _trail(self, segments: tuple[str, ...]) -> list[_PathNode]:
+        """The root and the nodes along the path, as far as they exist."""
+        trail = [self._root]
+        for segment in segments:
+            node = trail[-1].children.get(segment)
+            if node is None:
+                break
+            trail.append(node)
+        return trail
+
+    @staticmethod
+    def _prune(trail: list[_PathNode], segments: tuple[str, ...]) -> None:
+        """Drop nodes left with neither labels nor children, so subtree
+        walks only ever see live state."""
         for depth in range(len(trail) - 1, 0, -1):
             node = trail[depth]
             if node.labels or node.children:
                 break
-            del trail[depth - 1].children[label.access.path.segments[depth - 1]]
+            del trail[depth - 1].children[segments[depth - 1]]
 
     def overlapping(self, access: Access) -> list[AccessLabel]:
         """Live labels that may conflict with the access: subtree labels on
@@ -474,7 +524,8 @@ def _fill_segment(segment: str, args: dict, store: FutureStore) -> tuple[str, bo
 class Scheduler:
     """FIFO admission queue plus state-tree conflict analysis.
 
-    Owns enqueue order, label registration, blocking-gate computation and
+    Owns enqueue order, label registration, blocking-gate computation (the
+    last writer and the readers since, per region), label supersession and
     release. Dispatch itself is delegated through ``on_dispatch`` so the
     executor decides how dispatched calls run. Each admitted call waits on a
     store waiter over its blocking gates; the waiter puts it on the ready
@@ -508,7 +559,8 @@ class Scheduler:
 
     @property
     def live_labels(self) -> list[AccessLabel]:
-        """Live labels in registration order."""
+        """Labels no later write has superseded and no release has dropped,
+        in registration order: the ones a new admission can gate on."""
         return list(self.label_index)
 
     # -- submission ----------------------------------------------------------
@@ -584,6 +636,9 @@ class Scheduler:
         if annotation is not None and annotation.session_write:
             call.session_version = self.session.reserve_write(call.call_id)
         for access in accesses:
+            if access.mode == WRITE:
+                self.label_index.supersede(access)
+        for access in accesses:
             gate = self.store.create(kind="access-label", owner_call=call.call_id)
             label = AccessLabel(access, call.call_id, gate, next(self._label_seq))
             call.labels.append(label)
@@ -594,10 +649,12 @@ class Scheduler:
         self.store.add_waiter(call.blocking_gates, lambda: self._ready.append((seq, call)))
 
     def blocking_gates(self, call: CallRecord, accesses: list[Access]) -> set[str]:
-        """Gates of every live conflicting label, plus the preceding session gate.
+        """Gates of every indexed conflicting label, plus the preceding
+        session gate. The index holds only unsuperseded labels, so these are
+        the last writer and the readers since on each region accessed.
 
         Gates and edges are recorded in label registration order, then
-        access order, as a scan over all live labels would record them. All
+        access order, as a scan over the indexed labels would record them. All
         of a call's gate and session edges are recorded here, once per
         (producer, kind), so de-duplication needs only this call's keys.
         """
@@ -644,7 +701,8 @@ class Scheduler:
             self.on_dispatch(call)
 
     def release(self, call: CallRecord) -> None:
-        """Drop a terminal call's labels, resolving their gates."""
+        """Resolve a terminal call's label gates and drop the labels still
+        indexed; a superseded label has already left the index."""
         if not call.terminal:
             raise NotTerminalError(f"{call.call_id} is {call.status}")
         if call.released:
@@ -662,7 +720,8 @@ class Scheduler:
     # -- cancellation support ------------------------------------------------------
 
     def mark_cancelled(self, call: CallRecord, cause_future: str, origin_call: str) -> None:
-        """Terminal cancellation: settles the result future and releases labels."""
+        """Terminal cancellation: settles the result future at once and
+        releases the labels once the call's own gates are terminal."""
         if call.terminal:
             return
         call.advance_status(CANCELLED_STATUS)
@@ -673,5 +732,8 @@ class Scheduler:
         )
         if not self.store.state_of(call.result_future).is_terminal:
             self.store.cancel(call.result_future, cause_future)
-        self.release(call)
+        # Before dispatch, the labels this call superseded may belong to
+        # calls still running, and later calls wait on them only through
+        # this call's gates: release once its own gates are terminal.
+        self.store.add_waiter(call.blocking_gates, lambda: self.release(call))
 

@@ -54,6 +54,17 @@ def test_run_invalid_workload_exits_2(tmp_path):
     assert main(["run", "--workload", str(bad)]) == 2
 
 
+def test_run_malformed_tool_schema_exits_2(tmp_path, capsys):
+    data = {
+        "tools": [{"schema": "x", "latency": 1, "returns": [{}]}],
+        "script": [{"final": "done"}],
+    }
+    path = tmp_path / "bad_schema.json"
+    path.write_text(json.dumps(data))
+    assert main(["run", "--workload", str(path)]) == 2
+    assert "malformed schema" in capsys.readouterr().err
+
+
 def test_run_runtime_error_exits_3(tmp_path):
     data = {
         "tools": [

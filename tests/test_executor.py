@@ -229,11 +229,11 @@ def superseded_writer_workload():
 @pytest.mark.parametrize(
     "mode,expected",
     [
-        # P2 keeps its gate-raw edge to R1 although R2 rewrote /catalog in
-        # between, so R1's failure cancels it. Pruning gates to the last
-        # writer would drop that edge and let P2 read R2's catalog.
-        ("async-sequential", {"R1": "failed", "P1": "cancelled", "R2": "done", "P2": "cancelled"}),
-        ("async-parallel", {"R1": "failed", "P1": "cancelled", "R2": "done", "P2": "cancelled"}),
+        # P2 reads the catalog R2 rewrote, and R2 only overwrote the failed
+        # R1: the write/write edge does not carry R1's failure, so P2 runs,
+        # as in the sync modes.
+        ("async-sequential", {"R1": "failed", "P1": "cancelled", "R2": "done", "P2": "done"}),
+        ("async-parallel", {"R1": "failed", "P1": "cancelled", "R2": "done", "P2": "done"}),
         ("sync-sequential", {"R1": "failed", "P1": "done", "R2": "done", "P2": "done"}),
         ("sync-parallel", {"R1": "failed", "P1": "done", "R2": "done", "P2": "done"}),
     ],
@@ -242,5 +242,63 @@ def test_failed_writer_cancels_readers_behind_a_later_writer(mode, expected):
     trace = run_workload(superseded_writer_workload(), mode)
     assert trace.call_status == expected
     if mode.startswith("async"):
-        assert ("R1", "P2", "gate-raw") in trace.edges
+        # R2 superseded R1's label, so P2 waits on R2 alone.
+        assert ("R1", "P2", "gate-raw") not in trace.edges
         assert ("R2", "P2", "gate-raw") in trace.edges
+        assert ("R1", "R2", "gate-waw") in trace.edges
+
+
+@pytest.mark.parametrize("mode", ["async-sequential", "async-parallel"])
+def test_strict_mode_cancels_readers_behind_a_later_writer(mode):
+    # Strict mode follows every edge kind: R1 -> R2 -> P2.
+    trace = run_workload(superseded_writer_workload(), mode, strict_cancellation=True)
+    assert trace.call_status == {"R1": "failed", "P1": "cancelled", "R2": "cancelled", "P2": "cancelled"}
+
+
+@pytest.mark.parametrize("mode", ["async-sequential", "async-parallel"])
+def test_writer_cancelled_before_dispatch_holds_its_labels_until_its_gates_settle(mode):
+    """W1 supersedes R0's read of /x and is cancelled through its argument
+    before R0 finishes; W2 waits on W1 alone, yet must not write /x while
+    R0 still reads it."""
+    data = {
+        "tools": [
+            {
+                "schema": {"name": "read", "description": "", "parameters": {}},
+                "annotation": {"reads": [{"path": "/x"}]},
+                "latency": 10,
+                "returns": [{}],
+            },
+            {
+                "schema": {"name": "fail", "description": "", "parameters": {}},
+                "annotation": {"writes": [{"path": "/f"}]},
+                "latency": 1,
+                "returns": [{"id": 1}],
+                "error_at": {"0": "boom"},
+            },
+            {
+                "schema": {"name": "write", "description": "", "parameters": {}},
+                "annotation": {"writes": [{"path": "/x"}]},
+                "latency": 1,
+                "returns": [{}],
+            },
+        ],
+        "script": [
+            {
+                "emit": [{"id": "R0", "name": "read", "args": {}}, {"id": "F", "name": "fail", "args": {}}],
+                "decode_time": 0.1,
+            },
+            {
+                "emit": [
+                    {"id": "W1", "name": "write", "args": {"source": "@F.id"}},
+                    {"id": "W2", "name": "write", "args": {}},
+                ],
+                "decode_time": 0.1,
+            },
+            {"when": {"resolved": ["R0", "F", "W1", "W2"]}, "final": "done"},
+        ],
+    }
+    trace = run_workload(workload_from_json(data), mode)
+    assert trace.call_status == {"R0": "done", "F": "failed", "W1": "cancelled", "W2": "done"}
+    intervals = trace.exec_intervals_by_call()
+    assert intervals["R0"][1] == pytest.approx(10.1)
+    assert intervals["W2"][0] >= intervals["R0"][1]

@@ -1,12 +1,14 @@
 from __future__ import annotations
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from futurecall import (
     DependencyAnnotation,
+    DependencyDag,
     FutureStore,
     VirtualClock,
+    critical_path,
     effective_union,
     futurize_output_template,
     scan_future_refs,
@@ -15,6 +17,10 @@ from futurecall import (
     transform_schema,
 )
 from futurecall.scheduler import (
+    DISPATCHED,
+    DONE,
+    EDGE_KINDS,
+    PROPAGATING_EDGE_KINDS,
     READ,
     WRITE,
     Access,
@@ -170,7 +176,7 @@ def test_transform_idempotent_for_any_parameter_map(params):
     assert all(p.accepts_future for p in once.parameters.values())
 
 
-# -- label index against a scan of every live label -----------------------------
+# -- version-chain gating against a scan of every unreleased label ----------------
 
 # Segments spelled like an access mode or a missing key must behave as plain
 # path segments.
@@ -182,6 +188,7 @@ index_ops = st.lists(
     st.one_of(
         st.tuples(st.just("admit"), index_accesses),
         st.tuples(st.just("release"), st.integers(0, 30)),
+        st.tuples(st.just("finish"), st.integers(0, 30)),
     ),
     max_size=30,
 )
@@ -193,19 +200,69 @@ def _scan_edge_kind(producer_mode: str, consumer_mode: str) -> str:
     return "gate-war"
 
 
-@given(index_ops)
+def _covers(write: Access, label: Access) -> bool:
+    """The label's region lies inside the write's region."""
+    if write.mode != WRITE:
+        return False
+    if write.path == label.path:
+        return write.subtree or not label.subtree
+    return write.subtree and write.path.is_ancestor_of(label.path)
+
+
+def _reach(edges, kinds) -> dict[str, set[str]]:
+    """Consumers reachable from each producer over edges of the given kinds."""
+    out: dict[str, set[str]] = {}
+    for producer, consumer, kind in edges:
+        if kind in kinds:
+            out.setdefault(producer, set()).add(consumer)
+    changed = True
+    while changed:
+        changed = False
+        for targets in out.values():
+            grown = set().union(targets, *(out.get(t, ()) for t in targets))
+            if grown != targets:
+                targets |= grown
+                changed = True
+    return out
+
+
+@given(index_ops, st.lists(st.integers(0, 20), min_size=31, max_size=31))
+@example(  # C1 supersedes C0's read and is cancelled while C0 still runs
+    [
+        ("admit", [(["a"], READ, False)]),
+        ("admit", [(["a"], WRITE, False)]),
+        ("release", 1),
+        ("admit", [(["a"], WRITE, False)]),
+    ],
+    [1] * 31,
+)
 @settings(max_examples=200, deadline=None)
-def test_blocking_gates_match_a_scan_of_live_labels(ops):
+def test_blocking_gates_reduce_a_scan_of_unreleased_labels(ops, durations):
+    """Gating on the last writer and the readers since keeps the happens-
+    before order of gating on every unreleased conflicting label: the same
+    transitive closure, critical path and strict-mode cancellation, and a
+    subset of the default-mode cancellation. "release" cancels a live call,
+    whose labels stay until its own gates settle; "finish" completes a
+    dispatched one."""
     clock = VirtualClock()
     store = FutureStore(clock)
     session = SessionState(store=store)
     scheduler = Scheduler(store, session, clock)
+    scheduler.on_dispatch = lambda call: call.advance_status(DISPATCHED)
     calls: list[CallRecord] = []
+    scan_edges: set[tuple[str, str, str]] = set()
     for n, (op, arg) in enumerate(ops):
+        live = [c for c in calls if not c.terminal]
         if op == "release":
-            live = [c for c in calls if not c.terminal]
             if live:
                 scheduler.mark_cancelled(live[arg % len(live)], "fut_cause", "origin")
+            continue
+        if op == "finish":
+            running = [c for c in live if c.status == DISPATCHED]
+            if running:
+                call = running[arg % len(running)]
+                call.advance_status(DONE)
+                scheduler.release(call)
             continue
         decls = {READ: [], WRITE: []}
         for segments, mode, subtree in arg:
@@ -215,17 +272,35 @@ def test_blocking_gates_match_a_scan_of_live_labels(ops):
         accesses = resolve_paths(annotation, {}, session, store)
 
         gates: set[str] = set()
-        edges: list[tuple[str, str, str]] = []
-        for label in scheduler.live_labels:
+        edges: set[tuple[str, str, str]] = set()
+        for label in [lab for c in calls if not c.released for lab in c.labels]:
             for access in accesses:
                 if conflicts(label.access, access):
                     gates.add(label.gate)
-                    edge = (label.owner, call.call_id, _scan_edge_kind(label.access.mode, access.mode))
-                    if edge not in edges:
-                        edges.append(edge)
+                    edges.add((label.owner, call.call_id, _scan_edge_kind(label.access.mode, access.mode)))
         before = len(scheduler.edges)
         scheduler.submit(call)
         calls.append(call)
-        assert call.blocking_gates == gates
-        assert [(e.producer, e.consumer, e.kind) for e in scheduler.edges[before:]] == edges
-        assert scheduler.live_labels == [lab for c in calls if not c.terminal for lab in c.labels]
+        assert call.blocking_gates <= gates
+        assert set(scheduler.edges[before:]) <= edges
+        scan_edges |= edges
+
+        unreleased = [lab for c in calls if not c.released for lab in c.labels]
+        assert scheduler.live_labels == [
+            lab
+            for lab in unreleased
+            if not any(
+                w.seq > lab.seq and w.owner != lab.owner and _covers(w.access, lab.access)
+                for w in unreleased
+            )
+        ]
+
+    new_edges = [tuple(e) for e in scheduler.edges]
+    assert _reach(new_edges, EDGE_KINDS) == _reach(scan_edges, EDGE_KINDS)
+    new_default = _reach(new_edges, PROPAGATING_EDGE_KINDS)
+    for producer, consumers in new_default.items():
+        assert consumers <= _reach(scan_edges, PROPAGATING_EDGE_KINDS).get(producer, set())
+    weights = {c.call_id: float(durations[int(c.call_id[1:])]) for c in calls}
+    assert critical_path(DependencyDag(weights, [e[:2] for e in new_edges])) == critical_path(
+        DependencyDag(weights, [e[:2] for e in scan_edges])
+    )

@@ -1,7 +1,5 @@
 from __future__ import annotations
 
-import hashlib
-
 import pytest
 
 import futurecall.scheduler as scheduler_mod
@@ -328,26 +326,31 @@ class TestWorkGrowth:
         monkeypatch.setattr(scheduler_mod, "conflicts", counted_conflicts)
         return counts
 
+    @staticmethod
+    def single_turn(tools: list[dict], emit: list[dict]):
+        ids = [call["id"] for call in emit]
+        return workload_from_json(
+            {
+                "tools": tools,
+                "script": [{"emit": emit}, {"when": {"resolved": ids}, "final": "done"}],
+                "context_budget": 2 * len(ids) + 16,
+            }
+        )
+
     def test_wide_turn_of_disjoint_writes_is_linear(self, monkeypatch):
         n = 400
         counts = self.count_calls(monkeypatch)
         ids = [f"C{k}" for k in range(n)]
-        spec = workload_from_json(
-            {
-                "tools": [
-                    {
-                        "schema": {"name": "put", "description": "", "parameters": {}},
-                        "annotation": {"writes": [{"path": "/items/{k}"}]},
-                        "latency": 1,
-                        "returns": [{}],
-                    }
-                ],
-                "script": [
-                    {"emit": [{"id": i, "name": "put", "args": {"k": k}} for k, i in enumerate(ids)]},
-                    {"when": {"resolved": ids}, "final": "done"},
-                ],
-                "context_budget": 2 * n + 16,
-            }
+        spec = self.single_turn(
+            [
+                {
+                    "schema": {"name": "put", "description": "", "parameters": {}},
+                    "annotation": {"writes": [{"path": "/items/{k}"}]},
+                    "latency": 1,
+                    "returns": [{}],
+                }
+            ],
+            [{"id": i, "name": "put", "args": {"k": k}} for k, i in enumerate(ids)],
         )
         trace = run_workload(spec, "async-parallel")
         assert set(trace.call_status.values()) == {"done"}
@@ -357,52 +360,72 @@ class TestWorkGrowth:
 
     def test_burst_shaped_turn_costs_per_call_not_per_edge(self, monkeypatch):
         # Every 16th call rewrites the /catalog subtree, the rest read it and
-        # write their own item: 16 writers, 240 readers and 3,960 edges.
+        # write their own item: 16 writers and 240 readers. A reader waits on
+        # the last writer, a writer on the last writer and the 15 readers
+        # since: 240 + 15 * 16 = 480 edges, where gating on every live
+        # conflicting label recorded 3,960.
         n = 256
         counts = self.count_calls(monkeypatch)
         ids = [f"C{k}" for k in range(n)]
-        spec = workload_from_json(
-            {
-                "tools": [
-                    {
-                        "schema": {"name": "reindex", "description": "", "parameters": {}},
-                        "annotation": {"writes": [{"path": "/catalog", "subtree": True}]},
-                        "latency": 3,
-                        "returns": [{}],
+        spec = self.single_turn(
+            [
+                {
+                    "schema": {"name": "reindex", "description": "", "parameters": {}},
+                    "annotation": {"writes": [{"path": "/catalog", "subtree": True}]},
+                    "latency": 3,
+                    "returns": [{}],
+                },
+                {
+                    "schema": {"name": "stock", "description": "", "parameters": {}},
+                    "annotation": {
+                        "reads": [{"path": "/catalog", "subtree": True}],
+                        "writes": [{"path": "/items/{k}"}],
                     },
-                    {
-                        "schema": {"name": "stock", "description": "", "parameters": {}},
-                        "annotation": {
-                            "reads": [{"path": "/catalog", "subtree": True}],
-                            "writes": [{"path": "/items/{k}"}],
-                        },
-                        "latency": 1,
-                        "returns": [{}],
-                    },
-                ],
-                "script": [
-                    {
-                        "emit": [
-                            {"id": i, "name": "reindex", "args": {}}
-                            if k % 16 == 0
-                            else {"id": i, "name": "stock", "args": {"k": k}}
-                            for k, i in enumerate(ids)
-                        ]
-                    },
-                    {"when": {"resolved": ids}, "final": "done"},
-                ],
-                "context_budget": 2 * n + 16,
-            }
+                    "latency": 1,
+                    "returns": [{}],
+                },
+            ],
+            [
+                {"id": i, "name": "reindex", "args": {}}
+                if k % 16 == 0
+                else {"id": i, "name": "stock", "args": {"k": k}}
+                for k, i in enumerate(ids)
+            ],
         )
         trace = run_workload(spec, "async-parallel")
         assert set(trace.call_status.values()) == {"done"}
-        assert len(trace.edges) == 3960
-        # The edge list, order included, as recorded before the per-edge
-        # cost was cut.
-        assert hashlib.sha256(repr(trace.edges).encode()).hexdigest() == (
-            "c53ba168ebc4ce6df51c9903cf1a30ab3c7b98811de6480208ae96a3f1973d8b"
-        )
+        expected = []
+        for k in range(1, n):
+            writer = ids[k - k % 16]
+            if k % 16:
+                expected.append((writer, ids[k], "gate-raw"))
+            else:
+                expected.append((ids[k - 16], ids[k], "gate-waw"))
+                expected.extend((ids[j], ids[k], "gate-war") for j in range(k - 15, k))
+        assert trace.edges == expected
+        assert len(trace.edges) == 480
         # One pairwise check per candidate the index returns, and every
         # candidate here is a distinct edge.
-        assert counts["conflicts"] == len(trace.edges)
+        assert counts["conflicts"] == len(trace.edges) <= 2 * n
+        assert counts["state_of"] <= 4 * n
+
+    def test_writers_of_one_path_wait_on_the_last_writer_only(self, monkeypatch):
+        n = 400
+        counts = self.count_calls(monkeypatch)
+        ids = [f"C{k}" for k in range(n)]
+        spec = self.single_turn(
+            [
+                {
+                    "schema": {"name": "put", "description": "", "parameters": {}},
+                    "annotation": {"writes": [{"path": "/one"}]},
+                    "latency": 1,
+                    "returns": [{}],
+                }
+            ],
+            [{"id": i, "name": "put", "args": {}} for i in ids],
+        )
+        trace = run_workload(spec, "async-parallel")
+        assert set(trace.call_status.values()) == {"done"}
+        assert trace.edges == [(ids[k - 1], ids[k], "gate-waw") for k in range(1, n)]
+        assert counts["conflicts"] <= 2 * n
         assert counts["state_of"] <= 4 * n
