@@ -13,7 +13,9 @@ propagate cancellation are argument-future edges and read-after-failed-write
 gate edges; a blind overwrite of a failed call's region does not consume the
 failed effect, so write/write gate edges do not propagate unless strict mode
 is enabled. A reader admitted after a later writer gates on that writer
-alone, so a failed write's effect stops where the region was overwritten.
+alone, so a failed write's effect stops where the region was overwritten;
+a writer cancelled before it ran overwrote nothing, and readers admitted
+after its cancellation gate on the writers it superseded again.
 """
 
 from __future__ import annotations

@@ -17,9 +17,11 @@ unreleased conflicting label would record, with the same transitive closure:
 conflicting operations are ordered along each region's version chain
 (Bernstein, Hadzilacos & Goodman, "Concurrency Control and Recovery in
 Database Systems", 1987, ch. 5). A superseded label's gate still resolves
-when its owner releases. A call cancelled before dispatch keeps its labels
-until its own gates are terminal: later calls may wait on the labels it
-superseded only through it.
+when its owner releases. A cancelled call never writes, so its labels leave
+the index at once and the labels they superseded come back while their
+owners have not released; a label's gate then resolves once the gates of
+the labels it superseded are terminal, since calls admitted before the
+cancellation wait on those only through it.
 
 Dispatch is event-driven: admission registers one store waiter on the call's
 blocking gates, and the waiter queues the call for dispatch once the last
@@ -130,12 +132,14 @@ class AccessLabel:
     """A live access registered in the state tree, backed by a gate future.
 
     ``seq`` is the label's registration order within its scheduler.
+    ``replaced`` holds the labels a write superseded on admission.
     """
 
     access: Access
     owner: str
     gate: str
     seq: int
+    replaced: list["AccessLabel"] = field(default_factory=list, compare=False, repr=False)
 
 
 def regions_overlap(a: Access, b: Access) -> bool:
@@ -227,26 +231,34 @@ class LabelIndex:
             del trail[-1].labels[key]
         self._prune(trail, segments)
 
-    def supersede(self, write: Access) -> None:
-        """Drop every label inside the write access's region: the
+    def supersede(self, write: Access) -> list[AccessLabel]:
+        """Drop and return every label inside the write access's region: the
         non-subtree labels at its path or, for a subtree write, every label
         at or below its path."""
         segments = write.path.segments
         trail = self._trail(segments)
         if len(trail) <= len(segments):
-            return
-        node, live = trail[-1], self._live
+            return []
+        node = trail[-1]
         if write.subtree:
-            for below in (node, *node.descendants()):
-                for labels in below.labels.values():
-                    for seq in labels:
-                        del live[seq]
+            groups = [labels for below in (node, *node.descendants()) for labels in below.labels.values()]
             node.labels, node.children = {}, {}
         else:
-            for key in ((READ, False), (WRITE, False)):
-                for seq in node.labels.pop(key, ()):
-                    del live[seq]
+            groups = [node.labels.pop(key, {}) for key in ((READ, False), (WRITE, False))]
+        dropped = [label for labels in groups for label in labels.values()]
+        for label in dropped:
+            del self._live[label.seq]
         self._prune(trail, segments)
+        return dropped
+
+    def restore(self, labels: list[AccessLabel]) -> None:
+        """Put back labels that a since-withdrawn write superseded; labels
+        still indexed stay as they are."""
+        fresh = [label for label in labels if label.seq not in self._live]
+        for label in fresh:
+            self.add(label)
+        if fresh:
+            self._live = dict(sorted(self._live.items()))
 
     def _trail(self, segments: tuple[str, ...]) -> list[_PathNode]:
         """The root and the nodes along the path, as far as they exist."""
@@ -635,14 +647,13 @@ class Scheduler:
         annotation = call.annotation
         if annotation is not None and annotation.session_write:
             call.session_version = self.session.reserve_write(call.call_id)
-        for access in accesses:
-            if access.mode == WRITE:
-                self.label_index.supersede(access)
-        for access in accesses:
+        index = self.label_index
+        replaced = [index.supersede(access) if access.mode == WRITE else [] for access in accesses]
+        for access, dropped in zip(accesses, replaced):
             gate = self.store.create(kind="access-label", owner_call=call.call_id)
-            label = AccessLabel(access, call.call_id, gate, next(self._label_seq))
+            label = AccessLabel(access, call.call_id, gate, next(self._label_seq), dropped)
             call.labels.append(label)
-            self.label_index.add(label)
+            index.add(label)
         call.advance_status(ADMITTED)
         call.admitted_at = now
         seq = next(self._admission_seq)
@@ -720,8 +731,9 @@ class Scheduler:
     # -- cancellation support ------------------------------------------------------
 
     def mark_cancelled(self, call: CallRecord, cause_future: str, origin_call: str) -> None:
-        """Terminal cancellation: settles the result future at once and
-        releases the labels once the call's own gates are terminal."""
+        """Terminal cancellation: settles the result future and withdraws
+        the call's labels at once; each label gate resolves once the gates
+        of the labels it superseded are terminal."""
         if call.terminal:
             return
         call.advance_status(CANCELLED_STATUS)
@@ -732,8 +744,45 @@ class Scheduler:
         )
         if not self.store.state_of(call.result_future).is_terminal:
             self.store.cancel(call.result_future, cause_future)
-        # Before dispatch, the labels this call superseded may belong to
-        # calls still running, and later calls wait on them only through
-        # this call's gates: release once its own gates are terminal.
-        self.store.add_waiter(call.blocking_gates, lambda: self.release(call))
+        self._withdraw(call)
 
+    def _withdraw(self, call: CallRecord) -> None:
+        """Release a cancelled call's labels without letting later calls pass
+        the labels they superseded.
+
+        The call never writes, so its labels leave the index at once and the
+        superseded labels whose owners have not released go back: calls
+        admitted from now on gate on those directly. Calls admitted earlier
+        wait on them only through this call's labels, so each label's gate,
+        like the call's session version, resolves once what it replaced is
+        terminal. ``replaced`` is narrowed to those labels, so a later walk
+        through this call takes one step.
+        """
+        call.released = True
+        index = self.label_index
+        back: dict[int, AccessLabel] = {}
+        for label in call.labels:
+            index.remove(label)
+            found: dict[int, AccessLabel] = {}
+            pending = list(label.replaced)
+            while pending:
+                old = pending.pop()
+                owner = self.calls[old.owner]
+                if owner.status == CANCELLED_STATUS:
+                    pending.extend(old.replaced)
+                elif not owner.released:
+                    found[old.seq] = old
+            label.replaced = list(found.values())
+            back.update(found)
+        index.restore(list(back.values()))
+        store = self.store
+        for label in call.labels:
+            store.add_waiter(
+                [old.gate for old in label.replaced],
+                lambda gate=label.gate: store.resolve(gate, {"released_by": call.call_id}),
+            )
+        version = call.session_version
+        if version is not None:
+            previous = self.session.version_gates[version - 1]
+            store.add_waiter([previous], lambda: self.session.abort_write(version))
+        self.pump()

@@ -255,50 +255,95 @@ def test_strict_mode_cancels_readers_behind_a_later_writer(mode):
     assert trace.call_status == {"R1": "failed", "P1": "cancelled", "R2": "cancelled", "P2": "cancelled"}
 
 
+def _cancel_probe(script):
+    """Tools around /x: reads (latency 10), a failing call F to cancel
+    writers through their ``@F.id`` argument, writers of /x and /y, and a
+    writer of /x that fails after 5. Turns after the second wait on F."""
+
+    def tool(name, latency, reads=(), writes=(), fails=False):
+        return {
+            "schema": {"name": name, "description": "", "parameters": {}},
+            "annotation": {
+                "reads": [{"path": p} for p in reads],
+                "writes": [{"path": p} for p in writes],
+            },
+            "latency": latency,
+            "returns": [{"id": 1}],
+            **({"error_at": {"0": "boom"}} if fails else {}),
+        }
+
+    tools = [
+        tool("read", 10, reads=["/x"]),
+        tool("fail", 1, writes=["/f"], fails=True),
+        tool("write", 1, writes=["/x"]),
+        tool("write_xy", 1, writes=["/x", "/y"]),
+        tool("write_y", 1, writes=["/y"]),
+        tool("bad_write", 5, writes=["/x"], fails=True),
+    ]
+    turns = [{"emit": [{"id": i, "name": n, "args": a} for i, n, a in emit], "decode_time": 0.1} for emit in script]
+    ids = [i for emit in script for i, _, _ in emit]
+    for turn in turns[2:]:
+        turn["when"] = {"resolved": ["F"]}
+    turns.append({"when": {"resolved": ids}, "final": "done"})
+    return workload_from_json({"tools": tools, "script": turns})
+
+
+ON_F = {"source": "@F.id"}
+
+
 @pytest.mark.parametrize("mode", ["async-sequential", "async-parallel"])
 def test_writer_cancelled_before_dispatch_holds_its_labels_until_its_gates_settle(mode):
     """W1 supersedes R0's read of /x and is cancelled through its argument
     before R0 finishes; W2 waits on W1 alone, yet must not write /x while
     R0 still reads it."""
-    data = {
-        "tools": [
-            {
-                "schema": {"name": "read", "description": "", "parameters": {}},
-                "annotation": {"reads": [{"path": "/x"}]},
-                "latency": 10,
-                "returns": [{}],
-            },
-            {
-                "schema": {"name": "fail", "description": "", "parameters": {}},
-                "annotation": {"writes": [{"path": "/f"}]},
-                "latency": 1,
-                "returns": [{"id": 1}],
-                "error_at": {"0": "boom"},
-            },
-            {
-                "schema": {"name": "write", "description": "", "parameters": {}},
-                "annotation": {"writes": [{"path": "/x"}]},
-                "latency": 1,
-                "returns": [{}],
-            },
-        ],
-        "script": [
-            {
-                "emit": [{"id": "R0", "name": "read", "args": {}}, {"id": "F", "name": "fail", "args": {}}],
-                "decode_time": 0.1,
-            },
-            {
-                "emit": [
-                    {"id": "W1", "name": "write", "args": {"source": "@F.id"}},
-                    {"id": "W2", "name": "write", "args": {}},
-                ],
-                "decode_time": 0.1,
-            },
-            {"when": {"resolved": ["R0", "F", "W1", "W2"]}, "final": "done"},
-        ],
-    }
-    trace = run_workload(workload_from_json(data), mode)
+    spec = _cancel_probe(
+        [
+            [("R0", "read", {}), ("F", "fail", {})],
+            [("W1", "write", ON_F), ("W2", "write", {})],
+        ]
+    )
+    trace = run_workload(spec, mode)
     assert trace.call_status == {"R0": "done", "F": "failed", "W1": "cancelled", "W2": "done"}
     intervals = trace.exec_intervals_by_call()
     assert intervals["R0"][1] == pytest.approx(10.1)
     assert intervals["W2"][0] >= intervals["R0"][1]
+
+
+@pytest.mark.parametrize("mode", ["async-sequential", "async-parallel"])
+def test_reader_after_a_cancelled_writer_gates_on_the_writer_it_superseded(mode):
+    """R2 supersedes R1's write of /x and is cancelled through F; Q, admitted
+    after that, reads /x. R2 never wrote, so Q reads what R1 writes, and R1's
+    failure cancels Q, as gating on every unreleased label does."""
+    spec = _cancel_probe(
+        [
+            [("R1", "bad_write", {}), ("F", "fail", {})],
+            [("R2", "write", ON_F)],
+            [("Q", "read", {})],
+        ]
+    )
+    trace = run_workload(spec, mode)
+    assert trace.call_status == {"R1": "failed", "F": "failed", "R2": "cancelled", "Q": "cancelled"}
+    assert ("R1", "Q", "gate-raw") in trace.edges
+    assert not any(e[:2] == ("R2", "Q") for e in trace.edges)
+
+
+@pytest.mark.parametrize("mode", ["async-sequential", "async-parallel"])
+def test_cancelled_writer_holds_each_label_only_behind_what_it_superseded(mode):
+    """W1 writes /x and /y and waits on R0's read of /x; it is cancelled
+    through F. Y, a writer of /y gated on W1 alone, runs at once, and
+    Q, a reader of /x admitted after the cancellation, neither waits for R0
+    nor gates on W1."""
+    spec = _cancel_probe(
+        [
+            [("R0", "read", {}), ("F", "fail", {})],
+            [("W1", "write_xy", ON_F), ("Y", "write_y", {})],
+            [("Q", "read", {})],
+        ]
+    )
+    trace = run_workload(spec, mode)
+    assert trace.call_status == {"R0": "done", "F": "failed", "W1": "cancelled", "Y": "done", "Q": "done"}
+    assert ("W1", "Y", "gate-waw") in trace.edges
+    intervals = trace.exec_intervals_by_call()
+    assert intervals["Y"][0] == pytest.approx(intervals["F"][1])
+    assert intervals["Q"][0] < intervals["R0"][1]
+    assert not any(e[0] == "W1" and e[1] == "Q" for e in trace.edges)

@@ -16,7 +16,9 @@ from futurecall import (
     substitute_resolved,
     transform_schema,
 )
+from futurecall.executor import Executor, StateStore
 from futurecall.scheduler import (
+    ADMITTED,
     DISPATCHED,
     DONE,
     EDGE_KINDS,
@@ -180,14 +182,20 @@ def test_transform_idempotent_for_any_parameter_map(params):
 
 # Segments spelled like an access mode or a missing key must behave as plain
 # path segments.
-index_paths = st.lists(st.sampled_from(["a", "b", "read", "write", "None"]), max_size=3)
+index_paths = st.lists(st.sampled_from(["a", "b", "read", "write", "None"]), max_size=2)
 index_accesses = st.lists(
     st.tuples(index_paths, st.sampled_from([READ, WRITE]), st.booleans()), min_size=1, max_size=3
 )
+# Admissions come three times as often as each other op, and paths are at
+# most two deep, so that superseding writes and cancellations of them while
+# the superseded calls still run are common.
+admit_op = st.tuples(st.just("admit"), index_accesses)
 index_ops = st.lists(
     st.one_of(
-        st.tuples(st.just("admit"), index_accesses),
-        st.tuples(st.just("release"), st.integers(0, 30)),
+        admit_op,
+        admit_op,
+        admit_op,
+        st.tuples(st.just("cancel"), st.integers(0, 30)),
         st.tuples(st.just("finish"), st.integers(0, 30)),
     ),
     max_size=30,
@@ -227,35 +235,60 @@ def _reach(edges, kinds) -> dict[str, set[str]]:
 
 
 @given(index_ops, st.lists(st.integers(0, 20), min_size=31, max_size=31))
-@example(  # C1 supersedes C0's read and is cancelled while C0 still runs
+@example(  # C1 supersedes C0's read and is cancelled while C0 runs; C2 waits on C1
     [
         ("admit", [(["a"], READ, False)]),
         ("admit", [(["a"], WRITE, False)]),
-        ("release", 1),
         ("admit", [(["a"], WRITE, False)]),
+        ("cancel", 0),
+    ],
+    [1] * 31,
+)
+@example(  # C1 supersedes C0's write and is cancelled; C3 reads what C0 writes
+    [
+        ("admit", [(["a"], WRITE, False)]),
+        ("admit", [(["a"], WRITE, False)]),
+        ("cancel", 0),
+        ("admit", [(["a"], READ, False)]),
     ],
     [1] * 31,
 )
 @settings(max_examples=200, deadline=None)
 def test_blocking_gates_reduce_a_scan_of_unreleased_labels(ops, durations):
     """Gating on the last writer and the readers since keeps the happens-
-    before order of gating on every unreleased conflicting label: the same
-    transitive closure, critical path and strict-mode cancellation, and a
-    subset of the default-mode cancellation. "release" cancels a live call,
-    whose labels stay until its own gates settle; "finish" completes a
-    dispatched one."""
+    before order of gating on every conflicting label of a call that is not
+    terminal: the same transitive closure, critical path and strict-mode
+    cancellation. In default mode a call escapes a failure the scan would
+    cancel it for only when a call that is not cancelled wrote in between.
+    No call dispatches while an earlier conflicting call is not terminal.
+
+    "cancel" cancels a live call, one not yet dispatched where there is
+    one, and what depends on it, as a failure does; "finish" completes a
+    dispatched call."""
     clock = VirtualClock()
     store = FutureStore(clock)
     session = SessionState(store=store)
     scheduler = Scheduler(store, session, clock)
-    scheduler.on_dispatch = lambda call: call.advance_status(DISPATCHED)
+    executor = Executor(store, scheduler, clock, {}, StateStore())
     calls: list[CallRecord] = []
+
+    def dispatch(call: CallRecord) -> None:
+        for earlier in calls[: calls.index(call)] if call in calls else calls:
+            assert earlier.terminal or not any(
+                conflicts(a.access, b.access) for a in earlier.labels for b in call.labels
+            ), (earlier.call_id, call.call_id)
+        call.advance_status(DISPATCHED)
+
+    scheduler.on_dispatch = dispatch
     scan_edges: set[tuple[str, str, str]] = set()
     for n, (op, arg) in enumerate(ops):
         live = [c for c in calls if not c.terminal]
-        if op == "release":
-            if live:
-                scheduler.mark_cancelled(live[arg % len(live)], "fut_cause", "origin")
+        if op == "cancel":
+            pick = [c for c in live if c.status == ADMITTED] or live
+            if pick:
+                victim = pick[arg % len(pick)]
+                scheduler.mark_cancelled(victim, "fut_cause", "origin")
+                executor.cancel_transitive(victim.call_id)
             continue
         if op == "finish":
             running = [c for c in live if c.status == DISPATCHED]
@@ -271,13 +304,26 @@ def test_blocking_gates_reduce_a_scan_of_unreleased_labels(ops, durations):
         call = CallRecord(call_id=f"C{n}", tool="t", args={}, annotation=annotation)
         accesses = resolve_paths(annotation, {}, session, store)
 
+        # The reference: every label of a call that is not terminal.
+        unreleased = [lab for c in calls if not c.terminal for lab in c.labels]
         gates: set[str] = set()
         edges: set[tuple[str, str, str]] = set()
-        for label in [lab for c in calls if not c.released for lab in c.labels]:
+        for label in unreleased:
             for access in accesses:
                 if conflicts(label.access, access):
                     gates.add(label.gate)
                     edges.add((label.owner, call.call_id, _scan_edge_kind(label.access.mode, access.mode)))
+        indexed = scheduler.live_labels
+        assert [lab.seq for lab in indexed] == sorted(lab.seq for lab in indexed)
+        assert {lab.seq for lab in indexed} <= {lab.seq for lab in unreleased}
+        assert {lab.seq for lab in indexed} >= {
+            lab.seq
+            for lab in unreleased
+            if not any(
+                w.seq > lab.seq and w.owner != lab.owner and _covers(w.access, lab.access)
+                for w in unreleased
+            )
+        }
         before = len(scheduler.edges)
         scheduler.submit(call)
         calls.append(call)
@@ -285,21 +331,20 @@ def test_blocking_gates_reduce_a_scan_of_unreleased_labels(ops, durations):
         assert set(scheduler.edges[before:]) <= edges
         scan_edges |= edges
 
-        unreleased = [lab for c in calls if not c.released for lab in c.labels]
-        assert scheduler.live_labels == [
-            lab
-            for lab in unreleased
-            if not any(
-                w.seq > lab.seq and w.owner != lab.owner and _covers(w.access, lab.access)
-                for w in unreleased
-            )
-        ]
-
     new_edges = [tuple(e) for e in scheduler.edges]
-    assert _reach(new_edges, EDGE_KINDS) == _reach(scan_edges, EDGE_KINDS)
+    new_all = _reach(new_edges, EDGE_KINDS)
+    assert new_all == _reach(scan_edges, EDGE_KINDS)
     new_default = _reach(new_edges, PROPAGATING_EDGE_KINDS)
-    for producer, consumers in new_default.items():
-        assert consumers <= _reach(scan_edges, PROPAGATING_EDGE_KINDS).get(producer, set())
+    scan_default = _reach(scan_edges, PROPAGATING_EDGE_KINDS)
+    cancelled = {c.call_id for c in calls if c.status == "cancelled"}
+    for producer, consumers in scan_default.items():
+        assert new_default.get(producer, set()) <= consumers
+        for escaped in consumers - new_default.get(producer, set()) - cancelled:
+            # Some call ordered after the producer, never cancelled, wrote
+            # what the escaped call reads.
+            assert any(
+                escaped in new_default.get(writer, ()) for writer in new_all[producer] - cancelled
+            ), (producer, escaped)
     weights = {c.call_id: float(durations[int(c.call_id[1:])]) for c in calls}
     assert critical_path(DependencyDag(weights, [e[:2] for e in new_edges])) == critical_path(
         DependencyDag(weights, [e[:2] for e in scan_edges])

@@ -280,6 +280,27 @@ class TestRelease:
         scheduler.release(c1)
         assert c1.released
 
+    def test_cancelled_session_writer_holds_its_version_behind_the_previous_one(self):
+        # R1 reads the session behind W2 alone; W2 is cancelled before it
+        # runs, and W1, the writer before it, is still running.
+        scheduler, store, session, _ = make_scheduler()
+        dispatched = []
+        scheduler.on_dispatch = dispatched.append
+        w1 = call("W1", annotation(session_write=True))
+        w2 = call("W2", annotation(session_write=True))
+        r1 = call("R1", annotation(session_read=True))
+        for c in (w1, w2, r1):
+            scheduler.submit(c)
+        assert r1.blocking_gates == {session.version_gates[2]}
+        scheduler.mark_cancelled(w2, "fut_cause", "origin")
+        assert dispatched == [w1]
+        assert session.writes_in_flight
+        w1.advance_status("done")
+        session.complete_write(w1.session_version, {}, None)
+        scheduler.release(w1)
+        assert dispatched == [w1, r1]
+        assert not session.writes_in_flight
+
     def test_cancelled_head_with_failed_path_dependency(self):
         scheduler, store, _, _ = make_scheduler()
         producer = store.create(owner_call="P")
