@@ -22,7 +22,7 @@ from .errors import FuturecallError, ParseError, ValidationError
 from .scheduler import READ, WRITE, Access, ResourcePath, conflicts, fallback_accesses
 from .schema import DependencyAnnotation, load_schema_file
 from .trace import RunTrace
-from .workload import WorkloadSpec, load_workload, make_latency_sweep
+from .workload import WorkloadSpec, _number, load_workload, make_latency_sweep
 
 
 def _cell_report(trace: RunTrace, baseline: RunTrace | None) -> dict[str, Any]:
@@ -61,10 +61,16 @@ def _cell_report(trace: RunTrace, baseline: RunTrace | None) -> dict[str, Any]:
     return report
 
 
-def cmd_run(args: argparse.Namespace) -> int:
+def _load(args: argparse.Namespace) -> WorkloadSpec:
+    """The workload file, with ``--delay-scale`` checked like the file's own."""
     workload = load_workload(args.workload)
     if args.delay_scale is not None:
-        workload.delay_scale = args.delay_scale
+        workload.delay_scale = _number(args.delay_scale, "--delay-scale", positive=True)
+    return workload
+
+
+def cmd_run(args: argparse.Namespace) -> int:
+    workload = _load(args)
     trace = run_workload(workload, args.mode, clock=args.clock)
     if args.out_trace:
         trace.write_jsonl(args.out_trace)
@@ -89,9 +95,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     modes = args.mode
     if len(modes) < 2:
         raise ValidationError("compare needs at least 2 modes")
-    base_workload = load_workload(args.workload)
-    if args.delay_scale is not None:
-        base_workload.delay_scale = args.delay_scale
+    base_workload = _load(args)
     delays = args.sweep or [None]
     if args.sweep:
         workloads = make_latency_sweep(base_workload, args.sweep)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 import time
 from typing import Any, Callable, NamedTuple
 
@@ -105,8 +106,8 @@ class WallClock(VirtualClock):
     run_until_time = VirtualClock.run_until_time
 
     def __init__(self, delay_scale: float = 1.0):
-        if delay_scale <= 0:
-            raise ValueError("delay_scale must be positive")
+        if not 0 < delay_scale < math.inf:  # nan fails both comparisons
+            raise ValueError(f"delay_scale must be finite and positive, got {delay_scale!r}")
         super().__init__()
         self._scale = delay_scale
         self._epoch = time.monotonic()

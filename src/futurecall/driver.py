@@ -543,9 +543,12 @@ class TurnDriver:
     def _emit_calls(self, turn: ScriptTurn) -> None:
         """Build the turn's calls and the assistant message carrying them.
 
-        Async modes then submit the calls to the scheduler and answer each
-        with a placeholder; sync modes run the turn as one batch and answer
-        each call with its outcome.
+        ``@Fk`` references are bound only in calls whose ``spec.refs``
+        (filled when the turn was checked) names any; every other call keeps
+        its spec's arguments, shared and never written: a tool behavior gets
+        its own copy. Async modes then submit the calls to the scheduler and
+        answer each with a placeholder; sync modes run the turn as one batch
+        and answer each call with its outcome.
         """
         self._decode(turn.decode_time)
         bind = self._ref_future if is_async(self.mode) else self._ref_value
@@ -555,7 +558,7 @@ class TurnDriver:
             record = CallRecord(
                 call_id=spec.call_id,
                 tool=spec.name,
-                args=self._substitute_refs(spec.args, bind),
+                args=self._substitute_refs(spec.args, bind) if spec.refs else spec.args,
                 annotation=tool.annotation,
                 invocation_index=tool.next_invocation(),
             )
@@ -596,14 +599,17 @@ class TurnDriver:
 
     def _run_batch(self, records: list[CallRecord]) -> None:
         """Sync execution: same-turn calls overlap in time, but their effects
-        and results apply in emitted order once the slowest one is done."""
+        and results apply in emitted order once the slowest one is done.
+        Each behavior gets its own copy of the arguments, as in async modes,
+        so it cannot rewrite the call in the context or the workload."""
         t0 = self.clock.now()
         latencies = [self.tools[r.tool].latency_for(r.invocation_index) for r in records]
         self.clock.run_until_time(t0 + max(latencies))
         for record, latency in zip(records, latencies):
             record.exec_start, record.exec_end = t0, t0 + latency
             self._record_exec(record)
-            value, error = self.executor.invoke(record, record.args)
+            own_args = map_leaves(record.args, lambda leaf, _path: leaf)
+            value, error = self.executor.invoke(record, own_args)
             if error is None:
                 record.advance_status(DONE)
                 self.store.resolve(record.result_future, value)

@@ -6,12 +6,21 @@ along with the dependency edges observed by the scheduler and the final mock
 backend state. The JSONL rendering emits one event per line and a trailing
 summary record; serialization is canonical (sorted keys, fixed separators) so
 that identical runs produce byte-identical files.
+
+Event lines share one layout, so a fixed formatter writes them: keys in
+sorted order, strings escaped by ``json.encoder.encode_basestring_ascii`` and
+numbers by ``int.__repr__`` / ``float.__repr__``, the functions
+``json.dumps`` itself uses for these types. A value outside them (a
+non-finite float, a bool, a subclass) sends its line to ``json.dumps``, so
+every line stays canonical. The summary line always goes through
+``json.dumps``.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 from typing import Any
 
 DECODE = "decode"
@@ -30,6 +39,29 @@ class TraceEvent:
 
     def to_json(self) -> dict:
         return {"t0": self.t0, "t1": self.t1, "kind": self.kind, "id": self.id, "turn": self.turn}
+
+
+_PLAIN_NUMBERS = (int, float)
+
+
+def _event_line(event: TraceEvent) -> str:
+    """The canonical JSON line of one event (see the module docstring)."""
+    t0, t1, turn, event_id, kind = event.t0, event.t1, event.turn, event.id, event.kind
+    if (
+        type(t0) in _PLAIN_NUMBERS
+        and type(t1) in _PLAIN_NUMBERS
+        and t0 - t0 == 0  # false for nan and inf, which json writes as NaN and Infinity
+        and t1 - t1 == 0
+        and type(turn) is int
+        and type(event_id) is str
+        and type(kind) is str
+    ):
+        return (
+            f'{{"id":{encode_basestring_ascii(event_id)},'
+            f'"kind":{encode_basestring_ascii(kind)},'
+            f'"t0":{t0!r},"t1":{t1!r},"turn":{turn!r}}}'
+        )
+    return json.dumps(event.to_json(), sort_keys=True, separators=(",", ":"))
 
 
 @dataclass
@@ -78,10 +110,7 @@ class RunTrace:
         }
 
     def to_jsonl(self) -> str:
-        lines = [
-            json.dumps(e.to_json(), sort_keys=True, separators=(",", ":"))
-            for e in self.events
-        ]
+        lines = [_event_line(e) for e in self.events]
         lines.append(json.dumps(self.summary(), sort_keys=True, separators=(",", ":")))
         return "\n".join(lines) + "\n"
 

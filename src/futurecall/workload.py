@@ -64,9 +64,20 @@ def parse_call_ref(value: Any) -> tuple[str, str | None] | None:
 
 @dataclass
 class CallSpec:
+    """One emitted call.
+
+    ``refs`` holds the call ids that ``@Fk[.path]`` leaves of ``args`` name,
+    in leaf order, or ``None`` until ``check_turn`` fills it: at parse time
+    for a scripted call, when its turn is checked for a live one. The driver
+    binds references only in a call whose ``refs`` is not empty, and a
+    ref-free call keeps ``args`` as it is, so ``args`` must not change once
+    ``refs`` is filled.
+    """
+
     call_id: str
     name: str
     args: dict = field(default_factory=dict)
+    refs: tuple[str, ...] | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass
@@ -98,6 +109,7 @@ def check_turn(turn: ScriptTurn, tool_names: Container[str], where: str) -> None
     A turn is a final answer or emits calls, never both; every call's
     arguments are an object; every emitted name is a known tool, or
     ``await_future`` alone in its turn with a list of future id strings.
+    Fills each call's ``refs`` where it is not yet known.
     """
     if turn.decode_time <= 0:
         raise ValidationError(f"{where}: decode_time must be positive")
@@ -118,6 +130,21 @@ def check_turn(turn: ScriptTurn, tool_names: Container[str], where: str) -> None
                 raise ValidationError(f"{where}: {AWAIT_FUTURE_NAME} needs a list of id strings")
         elif call.name not in tool_names:
             raise ValidationError(f"{where}: unknown tool {call.name!r}")
+        if call.refs is None:
+            call.refs = _call_refs(call.args)
+
+
+def _call_refs(args: dict) -> tuple[str, ...]:
+    """Ids named by the ``@Fk[.path]`` leaves of a call's arguments."""
+    refs: list[str] = []
+
+    def leaf(node: Any, _path: tuple) -> None:
+        ref = parse_call_ref(node)
+        if ref is not None:
+            refs.append(ref[0])
+
+    map_leaves(args, leaf)
+    return tuple(refs)
 
 
 @dataclass
@@ -169,13 +196,11 @@ class WorkloadSpec:
             for call in turn.emit:
                 # Same-turn references are impossible: a decoder cannot name a
                 # placeholder it has not received yet.
-                refs: list = []
-                map_leaves(call.args, lambda leaf, _: refs.append(parse_call_ref(leaf)))
-                for ref in refs:
-                    if ref is not None and ref[0] not in emitted:
+                for ref in call.refs:
+                    if ref not in emitted:
                         raise ValidationError(
                             f"script[{turn_no}]: {call.call_id} references "
-                            f"{ref[0]!r} before an earlier turn emitted it"
+                            f"{ref!r} before an earlier turn emitted it"
                         )
             for call in turn.emit:
                 if call.call_id in emitted:

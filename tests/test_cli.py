@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import os
 import pathlib
 import subprocess
 import sys
@@ -247,3 +248,32 @@ def test_run_does_not_import_scipy():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip().splitlines()[-1] == "False"
+
+
+@pytest.mark.parametrize("clock", ["virtual", "wall"])
+@pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
+def test_run_rejects_bad_delay_scale(value, clock, capsys):
+    argv = ["run", "--workload", fixture_path("fig1"), "--clock", clock, f"--delay-scale={value}"]
+    assert main(argv) == 2
+    assert "--delay-scale must be a finite number > 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
+def test_compare_rejects_bad_delay_scale(value, capsys):
+    argv = ["compare", "--workload", fixture_path("fig1"), f"--delay-scale={value}"]
+    argv += ["--mode", "sync-sequential", "--mode", "async-parallel", "--clock", "wall"]
+    assert main(argv) == 2
+    assert "--delay-scale must be a finite number > 0" in capsys.readouterr().err
+
+
+def test_module_entry_point_runs_the_cli(capsys):
+    root = pathlib.Path(futurecall.__file__).resolve().parents[2]
+    done = subprocess.run(
+        [sys.executable, "-m", "futurecall", "run",
+         "--workload", "fixtures/fig1.json", "--mode", "async-parallel"],
+        cwd=root, env={**os.environ, "PYTHONPATH": "src"},
+        capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert main(["run", "--workload", fixture_path("fig1"), "--mode", "async-parallel"]) == 0
+    assert done.stdout == capsys.readouterr().out

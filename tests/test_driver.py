@@ -218,6 +218,63 @@ class TestSyncBatch:
         assert driver.calls["F2"].error.message == "KeyError: 'missing'"
 
 
+def mutable_args_workload():
+    """F1's arguments hold no reference, F2's hold one to F1's result."""
+    return workload_from_json(
+        {
+            "tools": [
+                {
+                    "schema": {"name": "grow", "description": "", "parameters": {}},
+                    "annotation": {"reads": [], "writes": []},
+                    "latency": 1,
+                    "returns": [{"xs": [7]}],
+                }
+            ],
+            "script": [
+                {"emit": [{"id": "F1", "name": "grow", "args": {"xs": [1, 2]}}]},
+                {
+                    "when": {"resolved": ["F1"]},
+                    "emit": [{"id": "F2", "name": "grow", "args": {"xs": [3], "prev": "@F1"}}],
+                },
+                {"when": {"resolved": ["F2"]}, "final": "x"},
+            ],
+        }
+    )
+
+
+def rewriting_run(spec, mode):
+    """Run with a behavior that rewrites its arguments in place and records
+    what it was given in the backend state."""
+    driver = TurnDriver(spec, mode)
+    grow = driver.tools["grow"].behavior
+
+    def rewrite(args, invocation, state):
+        state.write(f"/seen/{invocation}", json.dumps(args, sort_keys=True))
+        args["xs"].append(99)
+        args["extra"] = 1
+        if isinstance(args.get("prev"), dict):
+            args["prev"]["xs"].append(99)
+        return grow(args, invocation, state)
+
+    driver.tools["grow"].behavior = rewrite
+    return driver.run()
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_tool_behavior_cannot_rewrite_the_emitted_call(mode):
+    spec = mutable_args_workload()
+    first = rewriting_run(spec, mode)
+    assert emitted_args(first, "F1") == {"xs": [1, 2]}
+    bound = {"xs": [7]} if mode.startswith("sync") else "fut_0"
+    assert emitted_args(first, "F2") == {"xs": [3], "prev": bound}
+    assert [call.args for turn in spec.script for call in turn.emit] == [
+        {"xs": [1, 2]},
+        {"xs": [3], "prev": "@F1"},
+    ]
+    assert first.final_state["/seen/1"] == json.dumps({"prev": {"xs": [7]}, "xs": [3]})
+    assert rewriting_run(spec, mode).to_jsonl() == first.to_jsonl()
+
+
 def await_workload(tokens=None):
     return workload_from_json(
         {

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import json
+import math
+
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -34,6 +37,7 @@ from futurecall.scheduler import (
     resolve_paths,
 )
 from futurecall.schema import AccessDecl, FunctionSchema, ParamSpec
+from futurecall.trace import RunTrace
 
 # -- interval properties ------------------------------------------------------
 
@@ -349,3 +353,26 @@ def test_blocking_gates_reduce_a_scan_of_unreleased_labels(ops, durations):
     assert critical_path(DependencyDag(weights, [e[:2] for e in new_edges])) == critical_path(
         DependencyDag(weights, [e[:2] for e in scan_edges])
     )
+
+
+# -- trace lines ----------------------------------------------------------------
+
+any_text = st.text(st.characters(exclude_categories=()))  # lone surrogates too
+event_times = st.one_of(
+    st.integers(),
+    st.floats(),
+    st.sampled_from([-0.0, 5e-324, 1e300, math.nan, math.inf, -math.inf]),
+)
+
+
+@given(st.lists(st.tuples(event_times, event_times, any_text, any_text, st.integers()), max_size=8))
+@example([(-0.0, 5e-324, "exec", '"\\\n\x00\ud800é', 3), (1e300, math.nan, "d", "", -1)])
+@example([(math.inf, 7, "integrate", "b0", 10**30), (0, 1, "decode", "turn1", True)])
+def test_event_lines_are_canonical_json(events):
+    trace = RunTrace(mode="async-parallel")
+    for t0, t1, kind, event_id, turn in events:
+        trace.record(t0, t1, kind, event_id, turn)
+    lines = trace.to_jsonl().split("\n")
+    assert lines[: len(events)] == [
+        json.dumps(e.to_json(), sort_keys=True, separators=(",", ":")) for e in trace.events
+    ]

@@ -3,7 +3,7 @@ from __future__ import annotations
 import pytest
 
 import futurecall.scheduler as scheduler_mod
-from futurecall import DependencyAnnotation, FutureStore, VirtualClock, run_workload
+from futurecall import DependencyAnnotation, FutureStore, TurnDriver, VirtualClock, run_workload
 from futurecall.errors import (
     BadPathTemplateError,
     DuplicateCallIdError,
@@ -450,3 +450,74 @@ class TestWorkGrowth:
         assert trace.edges == [(ids[k - 1], ids[k], "gate-waw") for k in range(1, n)]
         assert counts["conflicts"] <= 2 * n
         assert counts["state_of"] <= 4 * n
+
+
+class TestBindingWork:
+    """The driver's ``@Fk`` binding walks counted, not timed: one per call
+    whose arguments hold a reference, none for any other call."""
+
+    TOOL = {
+        "schema": {"name": "t", "description": "", "parameters": {}},
+        "annotation": {"reads": [{"path": "/catalog", "subtree": True}], "writes": []},
+        "latency": 1,
+        "returns": [{"id": "x"}],
+    }
+
+    @staticmethod
+    def count_walks(monkeypatch) -> list:
+        walks = []
+        substitute = TurnDriver._substitute_refs
+
+        def counted(self, args, bind):
+            walks.append(args)
+            return substitute(self, args, bind)
+
+        monkeypatch.setattr(TurnDriver, "_substitute_refs", counted)
+        return walks
+
+    def two_turns(self, second: list[dict]):
+        ids = [call["id"] for call in second]
+        return workload_from_json(
+            {
+                "tools": [self.TOOL],
+                "script": [
+                    {"emit": [{"id": "A", "name": "t"}, {"id": "B", "name": "t"}]},
+                    {"when": {"resolved": ["A", "B"]}, "emit": second},
+                    {"when": {"resolved": ids}, "final": "done"},
+                ],
+            }
+        )
+
+    @pytest.mark.parametrize("mode", ["sync-parallel", "async-parallel"])
+    def test_burst_shaped_turn_of_ref_free_calls_makes_none(self, monkeypatch, mode):
+        walks = self.count_walks(monkeypatch)
+        n = 256
+        spec = TestWorkGrowth.single_turn(
+            [self.TOOL], [{"id": f"C{k}", "name": "t", "args": {"k": k}} for k in range(n)]
+        )
+        trace = run_workload(spec, mode)
+        assert set(trace.call_status.values()) == {"done"}
+        assert walks == []
+
+    @pytest.mark.parametrize("mode", ["sync-parallel", "async-parallel"])
+    def test_one_walk_per_referencing_call(self, monkeypatch, mode):
+        walks = self.count_walks(monkeypatch)
+        spec = self.two_turns(
+            [
+                {"id": "C", "name": "t", "args": {"x": "@A"}},
+                {"id": "D", "name": "t", "args": {"y": ["lit", "@B.id"]}},
+                {"id": "E", "name": "t", "args": {"z": "A"}},
+            ]
+        )
+        trace = run_workload(spec, mode)
+        assert set(trace.call_status.values()) == {"done"}
+        assert walks == [{"x": "@A"}, {"y": ["lit", "@B.id"]}]
+
+    def test_literal_future_id_still_records_its_argument_edge(self, monkeypatch):
+        walks = self.count_walks(monkeypatch)
+        # A's result future is fut_0: the first one the run creates.
+        spec = self.two_turns([{"id": "C", "name": "t", "args": {"x": "fut_0"}}])
+        trace = run_workload(spec, "async-parallel")
+        assert trace.call_status["C"] == "done"
+        assert ("A", "C", "arg") in trace.edges
+        assert walks == []

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import math
 import time
 
 import pytest
@@ -68,6 +69,11 @@ class TestVirtualClock:
         clock.run_until_time(3.0)
         with pytest.raises(ValueError):
             clock.run_until_time(1.0)
+
+    @pytest.mark.parametrize("scale", [0, -1, math.nan, math.inf])
+    def test_wall_clock_needs_a_finite_positive_scale(self, scale):
+        with pytest.raises(ValueError, match="finite and positive"):
+            WallClock(delay_scale=scale)
 
 
 @pytest.fixture(params=["virtual", "wall"])
