@@ -111,7 +111,8 @@ def savings_decomposition(m_intervals: Iterable, e_intervals: Iterable) -> Savin
 
     Decode intervals must be pairwise non-overlapping (decoding is sequential
     within one trace), so D(M) = S(M). The identity
-    t_saving = delta_ff + delta_de holds exactly and is asserted.
+    t_saving = delta_ff + delta_de holds exactly and is checked: a DomainError
+    reports times whose float sums lose it (such as infinite ones).
     """
     m_ivs = _coerce(m_intervals)
     e_ivs = _coerce(e_intervals)
@@ -127,7 +128,10 @@ def savings_decomposition(m_intervals: Iterable, e_intervals: Iterable) -> Savin
     delta_ff = s_e - d_e
     delta_de = d_m + d_e - d_union
     t_saving = s_m + s_e - d_union
-    assert abs(t_saving - (delta_ff + delta_de)) <= 1e-9
+    if not abs(t_saving - (delta_ff + delta_de)) <= 1e-9:  # a nan fails too
+        raise DomainError(
+            f"t_saving {t_saving} != delta_ff {delta_ff} + delta_de {delta_de}"
+        )
     return SavingsReport(
         delta_ff=delta_ff,
         delta_de=delta_de,

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import json
 import os
+import time
 from dataclasses import dataclass
 from typing import Any
 
@@ -306,7 +307,7 @@ class TurnDriver:
             raise ValidationError("a live decoder requires the wall clock")
         self.store = FutureStore(self.clock)
         self.state = StateStore()
-        self.session = SessionState(store=self.store, bindings=dict(workload.session_bindings))
+        self.session = SessionState(bindings=dict(workload.session_bindings))
         self.scheduler = Scheduler(self.store, self.session, self.clock)
         strict = (
             workload.strict_cancellation if strict_cancellation is None else strict_cancellation
@@ -415,9 +416,9 @@ class TurnDriver:
 
     def _finish(self) -> None:
         self.trace.finished = self.clock.now()
-        leaked = self.store.pending_ids()
+        leaked = sorted(self.store.pending_ids()) + self.scheduler.unopened_gates()
         if leaked:
-            raise LeakedFutureError(f"pending futures at drain time: {sorted(leaked)}")
+            raise LeakedFutureError(f"pending futures or shut gates at drain time: {leaked}")
         violations = lint_context(self.messages)
         if violations:
             raise ProtocolViolationError("; ".join(violations))
@@ -562,9 +563,7 @@ class TurnDriver:
                 annotation=tool.annotation,
                 invocation_index=tool.next_invocation(),
             )
-            record.result_future = self.store.create(
-                kind="result", owner_call=spec.call_id
-            )
+            record.result_future = self.store.create(owner_call=spec.call_id)
             self.calls[spec.call_id] = record
             self.call_turn[spec.call_id] = self._turn_no
             records.append(record)
@@ -705,6 +704,15 @@ def run_workload(
     if clock == "virtual":
         clock = VirtualClock()
     elif clock == "wall":
+        resolution = time.get_clock_info("monotonic").resolution
+        if workload.delay_scale < resolution:
+            # A unit shorter than one tick of the clock cannot be timed: one
+            # tick reads as a jump of many units, at the smallest scales as
+            # an infinite one.
+            raise ValidationError(
+                f"delay_scale {workload.delay_scale!r} is below the wall clock's "
+                f"resolution of {resolution} s"
+            )
         clock = WallClock(delay_scale=workload.delay_scale)
     elif isinstance(clock, str):
         raise ValidationError(f"unknown clock kind {clock!r}")

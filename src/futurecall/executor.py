@@ -129,9 +129,9 @@ class Executor:
     def dispatch(self, call: CallRecord) -> None:
         if call.terminal:
             return
-        pending = self.store.pending_among(call.blocking_gates)
-        if pending:
-            raise GatesPendingError(f"{call.call_id}: gates still pending: {sorted(pending)}")
+        shut = sum(1 for gate in call.blocking_gates if not gate.done)
+        if shut:
+            raise GatesPendingError(f"{call.call_id}: {shut} blocking gates still shut")
         call.advance_status(DISPATCHED)
         call.dispatched_at = self.clock.now()
         self.store.add_waiter(sorted(call.argument_futures), lambda: self._on_arguments_ready(call))
@@ -199,7 +199,7 @@ class Executor:
         self.on_exec_interval(call)
         self.store.fail(call.result_future, error)
         # Cancel dependents before releasing labels so nothing downstream of
-        # the failed effect gets dispatched by the gate resolutions.
+        # the failed effect gets dispatched when the gates open.
         self.cancel_transitive(call.call_id)
         self.scheduler.release(call)
 

@@ -4,12 +4,19 @@ A future is identified by ``fut_<n>``; addressing one field of a pending
 structured result appends a dotted path, e.g. ``fut_3.fuelLevel``. Field
 futures are registered lazily on first reference and resolve automatically by
 path extraction once their base future resolves.
+
+The store holds only what the model can name: call results and their fields.
+Waiting is one primitive, ``Latch``: a ``done`` flag plus waiters, each a
+countdown over the latches it waits on that runs its callback when the last
+one opens. A future record is a latch that opens on its terminal transition;
+the scheduler's access-label and session-version gates are plain latches it
+opens itself.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Iterable
 
 from .errors import (
@@ -80,24 +87,68 @@ def extract_field(value: Any, path: str) -> tuple[bool, Any]:
     return True, node
 
 
-@dataclass
+@dataclass(slots=True)
 class _Waiter:
     remaining: int
     callback: Callable[[], None]
+    last: bool
 
 
-@dataclass
-class FutureRecord:
-    fid: str
-    kind: str
-    state: FutureState = PENDING_STATE
-    resolved_at: float | None = None
-    owner_call: str | None = None
-    waiters: list[_Waiter] = field(default_factory=list)
+class Latch:
+    """A one-shot event: ``done`` flips once, and the waiters registered
+    before then count it down in registration order. A waiter registered
+    with ``last`` runs after the others, when the opening is done."""
+
+    __slots__ = ("done", "waiters")
+
+    def __init__(self):
+        self.done = False
+        self.waiters: list[_Waiter] = []
+
+    def open(self) -> None:
+        if self.done:
+            raise AlreadyTerminalError("latch is already open")
+        self.done = True
+        waiters, self.waiters = self.waiters, []
+        late = []
+        for waiter in waiters:
+            waiter.remaining -= 1
+            if waiter.remaining == 0:
+                if waiter.last:
+                    late.append(waiter.callback)
+                else:
+                    waiter.callback()
+        for callback in late:
+            callback()
+
+
+def when_all(latches: Iterable[Latch], callback: Callable[[], None], last: bool = False) -> None:
+    """Invoke ``callback`` exactly once, when every listed latch is open:
+    at once if they all are already."""
+    pending = [latch for latch in latches if not latch.done]
+    if not pending:
+        callback()
+        return
+    waiter = _Waiter(len(pending), callback, last)
+    for latch in pending:
+        latch.waiters.append(waiter)
+
+
+class FutureRecord(Latch):
+    """One future: a latch that opens on its terminal transition."""
+
+    __slots__ = ("fid", "state", "resolved_at", "owner_call")
+
+    def __init__(self, fid: str, owner_call: str | None = None):
+        super().__init__()
+        self.fid = fid
+        self.state = PENDING_STATE
+        self.resolved_at: float | None = None
+        self.owner_call = owner_call
 
 
 class FutureStore:
-    """All futures of one conversation run, with waiter wakeups.
+    """The result and field futures of one conversation run.
 
     Mutations are atomic with respect to each other because the whole runtime
     is single-threaded on either clock: every handler runs on the thread that
@@ -109,17 +160,12 @@ class FutureStore:
         self._records: dict[str, FutureRecord] = {}
         self._fields: dict[str, list[str]] = {}  # base id -> registered field ids
         self._counter = 0
-        self._observers: list[Callable[[str], None]] = []
         self.terminal_count = 0
 
     # -- bookkeeping -----------------------------------------------------
 
     def _now(self) -> float:
         return self._clock.now() if self._clock is not None else 0.0
-
-    def add_observer(self, fn: Callable[[str], None]) -> None:
-        """Register a hook fired after every terminal transition."""
-        self._observers.append(fn)
 
     def ids(self) -> list[str]:
         return list(self._records)
@@ -128,14 +174,14 @@ class FutureStore:
         return list(self._fields.get(base, []))
 
     def pending_ids(self) -> list[str]:
-        return [fid for fid, rec in self._records.items() if not rec.state.is_terminal]
+        return [fid for fid, rec in self._records.items() if not rec.done]
 
     # -- creation --------------------------------------------------------
 
-    def create(self, kind: str = "result", owner_call: str | None = None) -> str:
+    def create(self, owner_call: str | None = None) -> str:
         fid = f"fut_{self._counter}"
         self._counter += 1
-        self._records[fid] = FutureRecord(fid=fid, kind=kind, owner_call=owner_call)
+        self._records[fid] = FutureRecord(fid, owner_call)
         return fid
 
     def create_field(self, base: str, path: str) -> str:
@@ -150,7 +196,7 @@ class FutureStore:
         fid = f"{base}.{path}"
         if fid in self._records:
             return fid
-        self._records[fid] = FutureRecord(fid=fid, kind="field", owner_call=base_rec.owner_call)
+        self._records[fid] = FutureRecord(fid, base_rec.owner_call)
         self._fields.setdefault(base, []).append(fid)
         if base_rec.state.is_terminal:
             self._settle_field(fid, base_rec)
@@ -207,6 +253,10 @@ class FutureStore:
     def state_of(self, fid: str) -> FutureState:
         return self._require(fid).state
 
+    def latch(self, fid: str) -> Latch:
+        """The future's record, to wait on with ``when_all``."""
+        return self._require(fid)
+
     def resolution_time(self, fid: str) -> float | None:
         return self._require(fid).resolved_at
 
@@ -214,22 +264,15 @@ class FutureStore:
 
     def _transition(self, fid: str, state: FutureState) -> None:
         rec = self._require(fid)
-        if rec.state.is_terminal:
+        if rec.done:
             raise AlreadyTerminalError(f"{fid} is already {rec.state.status}")
         rec.state = state
         rec.resolved_at = self._now()
-        waiters, rec.waiters = rec.waiters, []
         self.terminal_count += 1
-        for waiter in waiters:
-            waiter.remaining -= 1
-            if waiter.remaining == 0:
-                waiter.callback()
-        for base_rec in [rec] if rec.kind != "field" else []:
-            for field_id in self._fields.get(base_rec.fid, []):
-                if not self._records[field_id].state.is_terminal:
-                    self._settle_field(field_id, base_rec)
-        for observer in list(self._observers):
-            observer(fid)
+        rec.open()
+        for field_id in self._fields.get(fid, ()):
+            if not self._records[field_id].done:
+                self._settle_field(field_id, rec)
 
     def resolve(self, fid: str, value: Any) -> None:
         self._transition(fid, FutureState(RESOLVED, value=value))
@@ -243,29 +286,10 @@ class FutureStore:
 
     # -- waiting -----------------------------------------------------------
 
-    def _pending_records(self, fids: Iterable[str]) -> list[FutureRecord]:
-        """Records of the listed futures still pending, in the given order."""
-        records = self._records
-        out = []
-        for fid in fids:
-            rec = records.get(fid) or self._require(fid)
-            if rec.state.status == PENDING:
-                out.append(rec)
-        return out
-
-    def pending_among(self, fids: Iterable[str]) -> list[str]:
-        """The listed futures that are still pending, in the given order."""
-        return [rec.fid for rec in self._pending_records(fids)]
-
     def add_waiter(self, fids: Iterable[str], callback: Callable[[], None]) -> None:
         """Invoke ``callback`` exactly once when every listed future is terminal."""
-        open_records = self._pending_records(fids)
-        if not open_records:
-            callback()
-            return
-        waiter = _Waiter(remaining=len(open_records), callback=callback)
-        for rec in open_records:
-            rec.waiters.append(waiter)
+        records = self._records
+        when_all([records.get(fid) or self._require(fid) for fid in fids], callback)
 
     def wait_for(self, fids: list[str]) -> dict[str, FutureState]:
         """Suspend until every id is terminal; other runnable work proceeds.
@@ -275,7 +299,5 @@ class FutureStore:
         """
         records = {fid: self._require(fid) for fid in fids}
         if self._clock is not None:
-            self._clock.run_until(
-                lambda: all(rec.state.is_terminal for rec in records.values())
-            )
+            self._clock.run_until(lambda: all(rec.done for rec in records.values()))
         return {fid: rec.state for fid, rec in records.items()}

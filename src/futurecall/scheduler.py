@@ -2,10 +2,10 @@
 
 Decoded calls enter a FIFO admission queue. The head is admitted once its
 resource path templates resolve (argument- and session-parameterized segments
-included). Admission registers read/write access labels, each backed by a
-pending gate future, and collects the gates of the conflicting labels in the
-index as blocking dependencies. Completing (or cancelling) a call releases its
-labels, which resolves the gates.
+included). Admission registers read/write access labels, each with a gate:
+a scheduler-side latch, never a future the model can see. The gates of the
+conflicting labels in the index become the call's blocking dependencies.
+Completing (or cancelling) a call releases its labels, which opens the gates.
 
 Gating follows version chains: a read waits on the last writer of its region,
 and a write waits on the last writer and the readers since. On admission,
@@ -16,23 +16,27 @@ The recorded edges are thus a subset of those that gating on every
 unreleased conflicting label would record, with the same transitive closure:
 conflicting operations are ordered along each region's version chain
 (Bernstein, Hadzilacos & Goodman, "Concurrency Control and Recovery in
-Database Systems", 1987, ch. 5). A superseded label's gate still resolves
+Database Systems", 1987, ch. 5). A superseded label's gate still opens
 when its owner releases. A cancelled call never writes, so its labels leave
 the index at once and the labels they superseded come back while their
-owners have not released; a label's gate then resolves once the gates of
-the labels it superseded are terminal, since calls admitted before the
+owners have not released; a label's gate then opens once the gates of
+the labels it superseded are open, since calls admitted before the
 cancellation wait on those only through it.
 
-Dispatch is event-driven: admission registers one store waiter on the call's
+Everything is event-driven. Admission registers one waiter on the call's
 blocking gates, and the waiter queues the call for dispatch once the last
-gate is terminal. Indexed labels sit in a trie keyed by path segment, so a
-conflict lookup visits the path's ancestors, the equal node and, for a
-subtree access, the descendants, rather than every label; this is the
-structure of multi-granularity locking (Gray, Lorie, Putzolu & Traiger,
-"Granularity of Locks and Degrees of Consistency in a Shared Data Base",
-1976). Each node keeps its labels by (mode, scope), so a lookup returns
-only labels that conflict; admission still confirms each candidate with
-``conflicts()``, the pairwise rule, one check per candidate label.
+gate opens. A head that cannot resolve its paths yet waits on the one input
+it needs, a pending future or the in-flight session write's gate, and is
+not looked at again until that input is settled.
+
+Indexed labels sit in a trie keyed by path segment, so a conflict lookup
+visits the path's ancestors, the equal node and, for a subtree access, the
+descendants, rather than every label; this is the structure of
+multi-granularity locking (Gray, Lorie, Putzolu & Traiger, "Granularity of
+Locks and Degrees of Consistency in a Shared Data Base", 1976). Each node
+keeps its labels by (mode, scope), so a lookup returns only labels that
+conflict; admission still confirms each candidate with ``conflicts()``, the
+pairwise rule, one check per candidate label.
 
 Two regions overlap when their paths are equal or one is an ancestor of the
 other and the ancestor's label covers its subtree. A pair of accesses
@@ -43,7 +47,8 @@ never conflict, which is what lets independent calls run in parallel.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from collections import deque
+from dataclasses import InitVar, dataclass, field
 from typing import Any, Callable, Iterator, NamedTuple
 
 from .errors import (
@@ -54,7 +59,7 @@ from .errors import (
     FuturecallError,
     NotTerminalError,
 )
-from .futures import RESOLVED, FutureStore, looks_like_future_id
+from .futures import RESOLVED, FutureStore, Latch, looks_like_future_id, when_all
 from .schema import DependencyAnnotation, scan_future_refs
 
 READ = "read"
@@ -73,9 +78,6 @@ CANCELLED_STATUS = "cancelled"
 _STATUS_ORDER = [QUEUED, ADMITTED, DISPATCHED, RUNNING, DONE, FAILED]
 TERMINAL_STATUSES = {DONE, FAILED, CANCELLED_STATUS}
 
-
-# Sentinel: a path template needs values that are still pending.
-NOT_YET_RESOLVABLE = object()
 
 SESSION_PREFIX = "$session/"
 
@@ -129,7 +131,8 @@ class Access:
 
 @dataclass
 class AccessLabel:
-    """A live access registered in the state tree, backed by a gate future.
+    """A live access registered in the state tree, with the gate that opens
+    when its owner releases it.
 
     ``seq`` is the label's registration order within its scheduler.
     ``replaced`` holds the labels a write superseded on admission.
@@ -137,7 +140,7 @@ class AccessLabel:
 
     access: Access
     owner: str
-    gate: str
+    gate: Latch
     seq: int
     replaced: list["AccessLabel"] = field(default_factory=list, compare=False, repr=False)
 
@@ -310,32 +313,32 @@ class SessionState:
     """Session context advanced by session-writing calls.
 
     ``version`` counts completed session writes; every reserved version has a
-    gate future that resolves when that write finishes. Bindings name session
-    resources for ``$session/...`` path templates.
+    gate that opens when that write finishes (version 0's is open from the
+    start). Bindings name session resources for ``$session/...`` path
+    templates. ``open_gate`` opens a version gate; the scheduler replaces it
+    with its own, which also dispatches what the gate readied. A ``store``
+    argument is accepted and not kept: the gates are not futures.
     """
 
-    store: FutureStore
+    store: InitVar[FutureStore | None] = None
     bindings: dict[str, Any] = field(default_factory=dict)
     version: int = 0
     reserved_version: int = 0
-    version_gates: dict[int, str] = field(default_factory=dict)
+    version_gates: dict[int, Latch] = field(default_factory=dict)
     gate_owners: dict[int, str] = field(default_factory=dict)
+    open_gate: Callable[[Latch], None] = field(default=Latch.open, repr=False)
 
-    def ensure_initial_gate(self) -> None:
-        if 0 not in self.version_gates:
-            gate = self.store.create(kind="session-version")
-            self.store.resolve(gate, {"session_version": 0})
-            self.version_gates[0] = gate
+    def __post_init__(self, store: FutureStore | None) -> None:
+        initial = Latch()
+        initial.open()
+        self.version_gates[0] = initial
 
-    def latest_gate(self) -> str:
-        self.ensure_initial_gate()
+    def latest_gate(self) -> Latch:
         return self.version_gates[self.reserved_version]
 
     def reserve_write(self, owner: str) -> int:
-        self.ensure_initial_gate()
         self.reserved_version += 1
-        gate = self.store.create(kind="session-version", owner_call=owner)
-        self.version_gates[self.reserved_version] = gate
+        self.version_gates[self.reserved_version] = Latch()
         self.gate_owners[self.reserved_version] = owner
         return self.reserved_version
 
@@ -350,14 +353,15 @@ class SessionState:
         elif isinstance(result, dict):
             # Default advancement: merge the writer's result by key.
             self.bindings.update(result)
-        self.store.resolve(self.version_gates[version], {"session_version": version})
+        self.open_gate(self.version_gates[version])
 
     def abort_write(self, version: int) -> None:
-        """A failed or cancelled writer still advances the gate, not the bindings."""
+        """A failed or cancelled writer still opens its gate, but leaves the
+        bindings as they are."""
         self.version = max(self.version, version)
         gate = self.version_gates[version]
-        if not self.store.state_of(gate).is_terminal:
-            self.store.resolve(gate, {"session_version": version, "aborted": True})
+        if not gate.done:
+            self.open_gate(gate)
 
 
 @dataclass
@@ -371,7 +375,7 @@ class CallRecord:
     result_future: str = ""
     status: str = QUEUED
     invocation_index: int = 0
-    blocking_gates: set[str] = field(default_factory=set)
+    blocking_gates: set[Latch] = field(default_factory=set)
     argument_futures: set[str] = field(default_factory=set)
     labels: list[AccessLabel] = field(default_factory=list)
     session_version: int | None = None
@@ -470,13 +474,15 @@ def resolve_paths(
     args: dict,
     session: SessionState,
     store: FutureStore,
-) -> list[Access] | object:
-    """Materialize a call's access set, or report it is not yet resolvable.
+) -> list[Access] | str | Latch:
+    """Materialize a call's access set, or name the input it waits on.
 
     Argument-parameterized segments substitute the call's argument values
     (following future references to their resolved values), and
-    ``$session/...`` prefixes resolve against current session bindings. Both
-    substitutions defer while the needed value is still pending.
+    ``$session/...`` prefixes resolve against current session bindings. While
+    a needed value is still pending this returns what to wait on instead:
+    the id of the pending future, or the gate of the latest session write in
+    flight.
     """
     if annotation is None:
         return fallback_accesses()
@@ -487,7 +493,7 @@ def resolve_paths(
             template = decl.path
             if template.startswith(SESSION_PREFIX):
                 if session.writes_in_flight:
-                    return NOT_YET_RESOLVABLE
+                    return session.latest_gate()
                 name, tail = _session_binding(template)
                 if name not in session.bindings:
                     raise BadPathTemplateError(f"unknown session binding {name!r}")
@@ -504,8 +510,8 @@ def resolve_paths(
             for segment in template.split("/")[1:]:
                 if "{" in segment:
                     filled, pending = _fill_segment(segment, args, store)
-                    if pending:
-                        return NOT_YET_RESOLVABLE
+                    if pending is not None:
+                        return pending
                     filled_segments.append(filled)
                 elif segment:
                     filled_segments.append(segment)
@@ -513,7 +519,8 @@ def resolve_paths(
     return accesses
 
 
-def _fill_segment(segment: str, args: dict, store: FutureStore) -> tuple[str, bool]:
+def _fill_segment(segment: str, args: dict, store: FutureStore) -> tuple[str, str | None]:
+    """The filled segment, or the id of the first pending future it needs."""
     out = segment
     while (span := _param_span(out, segment)) is not None:
         start, end = span
@@ -528,9 +535,9 @@ def _fill_segment(segment: str, args: dict, store: FutureStore) -> tuple[str, bo
             elif state.is_terminal:
                 raise FailedPathDependency(value, state)
             else:
-                return "", True
+                return "", value
         out = out[:start] + _scalar_text(value) + out[end + 1 :]
-    return out, False
+    return out, None
 
 
 class Scheduler:
@@ -539,12 +546,13 @@ class Scheduler:
     Owns enqueue order, label registration, blocking-gate computation (the
     last writer and the readers since, per region), label supersession and
     release. Dispatch itself is delegated through ``on_dispatch`` so the
-    executor decides how dispatched calls run. Each admitted call waits on a
-    store waiter over its blocking gates; the waiter puts it on the ready
-    list, and the next pass dispatches the ready calls in admission order.
-    ``pump`` runs on every submission and on every future transition: the
-    queue head may wait on a pending ``{param}`` value or an in-flight
-    session write, which any transition can settle.
+    executor decides how dispatched calls run. Each admitted call waits on
+    its blocking gates; the waiter puts it on the ready list, and the next
+    pass dispatches the ready calls in admission order. A head whose paths
+    need a pending input waits on that input alone. ``pump`` runs such a
+    pass on submission, after each gate that had waiters opens, on
+    cancellation and when the blocked head's input settles; nothing else
+    can admit or ready a call.
     """
 
     def __init__(
@@ -559,15 +567,16 @@ class Scheduler:
         self.clock = clock
         self.on_dispatch = on_dispatch or (lambda call: None)
         self.calls: dict[str, CallRecord] = {}
-        self.queue: list[CallRecord] = []
+        self.queue: deque[CallRecord] = deque()
         self.label_index = LabelIndex()
         self.edges: list[DependencyEdge] = []
         self._label_seq = itertools.count()
         self._admission_seq = itertools.count()
         self._ready: list[tuple[int, CallRecord]] = []  # (admission seq, call)
+        self._head_wait: Latch | None = None  # the queue head's pending input
         self._pumping = False
         self._pump_again = False
-        store.add_observer(lambda fid: self.pump())
+        session.open_gate = self._open
 
     @property
     def live_labels(self) -> list[AccessLabel]:
@@ -582,7 +591,7 @@ class Scheduler:
         if call.call_id in self.calls:
             raise DuplicateCallIdError(f"call id {call.call_id!r} already submitted")
         if not call.result_future:
-            call.result_future = self.store.create(kind="result", owner_call=call.call_id)
+            call.result_future = self.store.create(owner_call=call.call_id)
         call.submitted_at = self.clock.now()
         self.calls[call.call_id] = call
         self._record_argument_edges(call)
@@ -618,26 +627,39 @@ class Scheduler:
             self._pumping = False
 
     def try_admit(self, now: float) -> list[CallRecord]:
-        """Admit queue heads while their paths resolve; strict FIFO order."""
+        """Admit queue heads while their paths resolve; strict FIFO order.
+
+        A head that needs a pending input waits on it with one waiter, and
+        is not resolved again until that input has settled."""
         admitted: list[CallRecord] = []
-        while self.queue:
-            head = self.queue[0]
+        queue = self.queue
+        while queue:
+            head = queue[0]
             if head.terminal:
-                self.queue.pop(0)
+                queue.popleft()
+                self._head_wait = None
                 continue
+            if self._head_wait is not None and not self._head_wait.done:
+                break
+            self._head_wait = None
             try:
                 resolved = resolve_paths(head.annotation, head.args, self.session, self.store)
             except FailedPathDependency as exc:
                 # The head can never be admitted; cancel it instead of
                 # blocking everything queued behind it.
-                self.queue.pop(0)
+                queue.popleft()
                 cause = exc.state.cause if exc.state.status == "cancelled" else exc.fid
                 origin = self.store.owner_of(cause) or "unknown"
                 self.mark_cancelled(head, cause, origin)
                 continue
-            if resolved is NOT_YET_RESOLVABLE:
+            if not isinstance(resolved, list):
+                wait = self.store.latch(resolved) if isinstance(resolved, str) else resolved
+                self._head_wait = wait
+                # Woken last: calls already waiting on the same input (its
+                # consumers) go on before the head is admitted.
+                when_all([wait], lambda: self.pump(), last=True)
                 break
-            self.queue.pop(0)
+            queue.popleft()
             self._admit(head, resolved, now)
             admitted.append(head)
         return admitted
@@ -650,16 +672,15 @@ class Scheduler:
         index = self.label_index
         replaced = [index.supersede(access) if access.mode == WRITE else [] for access in accesses]
         for access, dropped in zip(accesses, replaced):
-            gate = self.store.create(kind="access-label", owner_call=call.call_id)
-            label = AccessLabel(access, call.call_id, gate, next(self._label_seq), dropped)
+            label = AccessLabel(access, call.call_id, Latch(), next(self._label_seq), dropped)
             call.labels.append(label)
             index.add(label)
         call.advance_status(ADMITTED)
         call.admitted_at = now
         seq = next(self._admission_seq)
-        self.store.add_waiter(call.blocking_gates, lambda: self._ready.append((seq, call)))
+        when_all(call.blocking_gates, lambda: self._ready.append((seq, call)))
 
-    def blocking_gates(self, call: CallRecord, accesses: list[Access]) -> set[str]:
+    def blocking_gates(self, call: CallRecord, accesses: list[Access]) -> set[Latch]:
         """Gates of every indexed conflicting label, plus the preceding
         session gate. The index holds only unsuperseded labels, so these are
         the last writer and the readers since on each region accessed.
@@ -678,7 +699,7 @@ class Scheduler:
             if label.owner != consumer and conflicts(label.access, access)
         ]
         hits.sort()  # (seq, index) pairs are unique: labels are never compared
-        gates: set[str] = set()
+        gates: set[Latch] = set()
         recorded: set[tuple[str, str]] = set()
         edges = self.edges
         for _, index, label in hits:
@@ -711,29 +732,52 @@ class Scheduler:
         for call in [call for _, call in ready if not call.terminal]:
             self.on_dispatch(call)
 
+    def _open(self, gate: Latch) -> None:
+        """Open a gate, then run a pass if anything waited on it: each gate
+        is a step of its own, so the calls it readies dispatch before the
+        next gate of the same release opens."""
+        waited = bool(gate.waiters)
+        gate.open()
+        if waited:
+            self.pump()
+
     def release(self, call: CallRecord) -> None:
-        """Resolve a terminal call's label gates and drop the labels still
-        indexed; a superseded label has already left the index."""
+        """Open a terminal call's label gates and drop the labels still
+        indexed; a superseded label has already left the index. Each gate
+        runs its own pass, so nothing is left for one here."""
         if not call.terminal:
             raise NotTerminalError(f"{call.call_id} is {call.status}")
         if call.released:
             return
         call.released = True
         for label in call.labels:
-            if not self.store.state_of(label.gate).is_terminal:
-                self.store.resolve(label.gate, {"released_by": call.call_id})
+            if not label.gate.done:
+                self._open(label.gate)
         for label in call.labels:
             self.label_index.remove(label)
         if call.session_version is not None and call.status != DONE:
             self.session.abort_write(call.session_version)
-        self.pump()
+
+    def unopened_gates(self) -> list[str]:
+        """The label and session gates still shut, by owner and access; at
+        drain time every one of them is a leak."""
+        shut = [
+            f"{label.owner} {label.access.mode} {label.access.path}"
+            for call in self.calls.values()
+            for label in call.labels
+            if not label.gate.done
+        ]
+        for version, gate in self.session.version_gates.items():
+            if not gate.done:
+                shut.append(f"session version {version}")
+        return shut
 
     # -- cancellation support ------------------------------------------------------
 
     def mark_cancelled(self, call: CallRecord, cause_future: str, origin_call: str) -> None:
         """Terminal cancellation: settles the result future and withdraws
-        the call's labels at once; each label gate resolves once the gates
-        of the labels it superseded are terminal."""
+        the call's labels at once; each label gate opens once the gates of
+        the labels it superseded are open."""
         if call.terminal:
             return
         call.advance_status(CANCELLED_STATUS)
@@ -754,8 +798,8 @@ class Scheduler:
         superseded labels whose owners have not released go back: calls
         admitted from now on gate on those directly. Calls admitted earlier
         wait on them only through this call's labels, so each label's gate,
-        like the call's session version, resolves once what it replaced is
-        terminal. ``replaced`` is narrowed to those labels, so a later walk
+        like the call's session version, opens once what it replaced is
+        open. ``replaced`` is narrowed to those labels, so a later walk
         through this call takes one step.
         """
         call.released = True
@@ -775,14 +819,10 @@ class Scheduler:
             label.replaced = list(found.values())
             back.update(found)
         index.restore(list(back.values()))
-        store = self.store
         for label in call.labels:
-            store.add_waiter(
-                [old.gate for old in label.replaced],
-                lambda gate=label.gate: store.resolve(gate, {"released_by": call.call_id}),
-            )
+            when_all([old.gate for old in label.replaced], lambda gate=label.gate: self._open(gate))
         version = call.session_version
         if version is not None:
             previous = self.session.version_gates[version - 1]
-            store.add_waiter([previous], lambda: self.session.abort_write(version))
+            when_all([previous], lambda: self.session.abort_write(version))
         self.pump()

@@ -117,6 +117,12 @@ class TestSavingsDecomposition:
         with pytest.raises(OverlappingDecodeError):
             savings_decomposition([(0, 2), (1, 3)], [])
 
+    def test_identity_failure_is_a_typed_error(self):
+        # An infinite decode end makes t_saving and delta_de nan. The check
+        # is a raise, not an assert, so it also holds under ``python -O``.
+        with pytest.raises(DomainError, match="t_saving"):
+            savings_decomposition([(0.0, math.inf)], [(0.0, 1.0)])
+
     def test_identity_on_random_integer_traces(self):
         rng = random.Random(99)
         for _ in range(500):

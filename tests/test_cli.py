@@ -266,6 +266,16 @@ def test_compare_rejects_bad_delay_scale(value, capsys):
     assert "--delay-scale must be a finite number > 0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["5e-324", "1e-300"])
+def test_wall_clock_rejects_a_scale_below_its_resolution(value, capsys):
+    # Both are finite and > 0, yet one unit is shorter than a clock tick:
+    # elapsed time would read as a jump of many units, or as infinity.
+    argv = ["run", "--workload", fixture_path("fig1"), "--clock", "wall"]
+    argv += [f"--delay-scale={value}", "--mode", "async-parallel"]
+    assert main(argv) == 2
+    assert "below the wall clock's resolution" in capsys.readouterr().err
+
+
 def test_module_entry_point_runs_the_cli(capsys):
     root = pathlib.Path(futurecall.__file__).resolve().parents[2]
     done = subprocess.run(

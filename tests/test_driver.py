@@ -558,3 +558,17 @@ class TestWallClock:
         decoder = ChatCompletionsDecoder(tool_schemas=[], endpoint="http://example.invalid")
         with pytest.raises(ValidationError):
             run_fixture("fig1", "async-sequential", decoder=decoder)
+
+
+def test_placeholder_ids_are_dense():
+    # Gates are scheduler latches, not futures, so placeholder ids number
+    # the model's futures alone, without gaps; the trace does not name them.
+    trace = run_fixture("diamond", "async-parallel")
+    assert [m.content for m in trace.messages if m.role == "tool"] == [
+        "fut_0",
+        "fut_1",
+        "fut_2",
+        "fut_3",
+    ]
+    bound = [m.bound_futures for m in trace.messages if m.bound_futures]
+    assert sorted(fid for b in bound for fid in b) == ["fut_0", "fut_1", "fut_2", "fut_3"]

@@ -174,14 +174,3 @@ def test_split_and_extract_helpers():
     assert split_future_id("fut_3.fuelLevel") == ("fut_3", "fuelLevel")
     assert extract_field({"a": [{"b": 5}]}, "a.0.b") == (True, 5)
     assert extract_field({"a": 1}, "a.b") == (False, None)
-
-
-def test_observer_fires_per_terminal_transition():
-    store, _ = make_store()
-    fired = []
-    store.add_observer(fired.append)
-    f0 = store.create()
-    f1 = store.create()
-    store.resolve(f0, 1)
-    store.fail(f1, ErrorInfo("execution-error", "x"))
-    assert fired == [f0, f1]

@@ -39,6 +39,12 @@ GOLDEN = {
     ("pairs", "sync-parallel"): ("7da35f6273468f1281333618b3e67bcdd3e134acfbbb2af02e97345bb8e97d06", 19.0),
     ("pairs", "async-sequential"): ("f7ab14e79002ad832268401779daebbb00676d842d252c5e62f09eb1b917d2ef", 12.0),
     ("pairs", "async-parallel"): ("aa58307385a1490ef18c645c87d3f2ad50da28684f535b4cbbb47735d0cd6a55", 9.0),
+    # Queue heads blocked on a pending ``@Fk.field`` path template (one
+    # resolves, one fails) and a ``$session/`` read behind a session write.
+    ("templated", "sync-sequential"): ("2ac31389bdc8ef0c69026f4712dee6e4759cea366b2804141e99cea1321da509", 25.0),
+    ("templated", "sync-parallel"): ("60132aca8f6d8a274feae36b680f9aa93aabe923cf5ccc83f607ebf6af6f197e", 11.0),
+    ("templated", "async-sequential"): ("96fc1479147b18f02f222fa47797ded4886ce1b76cf70a6fc2378f863934caf9", 10.0),
+    ("templated", "async-parallel"): ("89dc1789aff82e71a5b1bfaf07b7a927971732a0b1384d9c603b33b57e5fecae", 9.0),
 }
 
 # sha256 of ``repr(trace.edges)``. Edges are not in the JSONL, yet
@@ -68,6 +74,10 @@ GOLDEN_EDGES = {
     ("pairs", "sync-parallel"): "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
     ("pairs", "async-sequential"): "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
     ("pairs", "async-parallel"): "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
+    ("templated", "sync-sequential"): "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
+    ("templated", "sync-parallel"): "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
+    ("templated", "async-sequential"): "46b1f21d787074ee42a3d9785048920547ac4eff1e8782a93e60360d7c476fbf",
+    ("templated", "async-parallel"): "46b1f21d787074ee42a3d9785048920547ac4eff1e8782a93e60360d7c476fbf",
 }
 
 

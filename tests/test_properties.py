@@ -5,6 +5,9 @@ import math
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
+
+import futurecall.scheduler as scheduler_mod
 
 from futurecall import (
     DependencyAnnotation,
@@ -19,7 +22,8 @@ from futurecall import (
     substitute_resolved,
     transform_schema,
 )
-from futurecall.executor import Executor, StateStore
+from futurecall.errors import ErrorInfo
+from futurecall.executor import Executor, StateStore, ToolBinding, ToolExecutionError
 from futurecall.scheduler import (
     ADMITTED,
     DISPATCHED,
@@ -376,3 +380,179 @@ def test_event_lines_are_canonical_json(events):
     assert lines[: len(events)] == [
         json.dumps(e.to_json(), sort_keys=True, separators=(",", ":")) for e in trace.events
     ]
+
+
+# -- scheduler and executor as a state machine ------------------------------------------
+
+_MACHINE_PATHS = ["/a", "/a/b", "/c", "/f/{name}", "$session/cwd/x"]
+
+
+def _uses_session(call: CallRecord) -> bool:
+    return call.annotation.session_read or call.annotation.session_write
+
+
+class SchedulerMachine(RuleBasedStateMachine):
+    """Calls submitted, run, failed and cancelled in any order, with path
+    templates fed by pending futures and session reads behind writes.
+
+    Every dispatch finds the call's gates open and no earlier call it
+    conflicts with still live, on a path or on the session; a blocked head
+    registers one waiter per pending input; outside a pass the queue head,
+    if any, is blocked on an input still pending; at drain every call is
+    terminal, every gate is open and no future is pending."""
+
+    def __init__(self):
+        super().__init__()
+        self.clock = VirtualClock()
+        self.store = FutureStore(self.clock)
+        self.session = SessionState(bindings={"cwd": "/s"})
+        self.scheduler = Scheduler(self.store, self.session, self.clock)
+        self.doomed: set[str] = set()
+        tool = ToolBinding(name="t", behavior=self._behave, latency=[1, 2, 1, 3, 2, 2, 1, 3])
+        self.executor = Executor(self.store, self.scheduler, self.clock, {"t": tool}, StateStore())
+        dispatch = self.scheduler.on_dispatch
+
+        def checked_dispatch(call: CallRecord) -> None:
+            assert all(gate.done for gate in call.blocking_gates), call.call_id
+            for earlier in self.calls[: self.calls.index(call)]:
+                assert earlier.terminal or not (
+                    any(conflicts(a.access, b.access) for a in earlier.labels for b in call.labels)
+                    or (earlier.session_version is not None and _uses_session(call))
+                ), (earlier.call_id, call.call_id)
+            dispatch(call)
+
+        self.scheduler.on_dispatch = checked_dispatch
+        self.calls: list[CallRecord] = []
+        self.external: list[str] = []  # futures no call produces
+        self.head_waits: set[tuple[str, int]] = set()
+        self._when_all = scheduler_mod.when_all
+        scheduler_mod.when_all = self._record_when_all
+
+    def _record_when_all(self, latches, callback, last=False):
+        if last:  # the head's waiter on its pending input
+            (latch,) = latches
+            head = self.scheduler.queue[0].call_id
+            assert not latch.done
+            assert (head, id(latch)) not in self.head_waits, head
+            self.head_waits.add((head, id(latch)))
+        return self._when_all(latches, callback, last)
+
+    def _behave(self, args, invocation, state):
+        if args["who"] in self.doomed:
+            raise ToolExecutionError("doomed")
+        return {"id": f"v{invocation}", "cwd": f"/s{invocation}"}
+
+    def teardown(self):
+        try:
+            for fid in self.external:
+                if not self.store.state_of(fid).is_terminal:
+                    self.store.resolve(fid, "late")
+            self.clock.run_all()
+            self.drained_runs_leave_nothing_shut()
+        finally:
+            scheduler_mod.when_all = self._when_all
+
+    @rule(
+        reads=st.lists(st.sampled_from(_MACHINE_PATHS), max_size=2),
+        writes=st.lists(st.sampled_from(_MACHINE_PATHS), max_size=2),
+        subtree=st.booleans(),
+        session_write=st.booleans(),
+        name_from=st.integers(0, 40),
+        arg_from=st.integers(0, 40),
+    )
+    def submit(self, reads, writes, subtree, session_write, name_from, arg_from):
+        n = len(self.calls)
+        sources = [c.result_future for c in self.calls] + self.external
+        args: dict = {"who": f"C{n}", "name": "lit"}
+        if sources and name_from < 30:
+            source = sources[name_from % len(sources)]
+            if self.store.owner_of(source) is not None:
+                source = self.store.create_field(source, "id")
+            args["name"] = source
+        if sources and arg_from < 15:
+            args["x"] = sources[arg_from % len(sources)]
+        paths = reads + writes
+        annotation = DependencyAnnotation(
+            reads=[AccessDecl(p, subtree) for p in reads],
+            writes=[AccessDecl(p, subtree) for p in writes],
+            session_read=any(p.startswith("$") for p in paths),
+            session_write=session_write,
+        )
+        call = CallRecord(call_id=f"C{n}", tool="t", args=args, annotation=annotation, invocation_index=n)
+        self.calls.append(call)
+        self.scheduler.submit(call)
+
+    @rule()
+    def new_external(self):
+        self.external.append(self.store.create())
+
+    @rule(pick=st.integers(0, 40), fail=st.booleans())
+    def settle_external(self, pick, fail):
+        pending = [fid for fid in self.external if not self.store.state_of(fid).is_terminal]
+        if pending:
+            fid = pending[pick % len(pending)]
+            if fail:
+                self.store.fail(fid, ErrorInfo("execution-error", "external", None))
+            else:
+                self.store.resolve(fid, f"e{pick}")
+
+    @rule()
+    def step(self):
+        if self.clock.pending():
+            self.clock.advance()
+
+    @rule(pick=st.integers(0, 40))
+    def doom(self, pick):
+        self.doomed.add(f"C{pick}")
+
+    @rule(pick=st.integers(0, 40))
+    def cancel(self, pick):
+        live = [c for c in self.calls if not c.terminal]
+        if live:
+            victim = live[pick % len(live)]
+            self.scheduler.mark_cancelled(victim, victim.result_future, victim.call_id)
+            self.executor.cancel_transitive(victim.call_id)
+
+    @invariant()
+    def head_is_blocked_on_a_pending_input(self):
+        queue = self.scheduler.queue
+        if queue and not queue[0].terminal:
+            wait = self.scheduler._head_wait
+            assert wait is not None and not wait.done
+        assert self.scheduler._ready == []
+
+    @invariant()
+    def drained_runs_leave_nothing_shut(self):
+        if self.clock.pending() or any(
+            not self.store.state_of(fid).is_terminal for fid in self.external
+        ):
+            return
+        assert all(c.terminal for c in self.calls), [c.call_id for c in self.calls if not c.terminal]
+        assert self.scheduler.unopened_gates() == []
+        assert self.store.pending_ids() == []
+
+
+SchedulerMachine.TestCase.settings = settings(max_examples=150, stateful_step_count=40, deadline=None)
+test_scheduler_state_machine = SchedulerMachine.TestCase
+
+
+def test_scheduler_machine_fixed_run():
+    """The machine's rules in one fixed order: C1 supersedes C0's read and
+    is cancelled while C0 runs, so C2, which waits on C1 alone, must still
+    wait for C0; H's path waits on C1's result, whose cancellation cancels
+    H at the head of the queue."""
+    machine = SchedulerMachine()
+    try:
+        machine.submit(reads=["/a"], writes=[], subtree=False, session_write=False, name_from=40, arg_from=40)
+        machine.submit(reads=[], writes=["/a"], subtree=False, session_write=True, name_from=40, arg_from=40)
+        machine.submit(reads=[], writes=["/a"], subtree=False, session_write=False, name_from=40, arg_from=40)
+        machine.submit(reads=[], writes=["/f/{name}"], subtree=False, session_write=False, name_from=1, arg_from=40)
+        machine.head_is_blocked_on_a_pending_input()
+        machine.cancel(pick=1)
+        c0, c1, c2, h = machine.calls
+        assert (c1.status, c2.status, h.status) == ("cancelled", "admitted", "cancelled")
+        machine.step()
+        assert c0.status == "done" and c2.status != "admitted"
+        machine.drained_runs_leave_nothing_shut()
+    finally:
+        machine.teardown()

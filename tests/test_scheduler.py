@@ -8,12 +8,12 @@ from futurecall.errors import (
     BadPathTemplateError,
     DuplicateCallIdError,
     ErrorInfo,
+    LeakedFutureError,
     NotTerminalError,
 )
 from futurecall.schema import AccessDecl
 from futurecall.workload import workload_from_json
 from futurecall.scheduler import (
-    NOT_YET_RESOLVABLE,
     READ,
     WRITE,
     Access,
@@ -119,7 +119,7 @@ class TestResolvePaths:
         fid = store.create()
         ann = annotation(writes=[("/files/{name}", False)])
         out = resolve_paths(ann, {"name": fid}, session, store)
-        assert out is NOT_YET_RESOLVABLE
+        assert out == fid
         store.resolve(fid, "a.txt")
         out = resolve_paths(ann, {"name": fid}, session, store)
         assert [a.path.render() for a in out] == ["/files/a.txt"]
@@ -156,7 +156,7 @@ class TestResolvePaths:
         session.bindings["cwd"] = "/fs/home"
         session.reserve_write("W1")
         ann = annotation(reads=[("$session/cwd", False)])
-        assert resolve_paths(ann, {}, session, store) is NOT_YET_RESOLVABLE
+        assert resolve_paths(ann, {}, session, store) is session.version_gates[1]
         session.complete_write(1, {"cwd": "/fs/other"}, None)
         out = resolve_paths(ann, {}, session, store)
         assert [a.path.render() for a in out] == ["/fs/other"]
@@ -521,3 +521,171 @@ class TestBindingWork:
         assert trace.call_status["C"] == "done"
         assert ("A", "C", "arg") in trace.edges
         assert walks == []
+
+
+class TestAdmissionWork:
+    """What a blocked head and the gates cost, counted: a head is resolved
+    when it blocks and once per wake-up of its one waiter, and the store
+    holds only the futures the model can see."""
+
+    @staticmethod
+    def tool(name, latency, reads=(), writes=(), **annotation):
+        return {
+            "schema": {"name": name, "description": "", "parameters": {}},
+            "annotation": {
+                "reads": [{"path": p} for p in reads],
+                "writes": [{"path": p} for p in writes],
+                **annotation,
+            },
+            "latency": latency,
+            "returns": [{"id": f"{name}-out", "cwd": "/fs/next"}],
+        }
+
+    @staticmethod
+    def count_resolves(monkeypatch, call_id) -> list:
+        """One entry per ``resolve_paths`` call made for ``call_id``, with
+        what it returned."""
+        seen = []
+        resolve = scheduler_mod.resolve_paths
+
+        def counted(annotation, args, session, store):
+            out = resolve(annotation, args, session, store)
+            if args.get("who") == call_id:
+                seen.append(out)
+            return out
+
+        monkeypatch.setattr(scheduler_mod, "resolve_paths", counted)
+        return seen
+
+    def two_turns(self, tools, first, second):
+        ids = [c["id"] for c in first + second]
+        return workload_from_json(
+            {
+                "tools": tools,
+                "script": [
+                    {"emit": first},
+                    {"emit": second},
+                    {"when": {"resolved": ids}, "final": "done"},
+                ],
+                "session_bindings": {"cwd": "/fs/home"},
+            }
+        )
+
+    def test_blocked_head_resolves_once_per_wake_up(self, monkeypatch):
+        # H needs F1.id (ready at 13) and F2.id (at 17); eight other calls
+        # settle 8 futures while it waits. It blocks on F1.id, wakes and
+        # blocks on F2.id, wakes and is admitted: three resolutions, not one
+        # more per future settled meanwhile.
+        seen = self.count_resolves(monkeypatch, "H")
+        tools = [
+            self.tool("slow", [12, 16], writes=["/slow/{k}"]),
+            self.tool("fast", [3, 4, 5, 6, 7, 8, 9, 10], writes=["/fast/{k}"]),
+            self.tool("save", 1, writes=["/files/{dir}/{name}"]),
+        ]
+        first = [
+            {"id": "F1", "name": "slow", "args": {"k": 1}},
+            {"id": "F2", "name": "slow", "args": {"k": 2}},
+        ] + [{"id": f"G{k}", "name": "fast", "args": {"k": k}} for k in range(8)]
+        second = [
+            {"id": "H", "name": "save", "args": {"who": "H", "dir": "@F1.id", "name": "@F2.id"}},
+            {"id": "L", "name": "fast", "args": {"k": 99}},
+        ]
+        driver = TurnDriver(self.two_turns(tools, first, second), "async-parallel")
+        trace = driver.run()
+        assert set(trace.call_status.values()) == {"done"}
+        f1, f2 = driver.call_futures["F1"], driver.call_futures["F2"]
+        assert [out if isinstance(out, str) else "admitted" for out in seen] == [
+            f"{f1}.id",
+            f"{f2}.id",
+            "admitted",
+        ]
+        # L waited behind H and was admitted right after it.
+        assert driver.calls["L"].admitted_at == driver.calls["H"].admitted_at
+
+    def test_session_read_behind_a_write_resolves_once_per_wake_up(self, monkeypatch):
+        seen = self.count_resolves(monkeypatch, "R")
+        tools = [
+            self.tool("cd", 9, session_write=True),
+            self.tool("fast", [3, 4, 5, 6, 7, 8, 9, 10], writes=["/fast/{k}"]),
+            self.tool("cat", 1, reads=["$session/cwd/notes"], session_read=True),
+        ]
+        first = [{"id": "W", "name": "cd", "args": {}}] + [
+            {"id": f"G{k}", "name": "fast", "args": {"k": k}} for k in range(8)
+        ]
+        second = [{"id": "R", "name": "cat", "args": {"who": "R"}}]
+        driver = TurnDriver(self.two_turns(tools, first, second), "async-parallel")
+        trace = driver.run()
+        assert set(trace.call_status.values()) == {"done"}
+        assert len(seen) == 2
+        assert seen[0] is driver.session.version_gates[1]
+        assert [a.path.render() for a in seen[1]] == ["/fs/next/notes"]
+
+    def test_woken_head_goes_after_the_inputs_consumers(self):
+        # C reads /g behind F0 and takes F1.id as an argument; H's path needs
+        # F1.id. C is dispatched at 4, after H blocked at 2, so C's waiter on
+        # F1.id comes after H's. The head is woken after its input's other
+        # waiters, so C is scheduled first and, both ending at 13, ends first.
+        tools = [
+            self.tool("lookup", 10),
+            self.tool("block", 3, writes=["/g"]),
+            self.tool("use", 2, reads=["/g"]),
+            self.tool("save", 2, writes=["/files/{name}"]),
+        ]
+        spec = self.two_turns(
+            tools,
+            [{"id": "F1", "name": "lookup", "args": {}}, {"id": "F0", "name": "block", "args": {}}],
+            [
+                {"id": "C", "name": "use", "args": {"x": "@F1.id"}},
+                {"id": "H", "name": "save", "args": {"name": "@F1.id"}},
+            ],
+        )
+        trace = run_workload(spec, "async-parallel")
+        execs = [(e.id, e.t0, e.t1) for e in trace.events if e.kind == "exec"]
+        assert execs == [
+            ("F0", 1.0, 4.0),
+            ("F1", 1.0, 11.0),
+            ("C", 11.0, 13.0),
+            ("H", 11.0, 13.0),
+        ]
+
+    def test_store_has_no_observer_api(self):
+        store = FutureStore()
+        assert not hasattr(FutureStore, "add_observer")
+        assert not hasattr(store, "_observers")
+
+    def test_burst_shaped_turn_creates_one_future_per_call(self):
+        n = 256
+        spec = TestWorkGrowth.single_turn(
+            [
+                self.tool("reindex", 3, writes=["/catalog"]),
+                self.tool("stock", 1, reads=["/catalog"], writes=["/items/{k}"]),
+            ],
+            [
+                {"id": f"C{k}", "name": "reindex", "args": {}}
+                if k % 16 == 0
+                else {"id": f"C{k}", "name": "stock", "args": {"k": k}}
+                for k in range(n)
+            ],
+        )
+        driver = TurnDriver(spec, "async-parallel")
+        trace = driver.run()
+        assert set(trace.call_status.values()) == {"done"}
+        assert len(trace.edges) > n  # the gates were there, and none is a future
+        assert driver.store.ids() == [f"fut_{k}" for k in range(n)]
+
+    @pytest.mark.parametrize(
+        "tool,shut",
+        [
+            ({"writes": ["/x"]}, "C0 write /x"),
+            ({"session_write": True, "error_at": {"0": "boom"}}, "session version 1"),
+        ],
+    )
+    def test_a_gate_never_opened_is_a_leak(self, monkeypatch, tool, shut):
+        monkeypatch.setattr(Scheduler, "release", lambda self, call: None)
+        error_at = tool.pop("error_at", None)
+        spec_tool = self.tool("t", 1, **tool)
+        if error_at:
+            spec_tool["error_at"] = error_at
+        spec = TestWorkGrowth.single_turn([spec_tool], [{"id": "C0", "name": "t", "args": {}}])
+        with pytest.raises(LeakedFutureError, match=shut):
+            run_workload(spec, "async-parallel")
