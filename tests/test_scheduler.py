@@ -674,18 +674,16 @@ class TestAdmissionWork:
         assert driver.store.ids() == [f"fut_{k}" for k in range(n)]
 
     @pytest.mark.parametrize(
-        "tool,shut",
+        "annotation,error_at,shut",
         [
-            ({"writes": ["/x"]}, "C0 write /x"),
-            ({"session_write": True, "error_at": {"0": "boom"}}, "session version 1"),
+            ({"writes": ["/x"]}, {}, "C0 write /x"),
+            ({"session_write": True}, {"0": "boom"}, "session version 1"),
         ],
     )
-    def test_a_gate_never_opened_is_a_leak(self, monkeypatch, tool, shut):
+    def test_a_gate_never_opened_is_a_leak(self, monkeypatch, annotation, error_at, shut):
+        # A failed session writer's gate opens only through release.
         monkeypatch.setattr(Scheduler, "release", lambda self, call: None)
-        error_at = tool.pop("error_at", None)
-        spec_tool = self.tool("t", 1, **tool)
-        if error_at:
-            spec_tool["error_at"] = error_at
-        spec = TestWorkGrowth.single_turn([spec_tool], [{"id": "C0", "name": "t", "args": {}}])
+        tool = {**self.tool("t", 1, **annotation), "error_at": error_at}
+        spec = TestWorkGrowth.single_turn([tool], [{"id": "C0", "name": "t", "args": {}}])
         with pytest.raises(LeakedFutureError, match=shut):
             run_workload(spec, "async-parallel")
