@@ -20,7 +20,7 @@ from . import analysis
 from .driver import MODES, run_workload
 from .errors import FuturecallError, ParseError, ValidationError
 from .scheduler import READ, WRITE, Access, ResourcePath, conflicts, fallback_accesses
-from .schema import DependencyAnnotation, load_schema_file
+from .schema import SESSION_PREFIX, DependencyAnnotation, load_schema_file
 from .trace import RunTrace
 from .workload import WorkloadSpec, _number, load_workload, make_latency_sweep
 
@@ -154,7 +154,7 @@ def static_accesses(annotation: DependencyAnnotation | None) -> list[Access]:
     for mode, decls in ((READ, annotation.reads), (WRITE, annotation.writes)):
         for decl in decls:
             text = decl.path
-            if text.startswith("$session/"):
+            if text.startswith(SESSION_PREFIX):
                 text = "/" + text
             segments = tuple(p for p in text.split("/") if p)
             out.append(Access(ResourcePath(segments), mode, decl.subtree))

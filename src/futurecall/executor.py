@@ -86,7 +86,6 @@ class ToolBinding:
     latency: float | list[float] = 0.0
     schema: FunctionSchema | None = None
     annotation: DependencyAnnotation | None = None
-    session_reducer: Callable[[dict, Any], dict] | None = None
     invocations: int = 0
 
     def latency_for(self, invocation_index: int) -> float:
@@ -185,10 +184,6 @@ class Executor:
         call.advance_status(DONE)
         self.on_exec_interval(call)
         self.store.resolve(call.result_future, value)
-        if call.session_version is not None:
-            self.scheduler.session.complete_write(
-                call.session_version, value, self.tools[call.tool].session_reducer
-            )
         self.scheduler.release(call)
 
     def _fail(self, call: CallRecord, error: ErrorInfo) -> None:

@@ -48,12 +48,11 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator, NamedTuple
 
 from .errors import (
     CANCELLED_DEPENDENCY,
-    BadPathTemplateError,
     DuplicateCallIdError,
     ErrorInfo,
     FuturecallError,
@@ -79,9 +78,6 @@ _STATUS_ORDER = [QUEUED, ADMITTED, DISPATCHED, RUNNING, DONE, FAILED]
 TERMINAL_STATUSES = {DONE, FAILED, CANCELLED_STATUS}
 
 
-SESSION_PREFIX = "$session/"
-
-
 class FailedPathDependency(FuturecallError):
     """A path template needs a future that terminated without a value."""
 
@@ -96,16 +92,6 @@ class ResourcePath:
     """Hierarchical state address; the root is the empty segment tuple."""
 
     segments: tuple[str, ...] = ()
-
-    @classmethod
-    def parse(cls, text: str) -> "ResourcePath":
-        if not text.startswith("/"):
-            raise BadPathTemplateError(f"resource path must be /-rooted: {text!r}")
-        parts = [p for p in text.split("/") if p != ""]
-        for part in parts:
-            if "/" in part:
-                raise BadPathTemplateError(f"bad segment {part!r}")
-        return cls(tuple(parts))
 
     def render(self) -> str:
         return "/" + "/".join(self.segments)
@@ -315,20 +301,16 @@ class SessionState:
     ``version`` counts completed session writes; every reserved version has a
     gate that opens when that write finishes (version 0's is open from the
     start). Bindings name session resources for ``$session/...`` path
-    templates. ``open_gate`` opens a version gate; the scheduler replaces it
-    with its own, which also dispatches what the gate readied. A ``store``
-    argument is accepted and not kept: the gates are not futures.
+    templates.
     """
 
-    store: InitVar[FutureStore | None] = None
     bindings: dict[str, Any] = field(default_factory=dict)
     version: int = 0
     reserved_version: int = 0
     version_gates: dict[int, Latch] = field(default_factory=dict)
     gate_owners: dict[int, str] = field(default_factory=dict)
-    open_gate: Callable[[Latch], None] = field(default=Latch.open, repr=False)
 
-    def __post_init__(self, store: FutureStore | None) -> None:
+    def __post_init__(self) -> None:
         initial = Latch()
         initial.open()
         self.version_gates[0] = initial
@@ -346,22 +328,14 @@ class SessionState:
     def writes_in_flight(self) -> bool:
         return self.reserved_version > self.version
 
-    def complete_write(self, version: int, result: Any, reducer: Callable | None) -> None:
+    def complete_write(self, version: int, result: Any = None) -> Latch:
+        """Count a finished write and return its gate, for the caller to
+        open. A done writer's dict result is merged into the bindings by
+        key; a failed or cancelled writer passes none."""
         self.version = max(self.version, version)
-        if reducer is not None:
-            self.bindings = reducer(dict(self.bindings), result)
-        elif isinstance(result, dict):
-            # Default advancement: merge the writer's result by key.
+        if isinstance(result, dict):
             self.bindings.update(result)
-        self.open_gate(self.version_gates[version])
-
-    def abort_write(self, version: int) -> None:
-        """A failed or cancelled writer still opens its gate, but leaves the
-        bindings as they are."""
-        self.version = max(self.version, version)
-        gate = self.version_gates[version]
-        if not gate.done:
-            self.open_gate(gate)
+        return self.version_gates[version]
 
 
 @dataclass
@@ -428,47 +402,6 @@ class DependencyEdge(NamedTuple):
     kind: str  # one of EDGE_KINDS
 
 
-def _scalar_text(value: Any) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, (str, int, float)):
-        return str(value)
-    raise BadPathTemplateError(f"path segment value must be scalar, got {type(value).__name__}")
-
-
-def _session_binding(template: str) -> tuple[str, str]:
-    """Binding name and tail of a ``$session/name/tail`` template."""
-    name, _, tail = template[len(SESSION_PREFIX):].partition("/")
-    if not name:
-        raise BadPathTemplateError("$session/ needs a binding name")
-    return name, tail
-
-
-def _param_span(text: str, segment: str) -> tuple[int, int] | None:
-    """Span of the first ``{param}`` in text, or None when there is none."""
-    start = text.find("{")
-    if start < 0:
-        return None
-    end = text.find("}", start)
-    if end < 0:
-        raise BadPathTemplateError(f"unbalanced braces in segment {segment!r}")
-    return start, end
-
-
-def check_path_template(template: str) -> None:
-    """Raise BadPathTemplateError for a template malformed on syntax alone:
-    neither /-rooted nor session-relative, an empty ``$session/`` binding
-    name, or unbalanced braces. ``resolve_paths`` makes the same checks."""
-    if template.startswith(SESSION_PREFIX):
-        _session_binding(template)
-    elif not template.startswith("/"):
-        raise BadPathTemplateError(f"path template must be /-rooted: {template!r}")
-    for segment in template.split("/"):
-        rest = segment
-        while (span := _param_span(rest, segment)) is not None:
-            rest = rest[span[1] + 1 :]
-
-
 def resolve_paths(
     annotation: DependencyAnnotation | None,
     args: dict,
@@ -477,12 +410,12 @@ def resolve_paths(
 ) -> list[Access] | str | Latch:
     """Materialize a call's access set, or name the input it waits on.
 
-    Argument-parameterized segments substitute the call's argument values
-    (following future references to their resolved values), and
-    ``$session/...`` prefixes resolve against current session bindings. While
-    a needed value is still pending this returns what to wait on instead:
-    the id of the pending future, or the gate of the latest session write in
-    flight.
+    Fills each parsed template: a ``{param}`` with the call's argument value
+    (a future's resolved value) and a ``$session/name`` prefix with the
+    binding's current path, read as literal segments. While a needed value
+    is still pending this returns what to wait on instead: the id of the
+    pending future, or the gate of the latest session write in flight. A
+    template it cannot fill gives the call the unannotated fallback.
     """
     if annotation is None:
         return fallback_accesses()
@@ -490,54 +423,39 @@ def resolve_paths(
     accesses: list[Access] = []
     for mode, decls in ((READ, annotation.reads), (WRITE, annotation.writes)):
         for decl in decls:
-            template = decl.path
-            if template.startswith(SESSION_PREFIX):
+            filled: list[str] = []
+            if decl.binding is not None:
                 if session.writes_in_flight:
                     return session.latest_gate()
-                name, tail = _session_binding(template)
-                if name not in session.bindings:
-                    raise BadPathTemplateError(f"unknown session binding {name!r}")
-                bound = session.bindings[name]
+                bound = session.bindings.get(decl.binding)
                 if not isinstance(bound, str) or not bound.startswith("/"):
-                    raise BadPathTemplateError(
-                        f"session binding {name!r} is not a /-rooted path: {bound!r}"
-                    )
-                template = bound if not tail else bound.rstrip("/") + "/" + tail
-            elif not template.startswith("/"):
-                raise BadPathTemplateError(f"path template must be /-rooted: {template!r}")
-
-            filled_segments: list[str] = []
-            for segment in template.split("/")[1:]:
-                if "{" in segment:
-                    filled, pending = _fill_segment(segment, args, store)
-                    if pending is not None:
-                        return pending
-                    filled_segments.append(filled)
-                elif segment:
-                    filled_segments.append(segment)
-            accesses.append(Access(ResourcePath(tuple(filled_segments)), mode, decl.subtree))
+                    return fallback_accesses()
+                filled = [part for part in bound.split("/") if part]
+            for segment in decl.segments:
+                if isinstance(segment, str):
+                    filled.append(segment)
+                    continue
+                text = segment[0]
+                for i in range(1, len(segment), 2):
+                    if segment[i] not in args:
+                        return fallback_accesses()
+                    value = args[segment[i]]
+                    if isinstance(value, str) and looks_like_future_id(value) and store.known(value):
+                        state = store.state_of(value)
+                        if state.status == RESOLVED:
+                            value = state.value
+                        elif state.is_terminal:
+                            raise FailedPathDependency(value, state)
+                        else:
+                            return value
+                    if isinstance(value, bool):
+                        value = "true" if value else "false"
+                    elif not isinstance(value, (str, int, float)):
+                        return fallback_accesses()
+                    text += str(value) + segment[i + 1]
+                filled.append(text)
+            accesses.append(Access(ResourcePath(tuple(filled)), mode, decl.subtree))
     return accesses
-
-
-def _fill_segment(segment: str, args: dict, store: FutureStore) -> tuple[str, str | None]:
-    """The filled segment, or the id of the first pending future it needs."""
-    out = segment
-    while (span := _param_span(out, segment)) is not None:
-        start, end = span
-        param = out[start + 1 : end]
-        if param not in args:
-            raise BadPathTemplateError(f"unknown parameter {param!r} in path template")
-        value = args[param]
-        if isinstance(value, str) and looks_like_future_id(value) and store.known(value):
-            state = store.state_of(value)
-            if state.status == RESOLVED:
-                value = state.value
-            elif state.is_terminal:
-                raise FailedPathDependency(value, state)
-            else:
-                return "", value
-        out = out[:start] + _scalar_text(value) + out[end + 1 :]
-    return out, None
 
 
 class Scheduler:
@@ -576,7 +494,6 @@ class Scheduler:
         self._head_wait: Latch | None = None  # the queue head's pending input
         self._pumping = False
         self._pump_again = False
-        session.open_gate = self._open
 
     @property
     def live_labels(self) -> list[AccessLabel]:
@@ -744,19 +661,31 @@ class Scheduler:
     def release(self, call: CallRecord) -> None:
         """Open a terminal call's label gates and drop the labels still
         indexed; a superseded label has already left the index. Each gate
-        runs its own pass, so nothing is left for one here."""
+        runs its own pass, so nothing is left for one here.
+
+        A done session writer's result advances the session, and its version
+        gate opens before its label gates; a failed or cancelled writer's
+        opens after them."""
         if not call.terminal:
             raise NotTerminalError(f"{call.call_id} is {call.status}")
         if call.released:
             return
         call.released = True
+        version = call.session_version
+        if version is not None and call.status == DONE:
+            self._end_session_write(version, self.store.state_of(call.result_future).value)
         for label in call.labels:
             if not label.gate.done:
                 self._open(label.gate)
         for label in call.labels:
             self.label_index.remove(label)
-        if call.session_version is not None and call.status != DONE:
-            self.session.abort_write(call.session_version)
+        if version is not None and call.status != DONE:
+            self._end_session_write(version)
+
+    def _end_session_write(self, version: int, result: Any = None) -> None:
+        gate = self.session.complete_write(version, result)
+        if not gate.done:
+            self._open(gate)
 
     def unopened_gates(self) -> list[str]:
         """The label and session gates still shut, by owner and access; at
@@ -824,5 +753,5 @@ class Scheduler:
         version = call.session_version
         if version is not None:
             previous = self.session.version_gates[version - 1]
-            when_all([previous], lambda: self.session.abort_write(version))
+            when_all([previous], lambda: self._end_session_write(version))
         self.pump()

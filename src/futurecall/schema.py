@@ -14,7 +14,12 @@ import json
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable
 
-from .errors import InvalidSchemaError, UnresolvedArgumentError, ValidationError
+from .errors import (
+    BadPathTemplateError,
+    InvalidSchemaError,
+    UnresolvedArgumentError,
+    ValidationError,
+)
 from .futures import RESOLVED, FutureStore, looks_like_future_id, valid_field_path
 
 PARAM_TYPES = {"string", "number", "integer", "boolean", "array", "object"}
@@ -113,12 +118,56 @@ class TransformedSchema(FunctionSchema):
     """A FunctionSchema whose inputs and return contract admit futures."""
 
 
+# A template rooted here names a session binding: ``$session/name/tail``.
+SESSION_PREFIX = "$session/"
+
+
 @dataclass
 class AccessDecl:
-    """One read or write label: a path template plus its scope flag."""
+    """One read or write label: a path template plus its scope flag.
+
+    The template is parsed once, when the declaration is built. ``binding``
+    is the session binding name of a ``$session/name/...`` template and None
+    for a /-rooted one; ``segments`` are the rest of the path, empty segments
+    dropped. A segment without braces is its literal text. One with
+    ``{param}`` placeholders is a tuple alternating literal text and
+    parameter names, starting and ending with literal text:
+    ``"v{major}.{minor}"`` is ``("v", "major", ".", "minor", "")``. A
+    template that is neither /-rooted nor session-relative, names no binding
+    after ``$session/``, or opens a brace it does not close raises
+    BadPathTemplateError.
+    """
 
     path: str
     subtree: bool = False
+    binding: str | None = field(init=False, repr=False)
+    segments: tuple[str | tuple[str, ...], ...] = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        path = self.path
+        binding = None
+        if path.startswith(SESSION_PREFIX):
+            binding, _, path = path[len(SESSION_PREFIX) :].partition("/")
+            if not binding:
+                raise BadPathTemplateError("$session/ needs a binding name")
+        elif not path.startswith("/"):
+            raise BadPathTemplateError(f"path template must be /-rooted: {path!r}")
+        segments: list[str | tuple[str, ...]] = []
+        for text in path.split("/"):
+            if "{" not in text:
+                if text:
+                    segments.append(text)
+                continue
+            parts, rest = [], text
+            while (start := rest.find("{")) >= 0:
+                end = rest.find("}", start)
+                if end < 0:
+                    raise BadPathTemplateError(f"unbalanced braces in segment {text!r}")
+                parts += [rest[:start], rest[start + 1 : end]]
+                rest = rest[end + 1 :]
+            parts.append(rest)
+            segments.append(tuple(parts))
+        self.binding, self.segments = binding, tuple(segments)
 
     def to_json(self) -> dict:
         return {"path": self.path, "subtree": self.subtree}
@@ -130,7 +179,13 @@ class DependencyAnnotation:
 
     Path templates are absolute (``/a/b``), session-relative
     (``$session/name/...``) or argument-parameterized (segments containing
-    ``{paramName}``).
+    ``{paramName}``); each ``AccessDecl`` holds its template parsed.
+    Admission only fills them: a ``{param}`` takes the call's argument
+    value (a future's once it resolves) and ``$session/name`` the binding's
+    current path, and neither is read as a template again. A call whose
+    templates cannot be filled (a missing argument, a value that is not a
+    scalar, a binding that is missing or not a /-rooted string) gets the
+    footprint of an unannotated tool: the whole tree, read and written.
     """
 
     reads: list[AccessDecl] = field(default_factory=list)
@@ -155,7 +210,10 @@ class DependencyAnnotation:
             for item in items or []:
                 if not isinstance(item, dict) or not isinstance(item.get("path"), str):
                     raise ValidationError(f"bad access label {item!r}")
-                out.append(AccessDecl(path=item["path"], subtree=bool(item.get("subtree", False))))
+                try:
+                    out.append(AccessDecl(path=item["path"], subtree=bool(item.get("subtree", False))))
+                except BadPathTemplateError as exc:
+                    raise ValidationError(str(exc)) from exc
             return out
 
         return cls(
@@ -321,6 +379,9 @@ def load_schema_file(path: str) -> list[tuple[FunctionSchema, DependencyAnnotati
         seen.add(schema.name)
         annotation = None
         if entry.get("annotation") is not None:
-            annotation = DependencyAnnotation.from_json(entry["annotation"])
+            try:
+                annotation = DependencyAnnotation.from_json(entry["annotation"])
+            except ValidationError as exc:
+                raise ValidationError(f"{path}: tool {schema.name!r}: {exc}") from exc
         out.append((schema, annotation))
     return out

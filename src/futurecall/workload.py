@@ -43,9 +43,8 @@ import re
 from dataclasses import dataclass, field
 from typing import Any, Container
 
-from .errors import BadPathTemplateError, ParseError, ValidationError
+from .errors import ParseError, ValidationError
 from .executor import StateStore, ToolBinding, ToolExecutionError
-from .scheduler import check_path_template
 from .schema import AWAIT_FUTURE_NAME, DependencyAnnotation, FunctionSchema, map_leaves
 
 CALL_REF_RE = re.compile(r"^@([A-Za-z_][\w-]*)(\.[^.\s]+(?:\.[^.\s]+)*)?$")
@@ -177,14 +176,6 @@ class WorkloadSpec:
         names = set(self.tool_names())
         if len(names) != len(self.tools):
             raise ValidationError("duplicate tool names")
-        for tool in self.tools:
-            if tool.annotation is None:
-                continue
-            for decl in tool.annotation.reads + tool.annotation.writes:
-                try:
-                    check_path_template(decl.path)
-                except BadPathTemplateError as exc:
-                    raise ValidationError(f"tool {tool.schema.name!r}: {exc}") from exc
         emitted: set[str] = set()
         for turn_no, turn in enumerate(self.script):
             check_turn(turn, names, f"script[{turn_no}]")
@@ -281,8 +272,11 @@ def workload_from_json(data: dict) -> WorkloadSpec:
         annotation = None
         raw_annotation = entry.get("annotation")
         if raw_annotation is not None:
-            what = f"tool {schema.name!r}: annotation"
-            annotation = DependencyAnnotation.from_json(_typed(raw_annotation, dict, what))
+            raw_annotation = _typed(raw_annotation, dict, f"tool {schema.name!r}: annotation")
+            try:
+                annotation = DependencyAnnotation.from_json(raw_annotation)
+            except ValidationError as exc:
+                raise ValidationError(f"tool {schema.name!r}: {exc}") from exc
             if annotation.outputs is None and schema.outputs is not None:
                 annotation.outputs = schema.outputs
         what = f"tool {schema.name!r}: state"
@@ -394,9 +388,7 @@ def _render_write_value(template: str, call_id: str, args: dict, reads: dict) ->
     return rendered
 
 
-def build_tool_bindings(
-    spec: WorkloadSpec, delegate_decode: Any = None
-) -> dict[str, ToolBinding]:
+def build_tool_bindings(spec: WorkloadSpec) -> dict[str, ToolBinding]:
     """Turn tool specs into executable mock bindings.
 
     Scripted tools return ``returns[invocation]`` (last value repeats) and can
@@ -409,7 +401,7 @@ def build_tool_bindings(
     for tool in spec.tools:
         bindings[tool.schema.name] = ToolBinding(
             name=tool.schema.name,
-            behavior=_make_behavior(tool, delegate_decode),
+            behavior=_make_behavior(tool),
             latency=tool.latency,
             schema=tool.schema,
             annotation=tool.annotation,
@@ -417,7 +409,7 @@ def build_tool_bindings(
     return bindings
 
 
-def _make_behavior(tool: ToolSpec, delegate_decode):
+def _make_behavior(tool: ToolSpec):
     name = tool.schema.name
 
     if tool.kind == "thinking":
@@ -425,8 +417,6 @@ def _make_behavior(tool: ToolSpec, delegate_decode):
 
         def think(args: dict, invocation: int, state: StateStore):
             subquery = args.get("subquery", "")
-            if delegate_decode is not None:
-                return {"answer": delegate_decode(subquery, args.get("context", ""))}
             if subquery in answers:
                 return {"answer": answers[subquery]}
             raise ToolExecutionError(f"{name}: no delegate answer for {subquery!r}")

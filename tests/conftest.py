@@ -7,7 +7,7 @@ import pytest
 from futurecall import lint_context, load_workload, run_workload
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
-FIXTURE_NAMES = ["fig1", "vehicle", "diamond", "fail-chain", "thinking", "pairs"]
+FIXTURE_NAMES = ["fig1", "vehicle", "diamond", "fail-chain", "thinking", "pairs", "templated"]
 
 
 def fixture_path(name: str) -> str:

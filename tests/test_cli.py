@@ -223,6 +223,14 @@ def test_validate_annotations_universe_mismatch_exits_2(tmp_path):
     assert main(["validate-annotations", "--predicted", a, "--truth", b]) == 2
 
 
+@pytest.mark.parametrize("path", ["files/{x", "/files/{x", "$session//x"])
+def test_validate_annotations_rejects_malformed_template(tmp_path, capsys, path):
+    bad = schema_file(tmp_path, "bad.json", [annotated_tool("a", writes=[path])])
+    good = schema_file(tmp_path, "good.json", [annotated_tool("a", writes=["/x"])])
+    assert main(["validate-annotations", "--predicted", bad, "--truth", good]) == 2
+    assert "tool 'a'" in capsys.readouterr().err
+
+
 def test_unannotated_tools_conflict_via_root_fallback(tmp_path, capsys):
     bare = [{"name": "a", "description": "", "parameters": {}},
             {"name": "b", "description": "", "parameters": {}}]

@@ -218,6 +218,66 @@ class TestSyncBatch:
         assert driver.calls["F2"].error.message == "KeyError: 'missing'"
 
 
+def unfillable_template_workload(case):
+    """F2 saves under a path template it cannot fill; F3 then lists what
+    was saved. F2 is emitted before F1 resolves, so in async modes its
+    template waits on F1 first."""
+    name_arg = {"missing-argument": {}, "non-scalar": {"name": "@F1"}, "bad-binding": {"name": "x"}}
+    template = "$session/out/{name}" if case == "bad-binding" else "/files/{name}"
+    return workload_from_json(
+        {
+            "session_bindings": {"out": "files"},
+            "tools": [
+                {
+                    "schema": {"name": "lookup", "description": "", "parameters": {}},
+                    "annotation": {"reads": [{"path": "/index", "subtree": True}], "writes": []},
+                    "latency": 3,
+                    "returns": [{"id": "report.txt"}],
+                },
+                {
+                    "schema": {"name": "save", "description": "", "parameters": {}},
+                    "annotation": {"reads": [], "writes": [{"path": template}]},
+                    "latency": 2,
+                    "state": {"writes": [{"path": "/files", "value": "{call} {args}"}]},
+                },
+                {
+                    "schema": {"name": "list", "description": "", "parameters": {}},
+                    "annotation": {"reads": [{"path": "/files", "subtree": True}], "writes": []},
+                    "latency": 1,
+                    "state": {
+                        "reads": [{"path": "/files"}],
+                        "writes": [{"path": "/log", "value": "{reads}"}],
+                    },
+                },
+            ],
+            "script": [
+                {"emit": [{"id": "F1", "name": "lookup", "args": {}}], "decode_time": 1},
+                {
+                    "emit": [
+                        {"id": "F2", "name": "save", "args": name_arg[case]},
+                        {"id": "F3", "name": "list", "args": {}},
+                    ],
+                    "decode_time": 1,
+                },
+                {"when": {"resolved": ["F1", "F2", "F3"]}, "final": "x", "decode_time": 1},
+            ],
+        }
+    )
+
+
+@pytest.mark.parametrize("case", ["missing-argument", "non-scalar", "bad-binding"])
+@pytest.mark.parametrize("mode", MODES)
+def test_unfillable_template_runs_under_the_fallback(mode, case):
+    # A template the call's arguments or the session cannot fill gives the
+    # call the footprint of an unannotated tool, so it runs and F3 still
+    # sees its write, as in the sync modes that never fill templates.
+    trace = run_workload(unfillable_template_workload(case), mode)
+    assert trace.call_status == {"F1": "done", "F2": "done", "F3": "done"}
+    serial = run_workload(unfillable_template_workload(case), "sync-sequential")
+    assert trace.final_state == serial.final_state
+    assert "save#0" in trace.final_state["/log"]
+
+
 def mutable_args_workload():
     """F1's arguments hold no reference, F2's hold one to F1's result."""
     return workload_from_json(

@@ -62,7 +62,7 @@ def test_dispatch_with_pending_gate_raises():
 
     clock = VirtualClock()
     store = FutureStore(clock)
-    scheduler = Scheduler(store, SessionState(store=store), clock)
+    scheduler = Scheduler(store, SessionState(), clock)
     tools = {
         "t": ToolBinding(
             name="t",

@@ -275,7 +275,7 @@ def test_blocking_gates_reduce_a_scan_of_unreleased_labels(ops, durations):
     dispatched call."""
     clock = VirtualClock()
     store = FutureStore(clock)
-    session = SessionState(store=store)
+    session = SessionState()
     scheduler = Scheduler(store, session, clock)
     executor = Executor(store, scheduler, clock, {}, StateStore())
     calls: list[CallRecord] = []
