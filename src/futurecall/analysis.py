@@ -33,7 +33,7 @@ from .scheduler import EDGE_KINDS
 from .trace import RunTrace
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Interval:
     start: float
     end: float
@@ -48,6 +48,7 @@ class Interval:
 
 
 def _coerce(intervals: Iterable) -> list[Interval]:
+    """Intervals as they are, (start, end) pairs as new checked Intervals."""
     out = []
     for item in intervals:
         if isinstance(item, Interval):
@@ -58,9 +59,26 @@ def _coerce(intervals: Iterable) -> list[Interval]:
     return out
 
 
+def _sum(ivs: list[Interval]) -> float:
+    return sum(iv.duration for iv in ivs)
+
+
+def _union(ivs: list[Interval]) -> float:
+    total = 0.0
+    cursor = -math.inf
+    for iv in sorted(ivs, key=lambda iv: (iv.start, iv.end)):
+        if iv.start > cursor:
+            total += iv.duration
+            cursor = iv.end
+        elif iv.end > cursor:
+            total += iv.end - cursor
+            cursor = iv.end
+    return total
+
+
 def sequential_sum(intervals: Iterable) -> float:
     """S(I): cumulative duration, counting overlaps multiply."""
-    return sum(iv.duration for iv in _coerce(intervals))
+    return _sum(_coerce(intervals))
 
 
 def effective_union(intervals: Iterable) -> float:
@@ -69,17 +87,7 @@ def effective_union(intervals: Iterable) -> float:
     Intervals are treated as half-open for the measure; zero-length intervals
     contribute nothing.
     """
-    ivs = sorted(_coerce(intervals), key=lambda iv: (iv.start, iv.end))
-    total = 0.0
-    cursor = -math.inf
-    for iv in ivs:
-        if iv.start > cursor:
-            total += iv.duration
-            cursor = iv.end
-        elif iv.end > cursor:
-            total += iv.end - cursor
-            cursor = iv.end
-    return total
+    return _union(_coerce(intervals))
 
 
 @dataclass(frozen=True)
@@ -116,15 +124,15 @@ def savings_decomposition(m_intervals: Iterable, e_intervals: Iterable) -> Savin
     """
     m_ivs = _coerce(m_intervals)
     e_ivs = _coerce(e_intervals)
-    s_m = sequential_sum(m_ivs)
-    d_m = effective_union(m_ivs)
+    s_m = _sum(m_ivs)
+    d_m = _union(m_ivs)
     if abs(d_m - s_m) > 1e-9:
         raise OverlappingDecodeError(
             f"decode intervals overlap: S(M)={s_m} but D(M)={d_m}"
         )
-    s_e = sequential_sum(e_ivs)
-    d_e = effective_union(e_ivs)
-    d_union = effective_union(m_ivs + e_ivs)
+    s_e = _sum(e_ivs)
+    d_e = _union(e_ivs)
+    d_union = _union(m_ivs + e_ivs)
     delta_ff = s_e - d_e
     delta_de = d_m + d_e - d_union
     t_saving = s_m + s_e - d_union
@@ -349,15 +357,17 @@ def trace_dag(trace: RunTrace) -> DependencyDag:
 
 
 def trace_to_inputs(trace: RunTrace, dag: DependencyDag | None = None):
-    """Extract (t_llm, t_tool, t_cp, M, E) from a complete trace."""
+    """Extract (t_llm, t_tool, t_cp, M, E) from a complete trace; M and E are
+    lists of Interval, built once here, which ``savings_decomposition``
+    takes as they are."""
     non_terminal = [c for c, s in trace.call_status.items() if s not in ("done", "failed", "cancelled")]
     if non_terminal:
         raise IncompleteTraceError(f"calls not terminal: {sorted(non_terminal)}")
-    m_intervals = trace.decode_intervals()
-    e_intervals = trace.exec_intervals()
+    m_intervals = _coerce(trace.decode_intervals())
+    e_intervals = _coerce(trace.exec_intervals())
     if dag is None:
         dag = trace_dag(trace)
-    t_llm = sequential_sum(m_intervals)
-    t_tool = sequential_sum(e_intervals)
+    t_llm = _sum(m_intervals)
+    t_tool = _sum(e_intervals)
     t_cp = critical_path(dag)
     return t_llm, t_tool, t_cp, m_intervals, e_intervals

@@ -23,6 +23,7 @@ in wall-clock mode.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import time
@@ -73,7 +74,7 @@ def is_parallel(mode: str) -> bool:
     return mode in (SYNC_PARALLEL, ASYNC_PARALLEL)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ToolCall:
     call_id: str
     name: str
@@ -83,7 +84,7 @@ class ToolCall:
         return {"call_id": self.call_id, "name": self.name, "args": self.args}
 
 
-@dataclass
+@dataclass(slots=True)
 class Message:
     role: str  # system | user | assistant | tool
     content: Any = None
@@ -287,6 +288,13 @@ def await_detection_offset(tokens: list[tuple[str, float]] | None, decode_time: 
     return decode_time
 
 
+def _trace_exec(trace: RunTrace, call: CallRecord) -> None:
+    """The exec hook: a finished call's execution interval, in its turn."""
+    if call.exec_start is None:
+        return
+    trace.record(call.exec_start, call.exec_end, EXEC, call.call_id, call.turn)
+
+
 class TurnDriver:
     """Runs one conversation over a workload in a given mode."""
 
@@ -313,6 +321,8 @@ class TurnDriver:
             workload.strict_cancellation if strict_cancellation is None else strict_cancellation
         )
         self.tools = build_tool_bindings(workload)
+        self.trace = RunTrace(mode=mode)
+        self._record_exec = functools.partial(_trace_exec, self.trace)
         self.executor = Executor(
             self.store,
             self.scheduler,
@@ -323,10 +333,8 @@ class TurnDriver:
             on_exec_interval=self._record_exec,
         )
         self.decoder = decoder or ScriptedDecoder(workload.script, is_parallel(mode))
-        self.trace = RunTrace(mode=mode)
         self.messages: list[Message] = []
         self.call_futures: dict[str, str] = {}
-        self.call_turn: dict[str, int] = {}
         self.calls: dict[str, CallRecord] = {}
         self._reported: set[str] = set()  # call ids whose outcome is in context
         self._used_ids: set[str] = set()  # every call and await id emitted so far
@@ -339,12 +347,6 @@ class TurnDriver:
 
     # -- trace helpers -----------------------------------------------------------
 
-    def _record_exec(self, call: CallRecord) -> None:
-        if call.exec_start is None:
-            return
-        turn = self.call_turn.get(call.call_id, 0)
-        self.trace.record(call.exec_start, call.exec_end, EXEC, call.call_id, turn)
-
     def _append(self, message: Message) -> None:
         self.messages.append(message)
         if len(self.messages) > self.workload.context_budget:
@@ -355,33 +357,46 @@ class TurnDriver:
     # -- main loop ------------------------------------------------------------------
 
     def run(self) -> RunTrace:
-        self.trace.started = self.clock.now()
-        if self.workload.task:
-            self._append(Message(role="user", content=self.workload.task))
-        while True:
-            self._boundary()
-            if self.final_answer is not None:
-                if self._drained():
-                    break
-                self._wait_progress()
-                continue
-            if self.decoder.exhausted():
-                raise ScriptExhaustedError(
-                    "script ended without a final answer for the current state"
-                )
-            if not self._trigger_satisfied(self.decoder.requires()):
-                self._wait_progress()
-                continue
-            if self.decoder.realtime:
-                # Calls in flight finish on this thread while the request is
-                # out; the request gets its own copy of the context.
-                self._live_t0 = self.clock.now()
-                context = list(self.messages)
-                turn = self.clock.run_alongside(lambda: self.decoder.next_turn(context))
-            else:
-                turn = self.decoder.next_turn(self.messages)
-            self._execute_turn(turn)
-        self._finish()
+        """Run the conversation until its final answer stands and every call
+        is reported, then return the trace.
+
+        The scheduler and the executor call each other only while this
+        runs: on the way out, finished or raised, the scheduler's
+        ``on_dispatch`` hook is dropped, so the run's objects hold no
+        reference cycle and are freed by reference counting. The driver's
+        ``calls``, ``store`` and ``scheduler`` keep the run's state for
+        inspection.
+        """
+        try:
+            self.trace.started = self.clock.now()
+            if self.workload.task:
+                self._append(Message(role="user", content=self.workload.task))
+            while True:
+                self._boundary()
+                if self.final_answer is not None:
+                    if self._drained():
+                        break
+                    self._wait_progress()
+                    continue
+                if self.decoder.exhausted():
+                    raise ScriptExhaustedError(
+                        "script ended without a final answer for the current state"
+                    )
+                if not self._trigger_satisfied(self.decoder.requires()):
+                    self._wait_progress()
+                    continue
+                if self.decoder.realtime:
+                    # Calls in flight finish on this thread while the request is
+                    # out; the request gets its own copy of the context.
+                    self._live_t0 = self.clock.now()
+                    context = list(self.messages)
+                    turn = self.clock.run_alongside(lambda: self.decoder.next_turn(context))
+                else:
+                    turn = self.decoder.next_turn(self.messages)
+                self._execute_turn(turn)
+            self._finish()
+        finally:
+            self.scheduler.on_dispatch = lambda call: None
         return self.trace
 
     def _drained(self) -> bool:
@@ -562,10 +577,10 @@ class TurnDriver:
                 args=self._substitute_refs(spec.args, bind) if spec.refs else spec.args,
                 annotation=tool.annotation,
                 invocation_index=tool.next_invocation(),
+                turn=self._turn_no,
             )
             record.result_future = self.store.create(owner_call=spec.call_id)
             self.calls[spec.call_id] = record
-            self.call_turn[spec.call_id] = self._turn_no
             records.append(record)
         # Registered only now: a decoder cannot name a placeholder it has
         # not received yet, so a same-turn reference stays literal.

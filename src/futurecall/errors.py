@@ -8,7 +8,7 @@ EXECUTION_ERROR = "execution-error"
 CANCELLED_DEPENDENCY = "cancelled-dependency"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ErrorInfo:
     """Why a call (and its result future) ended badly.
 

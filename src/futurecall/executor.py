@@ -102,7 +102,14 @@ class ToolBinding:
 
 
 class Executor:
-    """Runs dispatched calls on logical workers and handles failure fallout."""
+    """Runs dispatched calls on logical workers and handles failure fallout.
+
+    Building one binds its ``dispatch`` into ``scheduler.on_dispatch``.
+    ``on_exec_interval(call)`` is the exec hook, called once a call's
+    execution interval is stamped (done or failed); the driver passes a
+    function of its trace, not of itself, so the executor holds no
+    reference back to the driver.
+    """
 
     def __init__(
         self,

@@ -35,7 +35,7 @@ _FULL_ID_RE = re.compile(r"fut_\d+(\.[^.\s]+)*")
 _SEGMENT_RE = re.compile(r"[^.\s]+")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FutureState:
     """Snapshot of a future: pending, or one of three final outcomes."""
 

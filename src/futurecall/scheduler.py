@@ -87,7 +87,7 @@ class FailedPathDependency(FuturecallError):
         self.state = state
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ResourcePath:
     """Hierarchical state address; the root is the empty segment tuple."""
 
@@ -106,7 +106,7 @@ class ResourcePath:
         return self.render()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Access:
     """One resolved region access: path, read/write mode, scope flag."""
 
@@ -115,7 +115,7 @@ class Access:
     subtree: bool
 
 
-@dataclass
+@dataclass(slots=True)
 class AccessLabel:
     """A live access registered in the state tree, with the gate that opens
     when its owner releases it.
@@ -338,9 +338,12 @@ class SessionState:
         return self.version_gates[version]
 
 
-@dataclass
+@dataclass(slots=True)
 class CallRecord:
-    """One decoded function call moving through the scheduling pipeline."""
+    """One decoded function call moving through the scheduling pipeline.
+
+    ``turn`` is the number of the decode turn that emitted the call.
+    """
 
     call_id: str
     tool: str
@@ -349,6 +352,7 @@ class CallRecord:
     result_future: str = ""
     status: str = QUEUED
     invocation_index: int = 0
+    turn: int = 0
     blocking_gates: set[Latch] = field(default_factory=set)
     argument_futures: set[str] = field(default_factory=set)
     labels: list[AccessLabel] = field(default_factory=list)
@@ -464,7 +468,9 @@ class Scheduler:
     Owns enqueue order, label registration, blocking-gate computation (the
     last writer and the readers since, per region), label supersession and
     release. Dispatch itself is delegated through ``on_dispatch`` so the
-    executor decides how dispatched calls run. Each admitted call waits on
+    executor decides how dispatched calls run; the executor binds its
+    ``dispatch`` there, and the driver drops it when the run ends, so the
+    hook is live only during a run. Each admitted call waits on
     its blocking gates; the waiter puts it on the ready list, and the next
     pass dispatches the ready calls in admission order. A head whose paths
     need a pending input waits on that input alone. ``pump`` runs such a

@@ -204,10 +204,21 @@ class DependencyAnnotation:
         }
 
     @classmethod
-    def from_json(cls, data: dict) -> "DependencyAnnotation":
-        def decls(items) -> list[AccessDecl]:
+    def from_json(cls, data: Any) -> "DependencyAnnotation":
+        """Build from the JSON form. An annotation that is not an object,
+        ``reads``/``writes`` that are not lists and a bad label or template
+        raise ValidationError."""
+        if not isinstance(data, dict):
+            raise ValidationError(f"annotation must be an object, got {data!r}")
+
+        def decls(key: str) -> list[AccessDecl]:
+            items = data.get(key)
+            if items is None:
+                return []
+            if not isinstance(items, list):
+                raise ValidationError(f"annotation {key} must be a list, got {items!r}")
             out = []
-            for item in items or []:
+            for item in items:
                 if not isinstance(item, dict) or not isinstance(item.get("path"), str):
                     raise ValidationError(f"bad access label {item!r}")
                 try:
@@ -217,8 +228,8 @@ class DependencyAnnotation:
             return out
 
         return cls(
-            reads=decls(data.get("reads")),
-            writes=decls(data.get("writes")),
+            reads=decls("reads"),
+            writes=decls("writes"),
             session_read=bool(data.get("session_read", False)),
             session_write=bool(data.get("session_write", False)),
             outputs=data.get("outputs"),

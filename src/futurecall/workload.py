@@ -272,7 +272,6 @@ def workload_from_json(data: dict) -> WorkloadSpec:
         annotation = None
         raw_annotation = entry.get("annotation")
         if raw_annotation is not None:
-            raw_annotation = _typed(raw_annotation, dict, f"tool {schema.name!r}: annotation")
             try:
                 annotation = DependencyAnnotation.from_json(raw_annotation)
             except ValidationError as exc:

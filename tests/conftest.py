@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import gc
 import pathlib
+from contextlib import contextmanager
 
 import pytest
 
@@ -24,3 +26,20 @@ def run_fixture(name: str, mode: str, **kwargs):
     trace = run_workload(load_workload(fixture_path(name)), mode, **kwargs)
     assert lint_context(trace.messages) == []
     return trace
+
+
+@contextmanager
+def no_cyclic_garbage():
+    """Fail unless the block leaves no garbage that only the cycle collector
+    can free. Collects first, keeps the collector off inside the block, and
+    restores its state before the check."""
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+        found = gc.collect()
+    finally:
+        if enabled:
+            gc.enable()
+    assert found == 0, f"{found} objects were left in reference cycles"

@@ -6,6 +6,7 @@ import random
 import pytest
 
 from futurecall import (
+    MODES,
     DependencyDag,
     annotation_confusion,
     classify_regime,
@@ -18,13 +19,15 @@ from futurecall import (
     savings_decomposition,
     sequential_sum,
 )
-from futurecall.analysis import Interval, RegimeThresholds
+from futurecall.analysis import Interval, RegimeThresholds, SavingsReport, trace_to_inputs
 from futurecall.errors import (
     CycleDetectedError,
     DegenerateInputError,
     DomainError,
     OverlappingDecodeError,
 )
+
+from conftest import FIXTURE_NAMES, run_fixture
 
 
 def raster_union(intervals) -> float:
@@ -139,6 +142,31 @@ class TestSavingsDecomposition:
                 e.append((start, start + rng.randint(0, 6)))
             report = savings_decomposition(m, e)
             assert report.t_saving == report.delta_ff + report.delta_de  # exact
+
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("name", FIXTURE_NAMES)
+    def test_fixture_report_matches_the_public_interval_functions(self, name, mode):
+        # The trace's intervals are built once and reused; every field must
+        # equal, bit for bit, the one the public functions give.
+        trace = run_fixture(name, mode)
+        m, e = trace.decode_intervals(), trace.exec_intervals()
+        t_llm, t_tool, _, m_ivs, e_ivs = trace_to_inputs(trace)
+        assert all(isinstance(iv, Interval) for iv in m_ivs + e_ivs)
+        s_m, s_e = sequential_sum(m), sequential_sum(e)
+        d_m, d_e, d_union = effective_union(m), effective_union(e), effective_union(m + e)
+        expected = SavingsReport(
+            delta_ff=s_e - d_e,
+            delta_de=d_m + d_e - d_union,
+            t_saving=s_m + s_e - d_union,
+            s_m=s_m,
+            s_e=s_e,
+            d_e=d_e,
+            d_union=d_union,
+        )
+        assert repr(savings_decomposition(m_ivs, e_ivs)) == repr(expected)
+        assert repr(savings_decomposition(m, e)) == repr(expected)
+        assert (repr(t_llm), repr(t_tool)) == (repr(s_m), repr(s_e))
 
 
 class TestCriticalPath:

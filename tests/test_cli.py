@@ -231,6 +231,33 @@ def test_validate_annotations_rejects_malformed_template(tmp_path, capsys, path)
     assert "tool 'a'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("annotation", ["x", {"reads": 5}], ids=["string", "int-reads"])
+def test_validate_annotations_rejects_malformed_annotation(tmp_path, capsys, annotation):
+    tool = {"name": "a", "description": "", "parameters": {}, "annotation": annotation}
+    bad = schema_file(tmp_path, "bad.json", [tool])
+    good = schema_file(tmp_path, "good.json", [annotated_tool("a", writes=["/x"])])
+    assert main(["validate-annotations", "--predicted", bad, "--truth", good]) == 2
+    assert "tool 'a'" in capsys.readouterr().err
+
+
+def test_run_rejects_reads_that_are_not_a_list(tmp_path, capsys):
+    data = {
+        "tools": [
+            {
+                "schema": {"name": "a", "description": "", "parameters": {}},
+                "annotation": {"reads": 5},
+                "latency": 1,
+                "returns": [{}],
+            }
+        ],
+        "script": [{"final": "done"}],
+    }
+    path = tmp_path / "bad_reads.json"
+    path.write_text(json.dumps(data))
+    assert main(["run", "--workload", str(path)]) == 2
+    assert "reads must be a list" in capsys.readouterr().err
+
+
 def test_unannotated_tools_conflict_via_root_fallback(tmp_path, capsys):
     bare = [{"name": "a", "description": "", "parameters": {}},
             {"name": "b", "description": "", "parameters": {}}]

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import json
 import threading
 import time
@@ -13,9 +14,9 @@ from futurecall.errors import (
     ScriptExhaustedError,
     ValidationError,
 )
-from futurecall.workload import workload_from_json
+from futurecall.workload import load_workload, workload_from_json
 
-from conftest import run_fixture
+from conftest import FIXTURE_NAMES, fixture_path, no_cyclic_garbage, run_fixture
 
 
 class TestFig1Schedules:
@@ -632,3 +633,48 @@ def test_placeholder_ids_are_dense():
     ]
     bound = [m.bound_futures for m in trace.messages if m.bound_futures]
     assert sorted(fid for b in bound for fid in b) == ["fut_0", "fut_1", "fut_2", "fut_3"]
+
+
+class TestRunTeardown:
+    """A finished run holds no reference cycle, so reference counting frees
+    it, and the driver still holds the run's state for inspection."""
+
+    @pytest.mark.parametrize("strict", [None, True], ids=["default", "strict"])
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("name", FIXTURE_NAMES)
+    def test_finished_run_leaves_no_cyclic_garbage(self, name, mode, strict):
+        run_fixture(name, mode, strict_cancellation=strict)  # warm-up: first-use caches are not garbage
+        with no_cyclic_garbage():
+            run_fixture(name, mode, strict_cancellation=strict)
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("name", ["fig1", "templated"])
+    def test_finished_wall_clock_run_leaves_no_cyclic_garbage(self, name, mode):
+        run_fixture(name, mode, clock=WallClock(delay_scale=1e-4))
+        with no_cyclic_garbage():
+            run_fixture(name, mode, clock=WallClock(delay_scale=1e-4))
+
+    def test_no_cyclic_garbage_reports_a_cycle_and_restores_the_collector(self):
+        assert gc.isenabled()
+        with pytest.raises(AssertionError, match="reference cycles"):
+            with no_cyclic_garbage():
+                cycle: list = []
+                cycle.append(cycle)
+                del cycle
+        assert gc.isenabled()
+
+    @pytest.mark.parametrize("mode", ["async-sequential", "async-parallel"])
+    def test_finished_driver_keeps_the_run_state(self, mode):
+        # The benchmark's tracer reads these after run() returns.
+        driver = TurnDriver(load_workload(fixture_path("fail-chain")), mode)
+        trace = driver.run()
+        statuses = {"F1": "done", "F2": "failed", "F3": "cancelled", "F4": "cancelled"}
+        assert {cid: call.status for cid, call in driver.calls.items()} == statuses
+        assert trace.call_status == statuses
+        assert driver.store.ids() == ["fut_0", "fut_1", "fut_2", "fut_3"]
+        assert driver.store.terminal_count == 4
+        edges = [("F2", "F3", "arg"), ("F3", "F4", "arg")]
+        assert [tuple(edge) for edge in driver.scheduler.edges] == edges == trace.edges
+        assert [edge.kind for edge in driver.scheduler.edges] == ["arg", "arg"]
+        assert driver.calls["F1"].exec_start is not None
+        assert driver.calls["F2"].dispatched_at is not None
