@@ -87,6 +87,10 @@ class VirtualClock:
         while self.pending():
             self.advance()
 
+    def shutdown(self) -> None:
+        """Drop the queued events, which a run that raised leaves behind."""
+        self._queue.clear()
+
 
 class WallClock(VirtualClock):
     """The virtual clock's queue, fired in real time.
@@ -148,6 +152,3 @@ class WallClock(VirtualClock):
             raise error
         return value
 
-    def shutdown(self) -> None:
-        """Drop the queued events, which a run that raised leaves behind."""
-        self._queue.clear()

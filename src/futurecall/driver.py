@@ -44,7 +44,7 @@ from .errors import (
 from .executor import Executor, StateStore
 from .futures import FAILED, RESOLVED, FutureStore, extract_field
 from .scheduler import DONE, FAILED as CALL_FAILED, CallRecord, Scheduler, SessionState
-from .schema import AWAIT_FUTURE_NAME, futurize_output_template, map_leaves
+from .schema import AWAIT_FUTURE_NAME, copy_json, futurize_output_template, map_leaves
 from .trace import AWAIT, DECODE, EXEC, INTEGRATE, RunTrace
 from .workload import (
     CallSpec,
@@ -338,7 +338,7 @@ class TurnDriver:
         self.calls: dict[str, CallRecord] = {}
         self._reported: set[str] = set()  # call ids whose outcome is in context
         self._used_ids: set[str] = set()  # every call and await id emitted so far
-        self._terminal: list[str] = []  # async call ids turned terminal since the last boundary
+        self._settled_seen = 0  # length of store.settled_calls at the last boundary
         self._trigger: tuple[list[str], int] = ([], 0)  # requires list, count known reported
         self._turn_no = 0
         self._boundary_no = 0
@@ -363,9 +363,11 @@ class TurnDriver:
         The scheduler and the executor call each other only while this
         runs: on the way out, finished or raised, the scheduler's
         ``on_dispatch`` hook is dropped, so the run's objects hold no
-        reference cycle and are freed by reference counting. The driver's
-        ``calls``, ``store`` and ``scheduler`` keep the run's state for
-        inspection.
+        reference cycle and are freed by reference counting. A run that
+        raised also drops the clock's queued events and the waiters on
+        latches that never opened, whose callbacks hold the executor and
+        the scheduler. The driver's ``calls``, ``store`` and ``scheduler``
+        keep the run's state for inspection.
         """
         try:
             self.trace.started = self.clock.now()
@@ -395,6 +397,10 @@ class TurnDriver:
                     turn = self.decoder.next_turn(self.messages)
                 self._execute_turn(turn)
             self._finish()
+        except BaseException:
+            self.clock.shutdown()
+            self.scheduler.drop_waiters()
+            raise
         finally:
             self.scheduler.on_dispatch = lambda call: None
         return self.trace
@@ -405,7 +411,8 @@ class TurnDriver:
         return not self._has_unreported_outcomes()
 
     def _has_unreported_outcomes(self) -> bool:
-        return any(call_id not in self._reported for call_id in self._terminal)
+        tail = self.store.settled_calls[self._settled_seen :]
+        return any(call_id not in self._reported for call_id in tail)
 
     def _trigger_satisfied(self, requires: list[str]) -> bool:
         """True once every required call is reported. ``_reported`` only
@@ -457,8 +464,9 @@ class TurnDriver:
         bindings: dict[str, Any] = {}
         failures: list[dict] = []
         now = self.clock.now()
-        terminal, self._terminal = self._terminal, []
-        for call_id in terminal:
+        settled = self.store.settled_calls
+        start, self._settled_seen = self._settled_seen, len(settled)
+        for call_id in settled[start:]:
             if call_id in self._reported:
                 continue  # an await already returned it
             fid = self.call_futures[call_id]
@@ -594,21 +602,21 @@ class TurnDriver:
             )
         )
         if is_async(self.mode):
-            self._submit(records)
+            self._submit(records, turn.emit)
             return
         self._run_batch(records)
 
-    def _submit(self, records: list[CallRecord]) -> None:
-        for record in records:
+    def _submit(self, records: list[CallRecord], specs: list[CallSpec]) -> None:
+        """Submit each call and answer it with its placeholder. The
+        scheduler searches a call's arguments for future ids only when its
+        spec has references or literal future ids."""
+        for record, spec in zip(records, specs):
             annotation = record.annotation
             template = annotation.outputs if annotation is not None else None
             if template is None:
                 template = self.tools[record.tool].schema.outputs
             placeholder = futurize_output_template(template, record.result_future, self.store)
-            self.scheduler.submit(record)
-            self.store.add_waiter(
-                [record.result_future], lambda call_id=record.call_id: self._terminal.append(call_id)
-            )
+            self.scheduler.submit(record, bool(spec.refs) or spec.literal_futures)
             self._append(Message(role="tool", content=placeholder, call_id=record.call_id))
 
     def _run_batch(self, records: list[CallRecord]) -> None:
@@ -622,8 +630,7 @@ class TurnDriver:
         for record, latency in zip(records, latencies):
             record.exec_start, record.exec_end = t0, t0 + latency
             self._record_exec(record)
-            own_args = map_leaves(record.args, lambda leaf, _path: leaf)
-            value, error = self.executor.invoke(record, own_args)
+            value, error = self.executor.invoke(record, copy_json(record.args))
             if error is None:
                 record.advance_status(DONE)
                 self.store.resolve(record.result_future, value)

@@ -1,11 +1,16 @@
 """Workers that run dispatched calls and propagate failures.
 
-Each dispatched call gets an independent worker. The worker first awaits any
-unresolved argument futures; that wait is non-blocking, so a call parked on
-its arguments never delays other dispatchable calls. Once the arguments are
-concrete the tool behavior runs across its latency interval, the result
-future is fulfilled (or failed), the call's access labels are released, and
-the execution interval lands in the run trace.
+Each dispatched call gets an independent worker. The worker first awaits the
+argument futures the scheduler recorded at submission; that wait is
+non-blocking, so a call parked on its arguments never delays other
+dispatchable calls, and a call without argument futures goes on at once,
+with no waiter. Exactly the recorded ids are then substituted by their
+values: a string leaf that only became a known future id after submission
+stays literal text, as it does in a sync run. A call without argument
+futures hands its tool behavior a plain copy of its arguments. The behavior
+runs across its latency interval, the result future is fulfilled (or
+failed), the call's access labels are released, and the execution interval
+lands in the run trace.
 
 When a call fails, every call transitively dependent on it is cancelled and
 independent calls are left untouched. By default the dependency edges that
@@ -41,7 +46,7 @@ from .scheduler import (
     CallRecord,
     Scheduler,
 )
-from .schema import DependencyAnnotation, FunctionSchema, substitute_resolved
+from .schema import DependencyAnnotation, FunctionSchema, copy_json, substitute_resolved
 
 
 class ToolExecutionError(Exception):
@@ -140,24 +145,31 @@ class Executor:
             raise GatesPendingError(f"{call.call_id}: {shut} blocking gates still shut")
         call.advance_status(DISPATCHED)
         call.dispatched_at = self.clock.now()
-        self.store.add_waiter(sorted(call.argument_futures), lambda: self._on_arguments_ready(call))
+        if call.argument_futures:
+            self.store.add_waiter(sorted(call.argument_futures), lambda: self._on_arguments_ready(call))
+        else:
+            self._on_arguments_ready(call)
 
     def _on_arguments_ready(self, call: CallRecord) -> None:
         if call.terminal:
             return
-        for fid in sorted(call.argument_futures):
-            state = self.store.state_of(fid)
-            if state.status in (FAILED, CANCELLED):
-                # The producing call failed upstream; this call consumes it.
-                origin = self._origin_of(state)
-                cause = state.cause if state.status == CANCELLED else fid
-                self.scheduler.mark_cancelled(call, cause, origin)
+        fids = call.argument_futures
+        if not fids:
+            concrete = copy_json(call.args)
+        else:
+            for fid in sorted(fids):
+                state = self.store.state_of(fid)
+                if state.status in (FAILED, CANCELLED):
+                    # The producing call failed upstream; this call consumes it.
+                    origin = self._origin_of(state)
+                    cause = state.cause if state.status == CANCELLED else fid
+                    self.scheduler.mark_cancelled(call, cause, origin)
+                    return
+            try:
+                concrete = substitute_resolved(call.args, self.store, fids)
+            except Exception as exc:  # substitution failure surfaces as the call's failure
+                self._fail(call, ErrorInfo(EXECUTION_ERROR, str(exc), call.call_id))
                 return
-        try:
-            concrete = substitute_resolved(call.args, self.store)
-        except Exception as exc:  # substitution failure surfaces as the call's failure
-            self._fail(call, ErrorInfo(EXECUTION_ERROR, str(exc), call.call_id))
-            return
         call.advance_status(RUNNING)
         call.exec_start = self.clock.now()
         latency = self.tools[call.tool].latency_for(call.invocation_index)

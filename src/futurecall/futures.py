@@ -137,13 +137,12 @@ def when_all(latches: Iterable[Latch], callback: Callable[[], None], last: bool 
 class FutureRecord(Latch):
     """One future: a latch that opens on its terminal transition."""
 
-    __slots__ = ("fid", "state", "resolved_at", "owner_call")
+    __slots__ = ("fid", "state", "owner_call")
 
     def __init__(self, fid: str, owner_call: str | None = None):
         super().__init__()
         self.fid = fid
         self.state = PENDING_STATE
-        self.resolved_at: float | None = None
         self.owner_call = owner_call
 
 
@@ -153,6 +152,10 @@ class FutureStore:
     Mutations are atomic with respect to each other because the whole runtime
     is single-threaded on either clock: every handler runs on the thread that
     drives the clock.
+
+    ``settled_calls`` lists the owner call of each result future, in the
+    order the futures turned terminal; field futures add nothing. A reader
+    keeps its own position in it, as the driver's turn boundary does.
     """
 
     def __init__(self, clock=None):
@@ -161,11 +164,9 @@ class FutureStore:
         self._fields: dict[str, list[str]] = {}  # base id -> registered field ids
         self._counter = 0
         self.terminal_count = 0
+        self.settled_calls: list[str] = []
 
     # -- bookkeeping -----------------------------------------------------
-
-    def _now(self) -> float:
-        return self._clock.now() if self._clock is not None else 0.0
 
     def ids(self) -> list[str]:
         return list(self._records)
@@ -257,9 +258,6 @@ class FutureStore:
         """The future's record, to wait on with ``when_all``."""
         return self._require(fid)
 
-    def resolution_time(self, fid: str) -> float | None:
-        return self._require(fid).resolved_at
-
     # -- terminal transitions ---------------------------------------------
 
     def _transition(self, fid: str, state: FutureState) -> None:
@@ -267,8 +265,9 @@ class FutureStore:
         if rec.done:
             raise AlreadyTerminalError(f"{fid} is already {rec.state.status}")
         rec.state = state
-        rec.resolved_at = self._now()
         self.terminal_count += 1
+        if rec.owner_call is not None and "." not in fid:
+            self.settled_calls.append(rec.owner_call)
         rec.open()
         for field_id in self._fields.get(fid, ()):
             if not self._records[field_id].done:
@@ -290,6 +289,12 @@ class FutureStore:
         """Invoke ``callback`` exactly once when every listed future is terminal."""
         records = self._records
         when_all([records.get(fid) or self._require(fid) for fid in fids], callback)
+
+    def drop_waiters(self) -> None:
+        """Forget every waiter on a future that never settled, as a run
+        that raised leaves them."""
+        for rec in self._records.values():
+            rec.waiters.clear()
 
     def wait_for(self, fids: list[str]) -> dict[str, FutureState]:
         """Suspend until every id is terminal; other runnable work proceeds.

@@ -74,7 +74,10 @@ DONE = "done"
 FAILED = "failed"
 CANCELLED_STATUS = "cancelled"
 
-_STATUS_ORDER = [QUEUED, ADMITTED, DISPATCHED, RUNNING, DONE, FAILED]
+_STATUS_RANK = {
+    status: rank
+    for rank, status in enumerate((QUEUED, ADMITTED, DISPATCHED, RUNNING, DONE, FAILED))
+}
 TERMINAL_STATUSES = {DONE, FAILED, CANCELLED_STATUS}
 
 
@@ -343,6 +346,10 @@ class CallRecord:
     """One decoded function call moving through the scheduling pipeline.
 
     ``turn`` is the number of the decode turn that emitted the call.
+    ``argument_futures`` holds the future ids that ``Scheduler.submit``
+    found among the string leaves of ``args``; the executor waits on and
+    substitutes exactly those. ``terminal`` is set by ``advance_status``
+    alone, when the status becomes done, failed or cancelled.
     """
 
     call_id: str
@@ -364,22 +371,17 @@ class CallRecord:
     exec_end: float | None = None
     error: ErrorInfo | None = None
     released: bool = False
-
-    @property
-    def terminal(self) -> bool:
-        return self.status in TERMINAL_STATUSES
+    terminal: bool = field(default=False, init=False)
 
     def advance_status(self, new: str) -> None:
         if self.terminal:
             raise FuturecallError(f"{self.call_id}: status {self.status} is terminal")
-        if new == CANCELLED_STATUS:
-            self.status = new
-            return
-        if _STATUS_ORDER.index(new) < _STATUS_ORDER.index(self.status):
+        if new != CANCELLED_STATUS and _STATUS_RANK[new] < _STATUS_RANK[self.status]:
             raise FuturecallError(
                 f"{self.call_id}: cannot move status backwards {self.status} -> {new}"
             )
         self.status = new
+        self.terminal = new in TERMINAL_STATUSES
 
 
 # A consumer waits on an argument future, on a conflicting access label's gate
@@ -509,15 +511,20 @@ class Scheduler:
 
     # -- submission ----------------------------------------------------------
 
-    def submit(self, call: CallRecord) -> str:
-        """Enqueue a decoded call; returns its result future immediately."""
+    def submit(self, call: CallRecord, scan: bool = True) -> str:
+        """Enqueue a decoded call; returns its result future immediately.
+
+        ``scan=False`` skips the search of ``args`` for future ids, for a
+        caller that knows no string leaf of them can be one: the call then
+        has no argument futures and no argument edges."""
         if call.call_id in self.calls:
             raise DuplicateCallIdError(f"call id {call.call_id!r} already submitted")
         if not call.result_future:
             call.result_future = self.store.create(owner_call=call.call_id)
         call.submitted_at = self.clock.now()
         self.calls[call.call_id] = call
-        self._record_argument_edges(call)
+        if scan:
+            self._record_argument_edges(call)
         self.queue.append(call)
         self.pump()
         return call.result_future
@@ -706,6 +713,17 @@ class Scheduler:
             if not gate.done:
                 shut.append(f"session version {version}")
         return shut
+
+    def drop_waiters(self) -> None:
+        """Forget the waiters on every gate and future that never opened, as
+        a run that raised leaves them: their callbacks hold this scheduler
+        or its executor."""
+        for call in self.calls.values():
+            for label in call.labels:
+                label.gate.waiters.clear()
+        for gate in self.session.version_gates.values():
+            gate.waiters.clear()
+        self.store.drop_waiters()
 
     # -- cancellation support ------------------------------------------------------
 

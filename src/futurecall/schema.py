@@ -12,7 +12,7 @@ from __future__ import annotations
 import copy
 import json
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable
+from typing import Any, Callable, Container
 
 from .errors import (
     BadPathTemplateError,
@@ -69,8 +69,8 @@ class FunctionSchema:
     future_adapted: bool = False
 
     def validate(self) -> None:
-        if not self.name:
-            raise InvalidSchemaError("schema name must be nonempty")
+        if not isinstance(self.name, str) or not self.name:
+            raise InvalidSchemaError(f"schema name must be a nonempty string, got {self.name!r}")
         for pname, spec in self.parameters.items():
             if not pname:
                 raise InvalidSchemaError(f"{self.name}: empty parameter name")
@@ -305,6 +305,15 @@ def map_leaves(node: Any, fn: Callable[[Any, tuple], Any], path: tuple = ()) -> 
     return fn(node, path)
 
 
+def copy_json(node: Any) -> Any:
+    """Copy a JSON value: new dicts and lists, the same leaves."""
+    if isinstance(node, dict):
+        return {key: copy_json(val) for key, val in node.items()}
+    if isinstance(node, list):
+        return [copy_json(val) for val in node]
+    return node
+
+
 def futurize_output_template(example: Any, base: str, store: FutureStore) -> Any:
     """Replace every scalar leaf of an example output with a field future id.
 
@@ -354,15 +363,21 @@ def scan_future_refs(args: Any, store: FutureStore) -> list[tuple[str, str]]:
     return refs
 
 
-def substitute_resolved(args: Any, store: FutureStore) -> Any:
-    """Replace every future identifier leaf with its resolved value.
+def substitute_resolved(args: Any, store: FutureStore, only: Container[str] | None = None) -> Any:
+    """Replace every future identifier leaf with its resolved value; with
+    ``only``, just the leaves that are ids in it, every other leaf kept.
 
     Raises UnresolvedArgumentError when any referenced future is not in the
     Resolved state; callers wait on argument futures before substituting.
     """
 
+    def named(node: str) -> bool:
+        if only is not None:
+            return node in only
+        return looks_like_future_id(node) and store.known(node)
+
     def leaf(node: Any, path: tuple) -> Any:
-        if isinstance(node, str) and looks_like_future_id(node) and store.known(node):
+        if isinstance(node, str) and named(node):
             state = store.state_of(node)
             if state.status != RESOLVED:
                 raise UnresolvedArgumentError(f"{node} is {state.status}, not resolved")

@@ -45,38 +45,43 @@ from typing import Any, Container
 
 from .errors import ParseError, ValidationError
 from .executor import StateStore, ToolBinding, ToolExecutionError
+from .futures import looks_like_future_id
 from .schema import AWAIT_FUTURE_NAME, DependencyAnnotation, FunctionSchema, map_leaves
 
-CALL_REF_RE = re.compile(r"^@([A-Za-z_][\w-]*)(\.[^.\s]+(?:\.[^.\s]+)*)?$")
+CALL_REF_RE = re.compile(r"@([A-Za-z_][\w-]*)(\.[^.\s]+(?:\.[^.\s]+)*)?")
 
 
 def parse_call_ref(value: Any) -> tuple[str, str | None] | None:
     """Return (call id, field path) when value is an ``@Fk[.path]`` reference."""
     if not isinstance(value, str):
         return None
-    match = CALL_REF_RE.match(value)
+    match = CALL_REF_RE.fullmatch(value)
     if match is None:
         return None
     call_id, fpath = match.group(1), match.group(2)
     return call_id, fpath[1:] if fpath else None
 
 
-@dataclass
+@dataclass(slots=True)
 class CallSpec:
     """One emitted call.
 
     ``refs`` holds the call ids that ``@Fk[.path]`` leaves of ``args`` name,
     in leaf order, or ``None`` until ``check_turn`` fills it: at parse time
-    for a scripted call, when its turn is checked for a live one. The driver
-    binds references only in a call whose ``refs`` is not empty, and a
-    ref-free call keeps ``args`` as it is, so ``args`` must not change once
-    ``refs`` is filled.
+    for a scripted call, when its turn is checked for a live one. The same
+    walk sets ``literal_futures`` when some other string leaf looks like a
+    future id (``fut_3``, ``fut_3.a``). The driver binds references only in
+    a call whose ``refs`` is not empty, and has the scheduler search the
+    arguments for future ids only in a call with refs or literal futures;
+    every other call keeps ``args`` as it is, so ``args`` must not change
+    once ``refs`` is filled.
     """
 
     call_id: str
     name: str
     args: dict = field(default_factory=dict)
     refs: tuple[str, ...] | None = field(default=None, compare=False, repr=False)
+    literal_futures: bool = field(default=False, compare=False, repr=False)
 
 
 @dataclass
@@ -105,10 +110,11 @@ class ScriptTurn:
 def check_turn(turn: ScriptTurn, tool_names: Container[str], where: str) -> None:
     """Checks one decoder turn needs on its own, scripted or live.
 
-    A turn is a final answer or emits calls, never both; every call's
-    arguments are an object; every emitted name is a known tool, or
-    ``await_future`` alone in its turn with a list of future id strings.
-    Fills each call's ``refs`` where it is not yet known.
+    A turn is a final answer or emits calls, never both; every call's id
+    and name are strings and its arguments an object; every emitted name is
+    a known tool, or ``await_future`` alone in its turn with a list of
+    future id strings. Fills each call's ``refs`` and ``literal_futures``
+    where they are not yet known.
     """
     if turn.decode_time <= 0:
         raise ValidationError(f"{where}: decode_time must be positive")
@@ -119,6 +125,8 @@ def check_turn(turn: ScriptTurn, tool_names: Container[str], where: str) -> None
         if any(b < a for a, b in zip(offsets, offsets[1:])):
             raise ValidationError(f"{where}: token offsets must not decrease")
     for call in turn.emit:
+        if not isinstance(call.call_id, str) or not isinstance(call.name, str):
+            raise ValidationError(f"{where}: call id and name must be strings, got {call!r}")
         if not isinstance(call.args, dict):
             raise ValidationError(f"{where}: arguments of {call.name!r} must be a JSON object")
         if call.name == AWAIT_FUTURE_NAME:
@@ -130,20 +138,25 @@ def check_turn(turn: ScriptTurn, tool_names: Container[str], where: str) -> None
         elif call.name not in tool_names:
             raise ValidationError(f"{where}: unknown tool {call.name!r}")
         if call.refs is None:
-            call.refs = _call_refs(call.args)
+            call.refs, call.literal_futures = _scan_args(call.args)
 
 
-def _call_refs(args: dict) -> tuple[str, ...]:
-    """Ids named by the ``@Fk[.path]`` leaves of a call's arguments."""
+def _scan_args(args: dict) -> tuple[tuple[str, ...], bool]:
+    """The ids named by the ``@Fk[.path]`` leaves of a call's arguments,
+    and whether any other string leaf looks like a future id."""
     refs: list[str] = []
+    literal = False
 
     def leaf(node: Any, _path: tuple) -> None:
+        nonlocal literal
         ref = parse_call_ref(node)
         if ref is not None:
             refs.append(ref[0])
+        elif isinstance(node, str) and node.startswith("fut_") and looks_like_future_id(node):
+            literal = True
 
     map_leaves(args, leaf)
-    return tuple(refs)
+    return tuple(refs), literal
 
 
 @dataclass

@@ -66,6 +66,38 @@ def test_run_malformed_tool_schema_exits_2(tmp_path, capsys):
     assert "malformed schema" in capsys.readouterr().err
 
 
+def non_string_name_workload(schema_name, call_name):
+    return {
+        "tools": [
+            {
+                "schema": {"name": schema_name, "description": "", "parameters": {}},
+                "latency": 1,
+                "returns": [{}],
+            }
+        ],
+        "script": [
+            {"emit": [{"id": "C1", "name": call_name, "args": {}}]},
+            {"when": {"resolved": ["C1"]}, "final": "done"},
+        ],
+    }
+
+
+@pytest.mark.parametrize(
+    "schema_name,call_name,message",
+    [
+        ([1], "t", "schema name must be a nonempty string"),
+        ("t", ["x"], "call id and name must be strings"),
+        ("t", {"x": 1}, "call id and name must be strings"),
+    ],
+    ids=["schema-name-list", "call-name-list", "call-name-object"],
+)
+def test_run_non_string_names_exit_2(tmp_path, capsys, schema_name, call_name, message):
+    path = tmp_path / "bad_name.json"
+    path.write_text(json.dumps(non_string_name_workload(schema_name, call_name)))
+    assert main(["run", "--workload", str(path)]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_run_runtime_error_exits_3(tmp_path):
     data = {
         "tools": [

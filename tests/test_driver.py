@@ -336,6 +336,60 @@ def test_tool_behavior_cannot_rewrite_the_emitted_call(mode):
     assert rewriting_run(spec, mode).to_jsonl() == first.to_jsonl()
 
 
+def late_literal_workload():
+    """F2 passes the literal text "fut_2" and waits behind F1 on /x until
+    long after F3, emitted a turn later, has taken the id fut_2."""
+    return workload_from_json(
+        {
+            "tools": [
+                {
+                    "schema": {"name": "slow", "description": "", "parameters": {}},
+                    "annotation": {"writes": [{"path": "/x"}]},
+                    "latency": 10,
+                    "state": {"writes": [{"path": "/x", "value": "slow"}]},
+                },
+                {
+                    "schema": {"name": "use", "description": "", "parameters": {}},
+                    "annotation": {"writes": [{"path": "/x"}]},
+                    "latency": 1,
+                    "state": {"writes": [{"path": "/x", "value": "{args}"}]},
+                },
+                {
+                    "schema": {"name": "quick", "description": "", "parameters": {}},
+                    "annotation": {"reads": [], "writes": []},
+                    "latency": 1,
+                    "returns": [{"out": "quick"}],
+                },
+            ],
+            "script": [
+                {
+                    "emit": [
+                        {"id": "F1", "name": "slow", "args": {}},
+                        {"id": "F2", "name": "use", "args": {"v": "fut_2"}},
+                    ]
+                },
+                {"emit": [{"id": "F3", "name": "quick", "args": {}}]},
+                {"when": {"resolved": ["F1", "F2", "F3"]}, "final": "done"},
+            ],
+        }
+    )
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_literal_id_named_only_after_submission_stays_text(mode):
+    # Only the future ids known when a call is submitted are its arguments;
+    # one created later is text, as in every sync run.
+    driver = TurnDriver(late_literal_workload(), mode)
+    trace = driver.run()
+    assert driver.call_futures["F3"] == "fut_2"
+    if mode.startswith("async"):
+        # F2 runs once F3's result is there to be taken.
+        assert driver.calls["F2"].exec_start > driver.calls["F3"].exec_end
+    assert set(trace.call_status.values()) == {"done"}
+    assert trace.final_state["/x"] == json.dumps({"v": "fut_2"})
+    assert ("F3", "F2", "arg") not in trace.edges
+
+
 def await_workload(tokens=None):
     return workload_from_json(
         {
@@ -653,6 +707,21 @@ class TestRunTeardown:
         run_fixture(name, mode, clock=WallClock(delay_scale=1e-4))
         with no_cyclic_garbage():
             run_fixture(name, mode, clock=WallClock(delay_scale=1e-4))
+
+    @pytest.mark.parametrize("budget", [3, 5])
+    @pytest.mark.parametrize("mode", MODES)
+    def test_raised_run_leaves_no_cyclic_garbage(self, mode, budget):
+        # The run raises with events queued and waiters on unsettled futures
+        # and shut gates; run() drops them on the way out.
+        def overflow():
+            spec = load_workload(fixture_path("fig1"))
+            spec.context_budget = budget
+            with pytest.raises(ContextOverflowError):
+                run_workload(spec, mode)
+
+        overflow()
+        with no_cyclic_garbage():
+            overflow()
 
     def test_no_cyclic_garbage_reports_a_cycle_and_restores_the_collector(self):
         assert gc.isenabled()

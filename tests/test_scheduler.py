@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
+import futurecall.executor as executor_mod
 import futurecall.scheduler as scheduler_mod
 from futurecall import DependencyAnnotation, FutureStore, TurnDriver, VirtualClock, run_workload
 from futurecall.errors import (
@@ -558,6 +561,61 @@ class TestBindingWork:
         assert trace.call_status["C"] == "done"
         assert ("A", "C", "arg") in trace.edges
         assert walks == []
+
+
+class TestArgumentWork:
+    """Argument searches, substitutions and future waiters counted: a call
+    whose arguments can hold no future id makes none of them."""
+
+    @staticmethod
+    def count_work(monkeypatch) -> Counter:
+        counts: Counter = Counter()
+        for owner, attr in (
+            (scheduler_mod, "scan_future_refs"),
+            (executor_mod, "substitute_resolved"),
+            (FutureStore, "add_waiter"),
+        ):
+
+            def counted(*args, _original=getattr(owner, attr), _attr=attr, **kwargs):
+                counts[_attr] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, attr, counted)
+        return counts
+
+    def test_burst_shaped_ref_free_turn_makes_none(self, monkeypatch):
+        counts = self.count_work(monkeypatch)
+        n = 256
+        spec = TestWorkGrowth.single_turn(
+            [
+                TestAdmissionWork.tool("reindex", 3, writes=["/catalog"]),
+                TestAdmissionWork.tool("stock", 1, reads=["/catalog"], writes=["/items/{k}"]),
+            ],
+            [
+                {"id": f"C{k}", "name": "reindex", "args": {"note": "fut_ure"}}
+                if k % 16 == 0
+                else {"id": f"C{k}", "name": "stock", "args": {"k": k, "tags": ["a", "x@y"]}}
+                for k in range(n)
+            ],
+        )
+        trace = run_workload(spec, "async-parallel")
+        assert set(trace.call_status.values()) == {"done"}
+        assert len(trace.edges) > n
+        assert counts == Counter()
+
+    def test_calls_that_can_name_futures_still_make_them(self, monkeypatch):
+        counts = self.count_work(monkeypatch)
+        spec = TestBindingWork().two_turns(
+            [
+                {"id": "C", "name": "t", "args": {"x": "@A"}},
+                {"id": "D", "name": "t", "args": {"y": ["fut_1"]}},
+                {"id": "E", "name": "t", "args": {"z": "A"}},
+            ]
+        )
+        trace = run_workload(spec, "async-parallel")
+        assert set(trace.call_status.values()) == {"done"}
+        assert [e for e in trace.edges if e[2] == "arg"] == [("A", "C", "arg"), ("B", "D", "arg")]
+        assert counts == {"scan_future_refs": 2, "substitute_resolved": 2, "add_waiter": 2}
 
 
 class TestAdmissionWork:

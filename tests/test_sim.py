@@ -9,7 +9,7 @@ import pytest
 from futurecall import VirtualClock, WallClock, load_workload, make_latency_sweep, run_workload
 from futurecall.cli import main
 from futurecall.errors import DeadlockError, EmptyQueueError, ParseError, ValidationError
-from futurecall.workload import strip_annotations, workload_from_json
+from futurecall.workload import parse_call_ref, strip_annotations, workload_from_json
 
 from conftest import fixture_path
 
@@ -138,6 +138,22 @@ class TestWorkloadLoading:
                     ],
                 }
             )
+
+    @pytest.mark.parametrize("text", ["@C1\n", "@C1.id\n", " @C1", "@C1 "])
+    def test_reference_with_surrounding_whitespace_is_literal_text(self, text):
+        assert parse_call_ref("@C1.id") == ("C1", "id")
+        assert parse_call_ref(text) is None
+        spec = workload_from_json(
+            {
+                "tools": [{"schema": {"name": "t", "description": "", "parameters": {}}}],
+                "script": [
+                    {"emit": [{"id": "C1", "name": "t"}]},
+                    {"emit": [{"id": "C2", "name": "t", "args": {"x": text}}]},
+                    {"final": "x"},
+                ],
+            }
+        )
+        assert spec.script[1].emit[0].refs == ()
 
     def test_unknown_tool_rejected(self):
         with pytest.raises(ValidationError):
