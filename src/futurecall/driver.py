@@ -32,17 +32,15 @@ from typing import Any
 
 from .clock import VirtualClock, WallClock
 from .errors import (
-    CANCELLED_DEPENDENCY,
     ContextOverflowError,
     DeadlockError,
-    ErrorInfo,
     LeakedFutureError,
     ProtocolViolationError,
     ScriptExhaustedError,
     ValidationError,
 )
 from .executor import Executor, StateStore
-from .futures import FAILED, RESOLVED, FutureStore, extract_field
+from .futures import RESOLVED, FutureStore, extract_field
 from .scheduler import DONE, FAILED as CALL_FAILED, CallRecord, Scheduler, SessionState
 from .schema import AWAIT_FUTURE_NAME, copy_json, futurize_output_template, map_leaves
 from .trace import AWAIT, DECODE, EXEC, INTEGRATE, RunTrace
@@ -298,14 +296,7 @@ def _trace_exec(trace: RunTrace, call: CallRecord) -> None:
 class TurnDriver:
     """Runs one conversation over a workload in a given mode."""
 
-    def __init__(
-        self,
-        workload: WorkloadSpec,
-        mode: str,
-        clock=None,
-        decoder=None,
-        strict_cancellation: bool | None = None,
-    ):
+    def __init__(self, workload: WorkloadSpec, mode: str, clock=None, decoder=None):
         if mode not in MODES:
             raise ValidationError(f"unknown mode {mode!r}")
         self.workload = workload
@@ -317,9 +308,6 @@ class TurnDriver:
         self.state = StateStore()
         self.session = SessionState(bindings=dict(workload.session_bindings))
         self.scheduler = Scheduler(self.store, self.session, self.clock)
-        strict = (
-            workload.strict_cancellation if strict_cancellation is None else strict_cancellation
-        )
         self.tools = build_tool_bindings(workload)
         self.trace = RunTrace(mode=mode)
         self._record_exec = functools.partial(_trace_exec, self.trace)
@@ -329,12 +317,11 @@ class TurnDriver:
             self.clock,
             self.tools,
             self.state,
-            strict_cancellation=strict,
+            strict_cancellation=workload.strict_cancellation,
             on_exec_interval=self._record_exec,
         )
         self.decoder = decoder or ScriptedDecoder(workload.script, is_parallel(mode))
         self.messages: list[Message] = []
-        self.call_futures: dict[str, str] = {}
         self.calls: dict[str, CallRecord] = {}
         self._reported: set[str] = set()  # call ids whose outcome is in context
         self._used_ids: set[str] = set()  # every call and await id emitted so far
@@ -406,7 +393,9 @@ class TurnDriver:
         return self.trace
 
     def _drained(self) -> bool:
-        if any(not c.terminal for c in self.calls.values()):
+        """Every call is terminal once each one's result future has settled,
+        which happens exactly once per call."""
+        if len(self.store.settled_calls) != len(self.calls):
             return False
         return not self._has_unreported_outcomes()
 
@@ -469,7 +458,7 @@ class TurnDriver:
         for call_id in settled[start:]:
             if call_id in self._reported:
                 continue  # an await already returned it
-            fid = self.call_futures[call_id]
+            fid = self.calls[call_id].result_future
             state = self.store.state_of(fid)
             self._reported.add(call_id)
             if state.status == RESOLVED:
@@ -479,7 +468,7 @@ class TurnDriver:
                     if field_state.status == RESOLVED:
                         bindings[field_id] = field_state.value
             else:
-                error = self._call_error(call_id, state)
+                error = state.error
                 failures.append(
                     {
                         "call": call_id,
@@ -509,15 +498,6 @@ class TurnDriver:
                 # Failure reports after the final answer reopen the
                 # conversation for recovery turns.
                 self.final_answer = None
-
-    def _call_error(self, call_id: str, state) -> ErrorInfo:
-        call = self.calls.get(call_id)
-        if call is not None and call.error is not None:
-            return call.error
-        if state.status == FAILED and state.error is not None:
-            return state.error
-        origin = self.store.owner_of(state.cause) if state.cause else None
-        return ErrorInfo(CANCELLED_DEPENDENCY, "cancelled", origin)
 
     # -- decode ------------------------------------------------------------------------
 
@@ -588,12 +568,11 @@ class TurnDriver:
                 turn=self._turn_no,
             )
             record.result_future = self.store.create(owner_call=spec.call_id)
-            self.calls[spec.call_id] = record
             records.append(record)
         # Registered only now: a decoder cannot name a placeholder it has
         # not received yet, so a same-turn reference stays literal.
         for record in records:
-            self.call_futures[record.call_id] = record.result_future
+            self.calls[record.call_id] = record
         self._append(
             Message(
                 role="assistant",
@@ -636,7 +615,6 @@ class TurnDriver:
                 self.store.resolve(record.result_future, value)
                 content: Any = value
             else:
-                record.error = error
                 record.advance_status(CALL_FAILED)
                 self.store.fail(record.result_future, error)
                 content = {"error": error.to_json()}
@@ -651,22 +629,22 @@ class TurnDriver:
 
         def leaf(node: Any, _path: tuple) -> Any:
             ref = parse_call_ref(node)
-            if ref is None or ref[0] not in self.call_futures:
+            if ref is None or ref[0] not in self.calls:
                 return node
             return bind(*ref)
 
         return map_leaves(args, leaf)
 
     def _ref_future(self, call_id: str, fpath: str | None) -> str:
-        fid = self.call_futures[call_id]
+        fid = self.calls[call_id].result_future
         return fid if fpath is None else self.store.create_field(fid, fpath)
 
     def _ref_value(self, call_id: str, fpath: str | None) -> Any:
         # Sync modes finish every call before the next decode, so each
         # referenced call is terminal here.
-        state = self.store.state_of(self.call_futures[call_id])
+        state = self.store.state_of(self.calls[call_id].result_future)
         if state.status != RESOLVED:
-            return {"error": self._call_error(call_id, state).to_json()}
+            return {"error": state.error.to_json()}
         if fpath is None:
             return state.value
         found, value = extract_field(state.value, fpath)
@@ -701,22 +679,18 @@ class TurnDriver:
         values: dict[str, Any] = {}
         for fid in translated:
             state = states[fid]
-            owner = self.store.owner_of(fid)
             if state.status == RESOLVED:
                 values[fid] = state.value
             else:
-                values[fid] = {"error": self._call_error(owner, state).to_json()}
-            if owner is not None and self.call_futures.get(owner) == fid:
-                self._reported.add(owner)
+                values[fid] = {"error": state.error.to_json()}
+            call = self.calls.get(self.store.owner_of(fid))
+            if call is not None and call.result_future == fid:
+                self._reported.add(call.call_id)
         self._append(Message(role="tool", content=values, call_id=spec.call_id))
 
 
 def run_workload(
-    workload: WorkloadSpec,
-    mode: str,
-    clock: str | Any = "virtual",
-    decoder=None,
-    strict_cancellation: bool | None = None,
+    workload: WorkloadSpec, mode: str, clock: str | Any = "virtual", decoder=None
 ) -> RunTrace:
     """Run one conversation and return its trace.
 
@@ -738,7 +712,4 @@ def run_workload(
         clock = WallClock(delay_scale=workload.delay_scale)
     elif isinstance(clock, str):
         raise ValidationError(f"unknown clock kind {clock!r}")
-    driver = TurnDriver(
-        workload, mode, clock=clock, decoder=decoder, strict_cancellation=strict_cancellation
-    )
-    return driver.run()
+    return TurnDriver(workload, mode, clock=clock, decoder=decoder).run()

@@ -14,7 +14,9 @@ class ErrorInfo:
 
     ``kind`` is ``execution-error`` for a tool's own failure and
     ``cancelled-dependency`` when the call was cancelled because an upstream
-    call failed; ``origin_call`` names the failed root either way.
+    call failed; ``origin_call`` names the failed root either way. It is the
+    one record of the failure: the failed or cancelled result future holds
+    it, and so does each of that future's field futures.
     """
 
     kind: str

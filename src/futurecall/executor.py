@@ -12,8 +12,9 @@ runs across its latency interval, the result future is fulfilled (or
 failed), the call's access labels are released, and the execution interval
 lands in the run trace.
 
-When a call fails, every call transitively dependent on it is cancelled and
-independent calls are left untouched. By default the dependency edges that
+When a call fails, every call transitively dependent on it is cancelled, its
+result future carrying an error that names the failed call, and independent
+calls are left untouched. By default the dependency edges that
 propagate cancellation are argument-future edges and read-after-failed-write
 gate edges; a blind overwrite of a failed call's region does not consume the
 failed effect, so write/write gate edges do not propagate unless strict mode
@@ -29,13 +30,8 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Any, Callable
 
-from .errors import (
-    CANCELLED_DEPENDENCY,
-    EXECUTION_ERROR,
-    ErrorInfo,
-    GatesPendingError,
-)
-from .futures import CANCELLED, FAILED, FutureStore
+from .errors import EXECUTION_ERROR, ErrorInfo, GatesPendingError
+from .futures import FutureStore
 from .scheduler import (
     DISPATCHED,
     DONE,
@@ -158,12 +154,10 @@ class Executor:
             concrete = copy_json(call.args)
         else:
             for fid in sorted(fids):
-                state = self.store.state_of(fid)
-                if state.status in (FAILED, CANCELLED):
+                error = self.store.state_of(fid).error
+                if error is not None:
                     # The producing call failed upstream; this call consumes it.
-                    origin = self._origin_of(state)
-                    cause = state.cause if state.status == CANCELLED else fid
-                    self.scheduler.mark_cancelled(call, cause, origin)
+                    self.scheduler.mark_cancelled(call, error.origin_call)
                     return
             try:
                 concrete = substitute_resolved(call.args, self.store, fids)
@@ -174,13 +168,6 @@ class Executor:
         call.exec_start = self.clock.now()
         latency = self.tools[call.tool].latency_for(call.invocation_index)
         self.clock.schedule(latency, lambda: self._complete(call, concrete))
-
-    def _origin_of(self, state) -> str:
-        if state.status == FAILED and state.error is not None:
-            return state.error.origin_call or "unknown"
-        if state.status == CANCELLED and state.cause:
-            return self.store.owner_of(state.cause) or "unknown"
-        return "unknown"
 
     def invoke(self, call: CallRecord, args: Any) -> tuple[Any, ErrorInfo | None]:
         """Run the call's tool behavior; any exception it raises becomes the
@@ -206,7 +193,6 @@ class Executor:
         self.scheduler.release(call)
 
     def _fail(self, call: CallRecord, error: ErrorInfo) -> None:
-        call.error = error
         call.advance_status(CALL_FAILED)
         if call.exec_end is None:
             call.exec_end = self.clock.now()
@@ -226,7 +212,6 @@ class Executor:
         and read-after-write edges propagate unless strict mode widens that to
         every gate edge. Returns cancelled call ids in cancellation order.
         """
-        root = self.scheduler.calls[failed_call_id]
         kinds = EDGE_KINDS if self.strict_cancellation else PROPAGATING_EDGE_KINDS
         consumers: dict[str, list[str]] = {}
         for producer, consumer, kind in self.scheduler.edges:
@@ -243,9 +228,7 @@ class Executor:
                 seen.add(consumer_id)
                 victim = self.scheduler.calls[consumer_id]
                 if not victim.terminal:
-                    self.scheduler.mark_cancelled(
-                        victim, root.result_future, failed_call_id
-                    )
+                    self.scheduler.mark_cancelled(victim, failed_call_id)
                     cancelled.append(consumer_id)
                 frontier.append(consumer_id)
         return cancelled

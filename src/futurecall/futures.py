@@ -3,7 +3,8 @@
 A future is identified by ``fut_<n>``; addressing one field of a pending
 structured result appends a dotted path, e.g. ``fut_3.fuelLevel``. Field
 futures are registered lazily on first reference and resolve automatically by
-path extraction once their base future resolves.
+path extraction once their base future resolves; a field of a failed or
+cancelled base takes the base's state as it is.
 
 The store holds only what the model can name: call results and their fields.
 Waiting is one primitive, ``Latch``: a ``done`` flag plus waiters, each a
@@ -37,12 +38,12 @@ _SEGMENT_RE = re.compile(r"[^.\s]+")
 
 @dataclass(frozen=True, slots=True)
 class FutureState:
-    """Snapshot of a future: pending, or one of three final outcomes."""
+    """Snapshot of a future: pending, or one of three final outcomes. A
+    failed or cancelled future's ``error`` names the call that failed."""
 
     status: str
     value: Any = None
     error: ErrorInfo | None = None
-    cause: str | None = None
 
     @property
     def is_terminal(self) -> bool:
@@ -219,10 +220,8 @@ class FutureStore:
                         base_rec.owner_call,
                     ),
                 )
-        elif state.status == FAILED:
-            self.fail(fid, state.error)
         else:
-            self.cancel(fid, state.cause or base_rec.fid)
+            self._transition(fid, state)
 
     # -- lookup ----------------------------------------------------------
 
@@ -279,9 +278,9 @@ class FutureStore:
     def fail(self, fid: str, error: ErrorInfo) -> None:
         self._transition(fid, FutureState(FAILED, error=error))
 
-    def cancel(self, fid: str, cause: str) -> None:
-        """Cancel a pending future, recording the failed ancestor's future id."""
-        self._transition(fid, FutureState(CANCELLED, cause=cause))
+    def cancel(self, fid: str, error: ErrorInfo) -> None:
+        """Cancel a pending future; ``error`` says which call's failure did."""
+        self._transition(fid, FutureState(CANCELLED, error=error))
 
     # -- waiting -----------------------------------------------------------
 

@@ -86,7 +86,6 @@ class FailedPathDependency(FuturecallError):
 
     def __init__(self, fid: str, state):
         super().__init__(f"path template depends on {fid} which is {state.status}")
-        self.fid = fid
         self.state = state
 
 
@@ -301,14 +300,13 @@ def fallback_accesses() -> list[Access]:
 class SessionState:
     """Session context advanced by session-writing calls.
 
-    ``version`` counts completed session writes; every reserved version has a
-    gate that opens when that write finishes (version 0's is open from the
-    start). Bindings name session resources for ``$session/...`` path
-    templates.
+    Every reserved version has a gate that opens when that write finishes
+    (version 0's is open from the start). Each write waits on the gate
+    before its own, so the gates open in version order. Bindings name
+    session resources for ``$session/...`` path templates.
     """
 
     bindings: dict[str, Any] = field(default_factory=dict)
-    version: int = 0
     reserved_version: int = 0
     version_gates: dict[int, Latch] = field(default_factory=dict)
     gate_owners: dict[int, str] = field(default_factory=dict)
@@ -329,13 +327,12 @@ class SessionState:
 
     @property
     def writes_in_flight(self) -> bool:
-        return self.reserved_version > self.version
+        return not self.latest_gate().done
 
     def complete_write(self, version: int, result: Any = None) -> Latch:
-        """Count a finished write and return its gate, for the caller to
-        open. A done writer's dict result is merged into the bindings by
-        key; a failed or cancelled writer passes none."""
-        self.version = max(self.version, version)
+        """Return a finished write's gate, for the caller to open. A done
+        writer's dict result is merged into the bindings by key; a failed
+        or cancelled writer passes none."""
         if isinstance(result, dict):
             self.bindings.update(result)
         return self.version_gates[version]
@@ -369,7 +366,6 @@ class CallRecord:
     dispatched_at: float | None = None
     exec_start: float | None = None
     exec_end: float | None = None
-    error: ErrorInfo | None = None
     released: bool = False
     terminal: bool = field(default=False, init=False)
 
@@ -481,17 +477,11 @@ class Scheduler:
     can admit or ready a call.
     """
 
-    def __init__(
-        self,
-        store: FutureStore,
-        session: SessionState,
-        clock,
-        on_dispatch: Callable[[CallRecord], None] | None = None,
-    ):
+    def __init__(self, store: FutureStore, session: SessionState, clock):
         self.store = store
         self.session = session
         self.clock = clock
-        self.on_dispatch = on_dispatch or (lambda call: None)
+        self.on_dispatch: Callable[[CallRecord], None] = lambda call: None
         self.calls: dict[str, CallRecord] = {}
         self.queue: deque[CallRecord] = deque()
         self.label_index = LabelIndex()
@@ -578,9 +568,7 @@ class Scheduler:
                 # The head can never be admitted; cancel it instead of
                 # blocking everything queued behind it.
                 queue.popleft()
-                cause = exc.state.cause if exc.state.status == "cancelled" else exc.fid
-                origin = self.store.owner_of(cause) or "unknown"
-                self.mark_cancelled(head, cause, origin)
+                self.mark_cancelled(head, exc.state.error.origin_call)
                 continue
             if not isinstance(resolved, list):
                 wait = self.store.latch(resolved) if isinstance(resolved, str) else resolved
@@ -727,20 +715,17 @@ class Scheduler:
 
     # -- cancellation support ------------------------------------------------------
 
-    def mark_cancelled(self, call: CallRecord, cause_future: str, origin_call: str) -> None:
-        """Terminal cancellation: settles the result future and withdraws
-        the call's labels at once; each label gate opens once the gates of
-        the labels it superseded are open."""
+    def mark_cancelled(self, call: CallRecord, origin_call: str) -> None:
+        """Terminal cancellation because ``origin_call`` failed: cancels the
+        result future with that error and withdraws the call's labels at
+        once; each label gate opens once the gates of the labels it
+        superseded are open."""
         if call.terminal:
             return
         call.advance_status(CANCELLED_STATUS)
-        call.error = ErrorInfo(
-            CANCELLED_DEPENDENCY,
-            f"cancelled because {origin_call} failed",
-            origin_call,
-        )
+        error = ErrorInfo(CANCELLED_DEPENDENCY, f"cancelled because {origin_call} failed", origin_call)
         if not self.store.state_of(call.result_future).is_terminal:
-            self.store.cancel(call.result_future, cause_future)
+            self.store.cancel(call.result_future, error)
         self._withdraw(call)
 
     def _withdraw(self, call: CallRecord) -> None:

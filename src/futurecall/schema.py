@@ -37,6 +37,13 @@ PARAM_FUTURE_NOTE = " Accepts either a concrete value of this type or a future i
 FUTURE_RETURN_NOTE = "A future placeholder that resolves to this tool's result."
 
 
+def _typed(value: Any, kind: type, what: str) -> Any:
+    """Return value if it is an instance of kind."""
+    if not isinstance(value, kind):
+        raise ValidationError(f"{what} must be a {kind.__name__}, got {value!r}")
+    return value
+
+
 @dataclass
 class ParamSpec:
     type: str
@@ -74,7 +81,7 @@ class FunctionSchema:
         for pname, spec in self.parameters.items():
             if not pname:
                 raise InvalidSchemaError(f"{self.name}: empty parameter name")
-            if spec.type not in PARAM_TYPES:
+            if not (isinstance(spec.type, str) and spec.type in PARAM_TYPES):
                 raise InvalidSchemaError(
                     f"{self.name}.{pname}: unknown parameter type {spec.type!r}"
                 )
@@ -98,7 +105,7 @@ class FunctionSchema:
                 name: ParamSpec(
                     type=spec.get("type", "string"),
                     description=spec.get("description", ""),
-                    required=bool(spec.get("required", True)),
+                    required=_typed(spec.get("required", True), bool, f"parameter {name!r}: required"),
                 )
                 for name, spec in data.get("parameters", {}).items()
             }
@@ -222,7 +229,8 @@ class DependencyAnnotation:
                 if not isinstance(item, dict) or not isinstance(item.get("path"), str):
                     raise ValidationError(f"bad access label {item!r}")
                 try:
-                    out.append(AccessDecl(path=item["path"], subtree=bool(item.get("subtree", False))))
+                    subtree = _typed(item.get("subtree", False), bool, f"{item['path']!r}: subtree")
+                    out.append(AccessDecl(path=item["path"], subtree=subtree))
                 except BadPathTemplateError as exc:
                     raise ValidationError(str(exc)) from exc
             return out
@@ -230,8 +238,8 @@ class DependencyAnnotation:
         return cls(
             reads=decls("reads"),
             writes=decls("writes"),
-            session_read=bool(data.get("session_read", False)),
-            session_write=bool(data.get("session_write", False)),
+            session_read=_typed(data.get("session_read", False), bool, "session_read"),
+            session_write=_typed(data.get("session_write", False), bool, "session_write"),
             outputs=data.get("outputs"),
         )
 

@@ -46,7 +46,7 @@ from typing import Any, Container
 from .errors import ParseError, ValidationError
 from .executor import StateStore, ToolBinding, ToolExecutionError
 from .futures import looks_like_future_id
-from .schema import AWAIT_FUTURE_NAME, DependencyAnnotation, FunctionSchema, map_leaves
+from .schema import AWAIT_FUTURE_NAME, DependencyAnnotation, FunctionSchema, _typed, map_leaves
 
 CALL_REF_RE = re.compile(r"@([A-Za-z_][\w-]*)(\.[^.\s]+(?:\.[^.\s]+)*)?")
 
@@ -240,13 +240,6 @@ def _number(value: Any, what: str, positive: bool = False) -> Any:
     raise ValidationError(f"{what} must be a finite number {bound}, got {value!r}")
 
 
-def _typed(value: Any, kind: type, what: str) -> Any:
-    """Return value if it is an instance of kind."""
-    if not isinstance(value, kind):
-        raise ValidationError(f"{what} must be a {kind.__name__}, got {value!r}")
-    return value
-
-
 def _latency(value: Any, tool: str) -> float | list[float]:
     what = f"tool {tool!r}: latency"
     if isinstance(value, list):
@@ -311,7 +304,7 @@ def workload_from_json(data: dict) -> WorkloadSpec:
                 ),
                 error_at=_error_at(entry.get("error_at") or {}, schema.name),
                 state_reads=[
-                    (r["path"], bool(r.get("subtree", False)))
+                    (r["path"], _typed(r.get("subtree", False), bool, f"{what} reads subtree"))
                     for r in state_ops["reads"]
                 ],
                 state_writes=[
@@ -347,7 +340,10 @@ def workload_from_json(data: dict) -> WorkloadSpec:
                 emit=emit,
                 final=raw_turn.get("final"),
                 decode_time=float(decode_time),
-                requires=list(_typed(when.get("resolved", []), list, f"{where}: when.resolved")),
+                requires=[
+                    _typed(ref, str, f"{where}: when.resolved entry")
+                    for ref in _typed(when.get("resolved", []), list, f"{where}: when.resolved")
+                ],
                 tokens=tokens,
             )
         )
@@ -361,7 +357,9 @@ def workload_from_json(data: dict) -> WorkloadSpec:
         context_budget=context_budget,
         session_bindings=dict(_typed(data.get("session_bindings", {}), dict, "session_bindings")),
         task=data.get("task"),
-        strict_cancellation=bool(data.get("strict_cancellation", False)),
+        strict_cancellation=_typed(
+            data.get("strict_cancellation", False), bool, "strict_cancellation"
+        ),
     )
     spec.validate()
     return spec

@@ -272,6 +272,19 @@ def test_validate_annotations_rejects_malformed_annotation(tmp_path, capsys, ann
     assert "tool 'a'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kind", [[], {"x": 1}], ids=["list", "object"])
+def test_unhashable_parameter_type_exits_2(tmp_path, capsys, kind):
+    schema = {"name": "a", "description": "", "parameters": {"p": {"type": kind}}}
+    workload = tmp_path / "w.json"
+    workload.write_text(json.dumps({"tools": [{"schema": schema}], "script": [{"final": "x"}]}))
+    assert main(["run", "--workload", str(workload)]) == 2
+    assert "unknown parameter type" in capsys.readouterr().err
+    bad = schema_file(tmp_path, "bad.json", [schema])
+    good = schema_file(tmp_path, "good.json", [annotated_tool("a")])
+    assert main(["validate-annotations", "--predicted", bad, "--truth", good]) == 2
+    assert "unknown parameter type" in capsys.readouterr().err
+
+
 def test_run_rejects_reads_that_are_not_a_list(tmp_path, capsys):
     data = {
         "tools": [

@@ -14,7 +14,7 @@ from futurecall.errors import (
     ScriptExhaustedError,
     ValidationError,
 )
-from futurecall.workload import load_workload, workload_from_json
+from futurecall.workload import CallSpec, ScriptTurn, load_workload, workload_from_json
 
 from conftest import FIXTURE_NAMES, fixture_path, no_cyclic_garbage, run_fixture
 
@@ -216,7 +216,8 @@ class TestSyncBatch:
         driver.tools["save"].behavior = crash
         trace = driver.run()
         assert trace.call_status == {"F1": "done", "F2": "failed"}
-        assert driver.calls["F2"].error.message == "KeyError: 'missing'"
+        error = driver.store.state_of(driver.calls["F2"].result_future).error
+        assert error.message == "KeyError: 'missing'"
 
 
 def unfillable_template_workload(case):
@@ -381,7 +382,7 @@ def test_literal_id_named_only_after_submission_stays_text(mode):
     # one created later is text, as in every sync run.
     driver = TurnDriver(late_literal_workload(), mode)
     trace = driver.run()
-    assert driver.call_futures["F3"] == "fut_2"
+    assert driver.calls["F3"].result_future == "fut_2"
     if mode.startswith("async"):
         # F2 runs once F3's result is there to be taken.
         assert driver.calls["F2"].exec_start > driver.calls["F3"].exec_end
@@ -450,6 +451,25 @@ class TestAwait:
         trace = run_workload(await_workload(), "async-sequential")
         assert trace.decode_intervals()[1] == (1.0, 2.0)
         assert trace.end_to_end == 10.0
+
+    @pytest.mark.parametrize("mode", ["async-sequential", "async-parallel"])
+    def test_await_on_a_field_of_a_cancelled_call_names_the_failed_call(self, mode):
+        workload = ref_workload(error_at={"0": "boom"})
+        workload.script[2:2] = [
+            ScriptTurn(emit=[CallSpec("AW", "await_future", {"future_ids": ["@F2.saved"]})])
+        ]
+        trace = run_workload(workload, mode)
+        assert trace.call_status == {"F1": "failed", "F2": "cancelled"}
+        (values,) = [m.content for m in trace.messages if m.role == "tool" and m.call_id == "AW"]
+        assert values == {
+            "fut_1.saved": {
+                "error": {
+                    "kind": "cancelled-dependency",
+                    "message": "cancelled because F1 failed",
+                    "origin_call": "F1",
+                }
+            }
+        }
 
     def test_await_tool_message_carries_values(self):
         trace = run_workload(await_workload(), "async-sequential")
@@ -693,7 +713,7 @@ class TestRunTeardown:
     """A finished run holds no reference cycle, so reference counting frees
     it, and the driver still holds the run's state for inspection."""
 
-    @pytest.mark.parametrize("strict", [None, True], ids=["default", "strict"])
+    @pytest.mark.parametrize("strict", [False, True], ids=["default", "strict"])
     @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize("name", FIXTURE_NAMES)
     def test_finished_run_leaves_no_cyclic_garbage(self, name, mode, strict):

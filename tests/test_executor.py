@@ -106,7 +106,8 @@ def test_waw_gate_propagates_in_strict_mode():
     data = simple_workload()
     data.tools[0].error_at = {0: "kaput"}
     data.tools[1].annotation.writes = data.tools[0].annotation.writes
-    trace = run_workload(data, "async-sequential", strict_cancellation=True)
+    data.strict_cancellation = True
+    trace = run_workload(data, "async-sequential")
     assert trace.call_status["Q"] == "cancelled"
 
 
@@ -251,7 +252,9 @@ def test_failed_writer_cancels_readers_behind_a_later_writer(mode, expected):
 @pytest.mark.parametrize("mode", ["async-sequential", "async-parallel"])
 def test_strict_mode_cancels_readers_behind_a_later_writer(mode):
     # Strict mode follows every edge kind: R1 -> R2 -> P2.
-    trace = run_workload(superseded_writer_workload(), mode, strict_cancellation=True)
+    data = superseded_writer_workload()
+    data.strict_cancellation = True
+    trace = run_workload(data, mode)
     assert trace.call_status == {"R1": "failed", "P1": "cancelled", "R2": "cancelled", "P2": "cancelled"}
 
 

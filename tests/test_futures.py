@@ -66,11 +66,12 @@ def test_fail_and_cancel_states():
     f1 = store.create()
     f2 = store.create()
     store.fail(f1, ErrorInfo("execution-error", "timeout"))
-    store.cancel(f2, cause=f1)
+    cancelled = ErrorInfo("cancelled-dependency", "cancelled because C1 failed", "C1")
+    store.cancel(f2, cancelled)
     assert store.state_of(f1).status == FAILED
     assert store.state_of(f1).error.message == "timeout"
     assert store.state_of(f2).status == CANCELLED
-    assert store.state_of(f2).cause == f1
+    assert store.state_of(f2).error == cancelled
 
 
 def test_cancel_on_resolved_raises():
@@ -78,7 +79,7 @@ def test_cancel_on_resolved_raises():
     fid = store.create()
     store.resolve(fid, "x")
     with pytest.raises(AlreadyTerminalError):
-        store.cancel(fid, cause="fut_99")
+        store.cancel(fid, ErrorInfo("cancelled-dependency", "cancelled because C9 failed", "C9"))
 
 
 def test_unknown_future_raises():
@@ -155,12 +156,11 @@ def test_field_future_of_failed_base_fails():
 
 def test_field_future_of_cancelled_base_is_cancelled():
     store, _ = make_store()
-    root = store.create()
     fid = store.create()
     field_id = store.create_field(fid, "x")
-    store.cancel(fid, cause=root)
+    store.cancel(fid, ErrorInfo("cancelled-dependency", "cancelled because C0 failed", "C0"))
     state = store.state_of(field_id)
-    assert state.status == CANCELLED and state.cause == root
+    assert state.status == CANCELLED and state == store.state_of(fid)
 
 
 def test_field_future_requires_known_base():

@@ -295,7 +295,7 @@ def test_blocking_gates_reduce_a_scan_of_unreleased_labels(ops, durations):
             pick = [c for c in live if c.status == ADMITTED] or live
             if pick:
                 victim = pick[arg % len(pick)]
-                scheduler.mark_cancelled(victim, "fut_cause", "origin")
+                scheduler.mark_cancelled(victim, "origin")
                 executor.cancel_transitive(victim.call_id)
             continue
         if op == "finish":
@@ -510,7 +510,7 @@ class SchedulerMachine(RuleBasedStateMachine):
         live = [c for c in self.calls if not c.terminal]
         if live:
             victim = live[pick % len(live)]
-            self.scheduler.mark_cancelled(victim, victim.result_future, victim.call_id)
+            self.scheduler.mark_cancelled(victim, victim.call_id)
             self.executor.cancel_transitive(victim.call_id)
 
     @invariant()

@@ -166,7 +166,7 @@ class TestResolvePaths:
         session.reserve_write("W1")
         ann = annotation(reads=[("$session/cwd", False)])
         assert resolve_paths(ann, {}, session, store) is session.version_gates[1]
-        session.complete_write(1, {"cwd": "/fs/other"})
+        session.complete_write(1, {"cwd": "/fs/other"}).open()
         out = resolve_paths(ann, {}, session, store)
         assert [a.path.render() for a in out] == ["/fs/other"]
 
@@ -333,7 +333,7 @@ class TestRelease:
         for c in (w1, w2, r1):
             scheduler.submit(c)
         assert r1.blocking_gates == {session.version_gates[2]}
-        scheduler.mark_cancelled(w2, "fut_cause", "origin")
+        scheduler.mark_cancelled(w2, "origin")
         assert dispatched == [w1]
         assert session.writes_in_flight
         w1.advance_status("done")
@@ -688,7 +688,7 @@ class TestAdmissionWork:
         driver = TurnDriver(self.two_turns(tools, first, second), "async-parallel")
         trace = driver.run()
         assert set(trace.call_status.values()) == {"done"}
-        f1, f2 = driver.call_futures["F1"], driver.call_futures["F2"]
+        f1, f2 = driver.calls["F1"].result_future, driver.calls["F2"].result_future
         assert [out if isinstance(out, str) else "admitted" for out in seen] == [
             f"{f1}.id",
             f"{f2}.id",

@@ -12,7 +12,7 @@ from futurecall import (
     substitute_resolved,
     transform_schema,
 )
-from futurecall.errors import InvalidSchemaError, UnresolvedArgumentError
+from futurecall.errors import ErrorInfo, InvalidSchemaError, UnresolvedArgumentError
 from futurecall.schema import ParamSpec, TransformedSchema
 
 
@@ -157,12 +157,11 @@ def test_substitute_identity_without_refs():
 
 def test_substitute_rejects_unresolved():
     s = store()
-    root = s.create()
     pending = s.create()
     with pytest.raises(UnresolvedArgumentError):
         substitute_resolved({"x": pending}, s)
     cancelled = s.create()
-    s.cancel(cancelled, cause=root)
+    s.cancel(cancelled, ErrorInfo("cancelled-dependency", "cancelled because C0 failed", "C0"))
     with pytest.raises(UnresolvedArgumentError):
         substitute_resolved({"x": cancelled}, s)
 

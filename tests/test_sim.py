@@ -269,6 +269,15 @@ class TestWorkloadLoading:
             ("root", "script", {"final": "x"}),
             ("root", "script", ["x"]),
             ("turn", "when", "A"),
+            ("turn", "when", {"resolved": [["A"]]}),
+            ("root", "strict_cancellation", "no"),
+            ("root", "strict_cancellation", 1),
+            ("annotation", "writes", [{"path": "/a", "subtree": "false"}]),
+            ("annotation", "session_read", "yes"),
+            ("annotation", "session_write", None),
+            ("tool", "state", {"reads": [{"path": "/a", "subtree": "false"}]}),
+            ("tool", "schema", {"name": "t", "parameters": {"p": {"type": "string", "required": "no"}}}),
+            ("tool", "schema", {"name": "t", "parameters": {"p": {"type": []}}}),
             ("tool", "annotation", "x"),
             ("tool", "returns", 5),
             ("tool", "answers", ["x"]),
