@@ -46,7 +46,6 @@ from .scheduler import (
     Access,
     AccessLabel,
     CallRecord,
-    ResourcePath,
     Scheduler,
     SessionState,
     conflicts,
@@ -90,7 +89,6 @@ __all__ = [
     "Interval",
     "MODES",
     "Message",
-    "ResourcePath",
     "RunTrace",
     "SYNC_PARALLEL",
     "SYNC_SEQUENTIAL",

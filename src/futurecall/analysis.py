@@ -29,7 +29,7 @@ from .errors import (
     IncompleteTraceError,
     OverlappingDecodeError,
 )
-from .scheduler import EDGE_KINDS
+from .scheduler import EDGE_KINDS, TERMINAL_STATUSES
 from .trace import RunTrace
 
 
@@ -346,8 +346,11 @@ def annotation_confusion(
 
 
 def trace_dag(trace: RunTrace) -> DependencyDag:
-    """Dependency DAG of a finished run: measured durations, recorded edges."""
-    durations = dict(trace.call_durations)
+    """Dependency DAG of a finished run, over the calls in ``call_status``
+    and their recorded edges. A call weighs its EXEC event's duration, or
+    0.0 if it never ran to an end (a cancelled call has no EXEC event)."""
+    executed = {call_id: t1 - t0 for call_id, (t0, t1) in trace.exec_intervals_by_call().items()}
+    durations = {call_id: executed.get(call_id, 0.0) for call_id in trace.call_status}
     edges = [
         (producer, consumer)
         for producer, consumer, kind in trace.edges
@@ -360,7 +363,7 @@ def trace_to_inputs(trace: RunTrace, dag: DependencyDag | None = None):
     """Extract (t_llm, t_tool, t_cp, M, E) from a complete trace; M and E are
     lists of Interval, built once here, which ``savings_decomposition``
     takes as they are."""
-    non_terminal = [c for c, s in trace.call_status.items() if s not in ("done", "failed", "cancelled")]
+    non_terminal = [c for c, s in trace.call_status.items() if s not in TERMINAL_STATUSES]
     if non_terminal:
         raise IncompleteTraceError(f"calls not terminal: {sorted(non_terminal)}")
     m_intervals = _coerce(trace.decode_intervals())

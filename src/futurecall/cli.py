@@ -19,7 +19,7 @@ from typing import Any
 from . import analysis
 from .driver import MODES, run_workload
 from .errors import FuturecallError, ParseError, ValidationError
-from .scheduler import READ, WRITE, Access, ResourcePath, conflicts, fallback_accesses
+from .scheduler import READ, WRITE, Access, conflicts, fallback_accesses
 from .schema import SESSION_PREFIX, DependencyAnnotation, load_schema_file
 from .trace import RunTrace
 from .workload import WorkloadSpec, _number, load_workload, make_latency_sweep
@@ -156,8 +156,7 @@ def static_accesses(annotation: DependencyAnnotation | None) -> list[Access]:
             text = decl.path
             if text.startswith(SESSION_PREFIX):
                 text = "/" + text
-            segments = tuple(p for p in text.split("/") if p)
-            out.append(Access(ResourcePath(segments), mode, decl.subtree))
+            out.append(Access(tuple(p for p in text.split("/") if p), mode, decl.subtree))
     return out
 
 

@@ -220,12 +220,17 @@ class ChatCompletionsDecoder:
         except (ValueError, LookupError, TypeError, AttributeError) as exc:
             raise ValidationError(f"live reply without choices[0].message: {exc!r}") from exc
         if tool_calls:
+            if not isinstance(tool_calls, list):
+                raise ValidationError(f"live reply tool_calls must be a list, got {tool_calls!r}")
             emit = [
                 self._call_from_reply(tc, f"live{self._turns_used}_{i}")
                 for i, tc in enumerate(tool_calls)
             ]
             return ScriptTurn(emit=emit)
-        return ScriptTurn(final=message.get("content") or "")
+        content = message.get("content")
+        if not isinstance(content, (str, type(None))):
+            raise ValidationError(f"live reply content must be a string or null, got {content!r}")
+        return ScriptTurn(final=content or "")
 
     @staticmethod
     def _call_from_reply(tool_call: Any, default_id: str) -> CallSpec:
@@ -394,14 +399,10 @@ class TurnDriver:
 
     def _drained(self) -> bool:
         """Every call is terminal once each one's result future has settled,
-        which happens exactly once per call."""
-        if len(self.store.settled_calls) != len(self.calls):
-            return False
-        return not self._has_unreported_outcomes()
-
-    def _has_unreported_outcomes(self) -> bool:
-        tail = self.store.settled_calls[self._settled_seen :]
-        return any(call_id not in self._reported for call_id in tail)
+        which happens exactly once per call. Each settled call is reported
+        by then: an async boundary has just run, and a sync batch reports
+        each call it runs."""
+        return len(self.store.settled_calls) == len(self.calls)
 
     def _trigger_satisfied(self, requires: list[str]) -> bool:
         """True once every required call is reported. ``_reported`` only
@@ -439,10 +440,6 @@ class TurnDriver:
         self.trace.edges = list(map(tuple, self.scheduler.edges))
         for call_id, call in self.calls.items():
             self.trace.call_status[call_id] = call.status
-            if call.exec_start is not None and call.exec_end is not None:
-                self.trace.call_durations[call_id] = call.exec_end - call.exec_start
-            else:
-                self.trace.call_durations[call_id] = 0.0
 
     # -- turn boundary work ------------------------------------------------------------
 

@@ -78,11 +78,10 @@ class ToolBinding:
 
     ``behavior(args, invocation_index, state)`` must be deterministic for a
     given argument set and invocation index; that is what makes replays exact.
-    The latency model is either one fixed delay or a per-invocation list (the
-    last entry repeats).
+    The latency model is either one fixed delay or a nonempty per-invocation
+    list (the last entry repeats).
     """
 
-    name: str
     behavior: Callable[[dict, int, StateStore], Any]
     latency: float | list[float] = 0.0
     schema: FunctionSchema | None = None
@@ -91,8 +90,6 @@ class ToolBinding:
 
     def latency_for(self, invocation_index: int) -> float:
         if isinstance(self.latency, list):
-            if not self.latency:
-                return 0.0
             return float(self.latency[min(invocation_index, len(self.latency) - 1)])
         return float(self.latency)
 

@@ -32,7 +32,7 @@ RESOLVED = "resolved"
 FAILED = "failed"
 CANCELLED = "cancelled"
 
-_FULL_ID_RE = re.compile(r"fut_\d+(\.[^.\s]+)*")
+FUTURE_ID_RE = re.compile(r"fut_\d+(\.[^.\s]+)*")
 _SEGMENT_RE = re.compile(r"[^.\s]+")
 
 
@@ -62,7 +62,7 @@ def split_future_id(fid: str) -> tuple[str, str | None]:
 
 
 def looks_like_future_id(text: str) -> bool:
-    return bool(_FULL_ID_RE.fullmatch(text))
+    return bool(FUTURE_ID_RE.fullmatch(text))
 
 
 def valid_field_path(path: str) -> bool:

@@ -90,29 +90,14 @@ class FailedPathDependency(FuturecallError):
 
 
 @dataclass(frozen=True, slots=True)
-class ResourcePath:
-    """Hierarchical state address; the root is the empty segment tuple."""
-
-    segments: tuple[str, ...] = ()
-
-    def render(self) -> str:
-        return "/" + "/".join(self.segments)
-
-    def is_ancestor_of(self, other: "ResourcePath") -> bool:
-        """Proper-prefix test; a path is not its own ancestor."""
-        if len(self.segments) >= len(other.segments):
-            return False
-        return other.segments[: len(self.segments)] == self.segments
-
-    def __str__(self) -> str:
-        return self.render()
-
-
-@dataclass(frozen=True, slots=True)
 class Access:
-    """One resolved region access: path, read/write mode, scope flag."""
+    """One resolved region access: path, read/write mode, scope flag.
 
-    path: ResourcePath
+    The path is its tuple of segments, ``("a", "b")`` for ``/a/b``; the
+    root is ``()``.
+    """
+
+    path: tuple[str, ...]
     mode: str
     subtree: bool
 
@@ -134,13 +119,14 @@ class AccessLabel:
 
 
 def regions_overlap(a: Access, b: Access) -> bool:
+    """Equal paths overlap, and so do a path and a proper prefix of it
+    whose access covers its subtree."""
     if a.path == b.path:
         return True
-    if a.path.is_ancestor_of(b.path):
-        return a.subtree
-    if b.path.is_ancestor_of(a.path):
-        return b.subtree
-    return False
+    depth = min(len(a.path), len(b.path))
+    if a.path[:depth] != b.path[:depth]:
+        return False
+    return a.subtree if len(a.path) < len(b.path) else b.subtree
 
 
 def conflicts(a: Access, b: Access) -> bool:
@@ -200,7 +186,7 @@ class LabelIndex:
 
     def add(self, label: AccessLabel) -> None:
         node = self._root
-        for segment in label.access.path.segments:
+        for segment in label.access.path:
             child = node.children.get(segment)
             if child is None:
                 child = node.children[segment] = _PathNode()
@@ -213,22 +199,21 @@ class LabelIndex:
         """Drop a label; one a later write already superseded is gone."""
         if self._live.pop(label.seq, None) is None:
             return
-        segments = label.access.path.segments
-        trail = self._trail(segments)
+        path = label.access.path
+        trail = self._trail(path)
         key = (label.access.mode, label.access.subtree)
         labels = trail[-1].labels[key]
         del labels[label.seq]
         if not labels:
             del trail[-1].labels[key]
-        self._prune(trail, segments)
+        self._prune(trail, path)
 
     def supersede(self, write: Access) -> list[AccessLabel]:
         """Drop and return every label inside the write access's region: the
         non-subtree labels at its path or, for a subtree write, every label
         at or below its path."""
-        segments = write.path.segments
-        trail = self._trail(segments)
-        if len(trail) <= len(segments):
+        trail = self._trail(write.path)
+        if len(trail) <= len(write.path):
             return []
         node = trail[-1]
         if write.subtree:
@@ -239,7 +224,7 @@ class LabelIndex:
         dropped = [label for labels in groups for label in labels.values()]
         for label in dropped:
             del self._live[label.seq]
-        self._prune(trail, segments)
+        self._prune(trail, write.path)
         return dropped
 
     def restore(self, labels: list[AccessLabel]) -> None:
@@ -278,7 +263,7 @@ class LabelIndex:
         covering, any_scope = _LOOKUP_KEYS[access.mode]
         found: list[AccessLabel] = []
         node = self._root
-        for segment in access.path.segments:
+        for segment in access.path:
             if node.labels:
                 node.collect(covering, found)
             node = node.children.get(segment)
@@ -292,38 +277,34 @@ class LabelIndex:
 
 
 def fallback_accesses() -> list[Access]:
-    root = ResourcePath(())
-    return [Access(root, READ, True), Access(root, WRITE, True)]
+    return [Access((), READ, True), Access((), WRITE, True)]
 
 
 @dataclass
 class SessionState:
     """Session context advanced by session-writing calls.
 
-    Every reserved version has a gate that opens when that write finishes
-    (version 0's is open from the start). Each write waits on the gate
-    before its own, so the gates open in version order. Bindings name
-    session resources for ``$session/...`` path templates.
+    ``writes[v]`` is version v's (gate, owner call id): the gate opens when
+    that write finishes. Version 0 is the starting context, its gate open
+    and its owner None. Each write waits on the gate before its own, so the
+    gates open in version order. Bindings name session resources for
+    ``$session/...`` path templates.
     """
 
     bindings: dict[str, Any] = field(default_factory=dict)
-    reserved_version: int = 0
-    version_gates: dict[int, Latch] = field(default_factory=dict)
-    gate_owners: dict[int, str] = field(default_factory=dict)
+    writes: list[tuple[Latch, str | None]] = field(default_factory=list, init=False)
 
     def __post_init__(self) -> None:
         initial = Latch()
         initial.open()
-        self.version_gates[0] = initial
+        self.writes.append((initial, None))
 
     def latest_gate(self) -> Latch:
-        return self.version_gates[self.reserved_version]
+        return self.writes[-1][0]
 
     def reserve_write(self, owner: str) -> int:
-        self.reserved_version += 1
-        self.version_gates[self.reserved_version] = Latch()
-        self.gate_owners[self.reserved_version] = owner
-        return self.reserved_version
+        self.writes.append((Latch(), owner))
+        return len(self.writes) - 1
 
     @property
     def writes_in_flight(self) -> bool:
@@ -335,7 +316,7 @@ class SessionState:
         or cancelled writer passes none."""
         if isinstance(result, dict):
             self.bindings.update(result)
-        return self.version_gates[version]
+        return self.writes[version][0]
 
 
 @dataclass(slots=True)
@@ -456,7 +437,7 @@ def resolve_paths(
                         return fallback_accesses()
                     text += str(value) + segment[i + 1]
                 filled.append(text)
-            accesses.append(Access(ResourcePath(tuple(filled)), mode, decl.subtree))
+            accesses.append(Access(tuple(filled), mode, decl.subtree))
     return accesses
 
 
@@ -546,12 +527,11 @@ class Scheduler:
         finally:
             self._pumping = False
 
-    def try_admit(self, now: float) -> list[CallRecord]:
+    def try_admit(self, now: float) -> None:
         """Admit queue heads while their paths resolve; strict FIFO order.
 
         A head that needs a pending input waits on it with one waiter, and
         is not resolved again until that input has settled."""
-        admitted: list[CallRecord] = []
         queue = self.queue
         while queue:
             head = queue[0]
@@ -579,8 +559,6 @@ class Scheduler:
                 break
             queue.popleft()
             self._admit(head, resolved, now)
-            admitted.append(head)
-        return admitted
 
     def _admit(self, call: CallRecord, accesses: list[Access], now: float) -> None:
         call.blocking_gates = self.blocking_gates(call, accesses)
@@ -628,10 +606,8 @@ class Scheduler:
                 edges.append(DependencyEdge(key[0], consumer, key[1]))
         annotation = call.annotation
         if annotation is not None and (annotation.session_read or annotation.session_write):
-            gate = self.session.latest_gate()
+            gate, producer = self.session.writes[-1]
             gates.add(gate)
-            version = self.session.reserved_version
-            producer = self.session.gate_owners.get(version)
             if producer and producer != consumer:
                 kind = "session-raw" if annotation.session_read else "session-waw"
                 edges.append(DependencyEdge(producer, consumer, kind))
@@ -692,12 +668,12 @@ class Scheduler:
         """The label and session gates still shut, by owner and access; at
         drain time every one of them is a leak."""
         shut = [
-            f"{label.owner} {label.access.mode} {label.access.path}"
+            f"{label.owner} {label.access.mode} /{'/'.join(label.access.path)}"
             for call in self.calls.values()
             for label in call.labels
             if not label.gate.done
         ]
-        for version, gate in self.session.version_gates.items():
+        for version, (gate, _) in enumerate(self.session.writes):
             if not gate.done:
                 shut.append(f"session version {version}")
         return shut
@@ -709,7 +685,7 @@ class Scheduler:
         for call in self.calls.values():
             for label in call.labels:
                 label.gate.waiters.clear()
-        for gate in self.session.version_gates.values():
+        for gate, _ in self.session.writes:
             gate.waiters.clear()
         self.store.drop_waiters()
 
@@ -761,6 +737,6 @@ class Scheduler:
             when_all([old.gate for old in label.replaced], lambda gate=label.gate: self._open(gate))
         version = call.session_version
         if version is not None:
-            previous = self.session.version_gates[version - 1]
+            previous = self.session.writes[version - 1][0]
             when_all([previous], lambda: self._end_session_write(version))
         self.pump()

@@ -20,7 +20,7 @@ from .errors import (
     UnresolvedArgumentError,
     ValidationError,
 )
-from .futures import RESOLVED, FutureStore, looks_like_future_id, valid_field_path
+from .futures import FUTURE_ID_RE, RESOLVED, FutureStore, looks_like_future_id, valid_field_path
 
 PARAM_TYPES = {"string", "number", "integer", "boolean", "array", "object"}
 
@@ -61,7 +61,7 @@ class ParamSpec:
             # Widen via a union annotation instead of replacing the base type.
             out["anyOf"] = [
                 {"type": self.type},
-                {"type": "string", "pattern": r"^fut_\d+(\.[^.\s]+)*$"},
+                {"type": "string", "pattern": f"^{FUTURE_ID_RE.pattern}$"},
             ]
         return out
 
@@ -86,18 +86,6 @@ class FunctionSchema:
                     f"{self.name}.{pname}: unknown parameter type {spec.type!r}"
                 )
 
-    def to_json(self) -> dict:
-        out: dict[str, Any] = {
-            "name": self.name,
-            "description": self.description,
-            "parameters": {k: v.to_json() for k, v in self.parameters.items()},
-        }
-        if self.outputs is not None:
-            out["outputs"] = self.outputs
-        if self.returns_description:
-            out["returns"] = self.returns_description
-        return out
-
     @classmethod
     def from_json(cls, data: dict) -> "FunctionSchema":
         try:
@@ -119,10 +107,6 @@ class FunctionSchema:
             raise InvalidSchemaError(f"malformed schema: {exc}") from exc
         schema.validate()
         return schema
-
-
-class TransformedSchema(FunctionSchema):
-    """A FunctionSchema whose inputs and return contract admit futures."""
 
 
 # A template rooted here names a session binding: ``$session/name/tail``.
@@ -176,9 +160,6 @@ class AccessDecl:
             segments.append(tuple(parts))
         self.binding, self.segments = binding, tuple(segments)
 
-    def to_json(self) -> dict:
-        return {"path": self.path, "subtree": self.subtree}
-
 
 @dataclass
 class DependencyAnnotation:
@@ -200,15 +181,6 @@ class DependencyAnnotation:
     session_read: bool = False
     session_write: bool = False
     outputs: Any = None
-
-    def to_json(self) -> dict:
-        return {
-            "reads": [d.to_json() for d in self.reads],
-            "writes": [d.to_json() for d in self.writes],
-            "session_read": self.session_read,
-            "session_write": self.session_write,
-            "outputs": self.outputs,
-        }
 
     @classmethod
     def from_json(cls, data: Any) -> "DependencyAnnotation":
@@ -244,7 +216,7 @@ class DependencyAnnotation:
         )
 
 
-def transform_schema(schema: FunctionSchema) -> TransformedSchema:
+def transform_schema(schema: FunctionSchema) -> FunctionSchema:
     """Widen a schema so parameters and the return value admit futures.
 
     Idempotent: transforming an already-transformed schema returns an equal
@@ -271,7 +243,7 @@ def transform_schema(schema: FunctionSchema) -> TransformedSchema:
     description = schema.description
     if not schema.future_adapted:
         description = FUTURE_PREAMBLE + description
-    return TransformedSchema(
+    return FunctionSchema(
         name=schema.name,
         description=description,
         parameters=params,

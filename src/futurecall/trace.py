@@ -69,7 +69,6 @@ class RunTrace:
     mode: str
     events: list[TraceEvent] = field(default_factory=list)
     edges: list[tuple[str, str, str]] = field(default_factory=list)
-    call_durations: dict[str, float] = field(default_factory=dict)
     call_status: dict[str, str] = field(default_factory=dict)
     final_state: dict[str, Any] = field(default_factory=dict)
     final_answer: str | None = None

@@ -159,6 +159,9 @@ def _scan_args(args: dict) -> tuple[tuple[str, ...], bool]:
     return tuple(refs), literal
 
 
+TOOL_KINDS = ("function", "thinking")
+
+
 @dataclass
 class ToolSpec:
     schema: FunctionSchema
@@ -243,6 +246,8 @@ def _number(value: Any, what: str, positive: bool = False) -> Any:
 def _latency(value: Any, tool: str) -> float | list[float]:
     what = f"tool {tool!r}: latency"
     if isinstance(value, list):
+        if not value:
+            raise ValidationError(f"{what} list must not be empty")
         for item in value:
             _number(item, what)
         return value
@@ -252,7 +257,7 @@ def _latency(value: Any, tool: str) -> float | list[float]:
 def _error_at(value: Any, tool: str) -> dict[int, str]:
     what = f"tool {tool!r}: error_at"
     try:
-        return {int(k): v for k, v in _typed(value, dict, what).items()}
+        return {int(k): _typed(v, str, f"{what} message") for k, v in _typed(value, dict, what).items()}
     except ValueError as exc:
         raise ValidationError(f"{what} keys must be invocation indices: {exc}") from exc
 
@@ -282,8 +287,6 @@ def workload_from_json(data: dict) -> WorkloadSpec:
                 annotation = DependencyAnnotation.from_json(raw_annotation)
             except ValidationError as exc:
                 raise ValidationError(f"tool {schema.name!r}: {exc}") from exc
-            if annotation.outputs is None and schema.outputs is not None:
-                annotation.outputs = schema.outputs
         what = f"tool {schema.name!r}: state"
         state_spec = _typed(entry.get("state") or {}, dict, what)
         state_ops = {}
@@ -292,26 +295,28 @@ def workload_from_json(data: dict) -> WorkloadSpec:
             for item in state_ops[op]:
                 path = _typed(item, dict, f"{what} {op} entry").get("path")
                 _typed(path, str, f"{what} {op} path")
+        returns = entry.get("returns")
+        if returns is not None and not _typed(returns, list, f"tool {schema.name!r}: returns"):
+            raise ValidationError(f"tool {schema.name!r}: returns must not be empty")
+        kind = entry.get("kind", "function")
+        if kind not in TOOL_KINDS:
+            raise ValidationError(f"tool {schema.name!r}: kind must be one of {TOOL_KINDS}, got {kind!r}")
         tools.append(
             ToolSpec(
                 schema=schema,
                 annotation=annotation,
                 latency=_latency(entry.get("latency", 0.0), schema.name),
-                returns=(
-                    None
-                    if entry.get("returns") is None
-                    else _typed(entry["returns"], list, f"tool {schema.name!r}: returns")
-                ),
+                returns=returns,
                 error_at=_error_at(entry.get("error_at") or {}, schema.name),
                 state_reads=[
                     (r["path"], _typed(r.get("subtree", False), bool, f"{what} reads subtree"))
                     for r in state_ops["reads"]
                 ],
                 state_writes=[
-                    (w["path"], w.get("value", ""))
+                    (w["path"], _typed(w.get("value", ""), str, f"{what} writes value"))
                     for w in state_ops["writes"]
                 ],
-                kind=entry.get("kind", "function"),
+                kind=kind,
                 answers=_typed(entry.get("answers") or {}, dict, f"tool {schema.name!r}: answers"),
             )
         )
@@ -335,10 +340,13 @@ def workload_from_json(data: dict) -> WorkloadSpec:
             tokens = _tokens(raw_turn["tokens"], where)
         when = _typed(raw_turn.get("when") or {}, dict, f"{where}: when")
         decode_time = _number(raw_turn.get("decode_time", 1.0), f"{where}: decode_time", True)
+        final = raw_turn.get("final")
+        if final is not None:
+            _typed(final, str, f"{where}: final")
         script.append(
             ScriptTurn(
                 emit=emit,
-                final=raw_turn.get("final"),
+                final=final,
                 decode_time=float(decode_time),
                 requires=[
                     _typed(ref, str, f"{where}: when.resolved entry")
@@ -350,13 +358,16 @@ def workload_from_json(data: dict) -> WorkloadSpec:
     context_budget = data.get("context_budget", 64)
     if type(context_budget) is not int or context_budget < 1:
         raise ValidationError(f"context_budget must be an integer >= 1, got {context_budget!r}")
+    task = data.get("task")
+    if task is not None:
+        _typed(task, str, "task")
     spec = WorkloadSpec(
         tools=tools,
         script=script,
         delay_scale=float(_number(data.get("delay_scale", 1.0), "delay_scale", positive=True)),
         context_budget=context_budget,
         session_bindings=dict(_typed(data.get("session_bindings", {}), dict, "session_bindings")),
-        task=data.get("task"),
+        task=task,
         strict_cancellation=_typed(
             data.get("strict_cancellation", False), bool, "strict_cancellation"
         ),
@@ -410,7 +421,6 @@ def build_tool_bindings(spec: WorkloadSpec) -> dict[str, ToolBinding]:
     bindings: dict[str, ToolBinding] = {}
     for tool in spec.tools:
         bindings[tool.schema.name] = ToolBinding(
-            name=tool.schema.name,
             behavior=_make_behavior(tool),
             latency=tool.latency,
             schema=tool.schema,

@@ -65,7 +65,6 @@ def test_dispatch_with_pending_gate_raises():
     scheduler = Scheduler(store, SessionState(), clock)
     tools = {
         "t": ToolBinding(
-            name="t",
             behavior=lambda a, i, s: {},
             schema=FunctionSchema(name="t"),
         )

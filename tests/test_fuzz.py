@@ -1,10 +1,11 @@
-"""Mutation fuzz of the CLI's untrusted input.
+"""Mutation fuzz of untrusted input.
 
 Each example replaces one or two values, anywhere in a repo fixture or in a
 schema file built from the fixtures' tools, with a small JSON value. Whatever
 the result, ``futurecall`` must answer with an exit code (0, 2 for bad input,
-3 for a runtime error) and never raise. The examples are derandomized, so
-every run tries the same ones.
+3 for a runtime error) and never raise. A live decoder's reply is mutated the
+same way and may only become a checked turn or a ValidationError. The
+examples are derandomized, so every run tries the same ones.
 """
 
 from __future__ import annotations
@@ -13,13 +14,16 @@ import contextlib
 import copy
 import io
 import json
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from futurecall.cli import main
-from futurecall.driver import MODES
+from futurecall.driver import MODES, ChatCompletionsDecoder
+from futurecall.errors import ValidationError
+from futurecall.workload import check_turn
 
 from conftest import FIXTURE_NAMES, fixture_path
 
@@ -108,3 +112,42 @@ def test_mutated_schema_file_gets_an_exit_code(tmp_path, data):
     if data.draw(st.booleans(), label="swap"):
         argv = ["validate-annotations", "--predicted", str(truth), "--truth", str(predicted)]
     assert _exit_code(argv) in (0, 2, 3)
+
+
+# Reply envelopes as a chat-completions server sends them: one emitting a call
+# whose arguments hold a reference and a future id, one giving the answer.
+_REPLIES = [
+    {
+        "choices": [
+            {
+                "message": {
+                    "content": "",
+                    "tool_calls": [
+                        {
+                            "id": "c0",
+                            "type": "function",
+                            "function": {"name": "send", "arguments": '{"to": "@c0", "ref": "fut_0"}'},
+                        }
+                    ],
+                }
+            }
+        ]
+    },
+    {"choices": [{"message": {"content": "done"}}]},
+]
+
+
+# A reply costs no server and no run, so it gets more examples.
+@settings(FUZZ, max_examples=300)
+@given(data=st.data())
+def test_mutated_live_reply_is_a_checked_turn_or_a_validation_error(monkeypatch, data):
+    envelope = _mutate(data.draw(st.sampled_from(_REPLIES), label="reply"), data)
+    response = SimpleNamespace(raise_for_status=lambda: None, json=lambda: envelope)
+    monkeypatch.setattr("requests.post", lambda *args, **kwargs: response)
+    decoder = ChatCompletionsDecoder([], endpoint="http://localhost")
+    try:
+        turn = decoder.next_turn([])
+        check_turn(turn, {"send"}, "live turn")
+    except ValidationError:
+        return
+    assert turn.final is None or isinstance(turn.final, str)

@@ -196,8 +196,23 @@ def tool_call(function):
         (tool_call({"name": "send", "arguments": '"x"'}), "must be a JSON object"),
         ({"content": "", "tool_calls": [{"id": None, "function": {"name": "send"}}]}, "id must be"),
         ({"envelope": {"choices": []}}, "without choices"),
+        ({"content": "", "tool_calls": 5}, "tool_calls must be a list"),
+        ({"content": "", "tool_calls": True}, "tool_calls must be a list"),
+        ({"content": 5}, "content must be a string or null"),
+        ({"content": ["x"]}, "content must be a string or null"),
     ],
-    ids=["unparsable-arguments", "no-name", "list-arguments", "string-arguments", "null-id", "no-choices"],
+    ids=[
+        "unparsable-arguments",
+        "no-name",
+        "list-arguments",
+        "string-arguments",
+        "null-id",
+        "no-choices",
+        "number-tool-calls",
+        "true-tool-calls",
+        "number-content",
+        "list-content",
+    ],
 )
 def test_malformed_reply_is_a_validation_error(stub, reply, message):
     with pytest.raises(ValidationError, match=message):

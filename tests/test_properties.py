@@ -34,7 +34,6 @@ from futurecall.scheduler import (
     WRITE,
     Access,
     CallRecord,
-    ResourcePath,
     Scheduler,
     SessionState,
     conflicts,
@@ -71,9 +70,7 @@ def test_union_invariant_under_permutation(ivs):
 
 # -- conflict predicate properties ------------------------------------------------
 
-paths = st.lists(st.sampled_from(["a", "b", "c"]), max_size=3).map(
-    lambda segs: ResourcePath(tuple(segs))
-)
+paths = st.lists(st.sampled_from(["a", "b", "c"]), max_size=3).map(tuple)
 accesses = st.builds(
     Access, path=paths, mode=st.sampled_from([READ, WRITE]), subtree=st.booleans()
 )
@@ -98,7 +95,7 @@ def test_write_self_conflicts(a):
 
 @given(accesses)
 def test_root_subtree_write_conflicts_with_everything(a):
-    root_write = Access(ResourcePath(()), WRITE, True)
+    root_write = Access((), WRITE, True)
     assert conflicts(root_write, a)
 
 
@@ -222,7 +219,8 @@ def _covers(write: Access, label: Access) -> bool:
         return False
     if write.path == label.path:
         return write.subtree or not label.subtree
-    return write.subtree and write.path.is_ancestor_of(label.path)
+    depth = len(write.path)
+    return write.subtree and depth < len(label.path) and label.path[:depth] == write.path
 
 
 def _reach(edges, kinds) -> dict[str, set[str]]:
@@ -408,7 +406,7 @@ class SchedulerMachine(RuleBasedStateMachine):
         self.session = SessionState(bindings={"cwd": "/s"})
         self.scheduler = Scheduler(self.store, self.session, self.clock)
         self.doomed: set[str] = set()
-        tool = ToolBinding(name="t", behavior=self._behave, latency=[1, 2, 1, 3, 2, 2, 1, 3])
+        tool = ToolBinding(behavior=self._behave, latency=[1, 2, 1, 3, 2, 2, 1, 3])
         self.executor = Executor(self.store, self.scheduler, self.clock, {"t": tool}, StateStore())
         dispatch = self.scheduler.on_dispatch
 

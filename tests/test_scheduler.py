@@ -20,7 +20,6 @@ from futurecall.scheduler import (
     WRITE,
     Access,
     CallRecord,
-    ResourcePath,
     Scheduler,
     SessionState,
     conflicts,
@@ -28,26 +27,23 @@ from futurecall.scheduler import (
 )
 
 
-def rp(text: str) -> ResourcePath:
-    return ResourcePath(tuple(part for part in text.split("/") if part))
-
-
-class TestResourcePath:
-    def test_parse_and_render(self):
-        assert rp("/a/b/c").segments == ("a", "b", "c")
-        assert rp("/a/b/c").render() == "/a/b/c"
-        assert rp("/").segments == ()
-        assert rp("/").render() == "/"
-
-    def test_ancestor_is_proper_prefix(self):
-        assert rp("/a").is_ancestor_of(rp("/a/b"))
-        assert rp("/").is_ancestor_of(rp("/a"))
-        assert not rp("/a").is_ancestor_of(rp("/a"))
-        assert not rp("/a/b").is_ancestor_of(rp("/a"))
-        assert not rp("/a").is_ancestor_of(rp("/ab"))
+def rp(text: str) -> tuple[str, ...]:
+    return tuple(part for part in text.split("/") if part)
 
 
 class TestConflicts:
+    def test_subtree_covers_a_proper_prefix_only(self):
+        def covers(ancestor: str, path: str) -> bool:
+            write, read = Access(rp(ancestor), WRITE, True), Access(rp(path), READ, False)
+            assert conflicts(write, read) == conflicts(read, write)
+            return conflicts(write, read)
+
+        assert covers("/a", "/a/b")
+        assert covers("/", "/a")
+        assert covers("/a", "/a")
+        assert not covers("/a/b", "/a")
+        assert not covers("/a", "/ab")
+
     def test_write_read_same_path(self):
         a = Access(rp("/vehicle/drive"), WRITE, False)
         b = Access(rp("/vehicle/drive"), READ, False)
@@ -105,12 +101,12 @@ class TestResolvePaths:
         scheduler, store, session, _ = make_scheduler()
         ann = annotation(writes=[("/files/{name}", False)])
         out = resolve_paths(ann, {"name": "a.txt"}, session, store)
-        assert [a.path.render() for a in out] == ["/files/a.txt"]
+        assert ["/" + "/".join(a.path) for a in out] == ["/files/a.txt"]
 
     def test_plain_path_always_resolvable(self):
         scheduler, store, session, _ = make_scheduler()
         out = resolve_paths(annotation(reads=[("/x", False)]), {}, session, store)
-        assert [a.path.render() for a in out] == ["/x"]
+        assert ["/" + "/".join(a.path) for a in out] == ["/x"]
 
     def test_pending_future_defers(self):
         scheduler, store, session, _ = make_scheduler()
@@ -120,7 +116,7 @@ class TestResolvePaths:
         assert out == fid
         store.resolve(fid, "a.txt")
         out = resolve_paths(ann, {"name": fid}, session, store)
-        assert [a.path.render() for a in out] == ["/files/a.txt"]
+        assert ["/" + "/".join(a.path) for a in out] == ["/files/a.txt"]
 
     def test_unknown_parameter_falls_back(self):
         scheduler, store, session, _ = make_scheduler()
@@ -143,12 +139,12 @@ class TestResolvePaths:
         scheduler, store, session, _ = make_scheduler()
         ann = annotation(reads=[("/x/{v}-{w}", False)])
         out = resolve_paths(ann, {"v": "{w}", "w": "z"}, session, store)
-        assert [a.path.render() for a in out] == ["/x/{w}-z"]
+        assert ["/" + "/".join(a.path) for a in out] == ["/x/{w}-z"]
 
     def test_no_annotation_gets_root_fallback(self):
         scheduler, store, session, _ = make_scheduler()
         out = resolve_paths(None, {}, session, store)
-        assert {(a.path.render(), a.mode, a.subtree) for a in out} == {
+        assert {("/" + "/".join(a.path), a.mode, a.subtree) for a in out} == {
             ("/", READ, True),
             ("/", WRITE, True),
         }
@@ -158,17 +154,17 @@ class TestResolvePaths:
         session.bindings["cwd"] = "/fs/home"
         ann = annotation(reads=[("$session/cwd/notes.txt", False)])
         out = resolve_paths(ann, {}, session, store)
-        assert [a.path.render() for a in out] == ["/fs/home/notes.txt"]
+        assert ["/" + "/".join(a.path) for a in out] == ["/fs/home/notes.txt"]
 
     def test_session_path_defers_while_write_in_flight(self):
         scheduler, store, session, _ = make_scheduler()
         session.bindings["cwd"] = "/fs/home"
         session.reserve_write("W1")
         ann = annotation(reads=[("$session/cwd", False)])
-        assert resolve_paths(ann, {}, session, store) is session.version_gates[1]
+        assert resolve_paths(ann, {}, session, store) is session.writes[1][0]
         session.complete_write(1, {"cwd": "/fs/other"}).open()
         out = resolve_paths(ann, {}, session, store)
-        assert [a.path.render() for a in out] == ["/fs/other"]
+        assert ["/" + "/".join(a.path) for a in out] == ["/fs/other"]
 
     def test_unknown_session_binding_falls_back(self):
         scheduler, store, session, _ = make_scheduler()
@@ -182,7 +178,7 @@ class TestResolvePaths:
         session.bindings["cwd"] = "/ws/{dir}"
         ann = annotation(reads=[("$session/cwd/{name}", False)])
         out = resolve_paths(ann, {"dir": "src", "name": "a.py"}, session, store)
-        assert [a.path.render() for a in out] == ["/ws/{dir}/a.py"]
+        assert ["/" + "/".join(a.path) for a in out] == ["/ws/{dir}/a.py"]
 
 
 class TestAdmission:
@@ -221,7 +217,8 @@ class TestAdmission:
 
     def test_empty_queue_admits_nothing(self):
         scheduler, _, _, clock = make_scheduler()
-        assert scheduler.try_admit(clock.now()) == []
+        scheduler.try_admit(clock.now())
+        assert scheduler.live_labels == [] and not scheduler.edges
 
 
 class TestBlockingGates:
@@ -250,7 +247,7 @@ class TestBlockingGates:
         reader = call("R1", annotation(session_read=True))
         scheduler.submit(writer)
         scheduler.submit(reader)
-        assert reader.blocking_gates == {session.version_gates[1]}
+        assert reader.blocking_gates == {session.writes[1][0]}
 
     def test_session_readers_share_one_gate(self):
         scheduler, _, session, _ = make_scheduler()
@@ -259,7 +256,7 @@ class TestBlockingGates:
         r2 = call("R2", annotation(session_read=True))
         scheduler.submit(r1)
         scheduler.submit(r2)
-        assert r1.blocking_gates == r2.blocking_gates == {session.version_gates[1]}
+        assert r1.blocking_gates == r2.blocking_gates == {session.writes[1][0]}
 
 
 class TestRelease:
@@ -332,7 +329,7 @@ class TestRelease:
         r1 = call("R1", annotation(session_read=True))
         for c in (w1, w2, r1):
             scheduler.submit(c)
-        assert r1.blocking_gates == {session.version_gates[2]}
+        assert r1.blocking_gates == {session.writes[2][0]}
         scheduler.mark_cancelled(w2, "origin")
         assert dispatched == [w1]
         assert session.writes_in_flight
@@ -712,8 +709,8 @@ class TestAdmissionWork:
         trace = driver.run()
         assert set(trace.call_status.values()) == {"done"}
         assert len(seen) == 2
-        assert seen[0] is driver.session.version_gates[1]
-        assert [a.path.render() for a in seen[1]] == ["/fs/next/notes"]
+        assert seen[0] is driver.session.writes[1][0]
+        assert ["/" + "/".join(a.path) for a in seen[1]] == ["/fs/next/notes"]
 
     def test_woken_head_goes_after_the_inputs_consumers(self):
         # C reads /g behind F0 and takes F1.id as an argument; H's path needs

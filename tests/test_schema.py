@@ -13,7 +13,7 @@ from futurecall import (
     transform_schema,
 )
 from futurecall.errors import ErrorInfo, InvalidSchemaError, UnresolvedArgumentError
-from futurecall.schema import ParamSpec, TransformedSchema
+from futurecall.schema import ParamSpec
 
 
 def start_engine_schema() -> FunctionSchema:
@@ -27,7 +27,7 @@ def start_engine_schema() -> FunctionSchema:
 
 def test_transform_widens_parameters_and_return():
     transformed = transform_schema(start_engine_schema())
-    assert isinstance(transformed, TransformedSchema)
+    assert transformed.future_adapted
     param = transformed.parameters["ignitionMode"]
     assert param.accepts_future
     assert param.type == "string"  # base type kept, widened via union annotation

@@ -281,6 +281,13 @@ class TestWorkloadLoading:
             ("tool", "annotation", "x"),
             ("tool", "returns", 5),
             ("tool", "answers", ["x"]),
+            ("tool", "kind", "thinkng"),
+            ("tool", "latency", []),
+            ("tool", "returns", []),
+            ("tool", "state", {"writes": [{"path": "/a", "value": 5}]}),
+            ("tool", "error_at", {"0": 5}),
+            ("final", "final", 5),
+            ("root", "task", 5),
         ],
         ids=lambda v: v if isinstance(v, str) else repr(v)[:40],
     )
@@ -300,6 +307,7 @@ class TestWorkloadLoading:
             "tool": data["tools"][0],
             "annotation": data["tools"][0]["annotation"],
             "turn": data["script"][0],
+            "final": data["script"][1],
         }[where]
         owner[key] = value
         with pytest.raises(ValidationError):
