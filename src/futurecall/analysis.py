@@ -225,21 +225,13 @@ MODERATE = "moderate"
 SWEET_SPOT = "sweet-spot"
 
 
-@dataclass(frozen=True)
-class RegimeThresholds:
-    """What counts as "much larger" and "comparable" for regime labels."""
-
-    parallelism_ratio: float = 3.0
-    overlap_low: float = 0.5
-    overlap_high: float = 2.0
+# What counts as "much larger" (t_tool/t_cp) and "comparable" (t_llm/t_cp)
+# for regime labels.
+PARALLELISM_RATIO = 3.0
+OVERLAP_LOW, OVERLAP_HIGH = 0.5, 2.0
 
 
-def classify_regime(
-    t_llm: float,
-    t_tool: float,
-    t_cp: float,
-    thresholds: RegimeThresholds = RegimeThresholds(),
-) -> str:
+def classify_regime(t_llm: float, t_tool: float, t_cp: float) -> str:
     """Label the operating regime from workload shape.
 
     The sweet spot needs both ample inter-function parallelism
@@ -249,8 +241,8 @@ def classify_regime(
     """
     if t_llm <= 0 or t_tool <= 0 or t_cp <= 0:
         raise DomainError("regime classification needs positive inputs")
-    parallel = (t_tool / t_cp) >= thresholds.parallelism_ratio
-    balanced = thresholds.overlap_low <= (t_llm / t_cp) <= thresholds.overlap_high
+    parallel = (t_tool / t_cp) >= PARALLELISM_RATIO
+    balanced = OVERLAP_LOW <= (t_llm / t_cp) <= OVERLAP_HIGH
     if parallel and balanced:
         return SWEET_SPOT
     if parallel or balanced:

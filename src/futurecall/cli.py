@@ -20,9 +20,9 @@ from . import analysis
 from .driver import MODES, run_workload
 from .errors import FuturecallError, ParseError, ValidationError
 from .scheduler import READ, WRITE, Access, conflicts, fallback_accesses
-from .schema import SESSION_PREFIX, DependencyAnnotation, load_schema_file
+from .schema import DependencyAnnotation, load_schema_file
 from .trace import RunTrace
-from .workload import WorkloadSpec, _number, load_workload, make_latency_sweep
+from .workload import WorkloadSpec, load_workload, make_latency_sweep, number
 
 
 def _cell_report(trace: RunTrace, baseline: RunTrace | None) -> dict[str, Any]:
@@ -65,7 +65,7 @@ def _load(args: argparse.Namespace) -> WorkloadSpec:
     """The workload file, with ``--delay-scale`` checked like the file's own."""
     workload = load_workload(args.workload)
     if args.delay_scale is not None:
-        workload.delay_scale = _number(args.delay_scale, "--delay-scale", positive=True)
+        workload.delay_scale = number(args.delay_scale, "--delay-scale", positive=True)
     return workload
 
 
@@ -145,18 +145,18 @@ def cmd_compare(args: argparse.Namespace) -> int:
 def static_accesses(annotation: DependencyAnnotation | None) -> list[Access]:
     """Literal access set of an annotation for offline pair comparison.
 
-    Path templates are compared textually: parameter placeholders and session
-    prefixes stay as opaque segments. Unannotated tools get the root fallback.
+    Path templates are compared as written: a ``$session/name`` prefix stays
+    the two segments ``$session`` and ``name``, and a ``{param}`` segment
+    stays its parsed tuple, which equals only the same template. Unannotated
+    tools get the root fallback.
     """
     if annotation is None:
         return fallback_accesses()
     out = []
     for mode, decls in ((READ, annotation.reads), (WRITE, annotation.writes)):
         for decl in decls:
-            text = decl.path
-            if text.startswith(SESSION_PREFIX):
-                text = "/" + text
-            out.append(Access(tuple(p for p in text.split("/") if p), mode, decl.subtree))
+            head = () if decl.binding is None else ("$session", decl.binding)
+            out.append(Access(head + decl.segments, mode, decl.subtree))
     return out
 
 

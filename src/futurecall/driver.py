@@ -62,6 +62,8 @@ MODES = (SYNC_SEQUENTIAL, SYNC_PARALLEL, ASYNC_SEQUENTIAL, ASYNC_PARALLEL)
 ENDPOINT_ENV = "FUTURECALL_ENDPOINT"
 API_KEY_ENV = "FUTURECALL_API_KEY"
 MODEL_ENV = "FUTURECALL_MODEL"
+# A live decoder that has not answered after this many turns is exhausted.
+LIVE_MAX_TURNS = 32
 
 
 def is_async(mode: str) -> bool:
@@ -88,7 +90,6 @@ class Message:
     content: Any = None
     tool_calls: list[ToolCall] | None = None
     call_id: str | None = None
-    bound_futures: dict[str, Any] | None = None
 
     def to_json(self) -> dict:
         out: dict[str, Any] = {"role": self.role, "content": self.content}
@@ -96,8 +97,6 @@ class Message:
             out["tool_calls"] = [tc.to_json() for tc in self.tool_calls]
         if self.call_id is not None:
             out["call_id"] = self.call_id
-        if self.bound_futures is not None:
-            out["bound_futures"] = self.bound_futures
         return out
 
 
@@ -178,7 +177,6 @@ class ChatCompletionsDecoder:
         endpoint: str | None = None,
         api_key: str | None = None,
         model: str | None = None,
-        max_turns: int = 32,
     ):
         self.endpoint = endpoint or os.environ.get(ENDPOINT_ENV, "")
         self.api_key = api_key or os.environ.get(API_KEY_ENV, "")
@@ -186,11 +184,10 @@ class ChatCompletionsDecoder:
         if not self.endpoint:
             raise ValidationError(f"live decoder needs {ENDPOINT_ENV}")
         self.tool_schemas = tool_schemas
-        self.max_turns = max_turns
         self._turns_used = 0
 
     def exhausted(self) -> bool:
-        return self._turns_used >= self.max_turns
+        return self._turns_used >= LIVE_MAX_TURNS
 
     def requires(self) -> list[str]:
         return []
@@ -477,13 +474,7 @@ class TurnDriver:
                 )
         if bindings:
             ordered = {fid: bindings[fid] for fid in sorted(bindings)}
-            self._append(
-                Message(
-                    role="user",
-                    content={"resolved_futures": ordered},
-                    bound_futures=ordered,
-                )
-            )
+            self._append(Message(role="user", content={"resolved_futures": ordered}))
             self.trace.record(now, now, INTEGRATE, f"b{self._boundary_no}", self._turn_no)
             self._boundary_no += 1
         if failures:

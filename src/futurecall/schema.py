@@ -12,6 +12,7 @@ from __future__ import annotations
 import copy
 import json
 from dataclasses import dataclass, field, replace
+from types import NoneType
 from typing import Any, Callable, Container
 
 from .errors import (
@@ -37,16 +38,44 @@ PARAM_FUTURE_NOTE = " Accepts either a concrete value of this type or a future i
 FUTURE_RETURN_NOTE = "A future placeholder that resolves to this tool's result."
 
 
-def _typed(value: Any, kind: type, what: str) -> Any:
-    """Return value if it is an instance of kind."""
-    if not isinstance(value, kind):
-        raise ValidationError(f"{what} must be a {kind.__name__}, got {value!r}")
-    return value
+# JSON type names for parse errors; int and float are both a JSON number.
+JSON_NAMES = {dict: "an object", list: "a list", str: "a string", int: "a number",
+              float: "a number", bool: "true or false", NoneType: "null"}
+
+
+def json_fields(obj: Any, table: dict[str, Any], where: str) -> dict[str, Any]:
+    """The keys of a JSON object that its table lists, each value checked.
+
+    A table maps a key to the Python types of the JSON values it may hold,
+    ``object`` for a value that a named rule checks later. The result leaves
+    out an absent key, and a null where the table lists NoneType, so that
+    the key takes its default; keys the table does not list are ignored.
+    """
+    if not isinstance(obj, dict):
+        raise ValidationError(f"malformed {where}: expected a JSON object, got {obj!r}")
+    out = {}
+    for key, value in obj.items():
+        if key in table:
+            kinds = table[key]
+            if not isinstance(value, kinds):
+                kinds = kinds if isinstance(kinds, tuple) else (kinds,)
+                names = dict.fromkeys(JSON_NAMES[kind] for kind in kinds)
+                raise ValidationError(f"{where}: {key} must be {' or '.join(names)}, got {value!r}")
+            if value is not None or kinds is object:
+                out[key] = value
+    return out
+
+
+PARAMETER = {"type": object, "description": str, "required": bool}
+SCHEMA = {"name": object, "description": str, "parameters": dict, "outputs": object}
+ANNOTATION = {"reads": (list, NoneType), "writes": (list, NoneType), "session_read": bool,
+              "session_write": bool, "outputs": object}
+LABEL = {"path": str, "subtree": bool}
 
 
 @dataclass
 class ParamSpec:
-    type: str
+    type: str = "string"
     description: str = ""
     required: bool = True
     accepts_future: bool = False
@@ -87,24 +116,14 @@ class FunctionSchema:
                 )
 
     @classmethod
-    def from_json(cls, data: dict) -> "FunctionSchema":
-        try:
-            params = {
-                name: ParamSpec(
-                    type=spec.get("type", "string"),
-                    description=spec.get("description", ""),
-                    required=_typed(spec.get("required", True), bool, f"parameter {name!r}: required"),
-                )
-                for name, spec in data.get("parameters", {}).items()
-            }
-            schema = cls(
-                name=data["name"],
-                description=data.get("description", ""),
-                parameters=params,
-                outputs=data.get("outputs"),
-            )
-        except (KeyError, TypeError, AttributeError) as exc:
-            raise InvalidSchemaError(f"malformed schema: {exc}") from exc
+    def from_json(cls, data: Any, where: str) -> "FunctionSchema":
+        """Build from the JSON form; a malformed schema raises ValidationError."""
+        raw = json_fields(data, SCHEMA, where)
+        raw["parameters"] = {
+            name: ParamSpec(**json_fields(spec, PARAMETER, f"{where}: parameter {name!r}"))
+            for name, spec in raw.get("parameters", {}).items()
+        }
+        schema = cls(name=raw.pop("name", None), **raw)
         schema.validate()
         return schema
 
@@ -183,37 +202,37 @@ class DependencyAnnotation:
     outputs: Any = None
 
     @classmethod
-    def from_json(cls, data: Any) -> "DependencyAnnotation":
-        """Build from the JSON form. An annotation that is not an object,
-        ``reads``/``writes`` that are not lists and a bad label or template
-        raise ValidationError."""
-        if not isinstance(data, dict):
-            raise ValidationError(f"annotation must be an object, got {data!r}")
+    def from_json(cls, data: Any, where: str) -> "DependencyAnnotation":
+        """Build from the JSON form. A malformed annotation, label or
+        template raises ValidationError."""
+        raw = json_fields(data, ANNOTATION, where)
+        for key in ("reads", "writes"):
+            raw[key] = [_label(x, f"{where}: {key}[{i}]") for i, x in enumerate(raw.get(key, ()))]
+        return cls(**raw)
 
-        def decls(key: str) -> list[AccessDecl]:
-            items = data.get(key)
-            if items is None:
-                return []
-            if not isinstance(items, list):
-                raise ValidationError(f"annotation {key} must be a list, got {items!r}")
-            out = []
-            for item in items:
-                if not isinstance(item, dict) or not isinstance(item.get("path"), str):
-                    raise ValidationError(f"bad access label {item!r}")
-                try:
-                    subtree = _typed(item.get("subtree", False), bool, f"{item['path']!r}: subtree")
-                    out.append(AccessDecl(path=item["path"], subtree=subtree))
-                except BadPathTemplateError as exc:
-                    raise ValidationError(str(exc)) from exc
-            return out
 
-        return cls(
-            reads=decls("reads"),
-            writes=decls("writes"),
-            session_read=_typed(data.get("session_read", False), bool, "session_read"),
-            session_write=_typed(data.get("session_write", False), bool, "session_write"),
-            outputs=data.get("outputs"),
-        )
+def _label(item: Any, where: str) -> AccessDecl:
+    raw = json_fields(item, LABEL, where)
+    if "path" not in raw:
+        raise ValidationError(f"{where}: path is required")
+    try:
+        return AccessDecl(**raw)
+    except BadPathTemplateError as exc:
+        raise ValidationError(f"{where}: {exc}") from exc
+
+
+def tool_from_json(
+    entry: Any, schema: Any, where: str
+) -> tuple[FunctionSchema, DependencyAnnotation | None]:
+    """The schema and the ``annotation`` key of one tool entry: a workload
+    tool, whose schema is its ``schema`` key, or a schema file's entry,
+    which is the schema itself."""
+    schema = FunctionSchema.from_json(schema, f"schema of {where}")
+    annotation = entry.get("annotation")
+    if annotation is not None:
+        where = f"{where}: tool {schema.name!r} annotation"
+        annotation = DependencyAnnotation.from_json(annotation, where)
+    return schema, annotation
 
 
 def transform_schema(schema: FunctionSchema) -> FunctionSchema:
@@ -378,16 +397,10 @@ def load_schema_file(path: str) -> list[tuple[FunctionSchema, DependencyAnnotati
         raise ValidationError(f'{path}: expected a {{"tools": [...]}} document')
     out = []
     seen: set[str] = set()
-    for entry in data["tools"]:
-        schema = FunctionSchema.from_json(entry)
+    for i, entry in enumerate(data["tools"]):
+        schema, annotation = tool_from_json(entry, entry, f"{path}: tools[{i}]")
         if schema.name in seen:
             raise ValidationError(f"{path}: duplicate tool name {schema.name!r}")
         seen.add(schema.name)
-        annotation = None
-        if entry.get("annotation") is not None:
-            try:
-                annotation = DependencyAnnotation.from_json(entry["annotation"])
-            except ValidationError as exc:
-                raise ValidationError(f"{path}: tool {schema.name!r}: {exc}") from exc
         out.append((schema, annotation))
     return out

@@ -1,30 +1,46 @@
 """Workload files: scripted decoder turns plus mock tools with injected latency.
 
-A workload is the simulator's unit of input. The JSON layout:
+A workload is the simulator's unit of input. The JSON layout, every key
+with its default; ``| null`` marks a key where null also means the default:
 
     {
-      "task": "optional opening user message",
+      "task": "opening user message" | null,       # none
       "tools": [
-        {"schema": {...}, "annotation": {...} | null,
-         "latency": 5 | [5, 3],
-         "returns": [...],                 # per-invocation scripted values
-         "error_at": {"0": "boom"},        # invocation index -> failure message
-         "state": {"reads": [...], "writes": [{"path": ..., "value": ...}]},
+        {"schema": {"name": "tool",                 # required
+                    "description": "",
+                    "parameters": {"p": {"type": "string", "description": "",
+                                         "required": true}},
+                    "outputs": null},               # example result, any JSON
+         "annotation": {"reads": [{"path": "/a/{p}", "subtree": false}] | null,
+                        "writes": [] | null,
+                        "session_read": false, "session_write": false,
+                        "outputs": null} | null,    # null: unannotated
+         "latency": 0 | [5, 3],                     # per invocation, last repeats
+         "returns": [...] | null,                   # per-invocation scripted values
+         "error_at": {"0": "boom"} | null,          # invocation index -> failure
+         "state": {"reads": [{"path": "/a", "subtree": false}],
+                   "writes": [{"path": "/a", "value": ""}]} | null,
          "kind": "function" | "thinking",
-         "answers": {"subquery": "delegate answer"}}   # thinking tools
+         "answers": {"subquery": "delegate answer"} | null}   # thinking tools
       ],
       "script": [
-        {"when": {"resolved": ["F1"]},     # wait until these calls' outcomes
-                                           # are integrated into the context
-         "emit": [{"id": "F2", "name": "tool", "args": {...}}],
-         "decode_time": 1,
-         "tokens": [["text", 0.5], ...]},  # optional emission timeline
-        {"final": "answer text", "decode_time": 1}
+        {"when": {"resolved": ["F1"]} | null,      # wait until these calls'
+                                                   # outcomes are in the context
+         "emit": [{"id": "F2", "name": "tool", "args": {}}] | null,
+         "decode_time": 1.0,
+         "tokens": [["text", 0.5], ...] | null},   # emission timeline
+        {"final": "answer text" | null, "decode_time": 1.0}
       ],
       "delay_scale": 1.0,
       "context_budget": 64,
-      "session_bindings": {"cwd": "/fs/home"}
+      "session_bindings": {"cwd": "/fs/home"},
+      "strict_cancellation": false
     }
+
+A tool's ``schema``, its ``name`` and every ``path`` are required. A call
+without an ``id`` gets ``call<turn>_<index>``. A schema file for
+``validate-annotations`` is ``{"tools": [...]}`` of schemas, each with its
+``annotation`` key inline. Keys not shown are ignored.
 
 Argument values of the form ``"@F2"`` or ``"@F2.field"`` reference the result
 of an earlier call; in async modes they turn into future identifiers, in sync
@@ -41,12 +57,14 @@ import json
 import math
 import re
 from dataclasses import dataclass, field
+from types import NoneType
 from typing import Any, Container
 
 from .errors import ParseError, ValidationError
 from .executor import StateStore, ToolBinding, ToolExecutionError
 from .futures import looks_like_future_id
-from .schema import AWAIT_FUTURE_NAME, DependencyAnnotation, FunctionSchema, _typed, map_leaves
+from .schema import AWAIT_FUTURE_NAME, DependencyAnnotation, FunctionSchema, map_leaves
+from .schema import json_fields, tool_from_json
 
 CALL_REF_RE = re.compile(r"@([A-Za-z_][\w-]*)(\.[^.\s]+(?:\.[^.\s]+)*)?")
 
@@ -185,13 +203,10 @@ class WorkloadSpec:
     task: str | None = None
     strict_cancellation: bool = False
 
-    def tool_names(self) -> list[str]:
-        return [t.schema.name for t in self.tools]
-
     def validate(self) -> None:
-        names = set(self.tool_names())
+        names = {t.schema.name for t in self.tools}
         if len(names) != len(self.tools):
-            raise ValidationError("duplicate tool names")
+            raise ValidationError(f"duplicate tool names in {[t.schema.name for t in self.tools]}")
         emitted: set[str] = set()
         for turn_no, turn in enumerate(self.script):
             check_turn(turn, names, f"script[{turn_no}]")
@@ -229,157 +244,106 @@ def load_workload(path: str) -> WorkloadSpec:
     return workload_from_json(data)
 
 
-def _number(value: Any, what: str, positive: bool = False) -> Any:
+def number(value: Any, what: str, positive: bool = False) -> Any:
     """Return value if it is a finite number, >= 0 (> 0 when positive)."""
-    bound = "> 0" if positive else ">= 0"
     # A bool is an int subclass but no JSON number.
     if isinstance(value, (int, float)) and not isinstance(value, bool):
         try:
-            number = float(value)  # a huge JSON integer overflows here
+            as_float = float(value)  # a huge JSON integer overflows here
         except OverflowError:
-            number = math.inf
-        if math.isfinite(number) and (number > 0 if positive else number >= 0):
+            as_float = math.inf
+        if math.isfinite(as_float) and (as_float > 0 if positive else as_float >= 0):
             return value
-    raise ValidationError(f"{what} must be a finite number {bound}, got {value!r}")
+    raise ValidationError(f"{what} must be a finite number {'>' if positive else '>='} 0, got {value!r}")
 
 
-def _latency(value: Any, tool: str) -> float | list[float]:
-    what = f"tool {tool!r}: latency"
-    if isinstance(value, list):
-        if not value:
-            raise ValidationError(f"{what} list must not be empty")
-        for item in value:
-            _number(item, what)
-        return value
-    return _number(value, what)
+# One table per kind of JSON object: the types its keys may hold, checked by
+# schema.json_fields. Rules that a type cannot express are named checks below.
+NUMBER = (int, float)
+ROOT = {"tools": list, "script": list, "delay_scale": NUMBER, "context_budget": int,
+        "session_bindings": dict, "task": (str, NoneType), "strict_cancellation": bool}
+TOOL = {"schema": object, "annotation": object, "latency": (*NUMBER, list), "returns": (list, NoneType),
+        "error_at": (dict, NoneType), "state": (dict, NoneType), "kind": str, "answers": (dict, NoneType)}
+STATE = {"reads": list, "writes": list}
+STATE_OP = {"path": str, "subtree": bool, "value": str}
+TURN = {"emit": (list, NoneType), "final": (str, NoneType), "decode_time": NUMBER,
+        "tokens": (list, NoneType), "when": (dict, NoneType)}
+WHEN = {"resolved": list}
+# An invocation index, written one way only: "0", "12", never "00" or "+1".
+INDEX_RE = re.compile(r"0|[1-9][0-9]*")
 
 
-def _error_at(value: Any, tool: str) -> dict[int, str]:
-    what = f"tool {tool!r}: error_at"
-    try:
-        return {int(k): _typed(v, str, f"{what} message") for k, v in _typed(value, dict, what).items()}
-    except ValueError as exc:
-        raise ValidationError(f"{what} keys must be invocation indices: {exc}") from exc
-
-
-def _tokens(value: Any, where: str) -> list[tuple[str, float]]:
-    what = f"{where}: tokens"
-    out = []
-    for pair in _typed(value, list, what):
-        if not isinstance(pair, list) or len(pair) != 2 or not isinstance(pair[0], str):
-            raise ValidationError(f"{what} must be [text, offset] pairs, got {pair!r}")
-        out.append((pair[0], float(_number(pair[1], f"{what} offset"))))
-    return out
-
-
-def workload_from_json(data: dict) -> WorkloadSpec:
-    if not isinstance(data, dict):
-        raise ValidationError("workload root must be a JSON object")
-    tools = []
-    for entry in _typed(data.get("tools", []), list, "tools"):
-        if not isinstance(entry, dict) or "schema" not in entry:
-            raise ValidationError(f"tool entry without schema: {entry!r}")
-        schema = FunctionSchema.from_json(entry["schema"])
-        annotation = None
-        raw_annotation = entry.get("annotation")
-        if raw_annotation is not None:
-            try:
-                annotation = DependencyAnnotation.from_json(raw_annotation)
-            except ValidationError as exc:
-                raise ValidationError(f"tool {schema.name!r}: {exc}") from exc
-        what = f"tool {schema.name!r}: state"
-        state_spec = _typed(entry.get("state") or {}, dict, what)
-        state_ops = {}
-        for op in ("reads", "writes"):
-            state_ops[op] = _typed(state_spec.get(op, []), list, f"{what} {op}")
-            for item in state_ops[op]:
-                path = _typed(item, dict, f"{what} {op} entry").get("path")
-                _typed(path, str, f"{what} {op} path")
-        returns = entry.get("returns")
-        if returns is not None and not _typed(returns, list, f"tool {schema.name!r}: returns"):
-            raise ValidationError(f"tool {schema.name!r}: returns must not be empty")
-        kind = entry.get("kind", "function")
-        if kind not in TOOL_KINDS:
-            raise ValidationError(f"tool {schema.name!r}: kind must be one of {TOOL_KINDS}, got {kind!r}")
-        tools.append(
-            ToolSpec(
-                schema=schema,
-                annotation=annotation,
-                latency=_latency(entry.get("latency", 0.0), schema.name),
-                returns=returns,
-                error_at=_error_at(entry.get("error_at") or {}, schema.name),
-                state_reads=[
-                    (r["path"], _typed(r.get("subtree", False), bool, f"{what} reads subtree"))
-                    for r in state_ops["reads"]
-                ],
-                state_writes=[
-                    (w["path"], _typed(w.get("value", ""), str, f"{what} writes value"))
-                    for w in state_ops["writes"]
-                ],
-                kind=kind,
-                answers=_typed(entry.get("answers") or {}, dict, f"tool {schema.name!r}: answers"),
-            )
-        )
-    script = []
-    for raw_turn in _typed(data.get("script", []), list, "script"):
-        where = f"script[{len(script)}]"
-        _typed(raw_turn, dict, where)
-        try:
-            emit = [
-                CallSpec(
-                    call_id=c.get("id", f"call{len(script)}_{i}"),
-                    name=c["name"],
-                    args=c.get("args", {}),
-                )
-                for i, c in enumerate(_typed(raw_turn.get("emit") or [], list, f"{where}: emit"))
-            ]
-        except (AttributeError, KeyError) as exc:  # an entry that is no object, or has no name
-            raise ValidationError(f"{where}: emitted calls must be objects with a name") from exc
-        tokens = None
-        if raw_turn.get("tokens") is not None:
-            tokens = _tokens(raw_turn["tokens"], where)
-        when = _typed(raw_turn.get("when") or {}, dict, f"{where}: when")
-        decode_time = _number(raw_turn.get("decode_time", 1.0), f"{where}: decode_time", True)
-        final = raw_turn.get("final")
-        if final is not None:
-            _typed(final, str, f"{where}: final")
-        script.append(
-            ScriptTurn(
-                emit=emit,
-                final=final,
-                decode_time=float(decode_time),
-                requires=[
-                    _typed(ref, str, f"{where}: when.resolved entry")
-                    for ref in _typed(when.get("resolved", []), list, f"{where}: when.resolved")
-                ],
-                tokens=tokens,
-            )
-        )
-    context_budget = data.get("context_budget", 64)
-    if type(context_budget) is not int or context_budget < 1:
-        raise ValidationError(f"context_budget must be an integer >= 1, got {context_budget!r}")
-    task = data.get("task")
-    if task is not None:
-        _typed(task, str, "task")
-    spec = WorkloadSpec(
-        tools=tools,
-        script=script,
-        delay_scale=float(_number(data.get("delay_scale", 1.0), "delay_scale", positive=True)),
-        context_budget=context_budget,
-        session_bindings=dict(_typed(data.get("session_bindings", {}), dict, "session_bindings")),
-        task=task,
-        strict_cancellation=_typed(
-            data.get("strict_cancellation", False), bool, "strict_cancellation"
-        ),
-    )
+def workload_from_json(data: Any) -> WorkloadSpec:
+    raw = json_fields(data, ROOT, "workload")
+    raw["tools"] = [_tool(entry, f"tools[{i}]") for i, entry in enumerate(raw.get("tools", ()))]
+    raw["script"] = [_turn(turn, i) for i, turn in enumerate(raw.get("script", ()))]
+    if "delay_scale" in raw:
+        raw["delay_scale"] = float(number(raw["delay_scale"], "workload: delay_scale", positive=True))
+    budget = raw.get("context_budget")
+    if budget is not None and (type(budget) is not int or budget < 1):
+        raise ValidationError(f"workload: context_budget must be an integer >= 1, got {budget!r}")
+    spec = WorkloadSpec(**raw)
     spec.validate()
     return spec
+
+
+def _tool(entry: Any, where: str) -> ToolSpec:
+    raw = json_fields(entry, TOOL, where)
+    raw["schema"], raw["annotation"] = tool_from_json(entry, raw.get("schema"), where)
+    where = f"tool {raw['schema'].name!r}"
+    latency = raw.get("latency", 0)
+    for value in latency if isinstance(latency, list) else [latency]:
+        number(value, f"{where}: latency")
+    for key in ("latency", "returns"):
+        if raw.get(key) == []:
+            raise ValidationError(f"{where}: {key} must not be an empty list")
+    if "kind" in raw and raw["kind"] not in TOOL_KINDS:
+        raise ValidationError(f"{where}: kind must be one of {TOOL_KINDS}, got {raw['kind']!r}")
+    error_at = raw.get("error_at", {})
+    if not all(INDEX_RE.fullmatch(key) and isinstance(text, str) for key, text in error_at.items()):
+        raise ValidationError(f"{where}: error_at must map indices like '0' to strings, got {error_at!r}")
+    raw["error_at"] = {int(key): text for key, text in error_at.items()}
+    state = json_fields(raw.pop("state", {}), STATE, f"{where}: state")
+    ops = {}
+    for op in ("reads", "writes"):
+        items = enumerate(state.get(op, ()))
+        ops[op] = [json_fields(x, STATE_OP, f"{where}: state {op}[{i}]") for i, x in items]
+        if not all("path" in item for item in ops[op]):
+            raise ValidationError(f"{where}: every state {op} entry needs a path, got {state[op]!r}")
+    raw["state_reads"] = [(item["path"], item.get("subtree", False)) for item in ops["reads"]]
+    raw["state_writes"] = [(item["path"], item.get("value", "")) for item in ops["writes"]]
+    return ToolSpec(**raw)
+
+
+def _turn(data: Any, turn_no: int) -> ScriptTurn:
+    where = f"script[{turn_no}]"
+    raw = json_fields(data, TURN, where)
+    calls = raw.get("emit", ())
+    try:
+        raw["emit"] = [
+            CallSpec(call.get("id", f"call{turn_no}_{i}"), call.get("name"), call.get("args", {}))
+            for i, call in enumerate(calls)
+        ]
+    except AttributeError:  # a call that is no JSON object
+        raise ValidationError(f"{where}: emit must hold call objects, got {calls!r}") from None
+    if "decode_time" in raw:
+        raw["decode_time"] = float(number(raw["decode_time"], f"{where}: decode_time", positive=True))
+    if "tokens" in raw:
+        pairs = raw["tokens"]
+        if not all(isinstance(p, list) and len(p) == 2 and isinstance(p[0], str) for p in pairs):
+            raise ValidationError(f"{where}: tokens must be [text, offset] pairs, got {pairs!r}")
+        raw["tokens"] = [(text, float(number(off, f"{where}: token offset"))) for text, off in pairs]
+    if "when" in raw:
+        refs = raw["requires"] = json_fields(raw.pop("when"), WHEN, f"{where}: when").get("resolved", [])
+        if not all(isinstance(ref, str) for ref in refs):
+            raise ValidationError(f"{where}: when.resolved must hold call id strings, got {refs!r}")
+    return ScriptTurn(**raw)
 
 
 def make_latency_sweep(base: WorkloadSpec, delays: list[float]) -> list[WorkloadSpec]:
     """One workload per delay, every tool's latency overridden, all else intact."""
     for delay in delays:
-        _number(delay, "sweep delay", positive=True)
+        number(delay, "sweep delay", positive=True)
     out = []
     for delay in delays:
         spec = copy.deepcopy(base)

@@ -19,7 +19,7 @@ from futurecall import (
     savings_decomposition,
     sequential_sum,
 )
-from futurecall.analysis import Interval, RegimeThresholds, SavingsReport, trace_to_inputs
+from futurecall.analysis import Interval, SavingsReport, trace_to_inputs
 from futurecall.errors import (
     CycleDetectedError,
     DegenerateInputError,
@@ -250,10 +250,6 @@ class TestRegimes:
 
     def test_moderate(self):
         assert classify_regime(100, 50, 10) == "moderate"
-
-    def test_custom_thresholds(self):
-        thresholds = RegimeThresholds(parallelism_ratio=10.0)
-        assert classify_regime(10, 50, 10, thresholds) == "moderate"
 
 
 def t_sf_quadrature(t_value: float, df: int) -> float:

@@ -272,6 +272,37 @@ def test_validate_annotations_rejects_malformed_annotation(tmp_path, capsys, ann
     assert "tool 'a'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "tool",
+    [
+        {"name": "a", "description": 5, "parameters": {}},
+        {"name": "a", "description": "", "parameters": {"p": {"type": "string", "description": 5}}},
+    ],
+    ids=["schema", "parameter"],
+)
+def test_validate_annotations_rejects_non_string_description(tmp_path, capsys, tool):
+    bad = schema_file(tmp_path, "bad.json", [tool])
+    good = schema_file(tmp_path, "good.json", [annotated_tool("a", writes=["/x"])])
+    assert main(["validate-annotations", "--predicted", bad, "--truth", good]) == 2
+    assert "description must be a string, got 5" in capsys.readouterr().err
+
+
+def test_validate_annotations_compares_templates_as_written(tmp_path, capsys):
+    # A session template and the /-rooted path spelled the same way are one
+    # region; two {param} templates are the same region only when they match.
+    tools = [
+        annotated_tool("session", writes=["$session/cwd/x"]),
+        annotated_tool("rooted", reads=["/$session/cwd/x"]),
+        annotated_tool("name", writes=["/files/{name}"]),
+        annotated_tool("other", reads=["/files/{other}"]),
+        annotated_tool("same", reads=["/files/{name}"]),
+    ]
+    path = schema_file(tmp_path, "templates.json", tools)
+    assert main(["validate-annotations", "--predicted", path, "--truth", path]) == 0
+    metrics = json.loads(capsys.readouterr().out.strip())
+    assert (metrics["tp"], metrics["fp"], metrics["fn"], metrics["tn"]) == (4, 0, 0, 16)
+
+
 @pytest.mark.parametrize("kind", [[], {"x": 1}], ids=["list", "object"])
 def test_unhashable_parameter_type_exits_2(tmp_path, capsys, kind):
     schema = {"name": "a", "description": "", "parameters": {"p": {"type": kind}}}

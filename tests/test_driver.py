@@ -43,30 +43,34 @@ class TestFig1Schedules:
         assert trace.final_answer == "hi"
 
 
+def binding_messages(trace):
+    """The messages that bind resolved futures into the context."""
+    return [m for m in trace.messages if isinstance(m.content, dict) and "resolved_futures" in m.content]
+
+
 class TestIntegration:
     def test_binding_message_after_resolution(self):
         trace = run_fixture("fig1", "async-sequential")
-        bindings = [m for m in trace.messages if m.bound_futures]
+        bindings = binding_messages(trace)
         assert bindings, "expected at least one binding user message"
         assert all(m.role == "user" for m in bindings)
         bound = {}
         for m in bindings:
-            bound.update(m.bound_futures)
+            bound.update(m.content["resolved_futures"])
         values = list(bound.values())
         assert {"status": "staged", "item": "alpha"} in values
 
     def test_field_futures_bound_alongside_base(self):
         trace = run_fixture("vehicle", "async-sequential")
         bound = {}
-        for m in trace.messages:
-            if m.bound_futures:
-                bound.update(m.bound_futures)
+        for m in binding_messages(trace):
+            bound.update(m.content["resolved_futures"])
         field_ids = [fid for fid in bound if fid.endswith(".engineState")]
         assert field_ids and bound[field_ids[0]] == "running"
 
     def test_no_binding_messages_in_sync_modes(self):
         trace = run_fixture("fig1", "sync-sequential")
-        assert not any(m.bound_futures for m in trace.messages)
+        assert not binding_messages(trace)
 
     def test_placeholder_tool_messages_in_async(self):
         trace = run_fixture("vehicle", "async-sequential")
@@ -705,7 +709,7 @@ def test_placeholder_ids_are_dense():
         "fut_2",
         "fut_3",
     ]
-    bound = [m.bound_futures for m in trace.messages if m.bound_futures]
+    bound = [m.content["resolved_futures"] for m in binding_messages(trace)]
     assert sorted(fid for b in bound for fid in b) == ["fut_0", "fut_1", "fut_2", "fut_3"]
 
 

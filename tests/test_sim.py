@@ -286,6 +286,12 @@ class TestWorkloadLoading:
             ("tool", "returns", []),
             ("tool", "state", {"writes": [{"path": "/a", "value": 5}]}),
             ("tool", "error_at", {"0": 5}),
+            ("tool", "error_at", {"-1": "boom"}),
+            ("tool", "error_at", {" 0": "boom"}),
+            ("tool", "error_at", {"+0": "boom"}),
+            ("tool", "error_at", {"0_0": "boom"}),
+            ("tool", "schema", {"name": "t", "description": 5}),
+            ("tool", "schema", {"name": "t", "parameters": {"p": {"type": "string", "description": 5}}}),
             ("final", "final", 5),
             ("root", "task", 5),
         ],
