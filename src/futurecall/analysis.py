@@ -33,7 +33,7 @@ from .scheduler import EDGE_KINDS, TERMINAL_STATUSES
 from .trace import RunTrace
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Interval:
     start: float
     end: float

@@ -83,10 +83,6 @@ class VirtualClock:
             self.advance()
         self._advance_to(target)
 
-    def run_all(self) -> None:
-        while self.pending():
-            self.advance()
-
     def shutdown(self) -> None:
         """Drop the queued events, which a run that raised leaves behind."""
         self._queue.clear()

@@ -74,7 +74,7 @@ def is_parallel(mode: str) -> bool:
     return mode in (SYNC_PARALLEL, ASYNC_PARALLEL)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class ToolCall:
     call_id: str
     name: str

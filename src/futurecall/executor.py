@@ -1,16 +1,16 @@
 """Workers that run dispatched calls and propagate failures.
 
-Each dispatched call gets an independent worker. The worker first awaits the
-argument futures the scheduler recorded at submission; that wait is
+Each dispatched call gets an independent worker. A call without argument
+futures goes straight from dispatched to running, with no waiter, and hands
+its tool behavior a plain copy of its arguments. Any other call first awaits
+the argument futures the scheduler recorded at submission; that wait is
 non-blocking, so a call parked on its arguments never delays other
-dispatchable calls, and a call without argument futures goes on at once,
-with no waiter. Exactly the recorded ids are then substituted by their
+dispatchable calls. Exactly the recorded ids are then substituted by their
 values: a string leaf that only became a known future id after submission
-stays literal text, as it does in a sync run. A call without argument
-futures hands its tool behavior a plain copy of its arguments. The behavior
-runs across its latency interval, the result future is fulfilled (or
-failed), the call's access labels are released, and the execution interval
-lands in the run trace.
+stays literal text, as it does in a sync run. The behavior runs across its
+latency interval, the result future is fulfilled (or failed), the call's
+access labels are released, and the execution interval lands in the run
+trace.
 
 When a call fails, every call transitively dependent on it is cancelled, its
 result future carrying an error that names the failed call, and independent
@@ -131,38 +131,41 @@ class Executor:
     # -- dispatch ---------------------------------------------------------------
 
     def dispatch(self, call: CallRecord) -> None:
+        """Dispatch a call whose gates are open. One without argument
+        futures starts running at once, on a copy of its arguments."""
         if call.terminal:
             return
         shut = sum(1 for gate in call.blocking_gates if not gate.done)
         if shut:
             raise GatesPendingError(f"{call.call_id}: {shut} blocking gates still shut")
         call.advance_status(DISPATCHED)
-        call.dispatched_at = self.clock.now()
+        now = call.dispatched_at = self.clock.now()
         if call.argument_futures:
             self.store.add_waiter(sorted(call.argument_futures), lambda: self._on_arguments_ready(call))
         else:
-            self._on_arguments_ready(call)
+            self._start(call, copy_json(call.args), now)
 
     def _on_arguments_ready(self, call: CallRecord) -> None:
         if call.terminal:
             return
         fids = call.argument_futures
-        if not fids:
-            concrete = copy_json(call.args)
-        else:
-            for fid in sorted(fids):
-                error = self.store.state_of(fid).error
-                if error is not None:
-                    # The producing call failed upstream; this call consumes it.
-                    self.scheduler.mark_cancelled(call, error.origin_call)
-                    return
-            try:
-                concrete = substitute_resolved(call.args, self.store, fids)
-            except Exception as exc:  # substitution failure surfaces as the call's failure
-                self._fail(call, ErrorInfo(EXECUTION_ERROR, str(exc), call.call_id))
+        for fid in sorted(fids):
+            error = self.store.state_of(fid).error
+            if error is not None:
+                # The producing call failed upstream; this call consumes it.
+                self.scheduler.mark_cancelled(call, error.origin_call)
                 return
+        try:
+            concrete = substitute_resolved(call.args, self.store, fids)
+        except Exception as exc:  # substitution failure surfaces as the call's failure
+            self._fail(call, ErrorInfo(EXECUTION_ERROR, str(exc), call.call_id))
+            return
+        self._start(call, concrete, self.clock.now())
+
+    def _start(self, call: CallRecord, concrete: Any, now: float) -> None:
+        """Run the call's behavior across its latency interval from ``now``."""
         call.advance_status(RUNNING)
-        call.exec_start = self.clock.now()
+        call.exec_start = now
         latency = self.tools[call.tool].latency_for(call.invocation_index)
         self.clock.schedule(latency, lambda: self._complete(call, concrete))
 

@@ -36,7 +36,7 @@ FUTURE_ID_RE = re.compile(r"fut_\d+(\.[^.\s]+)*")
 _SEGMENT_RE = re.compile(r"[^.\s]+")
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class FutureState:
     """Snapshot of a future: pending, or one of three final outcomes. A
     failed or cancelled future's ``error`` names the call that failed."""
@@ -62,7 +62,8 @@ def split_future_id(fid: str) -> tuple[str, str | None]:
 
 
 def looks_like_future_id(text: str) -> bool:
-    return bool(FUTURE_ID_RE.fullmatch(text))
+    # The prefix test settles most strings without the regex.
+    return text.startswith("fut_") and FUTURE_ID_RE.fullmatch(text) is not None
 
 
 def valid_field_path(path: str) -> bool:

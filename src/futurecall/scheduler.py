@@ -23,11 +23,12 @@ owners have not released; a label's gate then opens once the gates of
 the labels it superseded are open, since calls admitted before the
 cancellation wait on those only through it.
 
-Everything is event-driven. Admission registers one waiter on the call's
-blocking gates, and the waiter queues the call for dispatch once the last
-gate opens. A head that cannot resolve its paths yet waits on the one input
-it needs, a pending future or the in-flight session write's gate, and is
-not looked at again until that input is settled.
+Everything is event-driven. A call whose blocking gates are all open at
+admission is queued for dispatch at once, with no waiter; otherwise one
+waiter on its gates queues it once the last gate opens, and the pass that
+dispatches it runs only then. A head that cannot resolve its paths yet
+waits on the one input it needs, a pending future or the in-flight session
+write's gate, and is not looked at again until that input is settled.
 
 Indexed labels sit in a trie keyed by path segment, so a conflict lookup
 visits the path's ancestors, the equal node and, for a subtree access, the
@@ -49,7 +50,7 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator, NamedTuple
+from typing import AbstractSet, Any, Callable, Iterator, NamedTuple, Sequence
 
 from .errors import (
     CANCELLED_DEPENDENCY,
@@ -59,10 +60,7 @@ from .errors import (
     NotTerminalError,
 )
 from .futures import RESOLVED, FutureStore, Latch, looks_like_future_id, when_all
-from .schema import DependencyAnnotation, scan_future_refs
-
-READ = "read"
-WRITE = "write"
+from .schema import READ, WRITE, Access, DependencyAnnotation, scan_future_refs
 
 # Call lifecycle, advancing monotonically; "cancelled" may follow any
 # non-terminal status.
@@ -89,19 +87,6 @@ class FailedPathDependency(FuturecallError):
         self.state = state
 
 
-@dataclass(frozen=True, slots=True)
-class Access:
-    """One resolved region access: path, read/write mode, scope flag.
-
-    The path is its tuple of segments, ``("a", "b")`` for ``/a/b``; the
-    root is ``()``.
-    """
-
-    path: tuple[str, ...]
-    mode: str
-    subtree: bool
-
-
 @dataclass(slots=True)
 class AccessLabel:
     """A live access registered in the state tree, with the gate that opens
@@ -115,7 +100,7 @@ class AccessLabel:
     owner: str
     gate: Latch
     seq: int
-    replaced: list["AccessLabel"] = field(default_factory=list, compare=False, repr=False)
+    replaced: Sequence["AccessLabel"] = field(default=(), compare=False, repr=False)
 
 
 def regions_overlap(a: Access, b: Access) -> bool:
@@ -199,23 +184,27 @@ class LabelIndex:
         """Drop a label; one a later write already superseded is gone."""
         if self._live.pop(label.seq, None) is None:
             return
-        path = label.access.path
-        trail = self._trail(path)
-        key = (label.access.mode, label.access.subtree)
-        labels = trail[-1].labels[key]
+        access = label.access
+        node = self._root
+        for segment in access.path:
+            node = node.children[segment]
+        key = (access.mode, access.subtree)
+        labels = node.labels[key]
         del labels[label.seq]
         if not labels:
-            del trail[-1].labels[key]
-        self._prune(trail, path)
+            del node.labels[key]
+            if not node.labels and not node.children:
+                self._prune(access.path)
 
     def supersede(self, write: Access) -> list[AccessLabel]:
         """Drop and return every label inside the write access's region: the
         non-subtree labels at its path or, for a subtree write, every label
         at or below its path."""
-        trail = self._trail(write.path)
-        if len(trail) <= len(write.path):
-            return []
-        node = trail[-1]
+        node = self._root
+        for segment in write.path:
+            node = node.children.get(segment)
+            if node is None:
+                return []
         if write.subtree:
             groups = [labels for below in (node, *node.descendants()) for labels in below.labels.values()]
             node.labels, node.children = {}, {}
@@ -224,7 +213,8 @@ class LabelIndex:
         dropped = [label for labels in groups for label in labels.values()]
         for label in dropped:
             del self._live[label.seq]
-        self._prune(trail, write.path)
+        if not node.labels and not node.children:
+            self._prune(write.path)
         return dropped
 
     def restore(self, labels: list[AccessLabel]) -> None:
@@ -236,20 +226,15 @@ class LabelIndex:
         if fresh:
             self._live = dict(sorted(self._live.items()))
 
-    def _trail(self, segments: tuple[str, ...]) -> list[_PathNode]:
-        """The root and the nodes along the path, as far as they exist."""
+    def _prune(self, segments: tuple[str, ...]) -> None:
+        """Drop the nodes along the path left with neither labels nor
+        children, so subtree walks only ever see live state."""
         trail = [self._root]
         for segment in segments:
             node = trail[-1].children.get(segment)
             if node is None:
                 break
             trail.append(node)
-        return trail
-
-    @staticmethod
-    def _prune(trail: list[_PathNode], segments: tuple[str, ...]) -> None:
-        """Drop nodes left with neither labels nor children, so subtree
-        walks only ever see live state."""
         for depth in range(len(trail) - 1, 0, -1):
             node = trail[depth]
             if node.labels or node.children:
@@ -276,8 +261,12 @@ class LabelIndex:
         return found
 
 
+_FALLBACK = (Access((), READ, True), Access((), WRITE, True))
+
+
 def fallback_accesses() -> list[Access]:
-    return [Access((), READ, True), Access((), WRITE, True)]
+    """The footprint of an unannotated tool: the whole tree, read and written."""
+    return list(_FALLBACK)
 
 
 @dataclass
@@ -326,8 +315,11 @@ class CallRecord:
     ``turn`` is the number of the decode turn that emitted the call.
     ``argument_futures`` holds the future ids that ``Scheduler.submit``
     found among the string leaves of ``args``; the executor waits on and
-    substitutes exactly those. ``terminal`` is set by ``advance_status``
-    alone, when the status becomes done, failed or cancelled.
+    substitutes exactly those. ``blocking_gates``, ``argument_futures`` and
+    ``labels`` start as shared empty values; submission and admission assign
+    their own, and nothing changes them in place. ``terminal`` is set by
+    ``advance_status`` alone, when the status becomes done, failed or
+    cancelled.
     """
 
     call_id: str
@@ -338,9 +330,9 @@ class CallRecord:
     status: str = QUEUED
     invocation_index: int = 0
     turn: int = 0
-    blocking_gates: set[Latch] = field(default_factory=set)
-    argument_futures: set[str] = field(default_factory=set)
-    labels: list[AccessLabel] = field(default_factory=list)
+    blocking_gates: AbstractSet[Latch] = frozenset()
+    argument_futures: AbstractSet[str] = frozenset()
+    labels: Sequence[AccessLabel] = ()
     session_version: int | None = None
     submitted_at: float = 0.0
     admitted_at: float | None = None
@@ -393,8 +385,9 @@ def resolve_paths(
 ) -> list[Access] | str | Latch:
     """Materialize a call's access set, or name the input it waits on.
 
-    Fills each parsed template: a ``{param}`` with the call's argument value
-    (a future's resolved value) and a ``$session/name`` prefix with the
+    A literal template gives the access its declaration prebuilt. Every
+    other parsed template is filled: a ``{param}`` with the call's argument
+    value (a future's resolved value) and a ``$session/name`` prefix with the
     binding's current path, read as literal segments. While a needed value
     is still pending this returns what to wait on instead: the id of the
     pending future, or the gate of the latest session write in flight. A
@@ -406,6 +399,9 @@ def resolve_paths(
     accesses: list[Access] = []
     for mode, decls in ((READ, annotation.reads), (WRITE, annotation.writes)):
         for decl in decls:
+            if decl.literal is not None:
+                accesses.append(decl.literal[mode])
+                continue
             filled: list[str] = []
             if decl.binding is not None:
                 if session.writes_in_flight:
@@ -449,11 +445,11 @@ class Scheduler:
     release. Dispatch itself is delegated through ``on_dispatch`` so the
     executor decides how dispatched calls run; the executor binds its
     ``dispatch`` there, and the driver drops it when the run ends, so the
-    hook is live only during a run. Each admitted call waits on
-    its blocking gates; the waiter puts it on the ready list, and the next
-    pass dispatches the ready calls in admission order. A head whose paths
-    need a pending input waits on that input alone. ``pump`` runs such a
-    pass on submission, after each gate that had waiters opens, on
+    hook is live only during a run. An admitted call goes on the ready list
+    at once if its blocking gates are open, else through a waiter on them,
+    and the next pass dispatches the ready calls in admission order. A head
+    whose paths need a pending input waits on that input alone. ``pump``
+    runs such a pass on submission, after a gate opening readies a call, on
     cancellation and when the blocked head's input settles; nothing else
     can admit or ready a call.
     """
@@ -502,8 +498,9 @@ class Scheduler:
 
     def _record_argument_edges(self, call: CallRecord) -> None:
         producers: set[str] = set()
+        call.argument_futures = found = set()
         for _, fid in scan_future_refs(call.args, self.store):
-            call.argument_futures.add(fid)
+            found.add(fid)
             producer = self.store.owner_of(fid)
             if producer and producer != call.call_id and producer not in producers:
                 producers.add(producer)
@@ -561,20 +558,26 @@ class Scheduler:
             self._admit(head, resolved, now)
 
     def _admit(self, call: CallRecord, accesses: list[Access], now: float) -> None:
-        call.blocking_gates = self.blocking_gates(call, accesses)
+        """Register the call's labels and ready it: at once when every
+        blocking gate is open, else through one waiter on them."""
+        gates = call.blocking_gates = self.blocking_gates(call, accesses)
         annotation = call.annotation
         if annotation is not None and annotation.session_write:
             call.session_version = self.session.reserve_write(call.call_id)
         index = self.label_index
-        replaced = [index.supersede(access) if access.mode == WRITE else [] for access in accesses]
+        replaced = [index.supersede(access) if access.mode == WRITE else () for access in accesses]
+        labels = call.labels = []
         for access, dropped in zip(accesses, replaced):
             label = AccessLabel(access, call.call_id, Latch(), next(self._label_seq), dropped)
-            call.labels.append(label)
+            labels.append(label)
             index.add(label)
         call.advance_status(ADMITTED)
         call.admitted_at = now
-        seq = next(self._admission_seq)
-        when_all(call.blocking_gates, lambda: self._ready.append((seq, call)))
+        entry = (next(self._admission_seq), call)
+        if gates and not all(gate.done for gate in gates):
+            when_all(gates, lambda: self._ready.append(entry))
+        else:
+            self._ready.append(entry)
 
     def blocking_gates(self, call: CallRecord, accesses: list[Access]) -> set[Latch]:
         """Gates of every indexed conflicting label, plus the preceding
@@ -627,18 +630,18 @@ class Scheduler:
             self.on_dispatch(call)
 
     def _open(self, gate: Latch) -> None:
-        """Open a gate, then run a pass if anything waited on it: each gate
+        """Open a gate, then run a pass if that readied a call: each gate
         is a step of its own, so the calls it readies dispatch before the
         next gate of the same release opens."""
-        waited = bool(gate.waiters)
         gate.open()
-        if waited:
+        if self._ready:
             self.pump()
 
     def release(self, call: CallRecord) -> None:
-        """Open a terminal call's label gates and drop the labels still
-        indexed; a superseded label has already left the index. Each gate
-        runs its own pass, so nothing is left for one here.
+        """Open each of a terminal call's label gates, then drop the label if
+        it is still indexed; a superseded label has already left the index.
+        A gate that readies a call runs its own pass, so nothing is left for
+        one here.
 
         A done session writer's result advances the session, and its version
         gate opens before its label gates; a failed or cancelled writer's
@@ -651,11 +654,11 @@ class Scheduler:
         version = call.session_version
         if version is not None and call.status == DONE:
             self._end_session_write(version, self.store.state_of(call.result_future).value)
+        index = self.label_index
         for label in call.labels:
             if not label.gate.done:
                 self._open(label.gate)
-        for label in call.labels:
-            self.label_index.remove(label)
+            index.remove(label)
         if version is not None and call.status != DONE:
             self._end_session_write(version)
 

@@ -124,12 +124,32 @@ class FunctionSchema:
             for name, spec in raw.get("parameters", {}).items()
         }
         schema = cls(name=raw.pop("name", None), **raw)
-        schema.validate()
+        try:
+            schema.validate()
+        except InvalidSchemaError as exc:
+            raise InvalidSchemaError(f"{where}: {exc}") from exc
         return schema
 
 
 # A template rooted here names a session binding: ``$session/name/tail``.
 SESSION_PREFIX = "$session/"
+
+READ = "read"
+WRITE = "write"
+
+
+@dataclass(slots=True)
+class Access:
+    """One resolved region access: path, read/write mode, scope flag.
+
+    The path is its tuple of segments, ``("a", "b")`` for ``/a/b``; the
+    root is ``()``. An access is never changed once built, so one instance
+    may serve many calls.
+    """
+
+    path: tuple[str, ...]
+    mode: str
+    subtree: bool
 
 
 @dataclass
@@ -146,12 +166,17 @@ class AccessDecl:
     template that is neither /-rooted nor session-relative, names no binding
     after ``$session/``, or opens a brace it does not close raises
     BadPathTemplateError.
+
+    A literal template, with no binding and no placeholder, resolves to the
+    same accesses for every call: ``literal`` maps each mode to its one
+    ``Access``, built here. It is None for any other template.
     """
 
     path: str
     subtree: bool = False
     binding: str | None = field(init=False, repr=False)
     segments: tuple[str | tuple[str, ...], ...] = field(init=False, repr=False)
+    literal: dict[str, Access] | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         path = self.path
@@ -178,6 +203,9 @@ class AccessDecl:
             parts.append(rest)
             segments.append(tuple(parts))
         self.binding, self.segments = binding, tuple(segments)
+        self.literal = None
+        if binding is None and "{" not in path:
+            self.literal = {mode: Access(self.segments, mode, self.subtree) for mode in (READ, WRITE)}
 
 
 @dataclass
@@ -266,7 +294,7 @@ def transform_schema(schema: FunctionSchema) -> FunctionSchema:
         name=schema.name,
         description=description,
         parameters=params,
-        outputs=copy.deepcopy(schema.outputs),
+        outputs=copy_json(schema.outputs),
         returns_description=FUTURE_RETURN_NOTE,
         future_adapted=True,
     )

@@ -29,7 +29,7 @@ AWAIT = "await"
 INTEGRATE = "integrate"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class TraceEvent:
     t0: float
     t1: float

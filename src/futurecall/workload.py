@@ -63,7 +63,7 @@ from typing import Any, Container
 from .errors import ParseError, ValidationError
 from .executor import StateStore, ToolBinding, ToolExecutionError
 from .futures import looks_like_future_id
-from .schema import AWAIT_FUTURE_NAME, DependencyAnnotation, FunctionSchema, map_leaves
+from .schema import AWAIT_FUTURE_NAME, DependencyAnnotation, FunctionSchema, copy_json, map_leaves
 from .schema import json_fields, tool_from_json
 
 CALL_REF_RE = re.compile(r"@([A-Za-z_][\w-]*)(\.[^.\s]+(?:\.[^.\s]+)*)?")
@@ -170,7 +170,7 @@ def _scan_args(args: dict) -> tuple[tuple[str, ...], bool]:
         ref = parse_call_ref(node)
         if ref is not None:
             refs.append(ref[0])
-        elif isinstance(node, str) and node.startswith("fut_") and looks_like_future_id(node):
+        elif isinstance(node, str) and looks_like_future_id(node):
             literal = True
 
     map_leaves(args, leaf)
@@ -178,6 +178,14 @@ def _scan_args(args: dict) -> tuple[tuple[str, ...], bool]:
 
 
 TOOL_KINDS = ("function", "thinking")
+
+# The longest worst-case schedule a workload may declare, in time units.
+# Every time a run stamps then stays below it, where one float ulp is at
+# most 2**-33 (about 1.2e-10), so the interval sums of the savings
+# decomposition keep the unit latencies and its identity holds within its
+# 1e-9 tolerance. Far above it the sums drop whole latencies: at 2**70 the
+# identity reads 0.0 != 3.0 + 0.0 on the diamond fixture.
+MAX_SCHEDULE = 1e6
 
 
 @dataclass
@@ -230,6 +238,25 @@ class WorkloadSpec:
                 emitted.add(call.call_id)
         if not any(turn.is_final for turn in self.script):
             raise ValidationError("script never produces a final answer")
+        schedule = worst_case_schedule(self)
+        if not schedule <= MAX_SCHEDULE:
+            raise ValidationError(
+                f"workload: worst-case schedule of {schedule} time units exceeds {MAX_SCHEDULE:g}"
+            )
+
+
+def worst_case_schedule(spec: WorkloadSpec) -> float:
+    """An upper bound on a run's length in any mode: every turn decoded
+    once per call it emits, as a sequential API splits it, and every call
+    run at its tool's largest latency, one after another."""
+    slowest = {
+        tool.schema.name: max(tool.latency) if isinstance(tool.latency, list) else tool.latency
+        for tool in spec.tools
+    }
+    return sum(
+        turn.decode_time * max(1, len(turn.emit)) + sum(slowest.get(call.name, 0) for call in turn.emit)
+        for turn in spec.script
+    )
 
 
 def load_workload(path: str) -> WorkloadSpec:
@@ -349,6 +376,7 @@ def make_latency_sweep(base: WorkloadSpec, delays: list[float]) -> list[Workload
         spec = copy.deepcopy(base)
         for tool in spec.tools:
             tool.latency = delay
+        spec.validate()
         out.append(spec)
     return out
 
@@ -423,7 +451,7 @@ def _make_behavior(tool: ToolSpec):
             state.write(path, _render_write_value(template, call_tag, args, observed))
         if returns is not None:
             value = returns[min(invocation, len(returns) - 1)]
-            return copy.deepcopy(value)
+            return copy_json(value)
         result: dict[str, Any] = {"tool": name, "invocation": invocation}
         if observed:
             result["observed"] = observed

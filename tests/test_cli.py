@@ -3,13 +3,17 @@ from __future__ import annotations
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
 import pytest
 
 import futurecall
+from futurecall import load_workload
 from futurecall.cli import main
+from futurecall.errors import ValidationError
+from futurecall.schema import load_schema_file
 
 from conftest import fixture_path
 
@@ -96,6 +100,23 @@ def test_run_non_string_names_exit_2(tmp_path, capsys, schema_name, call_name, m
     path.write_text(json.dumps(non_string_name_workload(schema_name, call_name)))
     assert main(["run", "--workload", str(path)]) == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", [[1], ""], ids=["list", "empty"])
+def test_bad_schema_name_names_its_entry(tmp_path, capsys, name):
+    message = f"schema name must be a nonempty string, got {name!r}"
+    workload = tmp_path / "w.json"
+    workload.write_text(json.dumps(non_string_name_workload(name, "t")))
+    with pytest.raises(ValidationError, match=re.escape(f"schema of tools[0]: {message}")):
+        load_workload(str(workload))
+    assert main(["run", "--workload", str(workload)]) == 2
+    assert f"schema of tools[0]: {message}" in capsys.readouterr().err
+    bad = schema_file(tmp_path, "bad.json", [annotated_tool("a"), {"name": name, "description": ""}])
+    good = schema_file(tmp_path, "good.json", [annotated_tool("a")])
+    with pytest.raises(ValidationError, match=re.escape(f"{bad}: tools[1]: {message}")):
+        load_schema_file(bad)
+    assert main(["validate-annotations", "--predicted", bad, "--truth", good]) == 2
+    assert f"{bad}: tools[1]: {message}" in capsys.readouterr().err
 
 
 def test_run_runtime_error_exits_3(tmp_path):

@@ -445,7 +445,7 @@ class SchedulerMachine(RuleBasedStateMachine):
             for fid in self.external:
                 if not self.store.state_of(fid).is_terminal:
                     self.store.resolve(fid, "late")
-            self.clock.run_all()
+            self.clock.run_until(lambda: not self.clock.pending())
             self.drained_runs_leave_nothing_shut()
         finally:
             scheduler_mod.when_all = self._when_all

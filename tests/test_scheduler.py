@@ -5,6 +5,7 @@ from collections import Counter
 import pytest
 
 import futurecall.executor as executor_mod
+import futurecall.futures as futures_mod
 import futurecall.scheduler as scheduler_mod
 from futurecall import DependencyAnnotation, FutureStore, TurnDriver, VirtualClock, run_workload
 from futurecall.errors import (
@@ -764,6 +765,58 @@ class TestAdmissionWork:
         assert set(trace.call_status.values()) == {"done"}
         assert len(trace.edges) > n  # the gates were there, and none is a future
         assert driver.store.ids() == [f"fut_{k}" for k in range(n)]
+
+    def test_ready_calls_of_literal_writes_make_no_waiter_and_no_access(self, monkeypatch):
+        # Each call writes its own literal path, so every gate it could
+        # wait on is open at admission and its access was built at load.
+        counts: Counter = Counter()
+
+        def counting(owner, attr):
+            original = getattr(owner, attr)
+
+            def counted(*args, **kwargs):
+                counts[attr] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, attr, counted)
+
+        n = 256
+        spec = TestWorkGrowth.single_turn(
+            [self.tool(f"put{k}", 1 + k % 5, writes=[f"/items/{k}"]) for k in range(n)],
+            [{"id": f"C{k}", "name": f"put{k}", "args": {}} for k in range(n)],
+        )
+        counting(futures_mod, "_Waiter")
+        counting(Scheduler, "pump")
+        counting(scheduler_mod, "Access")
+        trace = run_workload(spec, "async-parallel")
+        assert set(trace.call_status.values()) == {"done"}
+        assert trace.edges == []
+        assert counts["_Waiter"] == 0
+        assert counts["pump"] <= n + 2
+        assert counts["Access"] == 0
+
+    def test_a_gate_that_readies_no_call_runs_no_pass(self, monkeypatch):
+        # R waits on the gates of A (done at 2) and B (done at 3): the
+        # first gate to open leaves R waiting, so only the second runs a pass.
+        pumps = []
+        pump = Scheduler.pump
+
+        def counted(self):
+            pumps.append(self.clock.now())
+            pump(self)
+
+        monkeypatch.setattr(Scheduler, "pump", counted)
+        spec = TestWorkGrowth.single_turn(
+            [
+                self.tool("wa", 1, writes=["/a"]),
+                self.tool("wb", 2, writes=["/b"]),
+                self.tool("r", 1, reads=["/a", "/b"]),
+            ],
+            [{"id": c, "name": name, "args": {}} for c, name in (("A", "wa"), ("B", "wb"), ("R", "r"))],
+        )
+        trace = run_workload(spec, "async-parallel")
+        assert set(trace.call_status.values()) == {"done"}
+        assert pumps == [1.0, 1.0, 1.0, 3.0]
 
     @pytest.mark.parametrize(
         "annotation,error_at,shut",

@@ -9,7 +9,14 @@ import pytest
 from futurecall import VirtualClock, WallClock, load_workload, make_latency_sweep, run_workload
 from futurecall.cli import main
 from futurecall.errors import DeadlockError, EmptyQueueError, ParseError, ValidationError
-from futurecall.workload import parse_call_ref, strip_annotations, workload_from_json
+from futurecall.driver import MODES
+from futurecall.workload import (
+    MAX_SCHEDULE,
+    parse_call_ref,
+    strip_annotations,
+    workload_from_json,
+    worst_case_schedule,
+)
 
 from conftest import fixture_path
 
@@ -20,7 +27,7 @@ class TestVirtualClock:
         order = []
         clock.schedule(1, lambda: order.append("later"))
         clock.schedule(0, lambda: order.append("now"))
-        clock.run_all()
+        clock.run_until(lambda: not clock.pending())
         assert order == ["now", "later"]
 
     def test_events_fire_in_time_order(self):
@@ -28,7 +35,7 @@ class TestVirtualClock:
         order = []
         clock.schedule(5, lambda: order.append(5))
         clock.schedule(3, lambda: order.append(3))
-        clock.run_all()
+        clock.run_until(lambda: not clock.pending())
         assert order == [3, 5]
         assert clock.now() == 5.0
 
@@ -37,7 +44,7 @@ class TestVirtualClock:
         order = []
         clock.schedule(5, lambda: order.append("first"))
         clock.schedule(5, lambda: order.append("second"))
-        clock.run_all()
+        clock.run_until(lambda: not clock.pending())
         assert order == ["first", "second"]
 
     def test_advance_on_empty_queue_raises(self):
@@ -294,6 +301,12 @@ class TestWorkloadLoading:
             ("tool", "schema", {"name": "t", "parameters": {"p": {"type": "string", "description": 5}}}),
             ("final", "final", 5),
             ("root", "task", 5),
+            # Worst-case schedules past MAX_SCHEDULE, where float sums lose
+            # unit latencies.
+            ("turn", "decode_time", 2**70),
+            ("final", "decode_time", 2e6),
+            ("tool", "latency", 2e6),
+            ("tool", "latency", [1, 2e6]),
         ],
         ids=lambda v: v if isinstance(v, str) else repr(v)[:40],
     )
@@ -322,6 +335,40 @@ class TestWorkloadLoading:
         path.write_text(json.dumps(data))
         assert main(["run", "--workload", str(path), "--mode", "sync-sequential"]) == 2
 
+    @staticmethod
+    def scaled(data: dict, factor: float) -> dict:
+        """The workload with every time multiplied and kept to two decimals."""
+
+        def times(value):
+            return [times(v) for v in value] if isinstance(value, list) else round(value * factor, 2)
+
+        return {
+            **data,
+            "tools": [{**tool, "latency": times(tool.get("latency", 0))} for tool in data["tools"]],
+            "script": [
+                {
+                    **turn,
+                    "decode_time": times(turn.get("decode_time", 1.0)),
+                    **({"tokens": [[t, times(o)] for t, o in turn["tokens"]]} if turn.get("tokens") else {}),
+                }
+                for turn in data["script"]
+            ],
+        }
+
+    @pytest.mark.parametrize("name", ["diamond", "fig1", "fail-chain"])
+    def test_schedule_just_under_the_bound_runs_in_every_mode(self, tmp_path, name):
+        with open(fixture_path(name), encoding="utf-8") as fh:
+            data = json.load(fh)
+        factor = MAX_SCHEDULE / worst_case_schedule(workload_from_json(data))
+        under = self.scaled(data, 0.999 * factor)
+        assert 0.99 * MAX_SCHEDULE < worst_case_schedule(workload_from_json(under)) <= MAX_SCHEDULE
+        path = tmp_path / "w.json"
+        path.write_text(json.dumps(under))
+        for mode in MODES:
+            assert main(["run", "--workload", str(path), "--mode", mode]) == 0, mode
+        path.write_text(json.dumps(self.scaled(data, 1.01 * factor)))
+        assert main(["run", "--workload", str(path), "--mode", "async-parallel"]) == 2
+
     def test_fig1_fixture_shape(self):
         spec = load_workload(fixture_path("fig1"))
         calls = [c for turn in spec.script for c in turn.emit]
@@ -347,6 +394,11 @@ class TestLatencySweep:
         base = load_workload(fixture_path("pairs"))
         with pytest.raises(ValidationError):
             make_latency_sweep(base, [0])
+
+    def test_delay_past_the_schedule_bound_rejected(self):
+        base = load_workload(fixture_path("pairs"))
+        with pytest.raises(ValidationError, match="worst-case schedule"):
+            make_latency_sweep(base, [MAX_SCHEDULE])
 
     @pytest.mark.parametrize("delay", [float("nan"), True, "5"], ids=repr)
     def test_non_numeric_delay_rejected(self, delay):
