@@ -29,7 +29,7 @@ from .errors import (
     IncompleteTraceError,
     OverlappingDecodeError,
 )
-from .scheduler import EDGE_KINDS, TERMINAL_STATUSES
+from .scheduler import TERMINAL_STATUSES
 from .trace import RunTrace
 
 
@@ -345,8 +345,8 @@ def trace_dag(trace: RunTrace) -> DependencyDag:
     durations = {call_id: executed.get(call_id, 0.0) for call_id in trace.call_status}
     edges = [
         (producer, consumer)
-        for producer, consumer, kind in trace.edges
-        if kind in EDGE_KINDS and producer in durations and consumer in durations
+        for producer, consumer, _ in trace.edges
+        if producer in durations and consumer in durations
     ]
     return DependencyDag(durations=durations, edges=edges)
 

@@ -319,7 +319,6 @@ class TurnDriver:
             self.clock,
             self.tools,
             self.state,
-            strict_cancellation=workload.strict_cancellation,
             on_exec_interval=self._record_exec,
         )
         self.decoder = decoder or ScriptedDecoder(workload.script, is_parallel(mode))

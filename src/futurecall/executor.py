@@ -14,14 +14,14 @@ trace.
 
 When a call fails, every call transitively dependent on it is cancelled, its
 result future carrying an error that names the failed call, and independent
-calls are left untouched. By default the dependency edges that
-propagate cancellation are argument-future edges and read-after-failed-write
-gate edges; a blind overwrite of a failed call's region does not consume the
-failed effect, so write/write gate edges do not propagate unless strict mode
-is enabled. A reader admitted after a later writer gates on that writer
-alone, so a failed write's effect stops where the region was overwritten;
-a writer cancelled before it ran overwrote nothing, and readers admitted
-after its cancellation gate on the writers it superseded again.
+calls are left untouched. Cancellation follows argument-future and
+read-after-write edges recorded before the failure's walk starts; a call the
+walk's own cancellations admit is not reached. A blind overwrite of a failed
+call's region does not consume the failed effect, and a serial run executes
+it. A reader admitted after a later writer gates on that writer alone, so a
+failed write's effect stops where the region was overwritten; a writer
+cancelled before it ran overwrote nothing, and readers admitted after its
+cancellation gate on the writers it superseded again.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ from .futures import FutureStore
 from .scheduler import (
     DISPATCHED,
     DONE,
-    EDGE_KINDS,
     FAILED as CALL_FAILED,
     PROPAGATING_EDGE_KINDS,
     RUNNING,
@@ -116,7 +115,6 @@ class Executor:
         clock,
         tools: dict[str, ToolBinding],
         state: StateStore,
-        strict_cancellation: bool = False,
         on_exec_interval: Callable[[CallRecord], None] | None = None,
     ):
         self.store = store
@@ -124,7 +122,8 @@ class Executor:
         self.clock = clock
         self.tools = tools
         self.state = state
-        self.strict_cancellation = strict_cancellation
+        self._consumers: dict[str, list[str]] = {}  # producer -> consumers in scheduler.edges[:_indexed]
+        self._indexed = 0
         self.on_exec_interval = on_exec_interval or (lambda call: None)
         scheduler.on_dispatch = self.dispatch
 
@@ -208,15 +207,15 @@ class Executor:
     def cancel_transitive(self, failed_call_id: str) -> list[str]:
         """Cancel every call transitively dependent on the failed one.
 
-        Reachability runs over recorded dependency edges; only argument-future
-        and read-after-write edges propagate unless strict mode widens that to
-        every gate edge. Returns cancelled call ids in cancellation order.
+        Walks the propagating edges recorded before it starts, breadth first;
+        each walk first indexes the edges recorded since the last, so each
+        edge is indexed once. Returns cancelled call ids in cancellation order.
         """
-        kinds = EDGE_KINDS if self.strict_cancellation else PROPAGATING_EDGE_KINDS
-        consumers: dict[str, list[str]] = {}
-        for producer, consumer, kind in self.scheduler.edges:
-            if kind in kinds:
+        consumers, edges = self._consumers, self.scheduler.edges
+        for producer, consumer, kind in edges[self._indexed :]:
+            if kind in PROPAGATING_EDGE_KINDS:
                 consumers.setdefault(producer, []).append(consumer)
+        self._indexed = len(edges)
         cancelled: list[str] = []
         seen = {failed_call_id}
         frontier = deque([failed_call_id])

@@ -33,8 +33,7 @@ with its default; ``| null`` marks a key where null also means the default:
       ],
       "delay_scale": 1.0,
       "context_budget": 64,
-      "session_bindings": {"cwd": "/fs/home"},
-      "strict_cancellation": false
+      "session_bindings": {"cwd": "/fs/home"}
     }
 
 A tool's ``schema``, its ``name`` and every ``path`` are required. A call
@@ -209,7 +208,6 @@ class WorkloadSpec:
     context_budget: int = 64
     session_bindings: dict[str, Any] = field(default_factory=dict)
     task: str | None = None
-    strict_cancellation: bool = False
 
     def validate(self) -> None:
         names = {t.schema.name for t in self.tools}
@@ -288,7 +286,7 @@ def number(value: Any, what: str, positive: bool = False) -> Any:
 # schema.json_fields. Rules that a type cannot express are named checks below.
 NUMBER = (int, float)
 ROOT = {"tools": list, "script": list, "delay_scale": NUMBER, "context_budget": int,
-        "session_bindings": dict, "task": (str, NoneType), "strict_cancellation": bool}
+        "session_bindings": dict, "task": (str, NoneType)}
 TOOL = {"schema": object, "annotation": object, "latency": (*NUMBER, list), "returns": (list, NoneType),
         "error_at": (dict, NoneType), "state": (dict, NoneType), "kind": str, "answers": (dict, NoneType)}
 STATE = {"reads": list, "writes": list}

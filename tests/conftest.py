@@ -21,11 +21,9 @@ def fig1():
     return load_workload(fixture_path("fig1"))
 
 
-def run_fixture(name: str, mode: str, strict_cancellation: bool = False, **kwargs):
+def run_fixture(name: str, mode: str, **kwargs):
     """Load a repo fixture fresh, run it, and lint the produced context."""
-    workload = load_workload(fixture_path(name))
-    workload.strict_cancellation = strict_cancellation
-    trace = run_workload(workload, mode, **kwargs)
+    trace = run_workload(load_workload(fixture_path(name)), mode, **kwargs)
     assert lint_context(trace.messages) == []
     return trace
 

@@ -717,13 +717,12 @@ class TestRunTeardown:
     """A finished run holds no reference cycle, so reference counting frees
     it, and the driver still holds the run's state for inspection."""
 
-    @pytest.mark.parametrize("strict", [False, True], ids=["default", "strict"])
     @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize("name", FIXTURE_NAMES)
-    def test_finished_run_leaves_no_cyclic_garbage(self, name, mode, strict):
-        run_fixture(name, mode, strict_cancellation=strict)  # warm-up: first-use caches are not garbage
+    def test_finished_run_leaves_no_cyclic_garbage(self, name, mode):
+        run_fixture(name, mode)  # warm-up: first-use caches are not garbage
         with no_cyclic_garbage():
-            run_fixture(name, mode, strict_cancellation=strict)
+            run_fixture(name, mode)
 
     @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize("name", ["fig1", "templated"])

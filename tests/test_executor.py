@@ -85,29 +85,19 @@ def test_tool_error_fails_result_and_releases_labels():
     data = simple_workload()
     data.tools[0].error_at = {0: "kaput"}
     data.tools[1].annotation.reads = data.tools[0].annotation.writes
-    data.strict_cancellation = False
     trace = run_workload(data, "async-sequential")
     assert trace.call_status["S"] == "failed"
     # quick reads the failed write: read-after-failed-write propagates
     assert trace.call_status["Q"] == "cancelled"
 
 
-def test_waw_gate_does_not_propagate_by_default():
+def test_waw_gate_does_not_propagate():
     data = simple_workload()
     data.tools[0].error_at = {0: "kaput"}
     data.tools[1].annotation.writes = data.tools[0].annotation.writes  # WAW only
     trace = run_workload(data, "async-sequential")
     assert trace.call_status["S"] == "failed"
     assert trace.call_status["Q"] == "done"
-
-
-def test_waw_gate_propagates_in_strict_mode():
-    data = simple_workload()
-    data.tools[0].error_at = {0: "kaput"}
-    data.tools[1].annotation.writes = data.tools[0].annotation.writes
-    data.strict_cancellation = True
-    trace = run_workload(data, "async-sequential")
-    assert trace.call_status["Q"] == "cancelled"
 
 
 def test_cancellation_chain_through_argument_futures():
@@ -248,13 +238,32 @@ def test_failed_writer_cancels_readers_behind_a_later_writer(mode, expected):
         assert ("R1", "R2", "gate-waw") in trace.edges
 
 
-@pytest.mark.parametrize("mode", ["async-sequential", "async-parallel"])
-def test_strict_mode_cancels_readers_behind_a_later_writer(mode):
-    # Strict mode follows every edge kind: R1 -> R2 -> P2.
-    data = superseded_writer_workload()
-    data.strict_cancellation = True
-    trace = run_workload(data, mode)
-    assert trace.call_status == {"R1": "failed", "P1": "cancelled", "R2": "cancelled", "P2": "cancelled"}
+def test_walk_follows_only_edges_recorded_before_it():
+    # H's $session/cwd waits on C's session write. F's failure cancels C,
+    # which opens the session, so H is admitted during the walk and gates
+    # on the unreleased F. That edge is recorded after the walk started, so
+    # it does not carry F's failure: H runs once F releases.
+    def tool(name, reads=(), writes=(), **extra):
+        return {
+            "schema": {"name": name, "description": "", "parameters": {}},
+            "annotation": {"reads": [{"path": p} for p in reads], "writes": [{"path": p} for p in writes], **extra},
+            "latency": 1,
+            "returns": [{}],
+        }
+
+    fail = tool("fail", writes=["/a"])
+    fail["error_at"] = {"0": "boom"}
+    data = {
+        "tools": [fail, tool("cd", reads=["/a"], session_write=True), tool("ls", reads=["$session/cwd"])],
+        "script": [
+            {"emit": [{"id": i, "name": name, "args": {}} for i, name in [("F", "fail"), ("C", "cd"), ("H", "ls")]]},
+            {"when": {"resolved": ["F", "C", "H"]}, "final": "done"},
+        ],
+        "session_bindings": {"cwd": "/a"},
+    }
+    trace = run_workload(workload_from_json(data), "async-parallel")
+    assert trace.call_status == {"F": "failed", "C": "cancelled", "H": "done"}
+    assert ("F", "H", "gate-raw") in trace.edges
 
 
 def _cancel_probe(script):

@@ -240,6 +240,58 @@ def _reach(edges, kinds) -> dict[str, set[str]]:
     return out
 
 
+def _checked_cancel(scheduler: Scheduler, cancel_transitive, failed_call_id: str) -> list[str]:
+    """Run ``cancel_transitive(failed_call_id)`` and check its result
+    against the walk it replaced: a producer -> consumers map rebuilt from
+    every propagating edge in ``scheduler.edges`` when the walk starts,
+    walked breadth first, which cancels each call it reaches still live.
+
+    A cancellation can cancel more calls at once (a dispatched call
+    awaiting the cancelled future). Each walk cancellation logs those, and
+    the reference skips them, as the walk finds them terminal."""
+    consumers: dict[str, list[str]] = {}
+    for producer, consumer, kind in scheduler.edges:
+        if kind in PROPAGATING_EDGE_KINDS:
+            consumers.setdefault(producer, []).append(consumer)
+    order, seen = [failed_call_id], {failed_call_id}
+    for current in order:  # breadth first: the loop reads what it appends
+        for consumer in consumers.get(current, []):
+            if consumer not in seen:
+                seen.add(consumer)
+                order.append(consumer)
+    reached = order[1:]
+    live = {call_id for call_id in reached if not scheduler.calls[call_id].terminal}
+
+    cancellations: list[list[str]] = []  # per walk cancellation, the calls it cancelled
+    mark, depth = scheduler.mark_cancelled, [0]
+
+    def logged(call: CallRecord, origin_call: str) -> None:
+        if not depth[0]:
+            cancellations.append([])
+        if not call.terminal:
+            cancellations[-1].append(call.call_id)
+        depth[0] += 1
+        try:
+            mark(call, origin_call)
+        finally:
+            depth[0] -= 1
+
+    scheduler.mark_cancelled = logged
+    try:
+        result = cancel_transitive(failed_call_id)
+    finally:
+        del scheduler.mark_cancelled
+    expected: list[str] = []
+    gone: set[str] = set()
+    steps = iter(cancellations)
+    for call_id in reached:
+        if call_id in live and call_id not in gone:
+            expected.append(call_id)
+            gone.update(next(steps, ()))
+    assert result == expected, (failed_call_id, result, expected)
+    return result
+
+
 @given(index_ops, st.lists(st.integers(0, 20), min_size=31, max_size=31))
 @example(  # C1 supersedes C0's read and is cancelled while C0 runs; C2 waits on C1
     [
@@ -263,9 +315,9 @@ def _reach(edges, kinds) -> dict[str, set[str]]:
 def test_blocking_gates_reduce_a_scan_of_unreleased_labels(ops, durations):
     """Gating on the last writer and the readers since keeps the happens-
     before order of gating on every conflicting label of a call that is not
-    terminal: the same transitive closure, critical path and strict-mode
-    cancellation. In default mode a call escapes a failure the scan would
-    cancel it for only when a call that is not cancelled wrote in between.
+    terminal: the same transitive closure over every edge kind and the same
+    critical path. A call escapes a failure the scan would cancel it for
+    only when a call that is not cancelled wrote in between.
     No call dispatches while an earlier conflicting call is not terminal.
 
     "cancel" cancels a live call, one not yet dispatched where there is
@@ -294,7 +346,7 @@ def test_blocking_gates_reduce_a_scan_of_unreleased_labels(ops, durations):
             if pick:
                 victim = pick[arg % len(pick)]
                 scheduler.mark_cancelled(victim, "origin")
-                executor.cancel_transitive(victim.call_id)
+                _checked_cancel(scheduler, executor.cancel_transitive, victim.call_id)
             continue
         if op == "finish":
             running = [c for c in live if c.status == DISPATCHED]
@@ -408,6 +460,9 @@ class SchedulerMachine(RuleBasedStateMachine):
         self.doomed: set[str] = set()
         tool = ToolBinding(behavior=self._behave, latency=[1, 2, 1, 3, 2, 2, 1, 3])
         self.executor = Executor(self.store, self.scheduler, self.clock, {"t": tool}, StateStore())
+        # Every walk, from a failure or from the cancel rule, is checked.
+        cancel = self.executor.cancel_transitive
+        self.executor.cancel_transitive = lambda call_id: _checked_cancel(self.scheduler, cancel, call_id)
         dispatch = self.scheduler.on_dispatch
 
         def checked_dispatch(call: CallRecord) -> None:

@@ -489,6 +489,64 @@ class TestWorkGrowth:
         assert counts["conflicts"] <= 2 * n
         assert counts["state_of"] <= 4 * n
 
+    def test_many_failures_read_each_edge_once(self, monkeypatch):
+        # failpairs: n writers of /items/{k} that all fail, each with one
+        # reader of its path, so n failures over n edges. Rebuilding the
+        # producer -> consumers map per failure read n * n edge entries.
+        n = 400
+
+        class CountedEdges(list):
+            """An edge list counting the entries read during a walk."""
+
+            walking = False
+            read = 0
+
+            def __iter__(self):
+                for edge in super().__iter__():
+                    self.read += self.walking
+                    yield edge
+
+            def __getitem__(self, index):
+                got = super().__getitem__(index)
+                self.read += self.walking * (len(got) if isinstance(index, slice) else 1)
+                return got
+
+        edges = CountedEdges()
+        init, cancel = Scheduler.__init__, executor_mod.Executor.cancel_transitive
+
+        def counted_init(self, *args):
+            init(self, *args)
+            self.edges = edges
+
+        def counted_cancel(self, failed_call_id):
+            edges.walking = True
+            try:
+                return cancel(self, failed_call_id)
+            finally:
+                edges.walking = False
+
+        monkeypatch.setattr(Scheduler, "__init__", counted_init)
+        monkeypatch.setattr(executor_mod.Executor, "cancel_transitive", counted_cancel)
+        put = {
+            "schema": {"name": "put", "description": "", "parameters": {}},
+            "annotation": {"writes": [{"path": "/items/{k}"}]},
+            "latency": 1,
+            "returns": [{}],
+            "error_at": {str(k): "boom" for k in range(n)},
+        }
+        get = {
+            "schema": {"name": "get", "description": "", "parameters": {}},
+            "annotation": {"reads": [{"path": "/items/{k}"}]},
+            "latency": 1,
+            "returns": [{}],
+        }
+        emit = [{"id": f"W{k}", "name": "put", "args": {"k": k}} for k in range(n)]
+        emit += [{"id": f"R{k}", "name": "get", "args": {"k": k}} for k in range(n)]
+        trace = run_workload(self.single_turn([put, get], emit), "async-parallel")
+        assert Counter(trace.call_status.values()) == {"failed": n, "cancelled": n}
+        assert trace.edges == [(f"W{k}", f"R{k}", "gate-raw") for k in range(n)]
+        assert edges.read <= 2 * n
+
 
 class TestBindingWork:
     """The driver's ``@Fk`` binding walks counted, not timed: one per call

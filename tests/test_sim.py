@@ -277,8 +277,6 @@ class TestWorkloadLoading:
             ("root", "script", ["x"]),
             ("turn", "when", "A"),
             ("turn", "when", {"resolved": [["A"]]}),
-            ("root", "strict_cancellation", "no"),
-            ("root", "strict_cancellation", 1),
             ("annotation", "writes", [{"path": "/a", "subtree": "false"}]),
             ("annotation", "session_read", "yes"),
             ("annotation", "session_write", None),
