@@ -717,12 +717,22 @@ class TestRunTeardown:
     """A finished run holds no reference cycle, so reference counting frees
     it, and the driver still holds the run's state for inspection."""
 
+    @pytest.mark.parametrize("failing", [False, True], ids=["default", "failing"])
     @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize("name", FIXTURE_NAMES)
-    def test_finished_run_leaves_no_cyclic_garbage(self, name, mode):
-        run_fixture(name, mode)  # warm-up: first-use caches are not garbage
+    def test_finished_run_leaves_no_cyclic_garbage(self, name, mode, failing):
+        # "failing" fails every tool's first invocation, so each fixture that
+        # calls a tool stores tool errors and walks its failure edges.
+        def run():
+            workload = load_workload(fixture_path(name))
+            for tool in workload.tools if failing else ():
+                tool.error_at = {0: "injected"}
+            trace = run_workload(workload, mode)
+            assert lint_context(trace.messages) == []
+
+        run()  # warm-up: first-use caches are not garbage
         with no_cyclic_garbage():
-            run_fixture(name, mode)
+            run()
 
     @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize("name", ["fig1", "templated"])

@@ -91,11 +91,13 @@ def test_tool_error_fails_result_and_releases_labels():
     assert trace.call_status["Q"] == "cancelled"
 
 
-def test_waw_gate_does_not_propagate():
+@pytest.mark.parametrize("mode", ["async-sequential", "async-parallel"])
+def test_waw_gate_does_not_propagate(mode):
     data = simple_workload()
     data.tools[0].error_at = {0: "kaput"}
     data.tools[1].annotation.writes = data.tools[0].annotation.writes  # WAW only
-    trace = run_workload(data, "async-sequential")
+    trace = run_workload(data, mode)
+    assert trace.edges == [("S", "Q", "gate-waw")]
     assert trace.call_status["S"] == "failed"
     assert trace.call_status["Q"] == "done"
 

@@ -333,6 +333,18 @@ class TestWorkloadLoading:
         path.write_text(json.dumps(data))
         assert main(["run", "--workload", str(path), "--mode", "sync-sequential"]) == 2
 
+    @pytest.mark.parametrize("value", ["no", 1, True], ids=repr)
+    def test_retired_strict_cancellation_key_is_ignored(self, value):
+        # Workloads written for the removed strict_cancellation option still
+        # load, and the key changes nothing, as with any unlisted key.
+        with open(fixture_path("templated")) as f:
+            data = json.load(f)
+        plain = run_workload(workload_from_json(data), "async-parallel")
+        keyed = run_workload(workload_from_json({**data, "strict_cancellation": value}), "async-parallel")
+        assert keyed.to_jsonl() == plain.to_jsonl()
+        assert keyed.call_status == plain.call_status
+        assert keyed.edges == plain.edges
+
     @staticmethod
     def scaled(data: dict, factor: float) -> dict:
         """The workload with every time multiplied and kept to two decimals."""
