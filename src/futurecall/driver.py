@@ -7,6 +7,10 @@ outcome before the next decode. Async calling answers at once with a future
 placeholder (or a futurized output structure) and binds resolved values into
 the context through user messages at turn boundaries; failure reports arrive
 the same way and reopen the conversation if they land after the final answer.
+While the decoder waits on a trigger, outcomes accumulate and one boundary
+binds all of them before the next decode. After a final answer each outcome
+is integrated as it settles, so a late failure reopens the conversation at
+once.
 
 That leaves two execution models. Sync modes run each turn as one batch:
 same-turn calls overlap in time, their effects and results apply in emitted
@@ -28,7 +32,7 @@ import json
 import os
 import time
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Callable
 
 from .clock import VirtualClock, WallClock
 from .errors import (
@@ -327,7 +331,7 @@ class TurnDriver:
         self._reported: set[str] = set()  # call ids whose outcome is in context
         self._used_ids: set[str] = set()  # every call and await id emitted so far
         self._settled_seen = 0  # length of store.settled_calls at the last boundary
-        self._trigger: tuple[list[str], int] = ([], 0)  # requires list, count known reported
+        self._trigger: tuple[list[str], int] = ([], 0)  # requires list, count known settled
         self._turn_no = 0
         self._boundary_no = 0
         self._live_t0 = 0.0
@@ -366,14 +370,16 @@ class TurnDriver:
                 if self.final_answer is not None:
                     if self._drained():
                         break
-                    self._wait_progress()
+                    before = self.store.terminal_count
+                    self._wait_progress(lambda: self.store.terminal_count > before)
                     continue
                 if self.decoder.exhausted():
                     raise ScriptExhaustedError(
                         "script ended without a final answer for the current state"
                     )
-                if not self._trigger_satisfied(self.decoder.requires()):
-                    self._wait_progress()
+                requires = self.decoder.requires()
+                if not self._trigger_satisfied(requires):
+                    self._wait_progress(lambda: self._trigger_satisfied(requires))
                     continue
                 if self.decoder.realtime:
                     # Calls in flight finish on this thread while the request is
@@ -401,20 +407,29 @@ class TurnDriver:
         return len(self.store.settled_calls) == len(self.calls)
 
     def _trigger_satisfied(self, requires: list[str]) -> bool:
-        """True once every required call is reported. ``_reported`` only
-        grows, so the check resumes where the last one for this list stopped."""
+        """True once every required call's result future has settled; the
+        boundary before a decode reports exactly the settled calls. A future
+        settles once, so the check resumes where the last one for this list
+        stopped. An id that names no call (an await's) never settles."""
         checked, done = self._trigger
         if checked is not requires:
             done = 0
-        while done < len(requires) and requires[done] in self._reported:
+        calls, latch = self.calls, self.store.latch
+        while done < len(requires):
+            call = calls.get(requires[done])
+            if call is None or not latch(call.result_future).done:
+                break
             done += 1
         self._trigger = (requires, done)
         return done == len(requires)
 
-    def _wait_progress(self) -> None:
-        before = self.store.terminal_count
+    def _wait_progress(self, until: Callable[[], bool]) -> None:
+        """Fire clock events until ``until()`` holds, without a boundary in
+        between: what settles meanwhile waits for the loop's next boundary.
+        The clock stops after the event that makes it hold, so virtual time
+        does not depend on how often the loop integrates."""
         try:
-            self.clock.run_until(lambda: self.store.terminal_count > before)
+            self.clock.run_until(until)
         except DeadlockError as exc:
             pending = sorted(c.call_id for c in self.calls.values() if not c.terminal)
             raise DeadlockError(
@@ -606,7 +621,6 @@ class TurnDriver:
                 self.store.fail(record.result_future, error)
                 content = {"error": error.to_json()}
             self._append(Message(role="tool", content=content, call_id=record.call_id))
-            self._reported.add(record.call_id)
 
     # -- argument references ------------------------------------------------------------
 

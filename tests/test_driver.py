@@ -137,6 +137,53 @@ class TestFailureInjection:
         assert decode[-1] == (11.0, 12.0)
         assert trace.end_to_end == 12.0
 
+    @pytest.mark.parametrize(
+        "mode,fails_at", [("async-sequential", 9.0), ("async-parallel", 7.0)]
+    )
+    def test_trigger_on_a_failing_call_decodes_when_it_fails(self, mode, fails_at):
+        # A and B succeed, at different instants, after the last call is
+        # emitted and before F fails; the answer waits on F alone. The decode
+        # starts at F's failure, after one boundary that binds A and B in one
+        # message and then reports F.
+        data = {
+            "tools": [
+                {
+                    "schema": {"name": "fast", "description": "", "parameters": {}},
+                    "annotation": {"reads": [], "writes": []},
+                    "latency": [3, 4],
+                    "returns": [{"ok": 1}, {"ok": 2}],
+                },
+                {
+                    "schema": {"name": "doomed", "description": "", "parameters": {}},
+                    "annotation": {"reads": [], "writes": []},
+                    "latency": 6,
+                    "error_at": {"0": "boom"},
+                },
+            ],
+            "script": [
+                {
+                    "emit": [
+                        {"id": "A", "name": "fast", "args": {}},
+                        {"id": "B", "name": "fast", "args": {}},
+                        {"id": "F", "name": "doomed", "args": {}},
+                    ],
+                    "decode_time": 1,
+                },
+                {"when": {"resolved": ["F"]}, "final": "done", "decode_time": 1},
+            ],
+        }
+        trace = run_workload(workload_from_json(data), mode)
+        assert trace.decode_intervals()[-1] == (fails_at, fails_at + 1)
+        integrations = [(e.t0, e.t1) for e in trace.events if e.kind == "integrate"]
+        assert integrations == [(fails_at, fails_at)] * 2
+        bound, failed, answer = trace.messages[-3:]
+        placeholders = {m.call_id: m.content for m in trace.messages if m.role == "tool"}
+        assert bound.content == {
+            "resolved_futures": {placeholders["A"]: {"ok": 1}, placeholders["B"]: {"ok": 2}}
+        }
+        assert [f["call"] for f in failed.content["failed_calls"]] == ["F"]
+        assert answer.content == "done"
+
     def test_missing_recovery_turn_is_script_exhaustion(self):
         data = {
             "tools": [

@@ -1,7 +1,7 @@
 """Golden virtual traces: every fixture in every mode, pinned byte for byte.
 
-The digests are sha256 over ``RunTrace.to_jsonl()`` and over the recorded
-dependency edge list. A refactor that claims to keep behaviour must leave
+The digests are sha256 over ``RunTrace.to_jsonl()``, over its lines less the
+INTEGRATE events, and over the recorded dependency edge list. A refactor that claims to keep behaviour must leave
 every entry unchanged; a change that shifts a virtual trace on purpose
 updates the entry and says why.
 """
@@ -9,42 +9,44 @@ updates the entry and says why.
 from __future__ import annotations
 
 import hashlib
+import json
 
 import pytest
 
 from conftest import run_fixture
+from futurecall.trace import INTEGRATE
 
 GOLDEN = {
     ("fig1", "sync-sequential"): ("5fd91c2c28bb4ed865b5bf19b558d627f80a638f14fda39bad49805f40246b73", 19.0),
     ("fig1", "sync-parallel"): ("370083237eb31a726ed349f93f80d87f8c6a91e74fa903c756c9cb78d0950ee9", 13.0),
-    ("fig1", "async-sequential"): ("57c1a4af8824a83a235e3a7c83571ae1310f58dc2d59b5c70ca665dc8f3fd8ea", 13.0),
-    ("fig1", "async-parallel"): ("81e796f76d09d74c2efd03f26827bacb20d023dd5c0fc5b996913188b23aa716", 12.0),
+    ("fig1", "async-sequential"): ("6c1d98ad8a1545477a016ba92fa525d861f1e06a0c74e58804fb03c2f5b9da3d", 13.0),
+    ("fig1", "async-parallel"): ("914076044d842b2349743ec8227ed31d49c68320141b939bafbb5ceb6545686f", 12.0),
     ("vehicle", "sync-sequential"): ("dae51d3dd899b16fa517f48167366dc5a56a96813c22d76c56c28165719c2429", 10.0),
     ("vehicle", "sync-parallel"): ("a958de9717bd5f9eb6332a2b77ce46e8b9fd067bc69859fd2a01bb32b4dcbe3e", 10.0),
-    ("vehicle", "async-sequential"): ("ba6fe100b0a6a90d7e090009794900049d22a0ccd23504320f6bf56a378fc774", 9.0),
-    ("vehicle", "async-parallel"): ("4756edfcb94bb85e79d0eeb9ec250b4fd5b6227f5cf56029452b4f11ef39ffa8", 9.0),
+    ("vehicle", "async-sequential"): ("14dd8fccdaf137189dd1d8f56a205f463820f946d291c06ae3ce1d71358098b9", 9.0),
+    ("vehicle", "async-parallel"): ("36c79228af8c1413fdcd1023f46026732209c95760bcefaf28c6df71c37938f2", 9.0),
     ("diamond", "sync-sequential"): ("6c228d2bcedd7cf4ca4712cdb50c7033d66afd599243b912649267088c17bc79", 21.0),
     ("diamond", "sync-parallel"): ("6bbc74bc933159eb240ac9ae9f25efc425e0df1915c253abe371cb1a949dbeb5", 17.0),
-    ("diamond", "async-sequential"): ("f604ddc0d51620b3ba85ec780e15fd95dc8fc8bb7a4962036c361c2e710a0f0b", 15.0),
-    ("diamond", "async-parallel"): ("5147aa88b2a735f90c5d4e93dddff02c5364af47b4671c76105c1778f2004290", 15.0),
+    ("diamond", "async-sequential"): ("81a8b40d4213a520d1dd761a653b6647c90e500fa49b700a0ead4c1d57124430", 15.0),
+    ("diamond", "async-parallel"): ("da14908c9c1c2d13510605d0bdb2f8275b8953916217e5ceebd2bea096771f8e", 15.0),
     ("fail-chain", "sync-sequential"): ("dcd5c7377135d6b08bc0745c23d8afcc36aecd0e3bd5c5119d43b28cae0077c3", 18.0),
     ("fail-chain", "sync-parallel"): ("59f49c10fc405e7b2b04c798237809cc1685929d875bf825aebceafdc107198b", 18.0),
     ("fail-chain", "async-sequential"): ("872bfd8701677a36abbc95a5e239f8ea28eb402b026122f6c6fbf457beca057b", 7.0),
     ("fail-chain", "async-parallel"): ("5010910bb9f2387bb980642a8dfb080077eaa045935501f572437d44f7328bca", 7.0),
     ("thinking", "sync-sequential"): ("b031528aeac624dbb789d172e12731aa430d19a25438a304b193223c8a6af1de", 15.0),
     ("thinking", "sync-parallel"): ("954476a6b77f47c632b0e613632e3afb4c6719e7715fa5d0df72a811137bf5eb", 15.0),
-    ("thinking", "async-sequential"): ("5e46568bfadc92cab8482abc104414c8fd98c889b03c7fb9789bb01d44f29221", 9.0),
-    ("thinking", "async-parallel"): ("77d0e4ca4bf1e5b0abbfa0ab5587a1fc262d8abdf31a7de12a0122618db3208e", 9.0),
+    ("thinking", "async-sequential"): ("83fd953f78fd3a5dae67694c5e3dbf12c7f50d77d942e972aa770742c33edd85", 9.0),
+    ("thinking", "async-parallel"): ("9d0a9545aa126ad19b82abd49c0a2cb31b8011ca6abddf96596af86f52d95d40", 9.0),
     ("pairs", "sync-sequential"): ("601cbe6d3b580756bfa984c7ad0ce9189feb051f05a015598b6dc945951b1c77", 37.0),
     ("pairs", "sync-parallel"): ("7da35f6273468f1281333618b3e67bcdd3e134acfbbb2af02e97345bb8e97d06", 19.0),
-    ("pairs", "async-sequential"): ("f7ab14e79002ad832268401779daebbb00676d842d252c5e62f09eb1b917d2ef", 12.0),
-    ("pairs", "async-parallel"): ("aa58307385a1490ef18c645c87d3f2ad50da28684f535b4cbbb47735d0cd6a55", 9.0),
+    ("pairs", "async-sequential"): ("f184d10e60aa1ed302708f926d281bd5cf05228ca71400b5b938acf77b6d3536", 12.0),
+    ("pairs", "async-parallel"): ("6a9cd499bbe5d2d0c02400186a55841d3407be8b380d09ae35bd18ddedd15ce9", 9.0),
     # Queue heads blocked on a pending ``@Fk.field`` path template (one
     # resolves, one fails) and a ``$session/`` read behind a session write.
     ("templated", "sync-sequential"): ("2ac31389bdc8ef0c69026f4712dee6e4759cea366b2804141e99cea1321da509", 25.0),
     ("templated", "sync-parallel"): ("60132aca8f6d8a274feae36b680f9aa93aabe923cf5ccc83f607ebf6af6f197e", 11.0),
-    ("templated", "async-sequential"): ("96fc1479147b18f02f222fa47797ded4886ce1b76cf70a6fc2378f863934caf9", 10.0),
-    ("templated", "async-parallel"): ("89dc1789aff82e71a5b1bfaf07b7a927971732a0b1384d9c603b33b57e5fecae", 9.0),
+    ("templated", "async-sequential"): ("deb25b765fa9d12aa56df1abab0fe0604f73d553d963c50c571fdc9b158720ad", 10.0),
+    ("templated", "async-parallel"): ("8a960dcf7dbe81a645f0611690cb8d43c0fe55e90421c967c24fee9a340c3f48", 9.0),
 }
 
 # sha256 of ``repr(trace.edges)``. Edges are not in the JSONL, yet
@@ -81,6 +83,41 @@ GOLDEN_EDGES = {
 }
 
 
+# sha256 over the ``to_jsonl()`` lines whose kind is not ``integrate``, the
+# summary line included: the virtual timeline of decodes, executions and
+# awaits. How often a boundary integrates may change without moving it.
+GOLDEN_TIMELINE = {
+    ("fig1", "sync-sequential"): "5fd91c2c28bb4ed865b5bf19b558d627f80a638f14fda39bad49805f40246b73",
+    ("fig1", "sync-parallel"): "370083237eb31a726ed349f93f80d87f8c6a91e74fa903c756c9cb78d0950ee9",
+    ("fig1", "async-sequential"): "07fb4d91c924b3fa8d623ca2b50cfe448b1eff7ec173067335f451c7c1456ba4",
+    ("fig1", "async-parallel"): "6af42d565281aa782e32168d38b8adc1e9457717c883c4591162e7edd571677c",
+    ("vehicle", "sync-sequential"): "dae51d3dd899b16fa517f48167366dc5a56a96813c22d76c56c28165719c2429",
+    ("vehicle", "sync-parallel"): "a958de9717bd5f9eb6332a2b77ce46e8b9fd067bc69859fd2a01bb32b4dcbe3e",
+    ("vehicle", "async-sequential"): "cba6bab66b8d85ffce70803367aae27bb007296270d2da505d46ab52f92ffde1",
+    ("vehicle", "async-parallel"): "7d3b93bd68ce665217ee56e161dca0cb22cbb266d2753acc0baf71184594e743",
+    ("diamond", "sync-sequential"): "6c228d2bcedd7cf4ca4712cdb50c7033d66afd599243b912649267088c17bc79",
+    ("diamond", "sync-parallel"): "6bbc74bc933159eb240ac9ae9f25efc425e0df1915c253abe371cb1a949dbeb5",
+    ("diamond", "async-sequential"): "828d9bb249eaeb9455e2451aa326f290e0b5062abf7aea9f0e8c6eadfbbeef79",
+    ("diamond", "async-parallel"): "314b7aa5ced9cae70d4d55599ccab64b15e2237a83180645b219e45231c7a896",
+    ("fail-chain", "sync-sequential"): "dcd5c7377135d6b08bc0745c23d8afcc36aecd0e3bd5c5119d43b28cae0077c3",
+    ("fail-chain", "sync-parallel"): "59f49c10fc405e7b2b04c798237809cc1685929d875bf825aebceafdc107198b",
+    ("fail-chain", "async-sequential"): "07ba46cf60a8c85d8481f5b15b53c0b9225ede2b7568368c26f491fc5306ff1c",
+    ("fail-chain", "async-parallel"): "48165ff3a328e0cfd9fc8af3004bc4e4f940680f32262e039f8bd7171b07eeea",
+    ("thinking", "sync-sequential"): "b031528aeac624dbb789d172e12731aa430d19a25438a304b193223c8a6af1de",
+    ("thinking", "sync-parallel"): "954476a6b77f47c632b0e613632e3afb4c6719e7715fa5d0df72a811137bf5eb",
+    ("thinking", "async-sequential"): "ec0f1e2a82003d6c9a1df92c3829d2984231c67d3245008048318c864c824e38",
+    ("thinking", "async-parallel"): "8c393306e8ff59fadd0b9ae8ed5ffb60ae940f4f81c6fcbb25c6b7ae450ee699",
+    ("pairs", "sync-sequential"): "601cbe6d3b580756bfa984c7ad0ce9189feb051f05a015598b6dc945951b1c77",
+    ("pairs", "sync-parallel"): "7da35f6273468f1281333618b3e67bcdd3e134acfbbb2af02e97345bb8e97d06",
+    ("pairs", "async-sequential"): "a01cd272a73022495ea910217b3facca02bc43bd7b58b48cebb3f6f7d9e85b65",
+    ("pairs", "async-parallel"): "16d7c123d551e1cfa3a49a0cab5ce966ee08c568c3641c26cc25fccfe226a6ff",
+    ("templated", "sync-sequential"): "2ac31389bdc8ef0c69026f4712dee6e4759cea366b2804141e99cea1321da509",
+    ("templated", "sync-parallel"): "60132aca8f6d8a274feae36b680f9aa93aabe923cf5ccc83f607ebf6af6f197e",
+    ("templated", "async-sequential"): "15cabfba2c4a114acc718aa7fd8e5b79d2bc7a252e77f2adb6d918be4e7895d1",
+    ("templated", "async-parallel"): "8719644dd3ee528454804f3b8dc6f933c57027eb2c7f22d50335b6a3cabe2e1a",
+}
+
+
 @pytest.mark.parametrize("name,mode", sorted(GOLDEN), ids=lambda v: v)
 def test_virtual_trace_matches_golden(name, mode):
     digest, end_to_end = GOLDEN[(name, mode)]
@@ -93,3 +130,10 @@ def test_virtual_trace_matches_golden(name, mode):
 def test_edge_list_matches_golden(name, mode):
     trace = run_fixture(name, mode)
     assert hashlib.sha256(repr(trace.edges).encode()).hexdigest() == GOLDEN_EDGES[(name, mode)]
+
+
+@pytest.mark.parametrize("name,mode", sorted(GOLDEN_TIMELINE), ids=lambda v: v)
+def test_timeline_without_integrations_matches_golden(name, mode):
+    lines = run_fixture(name, mode).to_jsonl().splitlines(keepends=True)
+    timeline = "".join(line for line in lines if json.loads(line)["kind"] != INTEGRATE)
+    assert hashlib.sha256(timeline.encode()).hexdigest() == GOLDEN_TIMELINE[(name, mode)]

@@ -417,16 +417,11 @@ class TestWorkGrowth:
         assert counts["state_of"] <= 4 * n
         assert counts["conflicts"] == 0
 
-    def test_burst_shaped_turn_costs_per_call_not_per_edge(self, monkeypatch):
-        # Every 16th call rewrites the /catalog subtree, the rest read it and
-        # write their own item: 16 writers and 240 readers. A reader waits on
-        # the last writer, a writer on the last writer and the 15 readers
-        # since: 240 + 15 * 16 = 480 edges, where gating on every live
-        # conflicting label recorded 3,960.
-        n = 256
-        counts = self.count_calls(monkeypatch)
-        ids = [f"C{k}" for k in range(n)]
-        spec = self.single_turn(
+    @classmethod
+    def burst_turn(cls, ids: list[str]):
+        """Every 16th call rewrites the /catalog subtree, the rest read it and
+        write their own item; the final answer waits on every call."""
+        return cls.single_turn(
             [
                 {
                     "schema": {"name": "reindex", "description": "", "parameters": {}},
@@ -451,7 +446,16 @@ class TestWorkGrowth:
                 for k, i in enumerate(ids)
             ],
         )
-        trace = run_workload(spec, "async-parallel")
+
+    def test_burst_shaped_turn_costs_per_call_not_per_edge(self, monkeypatch):
+        # 16 writers and 240 readers. A reader waits on the last writer, a
+        # writer on the last writer and the 15 readers since: 240 + 15 * 16 =
+        # 480 edges, where gating on every live conflicting label recorded
+        # 3,960.
+        n = 256
+        counts = self.count_calls(monkeypatch)
+        ids = [f"C{k}" for k in range(n)]
+        trace = run_workload(self.burst_turn(ids), "async-parallel")
         assert set(trace.call_status.values()) == {"done"}
         expected = []
         for k in range(1, n):
@@ -467,6 +471,27 @@ class TestWorkGrowth:
         # candidate here is a distinct edge.
         assert counts["conflicts"] == len(trace.edges) <= 2 * n
         assert counts["state_of"] <= 4 * n
+
+    @pytest.mark.parametrize("n", [64, 256])
+    def test_trigger_wait_binds_every_outcome_at_one_boundary(self, n):
+        # The calls settle at many instants while the final answer waits on
+        # all of them; one boundary then binds every result, where binding
+        # each completion as it settled left n messages and n INTEGRATE events.
+        ids = [f"C{k}" for k in range(n)]
+        trace = run_workload(self.burst_turn(ids), "async-parallel")
+        assert len({end for _, end in trace.exec_intervals()}) > 1
+        assert [e.kind for e in trace.events].count("integrate") == 1
+        bindings = [
+            m.content["resolved_futures"]
+            for m in trace.messages
+            if isinstance(m.content, dict) and "resolved_futures" in m.content
+        ]
+        assert len(bindings) == 1
+        placeholders = [m.content for m in trace.messages if m.role == "tool"]
+        assert len(placeholders) == n
+        assert sorted(bindings[0]) == sorted(placeholders)
+        # The assistant turn, n placeholders, the binding and the answer.
+        assert len(trace.messages) == n + 3
 
     def test_writers_of_one_path_wait_on_the_last_writer_only(self, monkeypatch):
         n = 400
