@@ -351,7 +351,7 @@ def trace_dag(trace: RunTrace) -> DependencyDag:
     return DependencyDag(durations=durations, edges=edges)
 
 
-def trace_to_inputs(trace: RunTrace, dag: DependencyDag | None = None):
+def trace_to_inputs(trace: RunTrace):
     """Extract (t_llm, t_tool, t_cp, M, E) from a complete trace; M and E are
     lists of Interval, built once here, which ``savings_decomposition``
     takes as they are."""
@@ -360,9 +360,7 @@ def trace_to_inputs(trace: RunTrace, dag: DependencyDag | None = None):
         raise IncompleteTraceError(f"calls not terminal: {sorted(non_terminal)}")
     m_intervals = _coerce(trace.decode_intervals())
     e_intervals = _coerce(trace.exec_intervals())
-    if dag is None:
-        dag = trace_dag(trace)
     t_llm = _sum(m_intervals)
     t_tool = _sum(e_intervals)
-    t_cp = critical_path(dag)
+    t_cp = critical_path(trace_dag(trace))
     return t_llm, t_tool, t_cp, m_intervals, e_intervals

@@ -45,7 +45,7 @@ from .errors import (
 )
 from .executor import Executor, StateStore
 from .futures import RESOLVED, FutureStore, extract_field
-from .scheduler import DONE, FAILED as CALL_FAILED, CallRecord, Scheduler, SessionState
+from .scheduler import CallRecord, Scheduler, SessionState
 from .schema import AWAIT_FUTURE_NAME, copy_json, futurize_output_template, map_leaves
 from .trace import AWAIT, DECODE, EXEC, INTEGRATE, RunTrace
 from .workload import (
@@ -328,7 +328,7 @@ class TurnDriver:
         self.decoder = decoder or ScriptedDecoder(workload.script, is_parallel(mode))
         self.messages: list[Message] = []
         self.calls: dict[str, CallRecord] = {}
-        self._reported: set[str] = set()  # call ids whose outcome is in context
+        self._awaited: set[str] = set()  # call ids whose outcome an await returned
         self._used_ids: set[str] = set()  # every call and await id emitted so far
         self._settled_seen = 0  # length of store.settled_calls at the last boundary
         self._trigger: tuple[list[str], int] = ([], 0)  # requires list, count known settled
@@ -414,10 +414,10 @@ class TurnDriver:
         checked, done = self._trigger
         if checked is not requires:
             done = 0
-        calls, latch = self.calls, self.store.latch
+        calls = self.calls
         while done < len(requires):
             call = calls.get(requires[done])
-            if call is None or not latch(call.result_future).done:
+            if call is None or not call.result.done:
                 break
             done += 1
         self._trigger = (requires, done)
@@ -464,11 +464,10 @@ class TurnDriver:
         settled = self.store.settled_calls
         start, self._settled_seen = self._settled_seen, len(settled)
         for call_id in settled[start:]:
-            if call_id in self._reported:
+            if call_id in self._awaited:
                 continue  # an await already returned it
-            fid = self.calls[call_id].result_future
-            state = self.store.state_of(fid)
-            self._reported.add(call_id)
+            result = self.calls[call_id].result
+            fid, state = result.fid, result.state
             if state.status == RESOLVED:
                 bindings[fid] = state.value
                 for field_id in self.store.field_ids(fid):
@@ -569,7 +568,7 @@ class TurnDriver:
                 invocation_index=tool.next_invocation(),
                 turn=self._turn_no,
             )
-            record.result_future = self.store.create(owner_call=spec.call_id)
+            record.result = self.store.latch(self.store.create(owner_call=spec.call_id))
             records.append(record)
         # Registered only now: a decoder cannot name a placeholder it has
         # not received yet, so a same-turn reference stays literal.
@@ -596,7 +595,7 @@ class TurnDriver:
             template = annotation.outputs if annotation is not None else None
             if template is None:
                 template = self.tools[record.tool].schema.outputs
-            placeholder = futurize_output_template(template, record.result_future, self.store)
+            placeholder = futurize_output_template(template, record.result.fid, self.store)
             self.scheduler.submit(record, bool(spec.refs) or spec.literal_futures)
             self._append(Message(role="tool", content=placeholder, call_id=record.call_id))
 
@@ -613,12 +612,10 @@ class TurnDriver:
             self._record_exec(record)
             value, error = self.executor.invoke(record, copy_json(record.args))
             if error is None:
-                record.advance_status(DONE)
-                self.store.resolve(record.result_future, value)
+                self.store.resolve(record.result.fid, value)
                 content: Any = value
             else:
-                record.advance_status(CALL_FAILED)
-                self.store.fail(record.result_future, error)
+                self.store.fail(record.result.fid, error)
                 content = {"error": error.to_json()}
             self._append(Message(role="tool", content=content, call_id=record.call_id))
 
@@ -637,13 +634,13 @@ class TurnDriver:
         return map_leaves(args, leaf)
 
     def _ref_future(self, call_id: str, fpath: str | None) -> str:
-        fid = self.calls[call_id].result_future
+        fid = self.calls[call_id].result.fid
         return fid if fpath is None else self.store.create_field(fid, fpath)
 
     def _ref_value(self, call_id: str, fpath: str | None) -> Any:
         # Sync modes finish every call before the next decode, so each
         # referenced call is terminal here.
-        state = self.store.state_of(self.calls[call_id].result_future)
+        state = self.calls[call_id].result.state
         if state.status != RESOLVED:
             return {"error": state.error.to_json()}
         if fpath is None:
@@ -685,8 +682,8 @@ class TurnDriver:
             else:
                 values[fid] = {"error": state.error.to_json()}
             call = self.calls.get(self.store.owner_of(fid))
-            if call is not None and call.result_future == fid:
-                self._reported.add(call.call_id)
+            if call is not None and call.result.fid == fid:
+                self._awaited.add(call.call_id)
         self._append(Message(role="tool", content=values, call_id=spec.call_id))
 
 

@@ -32,15 +32,7 @@ from typing import Any, Callable
 
 from .errors import EXECUTION_ERROR, ErrorInfo, GatesPendingError
 from .futures import FutureStore
-from .scheduler import (
-    DISPATCHED,
-    DONE,
-    FAILED as CALL_FAILED,
-    PROPAGATING_EDGE_KINDS,
-    RUNNING,
-    CallRecord,
-    Scheduler,
-)
+from .scheduler import PROPAGATING_EDGE_KINDS, CallRecord, Scheduler
 from .schema import DependencyAnnotation, FunctionSchema, copy_json, substitute_resolved
 
 
@@ -137,7 +129,6 @@ class Executor:
         shut = sum(1 for gate in call.blocking_gates if not gate.done)
         if shut:
             raise GatesPendingError(f"{call.call_id}: {shut} blocking gates still shut")
-        call.advance_status(DISPATCHED)
         now = call.dispatched_at = self.clock.now()
         if call.argument_futures:
             self.store.add_waiter(sorted(call.argument_futures), lambda: self._on_arguments_ready(call))
@@ -163,7 +154,6 @@ class Executor:
 
     def _start(self, call: CallRecord, concrete: Any, now: float) -> None:
         """Run the call's behavior across its latency interval from ``now``."""
-        call.advance_status(RUNNING)
         call.exec_start = now
         latency = self.tools[call.tool].latency_for(call.invocation_index)
         self.clock.schedule(latency, lambda: self._complete(call, concrete))
@@ -186,17 +176,15 @@ class Executor:
         if error is not None:
             self._fail(call, error)
             return
-        call.advance_status(DONE)
         self.on_exec_interval(call)
-        self.store.resolve(call.result_future, value)
+        self.store.resolve(call.result.fid, value)
         self.scheduler.release(call)
 
     def _fail(self, call: CallRecord, error: ErrorInfo) -> None:
-        call.advance_status(CALL_FAILED)
         if call.exec_end is None:
             call.exec_end = self.clock.now()
         self.on_exec_interval(call)
-        self.store.fail(call.result_future, error)
+        self.store.fail(call.result.fid, error)
         # Cancel dependents before releasing labels so nothing downstream of
         # the failed effect gets dispatched when the gates open.
         self.cancel_transitive(call.call_id)

@@ -254,8 +254,8 @@ class FutureStore:
     def state_of(self, fid: str) -> FutureState:
         return self._require(fid).state
 
-    def latch(self, fid: str) -> Latch:
-        """The future's record, to wait on with ``when_all``."""
+    def latch(self, fid: str) -> FutureRecord:
+        """The future's record: a latch for ``when_all`` holding its state."""
         return self._require(fid)
 
     # -- terminal transitions ---------------------------------------------

@@ -59,11 +59,12 @@ from .errors import (
     FuturecallError,
     NotTerminalError,
 )
-from .futures import RESOLVED, FutureStore, Latch, looks_like_future_id, when_all
+from .futures import RESOLVED, FutureRecord, FutureStore, Latch, looks_like_future_id, when_all
 from .schema import READ, WRITE, Access, DependencyAnnotation, scan_future_refs
 
-# Call lifecycle, advancing monotonically; "cancelled" may follow any
-# non-terminal status.
+# Call lifecycle: queued, admitted, dispatched, running, then the result
+# future's outcome; "cancelled" may follow any status before it.
+# ``CallRecord.status`` reads it off the call's stamps and result future.
 QUEUED = "queued"
 ADMITTED = "admitted"
 DISPATCHED = "dispatched"
@@ -71,11 +72,6 @@ RUNNING = "running"
 DONE = "done"
 FAILED = "failed"
 CANCELLED_STATUS = "cancelled"
-
-_STATUS_RANK = {
-    status: rank
-    for rank, status in enumerate((QUEUED, ADMITTED, DISPATCHED, RUNNING, DONE, FAILED))
-}
 TERMINAL_STATUSES = {DONE, FAILED, CANCELLED_STATUS}
 
 
@@ -313,21 +309,26 @@ class CallRecord:
     """One decoded function call moving through the scheduling pipeline.
 
     ``turn`` is the number of the decode turn that emitted the call.
-    ``argument_futures`` holds the future ids that ``Scheduler.submit``
-    found among the string leaves of ``args``; the executor waits on and
-    substitutes exactly those. ``blocking_gates``, ``argument_futures`` and
-    ``labels`` start as shared empty values; submission and admission assign
-    their own, and nothing changes them in place. ``terminal`` is set by
-    ``advance_status`` alone, when the status becomes done, failed or
-    cancelled.
+    ``result`` is the record of the call's result future; ``Scheduler.submit``
+    creates it unless the caller already has. ``argument_futures`` holds the
+    future ids that ``Scheduler.submit`` found among the string leaves of
+    ``args``; the executor waits on and substitutes exactly those.
+    ``blocking_gates``, ``argument_futures`` and ``labels`` start as shared
+    empty values; submission and admission assign their own, and nothing
+    changes them in place.
+
+    ``status`` and ``terminal`` are read off the stamps and ``result``: the
+    call is terminal once its result future settles, and its status is then
+    the future's outcome ("done" for resolved). Before that, the furthest
+    stamp set gives it: ``exec_start`` running, ``dispatched_at`` dispatched,
+    ``admitted_at`` admitted, and none queued.
     """
 
     call_id: str
     tool: str
     args: Any
     annotation: DependencyAnnotation | None
-    result_future: str = ""
-    status: str = QUEUED
+    result: FutureRecord | None = None
     invocation_index: int = 0
     turn: int = 0
     blocking_gates: AbstractSet[Latch] = frozenset()
@@ -340,17 +341,22 @@ class CallRecord:
     exec_start: float | None = None
     exec_end: float | None = None
     released: bool = False
-    terminal: bool = field(default=False, init=False)
 
-    def advance_status(self, new: str) -> None:
-        if self.terminal:
-            raise FuturecallError(f"{self.call_id}: status {self.status} is terminal")
-        if new != CANCELLED_STATUS and _STATUS_RANK[new] < _STATUS_RANK[self.status]:
-            raise FuturecallError(
-                f"{self.call_id}: cannot move status backwards {self.status} -> {new}"
-            )
-        self.status = new
-        self.terminal = new in TERMINAL_STATUSES
+    @property
+    def terminal(self) -> bool:
+        return self.result.done
+
+    @property
+    def status(self) -> str:
+        result = self.result
+        if result.done:
+            outcome = result.state.status
+            return DONE if outcome == RESOLVED else outcome
+        if self.exec_start is not None:
+            return RUNNING
+        if self.dispatched_at is not None:
+            return DISPATCHED
+        return QUEUED if self.admitted_at is None else ADMITTED
 
 
 # A consumer waits on an argument future, on a conflicting access label's gate
@@ -486,15 +492,15 @@ class Scheduler:
         has no argument futures and no argument edges."""
         if call.call_id in self.calls:
             raise DuplicateCallIdError(f"call id {call.call_id!r} already submitted")
-        if not call.result_future:
-            call.result_future = self.store.create(owner_call=call.call_id)
+        if call.result is None:
+            call.result = self.store.latch(self.store.create(owner_call=call.call_id))
         call.submitted_at = self.clock.now()
         self.calls[call.call_id] = call
         if scan:
             self._record_argument_edges(call)
         self.queue.append(call)
         self.pump()
-        return call.result_future
+        return call.result.fid
 
     def _record_argument_edges(self, call: CallRecord) -> None:
         producers: set[str] = set()
@@ -571,7 +577,6 @@ class Scheduler:
             label = AccessLabel(access, call.call_id, Latch(), next(self._label_seq), dropped)
             labels.append(label)
             index.add(label)
-        call.advance_status(ADMITTED)
         call.admitted_at = now
         entry = (next(self._admission_seq), call)
         if gates and not all(gate.done for gate in gates):
@@ -653,7 +658,7 @@ class Scheduler:
         call.released = True
         version = call.session_version
         if version is not None and call.status == DONE:
-            self._end_session_write(version, self.store.state_of(call.result_future).value)
+            self._end_session_write(version, call.result.state.value)
         index = self.label_index
         for label in call.labels:
             if not label.gate.done:
@@ -701,10 +706,8 @@ class Scheduler:
         superseded are open."""
         if call.terminal:
             return
-        call.advance_status(CANCELLED_STATUS)
         error = ErrorInfo(CANCELLED_DEPENDENCY, f"cancelled because {origin_call} failed", origin_call)
-        if not self.store.state_of(call.result_future).is_terminal:
-            self.store.cancel(call.result_future, error)
+        self.store.cancel(call.result.fid, error)
         self._withdraw(call)
 
     def _withdraw(self, call: CallRecord) -> None:

@@ -390,21 +390,16 @@ def scan_future_refs(args: Any, store: FutureStore) -> list[tuple[str, str]]:
     return refs
 
 
-def substitute_resolved(args: Any, store: FutureStore, only: Container[str] | None = None) -> Any:
-    """Replace every future identifier leaf with its resolved value; with
-    ``only``, just the leaves that are ids in it, every other leaf kept.
+def substitute_resolved(args: Any, store: FutureStore, only: Container[str]) -> Any:
+    """Replace each string leaf that is an id in ``only`` with that future's
+    resolved value; every other leaf is kept.
 
-    Raises UnresolvedArgumentError when any referenced future is not in the
+    Raises UnresolvedArgumentError when any such future is not in the
     Resolved state; callers wait on argument futures before substituting.
     """
 
-    def named(node: str) -> bool:
-        if only is not None:
-            return node in only
-        return looks_like_future_id(node) and store.known(node)
-
     def leaf(node: Any, path: tuple) -> Any:
-        if isinstance(node, str) and named(node):
+        if isinstance(node, str) and node in only:
             state = store.state_of(node)
             if state.status != RESOLVED:
                 raise UnresolvedArgumentError(f"{node} is {state.status}, not resolved")

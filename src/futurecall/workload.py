@@ -214,9 +214,14 @@ class WorkloadSpec:
         if len(names) != len(self.tools):
             raise ValidationError(f"duplicate tool names in {[t.schema.name for t in self.tools]}")
         emitted: set[str] = set()
+        awaits: set[str] = set()
         for turn_no, turn in enumerate(self.script):
             check_turn(turn, names, f"script[{turn_no}]")
             for ref in turn.requires:
+                if ref in awaits:
+                    raise ValidationError(
+                        f"script[{turn_no}]: trigger references await {ref!r}, which never settles"
+                    )
                 if ref not in emitted:
                     raise ValidationError(
                         f"script[{turn_no}]: trigger references {ref!r} before it is emitted"
@@ -234,6 +239,8 @@ class WorkloadSpec:
                 if call.call_id in emitted:
                     raise ValidationError(f"duplicate call id {call.call_id!r}")
                 emitted.add(call.call_id)
+            if turn.is_await:
+                awaits.add(turn.emit[0].call_id)
         if not any(turn.is_final for turn in self.script):
             raise ValidationError("script never produces a final answer")
         schedule = worst_case_schedule(self)

@@ -11,6 +11,16 @@ from futurecall import lint_context, load_workload, run_workload
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 FIXTURE_NAMES = ["fig1", "vehicle", "diamond", "fail-chain", "thinking", "pairs", "templated"]
 
+# C1, an await of its result as A1, then a final answer triggered on A1.
+AWAIT_TRIGGER_WORKLOAD = {
+    "tools": [{"schema": {"name": "t", "description": "", "parameters": {}}, "latency": 1}],
+    "script": [
+        {"emit": [{"id": "C1", "name": "t"}]},
+        {"emit": [{"id": "A1", "name": "await_future", "args": {"future_ids": ["@C1"]}}]},
+        {"when": {"resolved": ["A1"]}, "final": "x"},
+    ],
+}
+
 
 def fixture_path(name: str) -> str:
     return str(FIXTURES / f"{name}.json")

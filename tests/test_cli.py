@@ -15,7 +15,7 @@ from futurecall.cli import main
 from futurecall.errors import ValidationError
 from futurecall.schema import load_schema_file
 
-from conftest import fixture_path
+from conftest import AWAIT_TRIGGER_WORKLOAD, fixture_path
 
 
 def test_run_fig1_async(tmp_path, capsys):
@@ -57,6 +57,13 @@ def test_run_invalid_workload_exits_2(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text('{"tools": [], "script": []}')
     assert main(["run", "--workload", str(bad)]) == 2
+
+
+def test_run_trigger_on_an_await_exits_2(tmp_path, capsys):
+    path = tmp_path / "await_trigger.json"
+    path.write_text(json.dumps(AWAIT_TRIGGER_WORKLOAD))
+    assert main(["run", "--workload", str(path)]) == 2
+    assert "trigger references await 'A1'" in capsys.readouterr().err
 
 
 def test_run_malformed_tool_schema_exits_2(tmp_path, capsys):

@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from futurecall import MODES, TurnDriver, WallClock, lint_context, run_workload
+from futurecall import MODES, TurnDriver, VirtualClock, WallClock, lint_context, run_workload
 from futurecall.driver import Message, ScriptedDecoder, ToolCall, await_detection_offset
 from futurecall.errors import (
     ContextOverflowError,
@@ -267,7 +267,7 @@ class TestSyncBatch:
         driver.tools["save"].behavior = crash
         trace = driver.run()
         assert trace.call_status == {"F1": "done", "F2": "failed"}
-        error = driver.store.state_of(driver.calls["F2"].result_future).error
+        error = driver.store.state_of(driver.calls["F2"].result.fid).error
         assert error.message == "KeyError: 'missing'"
 
 
@@ -433,7 +433,7 @@ def test_literal_id_named_only_after_submission_stays_text(mode):
     # one created later is text, as in every sync run.
     driver = TurnDriver(late_literal_workload(), mode)
     trace = driver.run()
-    assert driver.calls["F3"].result_future == "fut_2"
+    assert driver.calls["F3"].result.fid == "fut_2"
     if mode.startswith("async"):
         # F2 runs once F3's result is there to be taken.
         assert driver.calls["F2"].exec_start > driver.calls["F3"].exec_end
@@ -758,6 +758,49 @@ def test_placeholder_ids_are_dense():
     ]
     bound = [m.content["resolved_futures"] for m in binding_messages(trace)]
     assert sorted(fid for b in bound for fid in b) == ["fut_0", "fut_1", "fut_2", "fut_3"]
+
+
+class StatusSamplingClock(VirtualClock):
+    """A virtual clock that reads every emitted call's status after each
+    event it fires."""
+
+    def __init__(self):
+        super().__init__()
+        self.calls: dict = {}
+        self.samples: dict[str, list[str]] = {}
+
+    def advance(self):
+        event = super().advance()
+        self.sample()
+        return event
+
+    def sample(self) -> None:
+        for call_id, call in self.calls.items():
+            self.samples.setdefault(call_id, []).append(call.status)
+
+
+# Rank of each status before a call settles; every terminal status ranks 4.
+LIFECYCLE = {"queued": 0, "admitted": 1, "dispatched": 2, "running": 3}
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_call_status_never_goes_back(name, mode):
+    # queued < admitted < dispatched < running < terminal, and a terminal
+    # status never changes; the last one read is the trace's.
+    clock = StatusSamplingClock()
+    driver = TurnDriver(load_workload(fixture_path(name)), mode, clock=clock)
+    clock.calls = driver.calls
+    trace = driver.run()
+    clock.sample()
+    assert set(clock.samples) == set(trace.call_status)
+    for call_id, statuses in clock.samples.items():
+        ranks = [LIFECYCLE.get(status, 4) for status in statuses]
+        assert ranks == sorted(ranks), (call_id, statuses)
+        assert len({status for status in statuses if status not in LIFECYCLE}) == 1, (call_id, statuses)
+        assert statuses[-1] == trace.call_status[call_id]
+    if name == "fail-chain" and mode.startswith("async"):
+        assert clock.samples["F3"][-1] == clock.samples["F4"][-1] == "cancelled"
 
 
 class TestRunTeardown:

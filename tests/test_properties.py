@@ -27,7 +27,6 @@ from futurecall.executor import Executor, StateStore, ToolBinding, ToolExecution
 from futurecall.scheduler import (
     ADMITTED,
     DISPATCHED,
-    DONE,
     EDGE_KINDS,
     PROPAGATING_EDGE_KINDS,
     READ,
@@ -142,7 +141,8 @@ def test_substitute_after_resolution_reconstructs_template(template):
     base = store.create()
     futurized = futurize_output_template(template, base, store)
     store.resolve(base, template)
-    assert substitute_resolved(futurized, store) == template
+    ids = {fid for _, fid in scan_future_refs(futurized, store)}
+    assert substitute_resolved(futurized, store, ids) == template
 
 
 @given(st.lists(st.integers(0, 1000), max_size=8))
@@ -335,7 +335,7 @@ def test_blocking_gates_reduce_a_scan_of_unreleased_labels(ops, durations):
             assert earlier.terminal or not any(
                 conflicts(a.access, b.access) for a in earlier.labels for b in call.labels
             ), (earlier.call_id, call.call_id)
-        call.advance_status(DISPATCHED)
+        call.dispatched_at = clock.now()
 
     scheduler.on_dispatch = dispatch
     scan_edges: set[tuple[str, str, str]] = set()
@@ -352,7 +352,7 @@ def test_blocking_gates_reduce_a_scan_of_unreleased_labels(ops, durations):
             running = [c for c in live if c.status == DISPATCHED]
             if running:
                 call = running[arg % len(running)]
-                call.advance_status(DONE)
+                store.resolve(call.result.fid, {})
                 scheduler.release(call)
             continue
         decls = {READ: [], WRITE: []}
@@ -515,7 +515,7 @@ class SchedulerMachine(RuleBasedStateMachine):
     )
     def submit(self, reads, writes, subtree, session_write, name_from, arg_from):
         n = len(self.calls)
-        sources = [c.result_future for c in self.calls] + self.external
+        sources = [c.result.fid for c in self.calls] + self.external
         args: dict = {"who": f"C{n}", "name": "lit"}
         if sources and name_from < 30:
             source = sources[name_from % len(sources)]

@@ -270,10 +270,8 @@ class TestRelease:
         scheduler.submit(c1)
         scheduler.submit(c2)
         assert dispatched == [c1]
-        c1.advance_status("dispatched")
-        c1.advance_status("running")
-        c1.advance_status("done")
-        store.resolve(c1.result_future, {})
+        c1.dispatched_at = 0.0
+        store.resolve(c1.result.fid, {})
         scheduler.release(c1)
         assert dispatched == [c1, c2]
         assert scheduler.live_labels == c2.labels
@@ -289,10 +287,8 @@ class TestRelease:
         scheduler, store, _, _ = make_scheduler()
         c1 = call("F1", annotation())  # empty annotation: no labels
         scheduler.submit(c1)
-        c1.advance_status("dispatched")
-        c1.advance_status("running")
-        c1.advance_status("done")
-        store.resolve(c1.result_future, {})
+        c1.dispatched_at = 0.0
+        store.resolve(c1.result.fid, {})
         scheduler.release(c1)
         assert c1.released
 
@@ -311,9 +307,12 @@ class TestRelease:
         for c in (w, s, r):
             scheduler.submit(c)
         assert dispatched == [w]
+        w.dispatched_at = 0.0
         if status == "done":
-            store.resolve(w.result_future, {"cwd": "/new"})
-        w.advance_status(status)
+            store.resolve(w.result.fid, {"cwd": "/new"})
+        else:
+            store.fail(w.result.fid, ErrorInfo("execution-error", "boom", "W"))
+        assert w.status == status
         scheduler.release(w)
         assert dispatched == ([w, s, r] if status == "done" else [w, r, s])
         assert session.bindings["cwd"] == ("/new" if status == "done" else "/old")
@@ -334,7 +333,8 @@ class TestRelease:
         scheduler.mark_cancelled(w2, "origin")
         assert dispatched == [w1]
         assert session.writes_in_flight
-        w1.advance_status("done")
+        w1.dispatched_at = 0.0
+        store.resolve(w1.result.fid, {})
         scheduler.release(w1)
         assert dispatched == [w1, r1]
         assert not session.writes_in_flight
@@ -347,7 +347,7 @@ class TestRelease:
         assert c1.status == "queued"
         store.fail(producer, ErrorInfo("execution-error", "boom", "P"))
         assert c1.status == "cancelled"
-        assert store.state_of(c1.result_future).status == "cancelled"
+        assert store.state_of(c1.result.fid).status == "cancelled"
 
 
 class TestGateDag:
@@ -769,7 +769,7 @@ class TestAdmissionWork:
         driver = TurnDriver(self.two_turns(tools, first, second), "async-parallel")
         trace = driver.run()
         assert set(trace.call_status.values()) == {"done"}
-        f1, f2 = driver.calls["F1"].result_future, driver.calls["F2"].result_future
+        f1, f2 = driver.calls["F1"].result.fid, driver.calls["F2"].result.fid
         assert [out if isinstance(out, str) else "admitted" for out in seen] == [
             f"{f1}.id",
             f"{f2}.id",

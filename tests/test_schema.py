@@ -141,29 +141,34 @@ def test_scan_requires_exact_leaf_match():
     assert scan_future_refs({"note": f"please use {f0} here"}, s) == []
 
 
+def ref_ids(args, s):
+    """The future ids a call with these arguments would wait on."""
+    return {fid for _, fid in scan_future_refs(args, s)}
+
+
 def test_substitute_resolved_replaces_values():
     s = store()
     base = s.create()
     s.resolve(base, {"engineState": "running"})
-    out = substitute_resolved({"mode": f"{base}.engineState"}, s)
+    out = substitute_resolved({"mode": f"{base}.engineState"}, s, {f"{base}.engineState"})
     assert out == {"mode": "running"}
 
 
 def test_substitute_identity_without_refs():
     s = store()
     args = {"mode": "eco", "xs": [1, {"k": "v"}]}
-    assert substitute_resolved(args, s) == args
+    assert substitute_resolved(args, s, ref_ids(args, s)) == args
 
 
 def test_substitute_rejects_unresolved():
     s = store()
     pending = s.create()
     with pytest.raises(UnresolvedArgumentError):
-        substitute_resolved({"x": pending}, s)
+        substitute_resolved({"x": pending}, s, {pending})
     cancelled = s.create()
     s.cancel(cancelled, ErrorInfo("cancelled-dependency", "cancelled because C0 failed", "C0"))
     with pytest.raises(UnresolvedArgumentError):
-        substitute_resolved({"x": cancelled}, s)
+        substitute_resolved({"x": cancelled}, s, {cancelled})
 
 
 def test_substitute_after_futurize_reconstructs_value():
@@ -173,4 +178,4 @@ def test_substitute_after_futurize_reconstructs_value():
     futurized = futurize_output_template(template, base, s)
     value = {"a": {"b": 10}, "xs": [20, 30], "name": "n"}
     s.resolve(base, value)
-    assert substitute_resolved(futurized, s) == value
+    assert substitute_resolved(futurized, s, ref_ids(futurized, s)) == value

@@ -18,7 +18,7 @@ from futurecall.workload import (
     worst_case_schedule,
 )
 
-from conftest import fixture_path
+from conftest import AWAIT_TRIGGER_WORKLOAD, fixture_path
 
 
 class TestVirtualClock:
@@ -188,6 +188,11 @@ class TestWorkloadLoading:
                     ],
                 }
             )
+
+    def test_trigger_on_an_await_rejected(self):
+        # An await id names no call, so a trigger on it would never hold.
+        with pytest.raises(ValidationError, match="trigger references await 'A1'"):
+            workload_from_json(AWAIT_TRIGGER_WORKLOAD)
 
     @pytest.mark.parametrize("order", [("A", "AW"), ("AW", "A")])
     def test_await_beside_a_tool_call_rejected(self, order):
