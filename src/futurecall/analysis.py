@@ -19,7 +19,7 @@ splits exactly into inter-function parallelism and decode-execution overlap:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -103,15 +103,7 @@ class SavingsReport:
     d_union: float
 
     def to_json(self) -> dict:
-        return {
-            "delta_ff": self.delta_ff,
-            "delta_de": self.delta_de,
-            "t_saving": self.t_saving,
-            "s_m": self.s_m,
-            "s_e": self.s_e,
-            "d_e": self.d_e,
-            "d_union": self.d_union,
-        }
+        return asdict(self)
 
 
 def savings_decomposition(m_intervals: Iterable, e_intervals: Iterable) -> SavingsReport:
@@ -257,11 +249,7 @@ class PairedTestResult:
     p_value: float
 
     def to_json(self) -> dict:
-        return {
-            "geomean_speedup": self.geomean_speedup,
-            "t_stat": self.t_stat,
-            "p_value": self.p_value,
-        }
+        return asdict(self)
 
 
 def paired_log_speedup_test(pairs: Sequence[tuple[float, float]]) -> PairedTestResult:

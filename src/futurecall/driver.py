@@ -278,18 +278,18 @@ def await_detection_offset(tokens: list[tuple[str, float]] | None, decode_time: 
     """
     if not tokens:
         return decode_time
-    text = ""
+    text = "".join(token for token, _ in tokens)
+    name_at = text.find(AWAIT_FUTURE_NAME)
+    open_at = text.find("[", name_at) if name_at >= 0 else -1
+    close_at = text.find("]", open_at) if open_at >= 0 else -1
+    if close_at < 0:
+        return decode_time
+    end = 0
     for token, offset in tokens:
-        text += token
-        name_at = text.find(AWAIT_FUTURE_NAME)
-        if name_at < 0:
-            continue
-        open_at = text.find("[", name_at)
-        if open_at < 0:
-            continue
-        if text.find("]", open_at) >= 0:
-            return min(offset, decode_time)
-    return decode_time
+        end += len(token)
+        if end > close_at:
+            break
+    return min(offset, decode_time)
 
 
 def _trace_exec(trace: RunTrace, call: CallRecord) -> None:
@@ -475,16 +475,7 @@ class TurnDriver:
                     if field_state.status == RESOLVED:
                         bindings[field_id] = field_state.value
             else:
-                error = state.error
-                failures.append(
-                    {
-                        "call": call_id,
-                        "future": fid,
-                        "kind": error.kind,
-                        "message": error.message,
-                        "origin_call": error.origin_call,
-                    }
-                )
+                failures.append({"call": call_id, "future": fid, **state.error.to_json()})
         if bindings:
             ordered = {fid: bindings[fid] for fid in sorted(bindings)}
             self._append(Message(role="user", content={"resolved_futures": ordered}))
@@ -591,10 +582,7 @@ class TurnDriver:
         scheduler searches a call's arguments for future ids only when its
         spec has references or literal future ids."""
         for record, spec in zip(records, specs):
-            annotation = record.annotation
-            template = annotation.outputs if annotation is not None else None
-            if template is None:
-                template = self.tools[record.tool].schema.outputs
+            template = self.tools[record.tool].schema.outputs
             placeholder = futurize_output_template(template, record.result.fid, self.store)
             self.scheduler.submit(record, bool(spec.refs) or spec.literal_futures)
             self._append(Message(role="tool", content=placeholder, call_id=record.call_id))

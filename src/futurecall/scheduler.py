@@ -59,20 +59,19 @@ from .errors import (
     FuturecallError,
     NotTerminalError,
 )
-from .futures import RESOLVED, FutureRecord, FutureStore, Latch, looks_like_future_id, when_all
+from .futures import CANCELLED, FAILED, RESOLVED, FutureRecord, FutureStore, Latch
+from .futures import looks_like_future_id, when_all
 from .schema import READ, WRITE, Access, DependencyAnnotation, scan_future_refs
 
 # Call lifecycle: queued, admitted, dispatched, running, then the result
-# future's outcome; "cancelled" may follow any status before it.
-# ``CallRecord.status`` reads it off the call's stamps and result future.
+# future's outcome ("done" for resolved); "cancelled" may follow any status
+# before it. ``CallRecord.status`` reads it off the stamps and result future.
 QUEUED = "queued"
 ADMITTED = "admitted"
 DISPATCHED = "dispatched"
 RUNNING = "running"
 DONE = "done"
-FAILED = "failed"
-CANCELLED_STATUS = "cancelled"
-TERMINAL_STATUSES = {DONE, FAILED, CANCELLED_STATUS}
+TERMINAL_STATUSES = {DONE, FAILED, CANCELLED}
 
 
 class FailedPathDependency(FuturecallError):
@@ -388,15 +387,15 @@ def resolve_paths(
     args: dict,
     session: SessionState,
     store: FutureStore,
-) -> list[Access] | str | Latch:
-    """Materialize a call's access set, or name the input it waits on.
+) -> list[Access] | Latch:
+    """Materialize a call's access set, or return the latch it waits on.
 
     A literal template gives the access its declaration prebuilt. Every
     other parsed template is filled: a ``{param}`` with the call's argument
     value (a future's resolved value) and a ``$session/name`` prefix with the
     binding's current path, read as literal segments. While a needed value
-    is still pending this returns what to wait on instead: the id of the
-    pending future, or the gate of the latest session write in flight. A
+    is still pending this returns the latch to wait on instead: the pending
+    future's record, or the gate of the latest session write in flight. A
     template it cannot fill gives the call the unannotated fallback.
     """
     if annotation is None:
@@ -426,13 +425,12 @@ def resolve_paths(
                         return fallback_accesses()
                     value = args[segment[i]]
                     if isinstance(value, str) and looks_like_future_id(value) and store.known(value):
-                        state = store.state_of(value)
-                        if state.status == RESOLVED:
-                            value = state.value
-                        elif state.is_terminal:
-                            raise FailedPathDependency(value, state)
-                        else:
-                            return value
+                        record = store.latch(value)
+                        if not record.done:
+                            return record
+                        if record.state.status != RESOLVED:
+                            raise FailedPathDependency(value, record.state)
+                        value = record.state.value
                     if isinstance(value, bool):
                         value = "true" if value else "false"
                     elif not isinstance(value, (str, int, float)):
@@ -469,8 +467,8 @@ class Scheduler:
         self.queue: deque[CallRecord] = deque()
         self.label_index = LabelIndex()
         self.edges: list[DependencyEdge] = []
-        self._label_seq = itertools.count()
-        self._admission_seq = itertools.count()
+        # Numbers each admitted call's labels, then its ready-list entry.
+        self._seq = itertools.count()
         self._ready: list[tuple[int, CallRecord]] = []  # (admission seq, call)
         self._head_wait: Latch | None = None  # the queue head's pending input
         self._pumping = False
@@ -505,7 +503,7 @@ class Scheduler:
     def _record_argument_edges(self, call: CallRecord) -> None:
         producers: set[str] = set()
         call.argument_futures = found = set()
-        for _, fid in scan_future_refs(call.args, self.store):
+        for fid in scan_future_refs(call.args, self.store):
             found.add(fid)
             producer = self.store.owner_of(fid)
             if producer and producer != call.call_id and producer not in producers:
@@ -554,11 +552,10 @@ class Scheduler:
                 self.mark_cancelled(head, exc.state.error.origin_call)
                 continue
             if not isinstance(resolved, list):
-                wait = self.store.latch(resolved) if isinstance(resolved, str) else resolved
-                self._head_wait = wait
+                self._head_wait = resolved
                 # Woken last: calls already waiting on the same input (its
                 # consumers) go on before the head is admitted.
-                when_all([wait], lambda: self.pump(), last=True)
+                when_all([resolved], lambda: self.pump(), last=True)
                 break
             queue.popleft()
             self._admit(head, resolved, now)
@@ -574,11 +571,11 @@ class Scheduler:
         replaced = [index.supersede(access) if access.mode == WRITE else () for access in accesses]
         labels = call.labels = []
         for access, dropped in zip(accesses, replaced):
-            label = AccessLabel(access, call.call_id, Latch(), next(self._label_seq), dropped)
+            label = AccessLabel(access, call.call_id, Latch(), next(self._seq), dropped)
             labels.append(label)
             index.add(label)
         call.admitted_at = now
-        entry = (next(self._admission_seq), call)
+        entry = (next(self._seq), call)
         if gates and not all(gate.done for gate in gates):
             when_all(gates, lambda: self._ready.append(entry))
         else:
@@ -732,7 +729,7 @@ class Scheduler:
             while pending:
                 old = pending.pop()
                 owner = self.calls[old.owner]
-                if owner.status == CANCELLED_STATUS:
+                if owner.status == CANCELLED:
                     pending.extend(old.replaced)
                 elif not owner.released:
                     found[old.seq] = old

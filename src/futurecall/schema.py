@@ -69,7 +69,7 @@ def json_fields(obj: Any, table: dict[str, Any], where: str) -> dict[str, Any]:
 PARAMETER = {"type": object, "description": str, "required": bool}
 SCHEMA = {"name": object, "description": str, "parameters": dict, "outputs": object}
 ANNOTATION = {"reads": (list, NoneType), "writes": (list, NoneType), "session_read": bool,
-              "session_write": bool, "outputs": object}
+              "session_write": bool}
 LABEL = {"path": str, "subtree": bool}
 
 
@@ -227,7 +227,6 @@ class DependencyAnnotation:
     writes: list[AccessDecl] = field(default_factory=list)
     session_read: bool = False
     session_write: bool = False
-    outputs: Any = None
 
     @classmethod
     def from_json(cls, data: Any, where: str) -> "DependencyAnnotation":
@@ -366,24 +365,18 @@ def futurize_output_template(example: Any, base: str, store: FutureStore) -> Any
     return map_leaves(example, leaf)
 
 
-def scan_future_refs(args: Any, store: FutureStore) -> list[tuple[str, str]]:
+def scan_future_refs(args: Any, store: FutureStore) -> list[str]:
     """Find every string leaf that is a registered future (or field) identifier.
 
     Matching is exact whole-leaf equality, never substring search, so prose
-    arguments that merely mention an identifier are left alone. Each match
-    comes with its location, such as ``xs[0]`` or ``a.b``.
+    arguments that merely mention an identifier are left alone. The ids come
+    in leaf order, once per leaf that holds one.
     """
-    refs: list[tuple[str, str]] = []
+    refs: list[str] = []
 
     def leaf(node: Any, path: tuple) -> Any:
         if isinstance(node, str) and looks_like_future_id(node) and store.known(node):
-            loc = ""
-            for key in path:
-                if isinstance(key, int):
-                    loc += f"[{key}]"
-                else:
-                    loc += f".{key}" if loc else str(key)
-            refs.append((loc, node))
+            refs.append(node)
         return node
 
     map_leaves(args, leaf)

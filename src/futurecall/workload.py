@@ -13,8 +13,8 @@ with its default; ``| null`` marks a key where null also means the default:
                     "outputs": null},               # example result, any JSON
          "annotation": {"reads": [{"path": "/a/{p}", "subtree": false}] | null,
                         "writes": [] | null,
-                        "session_read": false, "session_write": false,
-                        "outputs": null} | null,    # null: unannotated
+                        "session_read": false, "session_write": false} | null,
+                                                    # null: unannotated
          "latency": 0 | [5, 3],                     # per invocation, last repeats
          "returns": [...] | null,                   # per-invocation scripted values
          "error_at": {"0": "boom"} | null,          # invocation index -> failure
@@ -39,13 +39,15 @@ with its default; ``| null`` marks a key where null also means the default:
 A tool's ``schema``, its ``name`` and every ``path`` are required. A call
 without an ``id`` gets ``call<turn>_<index>``. A schema file for
 ``validate-annotations`` is ``{"tools": [...]}`` of schemas, each with its
-``annotation`` key inline. Keys not shown are ignored.
+``annotation`` key inline. Keys not shown are ignored, among them an
+annotation's ``outputs``: a tool's example result is its schema's.
 
 Argument values of the form ``"@F2"`` or ``"@F2.field"`` reference the result
 of an earlier call; in async modes they turn into future identifiers, in sync
-modes into the concrete resolved value. Script entries are consumed in order,
-each waiting for its trigger. A turn that emits several calls decodes as one
-turn under a parallel-calling decoder and as one turn per call under a
+modes into the concrete resolved value. An ``await_future`` call has no
+result, so a reference to one is rejected. Script entries are consumed in
+order, each waiting for its trigger. A turn that emits several calls decodes
+as one turn under a parallel-calling decoder and as one turn per call under a
 sequential one.
 """
 
@@ -230,6 +232,11 @@ class WorkloadSpec:
                 # Same-turn references are impossible: a decoder cannot name a
                 # placeholder it has not received yet.
                 for ref in call.refs:
+                    if ref in awaits:
+                        raise ValidationError(
+                            f"script[{turn_no}]: {call.call_id} references await {ref!r}, "
+                            "which has no result"
+                        )
                     if ref not in emitted:
                         raise ValidationError(
                             f"script[{turn_no}]: {call.call_id} references "

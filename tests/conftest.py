@@ -21,6 +21,17 @@ AWAIT_TRIGGER_WORKLOAD = {
     ],
 }
 
+# A call argument naming an await: an await has no result to pass on.
+AWAIT_REF_WORKLOAD = {
+    "tools": [{"schema": {"name": "t", "description": "", "parameters": {}}, "latency": 1}],
+    "script": [
+        {"emit": [{"id": "C1", "name": "t"}]},
+        {"emit": [{"id": "A1", "name": "await_future", "args": {"future_ids": ["@C1"]}}]},
+        {"emit": [{"id": "C2", "name": "t", "args": {"x": "@A1"}}]},
+        {"when": {"resolved": ["C2"]}, "final": "x"},
+    ],
+}
+
 
 def fixture_path(name: str) -> str:
     return str(FIXTURES / f"{name}.json")

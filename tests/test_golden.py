@@ -1,7 +1,8 @@
 """Golden virtual traces: every fixture in every mode, pinned byte for byte.
 
 The digests are sha256 over ``RunTrace.to_jsonl()``, over its lines less the
-INTEGRATE events, and over the recorded dependency edge list. A refactor that claims to keep behaviour must leave
+INTEGRATE events, over the recorded dependency edge list and over the
+context the run leaves. A refactor that claims to keep behaviour must leave
 every entry unchanged; a change that shifts a virtual trace on purpose
 updates the entry and says why.
 """
@@ -118,6 +119,41 @@ GOLDEN_TIMELINE = {
 }
 
 
+# sha256 of ``json.dumps(trace.context_json())``, keys in the order the
+# messages build them: what the model sees, placeholders and integrated
+# outcomes included.
+GOLDEN_CONTEXTS = {
+    ("fig1", "sync-sequential"): "ee6ba70f7f949c9de28dcc79f0880ae6d6767c67a80c8162599e3d90967057b8",
+    ("fig1", "sync-parallel"): "3e7e803c868e93ef58a7728c2b0e412831c6d97f28678aeb8df8160a29e4a067",
+    ("fig1", "async-sequential"): "b6ce75cf9f0ca7f34985b449decb380cc0f3bbbc9a0eef3e25c64f11a02a8087",
+    ("fig1", "async-parallel"): "496f9a2674e9f954ae7cf58aa9ccab031ea7aaf2424176ba86131c3caf6eff04",
+    ("vehicle", "sync-sequential"): "83f961ccbbbab5a0fc1f2a435dbf939819a825dc031c1c4a7d4cda6bcaaabaed",
+    ("vehicle", "sync-parallel"): "83f961ccbbbab5a0fc1f2a435dbf939819a825dc031c1c4a7d4cda6bcaaabaed",
+    ("vehicle", "async-sequential"): "d85db869097c69a885f3f6dd6d82bdb92df706087807fc3f6381e154ffe2b31b",
+    ("vehicle", "async-parallel"): "d85db869097c69a885f3f6dd6d82bdb92df706087807fc3f6381e154ffe2b31b",
+("diamond", "sync-sequential"): "e24775ffd0fbbb015d3c4a950f702da5b45cf3ec7f63055aff461a28895b56f8",
+    ("diamond", "sync-parallel"): "6dd6a9842bbe97eb008066a07e41dc9e5fceb9740f2e3fb822d4a2f8423a2c3d",
+    ("diamond", "async-sequential"): "f07e845d44fd8e3e6d4cf15d14413ee2dbbb1fc20a8de194b014162296940041",
+    ("diamond", "async-parallel"): "57c8d157be71f40d589f68163600acc779812fb964e6794c1f4e07e922e521f9",
+    ("fail-chain", "sync-sequential"): "25e66a7ef3f2cd5238f69ff0c7741490707ff24906270a03d83c43b0c34123ba",
+    ("fail-chain", "sync-parallel"): "25e66a7ef3f2cd5238f69ff0c7741490707ff24906270a03d83c43b0c34123ba",
+    ("fail-chain", "async-sequential"): "d2cbe7c7a4ae14c8b48fa7b68462401eeaaf5f4c0fa2b82bf39d17364cc45bd6",
+    ("fail-chain", "async-parallel"): "d2cbe7c7a4ae14c8b48fa7b68462401eeaaf5f4c0fa2b82bf39d17364cc45bd6",
+    ("thinking", "sync-sequential"): "3d9bf5e34a8c300c926b939e6afdfd5d896e51c187ec4978541513b83b8ecdf6",
+    ("thinking", "sync-parallel"): "3d9bf5e34a8c300c926b939e6afdfd5d896e51c187ec4978541513b83b8ecdf6",
+    ("thinking", "async-sequential"): "a3532bb032e8262c9a718f82c683d0494212c7460956ef64512d020cb02b3309",
+    ("thinking", "async-parallel"): "a3532bb032e8262c9a718f82c683d0494212c7460956ef64512d020cb02b3309",
+    ("pairs", "sync-sequential"): "7087ffa9f5d5dee735d761ca04cbd4f5ba47a26af72514d16d41ab61b15f501b",
+    ("pairs", "sync-parallel"): "6c778a7fd5ee9aac36d958611c0b66d9322d9fe2bbbe48c09334104cf93a6d87",
+    ("pairs", "async-sequential"): "414dc55cf526df2140d3597b02dc1e376fa4d9c98180ca0a49f079938a713654",
+    ("pairs", "async-parallel"): "69b5a728a86c3dbb27da06c777476862b15ccf71aa1d6875c7dc4b5ca15611cd",
+    ("templated", "sync-sequential"): "6ade0e9910a4bde9cefb02b1ec3862ccc0bece3439ba5b1bc1db347cf3ef6426",
+    ("templated", "sync-parallel"): "aad6508109ffab36f555b6743542267948bbfecd57bb24f453fba6d795c9b569",
+    ("templated", "async-sequential"): "af040e81a321e568fbf8e21efc6a5e0892ccb70287f32f866e346f8958cf404a",
+    ("templated", "async-parallel"): "dd3b223bdadfd306a4b0358fe4f52adb9d4b56443ae652f6c123c574b50c05a0",
+}
+
+
 @pytest.mark.parametrize("name,mode", sorted(GOLDEN), ids=lambda v: v)
 def test_virtual_trace_matches_golden(name, mode):
     digest, end_to_end = GOLDEN[(name, mode)]
@@ -137,3 +173,9 @@ def test_timeline_without_integrations_matches_golden(name, mode):
     lines = run_fixture(name, mode).to_jsonl().splitlines(keepends=True)
     timeline = "".join(line for line in lines if json.loads(line)["kind"] != INTEGRATE)
     assert hashlib.sha256(timeline.encode()).hexdigest() == GOLDEN_TIMELINE[(name, mode)]
+
+
+@pytest.mark.parametrize("name,mode", sorted(GOLDEN_CONTEXTS), ids=lambda v: v)
+def test_context_matches_golden(name, mode):
+    context = json.dumps(run_fixture(name, mode).context_json())
+    assert hashlib.sha256(context.encode()).hexdigest() == GOLDEN_CONTEXTS[(name, mode)]

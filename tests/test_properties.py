@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import json
 import math
 
@@ -22,6 +23,7 @@ from futurecall import (
     substitute_resolved,
     transform_schema,
 )
+from futurecall.driver import await_detection_offset
 from futurecall.errors import ErrorInfo
 from futurecall.executor import Executor, StateStore, ToolBinding, ToolExecutionError
 from futurecall.scheduler import (
@@ -141,7 +143,7 @@ def test_substitute_after_resolution_reconstructs_template(template):
     base = store.create()
     futurized = futurize_output_template(template, base, store)
     store.resolve(base, template)
-    ids = {fid for _, fid in scan_future_refs(futurized, store)}
+    ids = set(scan_future_refs(futurized, store))
     assert substitute_resolved(futurized, store, ids) == template
 
 
@@ -151,7 +153,7 @@ def test_scan_never_reports_unregistered_ids(numbers):
     registered = store.create()
     args = {"xs": [f"fut_{n + 1}" for n in numbers], "ok": registered}
     refs = scan_future_refs(args, store)
-    assert all(fid == registered for _, fid in refs)
+    assert all(fid == registered for fid in refs)
 
 
 @settings(max_examples=40)
@@ -430,6 +432,53 @@ def test_event_lines_are_canonical_json(events):
     assert lines[: len(events)] == [
         json.dumps(e.to_json(), sort_keys=True, separators=(",", ":")) for e in trace.events
     ]
+
+
+# -- await detection ---------------------------------------------------------------
+
+
+def quadratic_await_detection_offset(tokens, decode_time):
+    """The earlier form of ``await_detection_offset``, kept as the
+    reference: it grows the text a token at a time and searches it again
+    from the start after each one."""
+    if not tokens:
+        return decode_time
+    text = ""
+    for token, offset in tokens:
+        text += token
+        name_at = text.find("await_future")
+        if name_at < 0:
+            continue
+        open_at = text.find("[", name_at)
+        if open_at < 0:
+            continue
+        if text.find("]", open_at) >= 0:
+            return min(offset, decode_time)
+    return decode_time
+
+
+@st.composite
+def await_timelines(draw):
+    """Token timelines cut at arbitrary points (tokens may be empty) from
+    text that mostly holds the await name, ``[`` and ``]`` in that order,
+    with noise around them that may repeat or split any of them."""
+    noise = st.lists(st.sampled_from(["await_", "future", "[", "]", '"fut_0"', " "]), max_size=3)
+    parts = ["".join(draw(noise))]
+    for mark in ("await_future", "[", "]"):
+        parts += [mark if draw(st.integers(0, 3)) else "", "".join(draw(noise))]
+    text = "".join(parts)
+    cuts = sorted(draw(st.lists(st.integers(0, len(text)), max_size=8)))
+    tokens = [text[a:b] for a, b in zip([0, *cuts], [*cuts, len(text)])]
+    steps = draw(st.lists(st.floats(0, 0.25), min_size=len(tokens), max_size=len(tokens)))
+    return list(zip(tokens, itertools.accumulate(steps)))
+
+
+@settings(max_examples=400)
+@given(await_timelines(), st.floats(0.01, 3))
+@example([("await_future([", 0.3)], 1.0)
+@example([("]", 0.1), ("await_future", 0.2), ("[", 0.3), ("x]", 0.4)], 0.35)
+def test_await_detection_offset_matches_the_token_by_token_search(tokens, decode_time):
+    assert await_detection_offset(tokens, decode_time) == quadratic_await_detection_offset(tokens, decode_time)
 
 
 # -- scheduler and executor as a state machine ------------------------------------------

@@ -114,7 +114,7 @@ class TestResolvePaths:
         fid = store.create()
         ann = annotation(writes=[("/files/{name}", False)])
         out = resolve_paths(ann, {"name": fid}, session, store)
-        assert out == fid
+        assert out is store.latch(fid)
         store.resolve(fid, "a.txt")
         out = resolve_paths(ann, {"name": fid}, session, store)
         assert ["/" + "/".join(a.path) for a in out] == ["/files/a.txt"]
@@ -132,7 +132,7 @@ class TestResolvePaths:
         assert out == scheduler_mod.fallback_accesses()
         fid = store.create()
         ann = annotation(reads=[("/y", False)], writes=[("/x/{v}", False)])
-        assert resolve_paths(ann, {"v": fid}, session, store) == fid
+        assert resolve_paths(ann, {"v": fid}, session, store) is store.latch(fid)
         store.resolve(fid, ["a", "b"])
         assert resolve_paths(ann, {"v": fid}, session, store) == scheduler_mod.fallback_accesses()
 
@@ -770,7 +770,7 @@ class TestAdmissionWork:
         trace = driver.run()
         assert set(trace.call_status.values()) == {"done"}
         f1, f2 = driver.calls["F1"].result.fid, driver.calls["F2"].result.fid
-        assert [out if isinstance(out, str) else "admitted" for out in seen] == [
+        assert ["admitted" if isinstance(out, list) else out.fid for out in seen] == [
             f"{f1}.id",
             f"{f2}.id",
             "admitted",

@@ -124,7 +124,7 @@ def test_scan_finds_registered_refs_only():
     base = s.create()
     s.create_field(base, "engineState")
     refs = scan_future_refs({"mode": f"{base}.engineState"}, s)
-    assert refs == [("mode", f"{base}.engineState")]
+    assert refs == [f"{base}.engineState"]
     assert scan_future_refs({"mode": "eco"}, s) == []
 
 
@@ -132,7 +132,7 @@ def test_scan_filters_unregistered_ids():
     s = store()
     f0 = s.create()
     refs = scan_future_refs({"xs": [f0, 3, "fut_9"]}, s)
-    assert refs == [("xs[0]", f0)]
+    assert refs == [f0]
 
 
 def test_scan_requires_exact_leaf_match():
@@ -143,7 +143,7 @@ def test_scan_requires_exact_leaf_match():
 
 def ref_ids(args, s):
     """The future ids a call with these arguments would wait on."""
-    return {fid for _, fid in scan_future_refs(args, s)}
+    return set(scan_future_refs(args, s))
 
 
 def test_substitute_resolved_replaces_values():

@@ -18,7 +18,7 @@ from futurecall.workload import (
     worst_case_schedule,
 )
 
-from conftest import AWAIT_TRIGGER_WORKLOAD, fixture_path
+from conftest import AWAIT_REF_WORKLOAD, AWAIT_TRIGGER_WORKLOAD, fixture_path
 
 
 class TestVirtualClock:
@@ -194,6 +194,11 @@ class TestWorkloadLoading:
         with pytest.raises(ValidationError, match="trigger references await 'A1'"):
             workload_from_json(AWAIT_TRIGGER_WORKLOAD)
 
+    def test_argument_reference_to_an_await_rejected(self):
+        # Left in place, "@A1" would reach the tool as literal text.
+        with pytest.raises(ValidationError, match="C2 references await 'A1'"):
+            workload_from_json(AWAIT_REF_WORKLOAD)
+
     @pytest.mark.parametrize("order", [("A", "AW"), ("AW", "A")])
     def test_await_beside_a_tool_call_rejected(self, order):
         calls = {
@@ -349,6 +354,24 @@ class TestWorkloadLoading:
         assert keyed.to_jsonl() == plain.to_jsonl()
         assert keyed.call_status == plain.call_status
         assert keyed.edges == plain.edges
+
+    @pytest.mark.parametrize("mode", ["async-sequential", "async-parallel"])
+    def test_placeholder_follows_the_schema_outputs_not_the_annotation(self, mode):
+        # A tool's example output is its schema's; an annotation's
+        # ``outputs`` key is ignored, as with any unlisted key.
+        def workload(annotation):
+            schema = {"name": "t", "description": "", "parameters": {}, "outputs": {"id": ""}}
+            tool = {"schema": schema, "annotation": annotation, "returns": [{"id": "x"}]}
+            script = [{"emit": [{"id": "C1", "name": "t"}]}, {"when": {"resolved": ["C1"]}, "final": "x"}]
+            return workload_from_json({"tools": [tool], "script": script})
+
+        plain = run_workload(workload({"writes": [{"path": "/a"}]}), mode)
+        keyed = run_workload(workload({"writes": [{"path": "/a"}], "outputs": {"other": 0}}), mode)
+        placeholder = keyed.messages[1]
+        assert (placeholder.role, placeholder.call_id) == ("tool", "C1")
+        assert list(placeholder.content) == ["id"]
+        assert keyed.context_json() == plain.context_json()
+        assert keyed.to_jsonl() == plain.to_jsonl()
 
     @staticmethod
     def scaled(data: dict, factor: float) -> dict:
