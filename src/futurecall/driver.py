@@ -15,9 +15,9 @@ once.
 That leaves two execution models. Sync modes run each turn as one batch:
 same-turn calls overlap in time, their effects and results apply in emitted
 order, and ``@Fk`` references become concrete values. Async modes submit
-every call to the dependency-aware scheduler, and references become future
-identifiers. Either way every assistant tool call is immediately followed by
-a tool message for its call id.
+each turn's calls to the dependency-aware scheduler as one unit, and
+references become future identifiers. Either way every assistant tool call
+is immediately followed by a tool message for its call id.
 
 Decoding is strictly sequential. Scripted decoders pick their next turn by
 the integration state of required call outcomes, so sync and async runs share
@@ -578,14 +578,15 @@ class TurnDriver:
         self._run_batch(records)
 
     def _submit(self, records: list[CallRecord], specs: list[CallSpec]) -> None:
-        """Submit each call and answer it with its placeholder. The
-        scheduler searches a call's arguments for future ids only when its
-        spec has references or literal future ids."""
-        for record, spec in zip(records, specs):
+        """Answer each call with its placeholder, then hand the whole turn
+        to the scheduler at once: one admission sweep and one dispatch pass
+        for the turn. The scheduler searches a call's arguments for future
+        ids only when its spec has references or literal future ids."""
+        for record in records:
             template = self.tools[record.tool].schema.outputs
             placeholder = futurize_output_template(template, record.result.fid, self.store)
-            self.scheduler.submit(record, bool(spec.refs) or spec.literal_futures)
             self._append(Message(role="tool", content=placeholder, call_id=record.call_id))
+        self.scheduler.submit(*records, scan=[bool(spec.refs) or spec.literal_futures for spec in specs])
 
     def _run_batch(self, records: list[CallRecord]) -> None:
         """Sync execution: same-turn calls overlap in time, but their effects

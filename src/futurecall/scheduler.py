@@ -23,12 +23,14 @@ owners have not released; a label's gate then opens once the gates of
 the labels it superseded are open, since calls admitted before the
 cancellation wait on those only through it.
 
-Everything is event-driven. A call whose blocking gates are all open at
-admission is queued for dispatch at once, with no waiter; otherwise one
-waiter on its gates queues it once the last gate opens, and the pass that
-dispatches it runs only then. A head that cannot resolve its paths yet
-waits on the one input it needs, a pending future or the in-flight session
-write's gate, and is not looked at again until that input is settled.
+Everything is event-driven. A decoded turn is submitted whole, and one
+pass dispatches what its admissions readied. A call whose blocking gates
+are all open at admission is queued for dispatch at once, with no waiter;
+otherwise one waiter on its gates queues it once the last gate opens, and
+the pass that dispatches it runs only then. A head that cannot resolve its
+paths yet waits on the one input it needs, a pending future or the
+in-flight session write's gate, and is not looked at again until that
+input is settled.
 
 Indexed labels sit in a trie keyed by path segment, so a conflict lookup
 visits the path's ancestors, the equal node and, for a subtree access, the
@@ -452,10 +454,11 @@ class Scheduler:
     hook is live only during a run. An admitted call goes on the ready list
     at once if its blocking gates are open, else through a waiter on them,
     and the next pass dispatches the ready calls in admission order. A head
-    whose paths need a pending input waits on that input alone. ``pump``
-    runs such a pass on submission, after a gate opening readies a call, on
-    cancellation and when the blocked head's input settles; nothing else
-    can admit or ready a call.
+    whose paths need a pending input waits on that input alone. ``submit``
+    admits a turn's calls one by one, then pumps once for the whole turn;
+    ``pump`` runs such a pass, and runs again after a gate opening readies
+    a call, on cancellation and when the blocked head's input settles;
+    nothing else can admit or ready a call.
     """
 
     def __init__(self, store: FutureStore, session: SessionState, clock):
@@ -482,23 +485,43 @@ class Scheduler:
 
     # -- submission ----------------------------------------------------------
 
-    def submit(self, call: CallRecord, scan: bool = True) -> str:
-        """Enqueue a decoded call; returns its result future immediately.
-
-        ``scan=False`` skips the search of ``args`` for future ids, for a
-        caller that knows no string leaf of them can be one: the call then
-        has no argument futures and no argument edges."""
-        if call.call_id in self.calls:
-            raise DuplicateCallIdError(f"call id {call.call_id!r} already submitted")
-        if call.result is None:
-            call.result = self.store.latch(self.store.create(owner_call=call.call_id))
-        call.submitted_at = self.clock.now()
-        self.calls[call.call_id] = call
-        if scan:
-            self._record_argument_edges(call)
-        self.queue.append(call)
+    def submit(self, *calls: CallRecord, scan: Sequence[bool] | None = None) -> str:
+        """Enqueue one decoded turn's calls, a single call being a one-call
+        turn, and pump once for all of them; returns the last call's result
+        future at once. The turn is rejected whole, before any call is
+        registered, if an id is already submitted or repeats within it. A
+        call's argument edges are recorded once the calls ahead of it are
+        admitted as far as the queue head allows, after their gate edges.
+        ``scan[i]`` false skips the search of the i-th call's ``args`` for
+        future ids, for a caller that knows none can be there: the call
+        then has no argument futures and no argument edges. Without
+        ``scan`` every call is searched."""
+        for call in calls:
+            if call.call_id in self.calls:
+                raise DuplicateCallIdError(f"call id {call.call_id!r} already submitted")
+        if len({call.call_id for call in calls}) < len(calls):
+            raise DuplicateCallIdError("a call id repeats within the turn")
+        now = self.clock.now()
+        store, registered, queue = self.store, self.calls, self.queue
+        # Admission may cancel a head, and a cancellation asks for a pass:
+        # the guard holds that request for the turn's one pass, which
+        # admits the last call.
+        self._pumping = True
+        try:
+            for index, call in enumerate(calls):
+                if queue:
+                    self.try_admit(now)
+                if call.result is None:
+                    call.result = store.latch(store.create(owner_call=call.call_id))
+                call.submitted_at = now
+                registered[call.call_id] = call
+                if scan is None or scan[index]:
+                    self._record_argument_edges(call)
+                queue.append(call)
+        finally:
+            self._pumping = False
         self.pump()
-        return call.result.fid
+        return calls[-1].result.fid
 
     def _record_argument_edges(self, call: CallRecord) -> None:
         producers: set[str] = set()

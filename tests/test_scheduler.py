@@ -196,6 +196,20 @@ class TestAdmission:
         with pytest.raises(DuplicateCallIdError):
             scheduler.submit(call("F1"))
 
+    @pytest.mark.parametrize("turn_ids", [["F2", "F1"], ["F2", "F3", "F2"]])
+    def test_a_turn_with_a_clashing_id_registers_none_of_its_calls(self, turn_ids):
+        # The clash is with a submitted call or within the turn; either way
+        # no call of the turn is registered, queued or given a future.
+        scheduler, store, _, _ = make_scheduler()
+        scheduler.submit(call("F1", annotation(writes=[("/a", False)])))
+        before = (dict(scheduler.calls), list(scheduler.queue), store.ids(), list(scheduler.edges))
+        turn = [call(i, annotation(writes=[("/a", False)])) for i in turn_ids]
+        with pytest.raises(DuplicateCallIdError):
+            scheduler.submit(*turn)
+        assert (dict(scheduler.calls), list(scheduler.queue), store.ids(), list(scheduler.edges)) == before
+        assert all(c.result is None and c.submitted_at == 0.0 for c in turn)
+        assert {label.owner for label in scheduler.live_labels} == {"F1"}
+
     def test_fifo_admission_both_heads_resolvable(self):
         scheduler, _, _, _ = make_scheduler()
         c1 = call("F1", annotation(writes=[("/a", False)]))
@@ -361,6 +375,60 @@ class TestGateDag:
         scheduler.submit(head)
         scheduler.submit(later)
         assert later.status == "queued"
+
+    def test_a_turn_blocked_partway_records_edges_and_dispatches_as_call_by_call(self, monkeypatch):
+        # Turn 2's first call gates on W0 at once; its second call's path
+        # needs F0.name, still pending, so it holds the head; the two
+        # calls behind it carry @F refs. Edges and dispatches come in the
+        # order that submitting the turn's calls one at a time gave.
+        dispatched = []
+        dispatch = executor_mod.Executor.dispatch
+
+        def recorded(self, c):
+            dispatched.append((c.call_id, self.clock.now()))
+            dispatch(self, c)
+
+        monkeypatch.setattr(executor_mod.Executor, "dispatch", recorded)
+
+        def tool(name, latency, returns, **ann):
+            params = {"x": {"type": "string", "description": "", "required": False}}
+            schema = {"name": name, "description": "", "parameters": params}
+            return {"schema": schema, "annotation": ann, "latency": latency, "returns": returns}
+
+        spec = workload_from_json(
+            {
+                "tools": [
+                    tool("find", 4, [{"name": "x.txt"}], reads=[{"path": "/index"}]),
+                    tool("put", [3, 6], [{}], writes=[{"path": "/a"}]),
+                    tool("save", 2, [{}], writes=[{"path": "/files/{x}"}]),
+                    tool("show", 1, [{}], reads=[{"path": "/a"}]),
+                    tool("note", 1, [{}], writes=[{"path": "/files/x.txt"}]),
+                ],
+                "script": [
+                    {"emit": [{"id": "F0", "name": "find", "args": {}}, {"id": "W0", "name": "put", "args": {}}]},
+                    {
+                        "emit": [
+                            {"id": "F1", "name": "put", "args": {}},
+                            {"id": "F2", "name": "save", "args": {"x": "@F0.name"}},
+                            {"id": "F3", "name": "show", "args": {"x": "@F0"}},
+                            {"id": "F4", "name": "note", "args": {"x": "@F0.name"}},
+                        ]
+                    },
+                    {"when": {"resolved": ["F1", "F2", "F3", "F4"]}, "final": "done"},
+                ],
+            }
+        )
+        trace = run_workload(spec, "async-parallel")
+        assert set(trace.call_status.values()) == {"done"}
+        assert trace.edges == [
+            ("W0", "F1", "gate-waw"),
+            ("F0", "F2", "arg"),
+            ("F0", "F3", "arg"),
+            ("F0", "F4", "arg"),
+            ("F1", "F3", "gate-raw"),
+            ("F2", "F4", "gate-waw"),
+        ]
+        assert dispatched == [("F0", 1.0), ("W0", 1.0), ("F1", 4.0), ("F2", 5.0), ("F4", 7.0), ("F3", 10.0)]
 
 
 class TestWorkGrowth:
@@ -875,12 +943,13 @@ class TestAdmissionWork:
         assert set(trace.call_status.values()) == {"done"}
         assert trace.edges == []
         assert counts["_Waiter"] == 0
-        assert counts["pump"] <= n + 2
+        assert counts["pump"] == 1  # the turn's one pass; no gate readies a call
         assert counts["Access"] == 0
 
     def test_a_gate_that_readies_no_call_runs_no_pass(self, monkeypatch):
-        # R waits on the gates of A (done at 2) and B (done at 3): the
-        # first gate to open leaves R waiting, so only the second runs a pass.
+        # The turn's submission at 1 runs one pass for its three calls. R
+        # waits on the gates of A (done at 2) and B (done at 3): the first
+        # gate to open leaves R waiting, so only the second runs a pass.
         pumps = []
         pump = Scheduler.pump
 
@@ -899,7 +968,7 @@ class TestAdmissionWork:
         )
         trace = run_workload(spec, "async-parallel")
         assert set(trace.call_status.values()) == {"done"}
-        assert pumps == [1.0, 1.0, 1.0, 3.0]
+        assert pumps == [1.0, 3.0]
 
     @pytest.mark.parametrize(
         "annotation,error_at,shut",
