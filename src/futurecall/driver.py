@@ -16,8 +16,9 @@ That leaves two execution models. Sync modes run each turn as one batch:
 same-turn calls overlap in time, their effects and results apply in emitted
 order, and ``@Fk`` references become concrete values. Async modes submit
 each turn's calls to the dependency-aware scheduler as one unit, and
-references become future identifiers. Either way every assistant tool call
-is immediately followed by a tool message for its call id.
+references become future identifiers. Either way the executor's ``settle``
+ends each call that ran, and every assistant tool call is immediately
+followed by a tool message for its call id.
 
 Decoding is strictly sequential. Scripted decoders pick their next turn by
 the integration state of required call outcomes, so sync and async runs share
@@ -27,7 +28,6 @@ in wall-clock mode.
 
 from __future__ import annotations
 
-import functools
 import json
 import os
 import time
@@ -47,7 +47,7 @@ from .executor import Executor, StateStore
 from .futures import RESOLVED, FutureStore, extract_field
 from .scheduler import CallRecord, Scheduler, SessionState
 from .schema import AWAIT_FUTURE_NAME, copy_json, futurize_output_template, map_leaves
-from .trace import AWAIT, DECODE, EXEC, INTEGRATE, RunTrace
+from .trace import AWAIT, DECODE, INTEGRATE, RunTrace
 from .workload import (
     CallSpec,
     ScriptTurn,
@@ -292,13 +292,6 @@ def await_detection_offset(tokens: list[tuple[str, float]] | None, decode_time: 
     return min(offset, decode_time)
 
 
-def _trace_exec(trace: RunTrace, call: CallRecord) -> None:
-    """The exec hook: a finished call's execution interval, in its turn."""
-    if call.exec_start is None:
-        return
-    trace.record(call.exec_start, call.exec_end, EXEC, call.call_id, call.turn)
-
-
 class TurnDriver:
     """Runs one conversation over a workload in a given mode."""
 
@@ -316,15 +309,7 @@ class TurnDriver:
         self.scheduler = Scheduler(self.store, self.session, self.clock)
         self.tools = build_tool_bindings(workload)
         self.trace = RunTrace(mode=mode)
-        self._record_exec = functools.partial(_trace_exec, self.trace)
-        self.executor = Executor(
-            self.store,
-            self.scheduler,
-            self.clock,
-            self.tools,
-            self.state,
-            on_exec_interval=self._record_exec,
-        )
+        self.executor = Executor(self.store, self.scheduler, self.clock, self.tools, self.state, self.trace)
         self.decoder = decoder or ScriptedDecoder(workload.script, is_parallel(mode))
         self.messages: list[Message] = []
         self.calls: dict[str, CallRecord] = {}
@@ -476,16 +461,17 @@ class TurnDriver:
                         bindings[field_id] = field_state.value
             else:
                 failures.append({"call": call_id, "future": fid, **state.error.to_json()})
-        if bindings:
-            ordered = {fid: bindings[fid] for fid in sorted(bindings)}
-            self._append(Message(role="user", content={"resolved_futures": ordered}))
+
+        def integrate(content: dict) -> None:
+            self._append(Message(role="user", content=content))
             self.trace.record(now, now, INTEGRATE, f"b{self._boundary_no}", self._turn_no)
             self._boundary_no += 1
+
+        if bindings:
+            integrate({"resolved_futures": {fid: bindings[fid] for fid in sorted(bindings)}})
         if failures:
             failures.sort(key=lambda f: f["call"])
-            self._append(Message(role="user", content={"failed_calls": failures}))
-            self.trace.record(now, now, INTEGRATE, f"b{self._boundary_no}", self._turn_no)
-            self._boundary_no += 1
+            integrate({"failed_calls": failures})
             if self.final_answer is not None:
                 # Failure reports after the final answer reopen the
                 # conversation for recovery turns.
@@ -592,20 +578,16 @@ class TurnDriver:
         """Sync execution: same-turn calls overlap in time, but their effects
         and results apply in emitted order once the slowest one is done.
         Each behavior gets its own copy of the arguments, as in async modes,
-        so it cannot rewrite the call in the context or the workload."""
+        so it cannot rewrite the call in the context or the workload. The
+        executor's ``settle`` ends each call, as it does an async one."""
         t0 = self.clock.now()
         latencies = [self.tools[r.tool].latency_for(r.invocation_index) for r in records]
         self.clock.run_until_time(t0 + max(latencies))
         for record, latency in zip(records, latencies):
             record.exec_start, record.exec_end = t0, t0 + latency
-            self._record_exec(record)
             value, error = self.executor.invoke(record, copy_json(record.args))
-            if error is None:
-                self.store.resolve(record.result.fid, value)
-                content: Any = value
-            else:
-                self.store.fail(record.result.fid, error)
-                content = {"error": error.to_json()}
+            self.executor.settle(record, value, error)
+            content = value if error is None else {"error": error.to_json()}
             self._append(Message(role="tool", content=content, call_id=record.call_id))
 
     # -- argument references ------------------------------------------------------------

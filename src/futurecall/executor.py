@@ -8,9 +8,9 @@ non-blocking, so a call parked on its arguments never delays other
 dispatchable calls. Exactly the recorded ids are then substituted by their
 values: a string leaf that only became a known future id after submission
 stays literal text, as it does in a sync run. The behavior runs across its
-latency interval, the result future is fulfilled (or failed), the call's
-access labels are released, and the execution interval lands in the run
-trace.
+latency interval, then ``settle`` ends it as it ends a sync call: it traces
+the execution interval if the call started, resolves or fails the result
+future and releases the call's access labels.
 
 When a call fails, every call transitively dependent on it is cancelled, its
 result future carrying an error that names the failed call, and independent
@@ -34,6 +34,7 @@ from .errors import EXECUTION_ERROR, ErrorInfo, GatesPendingError
 from .futures import FutureStore
 from .scheduler import PROPAGATING_EDGE_KINDS, CallRecord, Scheduler
 from .schema import DependencyAnnotation, FunctionSchema, copy_json, substitute_resolved
+from .trace import EXEC, RunTrace
 
 
 class ToolExecutionError(Exception):
@@ -43,8 +44,8 @@ class ToolExecutionError(Exception):
 class StateStore:
     """Mock backend state addressed by rendered resource paths."""
 
-    def __init__(self, initial: dict[str, Any] | None = None):
-        self._data: dict[str, Any] = dict(initial or {})
+    def __init__(self):
+        self._data: dict[str, Any] = {}
 
     def read(self, path: str, subtree: bool = False) -> Any:
         if not subtree:
@@ -94,10 +95,8 @@ class Executor:
     """Runs dispatched calls on logical workers and handles failure fallout.
 
     Building one binds its ``dispatch`` into ``scheduler.on_dispatch``.
-    ``on_exec_interval(call)`` is the exec hook, called once a call's
-    execution interval is stamped (done or failed); the driver passes a
-    function of its trace, not of itself, so the executor holds no
-    reference back to the driver.
+    ``settle`` writes each ended call's execution interval into ``trace``,
+    the run's trace, so the executor holds no reference back to the driver.
     """
 
     def __init__(
@@ -107,16 +106,16 @@ class Executor:
         clock,
         tools: dict[str, ToolBinding],
         state: StateStore,
-        on_exec_interval: Callable[[CallRecord], None] | None = None,
+        trace: RunTrace,
     ):
         self.store = store
         self.scheduler = scheduler
         self.clock = clock
         self.tools = tools
         self.state = state
+        self.trace = trace
         self._consumers: dict[str, list[str]] = {}  # producer -> consumers in scheduler.edges[:_indexed]
         self._indexed = 0
-        self.on_exec_interval = on_exec_interval or (lambda call: None)
         scheduler.on_dispatch = self.dispatch
 
     # -- dispatch ---------------------------------------------------------------
@@ -148,7 +147,7 @@ class Executor:
         try:
             concrete = substitute_resolved(call.args, self.store, fids)
         except Exception as exc:  # substitution failure surfaces as the call's failure
-            self._fail(call, ErrorInfo(EXECUTION_ERROR, str(exc), call.call_id))
+            self.settle(call, None, ErrorInfo(EXECUTION_ERROR, str(exc), call.call_id))
             return
         self._start(call, concrete, self.clock.now())
 
@@ -172,22 +171,20 @@ class Executor:
         if call.terminal:
             return
         call.exec_end = self.clock.now()
-        value, error = self.invoke(call, concrete_args)
-        if error is not None:
-            self._fail(call, error)
-            return
-        self.on_exec_interval(call)
-        self.store.resolve(call.result.fid, value)
-        self.scheduler.release(call)
+        self.settle(call, *self.invoke(call, concrete_args))
 
-    def _fail(self, call: CallRecord, error: ErrorInfo) -> None:
-        if call.exec_end is None:
-            call.exec_end = self.clock.now()
-        self.on_exec_interval(call)
-        self.store.fail(call.result.fid, error)
-        # Cancel dependents before releasing labels so nothing downstream of
-        # the failed effect gets dispatched when the gates open.
-        self.cancel_transitive(call.call_id)
+    def settle(self, call: CallRecord, value: Any, error: ErrorInfo | None) -> None:
+        """End a call that ran or failed: trace its execution interval if it
+        started, resolve or fail its result future, then release its labels.
+        A failure cancels its dependents before the release opens their
+        gates. A sync call holds no labels and records no edges."""
+        if call.exec_start is not None:
+            self.trace.record(call.exec_start, call.exec_end, EXEC, call.call_id, call.turn)
+        if error is None:
+            self.store.resolve(call.result.fid, value)
+        else:
+            self.store.fail(call.result.fid, error)
+            self.cancel_transitive(call.call_id)
         self.scheduler.release(call)
 
     # -- failure propagation -----------------------------------------------------

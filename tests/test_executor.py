@@ -4,8 +4,11 @@ import random
 
 import pytest
 
-from futurecall import run_workload
+from futurecall import DependencyAnnotation, FutureStore, RunTrace, SessionState, VirtualClock, run_workload
 from futurecall.errors import GatesPendingError
+from futurecall.executor import Executor, StateStore, ToolBinding
+from futurecall.scheduler import CallRecord, Scheduler
+from futurecall.schema import AccessDecl, FunctionSchema
 from futurecall.workload import workload_from_json
 
 from randgen import random_arg_dag_workload, reachable_from
@@ -55,11 +58,6 @@ def test_gated_call_dispatches_at_release_time():
 
 
 def test_dispatch_with_pending_gate_raises():
-    from futurecall import DependencyAnnotation, FutureStore, SessionState, VirtualClock
-    from futurecall.executor import Executor, StateStore, ToolBinding
-    from futurecall.scheduler import CallRecord, Scheduler
-    from futurecall.schema import AccessDecl, FunctionSchema
-
     clock = VirtualClock()
     store = FutureStore(clock)
     scheduler = Scheduler(store, SessionState(), clock)
@@ -69,7 +67,7 @@ def test_dispatch_with_pending_gate_raises():
             schema=FunctionSchema(name="t"),
         )
     }
-    executor = Executor(store, scheduler, clock, tools, StateStore())
+    executor = Executor(store, scheduler, clock, tools, StateStore(), RunTrace(mode="async-parallel"))
     scheduler.on_dispatch = lambda call: None  # disconnect auto-dispatch
     ann = DependencyAnnotation(writes=[AccessDecl("/a", False)])
     c1 = CallRecord(call_id="F1", tool="t", args={}, annotation=ann)
@@ -79,6 +77,36 @@ def test_dispatch_with_pending_gate_raises():
     assert c2.blocking_gates
     with pytest.raises(GatesPendingError):
         executor.dispatch(c2)
+
+
+def test_unsubstitutable_argument_fails_the_consumer_and_cancels_its_dependents():
+    # P resolves to a generator, which copy.deepcopy rejects: C fails while
+    # its arguments are substituted, before it starts, and D is cancelled.
+    clock = VirtualClock()
+    store = FutureStore(clock)
+    scheduler = Scheduler(store, SessionState(), clock)
+    tools = {
+        "gen": ToolBinding(behavior=lambda a, i, s: (n for n in range(3)), latency=1),
+        "t": ToolBinding(behavior=lambda a, i, s: {}, latency=1),
+    }
+    trace = RunTrace(mode="async-parallel")
+    Executor(store, scheduler, clock, tools, StateStore(), trace)
+    writes_c = DependencyAnnotation(writes=[AccessDecl("/c", False)])
+    reads_c = DependencyAnnotation(reads=[AccessDecl("/c", False)])
+    p = CallRecord(call_id="P", tool="gen", args={}, annotation=writes_c)
+    p.result = store.latch(store.create(owner_call="P"))
+    c = CallRecord(call_id="C", tool="t", args={"x": p.result.fid}, annotation=writes_c)
+    c.result = store.latch(store.create(owner_call="C"))
+    d = CallRecord(call_id="D", tool="t", args={"y": c.result.fid}, annotation=reads_c)
+    scheduler.submit(p, c, d)
+    clock.run_until(lambda: d.terminal)
+    assert p.status == "done" and c.status == "failed"
+    error = c.result.state.error
+    assert (error.kind, error.origin_call) == ("execution-error", "C")
+    assert list(trace.exec_intervals_by_call()) == ["P"]
+    assert d.status == "cancelled"
+    assert d.result.state.error.origin_call == "C"
+    assert scheduler.unopened_gates() == []
 
 
 def test_tool_error_fails_result_and_releases_labels():

@@ -329,7 +329,7 @@ def test_blocking_gates_reduce_a_scan_of_unreleased_labels(ops, durations):
     store = FutureStore(clock)
     session = SessionState()
     scheduler = Scheduler(store, session, clock)
-    executor = Executor(store, scheduler, clock, {}, StateStore())
+    executor = Executor(store, scheduler, clock, {}, StateStore(), RunTrace(mode="async-parallel"))
     calls: list[CallRecord] = []
 
     def dispatch(call: CallRecord) -> None:
@@ -508,7 +508,9 @@ class SchedulerMachine(RuleBasedStateMachine):
         self.scheduler = Scheduler(self.store, self.session, self.clock)
         self.doomed: set[str] = set()
         tool = ToolBinding(behavior=self._behave, latency=[1, 2, 1, 3, 2, 2, 1, 3])
-        self.executor = Executor(self.store, self.scheduler, self.clock, {"t": tool}, StateStore())
+        self.executor = Executor(
+            self.store, self.scheduler, self.clock, {"t": tool}, StateStore(), RunTrace(mode="async-parallel")
+        )
         # Every walk, from a failure or from the cancel rule, is checked.
         cancel = self.executor.cancel_transitive
         self.executor.cancel_transitive = lambda call_id: _checked_cancel(self.scheduler, cancel, call_id)
