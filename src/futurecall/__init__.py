@@ -40,7 +40,7 @@ from .driver import (
     run_workload,
 )
 from .errors import ErrorInfo, FuturecallError
-from .executor import Executor, StateStore, ToolBinding, ToolExecutionError
+from .executor import Executor, StateStore, ToolExecutionError
 from .futures import FutureState, FutureStore
 from .scheduler import (
     Access,
@@ -97,7 +97,6 @@ __all__ = [
     "ScriptedDecoder",
     "SessionState",
     "StateStore",
-    "ToolBinding",
     "ToolCall",
     "ToolExecutionError",
     "TraceEvent",

@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
+import os
 import sys
 from typing import Any
 
@@ -61,6 +63,16 @@ def _cell_report(trace: RunTrace, baseline: RunTrace | None) -> dict[str, Any]:
     return report
 
 
+def _write(path: str, text: str) -> None:
+    """Write one output file, its text as given with no newline translation.
+    A path that cannot be written is an input error."""
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ValidationError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
 def _load(args: argparse.Namespace) -> WorkloadSpec:
     """The workload file, with ``--delay-scale`` checked like the file's own."""
     workload = load_workload(args.workload)
@@ -73,16 +85,12 @@ def cmd_run(args: argparse.Namespace) -> int:
     workload = _load(args)
     trace = run_workload(workload, args.mode, clock=args.clock)
     if args.out_trace:
-        trace.write_jsonl(args.out_trace)
+        _write(args.out_trace, trace.to_jsonl())
     report = _cell_report(trace, None)
     if args.out_report:
-        with open(args.out_report, "w", encoding="utf-8") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write(args.out_report, json.dumps(report, indent=2, sort_keys=True) + "\n")
     if args.dump_context:
-        with open(args.dump_context, "w", encoding="utf-8") as fh:
-            json.dump(trace.context_json(), fh, indent=2)
-            fh.write("\n")
+        _write(args.dump_context, json.dumps(trace.context_json(), indent=2) + "\n")
     print(json.dumps(report["savings"] | {
         "mode": trace.mode,
         "end_to_end": trace.end_to_end,
@@ -128,15 +136,13 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
     report = {"workload": args.workload, "modes": modes, "cells": cells}
     if args.out_report:
-        with open(args.out_report, "w", encoding="utf-8") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write(args.out_report, json.dumps(report, indent=2, sort_keys=True) + "\n")
         if args.sweep:
-            csv_path = args.out_report.rsplit(".", 1)[0] + ".csv"
-            with open(csv_path, "w", encoding="utf-8", newline="") as fh:
-                writer = csv.DictWriter(fh, fieldnames=list(series_rows[0]))
-                writer.writeheader()
-                writer.writerows(series_rows)
+            table = io.StringIO()
+            writer = csv.DictWriter(table, fieldnames=list(series_rows[0]))
+            writer.writeheader()
+            writer.writerows(series_rows)
+            _write(os.path.splitext(args.out_report)[0] + ".csv", table.getvalue())
     for row in series_rows:
         print(json.dumps(row, sort_keys=True))
     return 0

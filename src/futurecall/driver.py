@@ -28,6 +28,7 @@ in wall-clock mode.
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import time
@@ -38,6 +39,7 @@ from .clock import VirtualClock, WallClock
 from .errors import (
     ContextOverflowError,
     DeadlockError,
+    DecoderError,
     LeakedFutureError,
     ProtocolViolationError,
     ScriptExhaustedError,
@@ -170,7 +172,9 @@ class ChatCompletionsDecoder:
 
     Endpoint, credentials and model come from the environment
     (FUTURECALL_ENDPOINT, FUTURECALL_API_KEY, FUTURECALL_MODEL); the key is
-    sent as a bearer token and never logged. Only usable with a wall clock.
+    sent as a bearer token and never logged. A request that fails or gets
+    an HTTP error status raises ``DecoderError``, which names the endpoint
+    and the status. Only usable with a wall clock.
     """
 
     realtime = True
@@ -208,13 +212,14 @@ class ChatCompletionsDecoder:
         headers = {"Content-Type": "application/json"}
         if self.api_key:
             headers["Authorization"] = f"Bearer {self.api_key}"
-        response = requests.post(
-            self.endpoint.rstrip("/") + "/chat/completions",
-            json=payload,
-            headers=headers,
-            timeout=120,
-        )
-        response.raise_for_status()
+        url = self.endpoint.rstrip("/") + "/chat/completions"
+        try:
+            response = requests.post(url, json=payload, headers=headers, timeout=120)
+            response.raise_for_status()
+        except requests.RequestException as exc:
+            # Built from the URL and the status alone: the key stays out.
+            got = type(exc).__name__ if exc.response is None else f"HTTP {exc.response.status_code}"
+            raise DecoderError(f"live decoder endpoint {url} failed: {got}") from exc
         try:
             message = response.json()["choices"][0]["message"]
             tool_calls = message.get("tool_calls")
@@ -308,6 +313,7 @@ class TurnDriver:
         self.session = SessionState(bindings=dict(workload.session_bindings))
         self.scheduler = Scheduler(self.store, self.session, self.clock)
         self.tools = build_tool_bindings(workload)
+        self._invocations = {name: itertools.count() for name in self.tools}  # the run's, per tool
         self.trace = RunTrace(mode=mode)
         self.executor = Executor(self.store, self.scheduler, self.clock, self.tools, self.state, self.trace)
         self.decoder = decoder or ScriptedDecoder(workload.script, is_parallel(mode))
@@ -542,7 +548,7 @@ class TurnDriver:
                 tool=spec.name,
                 args=self._substitute_refs(spec.args, bind) if spec.refs else spec.args,
                 annotation=tool.annotation,
-                invocation_index=tool.next_invocation(),
+                invocation_index=next(self._invocations[spec.name]),
                 turn=self._turn_no,
             )
             record.result = self.store.latch(self.store.create(owner_call=spec.call_id))

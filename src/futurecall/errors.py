@@ -103,6 +103,10 @@ class ProtocolViolationError(FuturecallError):
     pass
 
 
+class DecoderError(FuturecallError):
+    """A live decoder's endpoint gave no reply or an HTTP error status."""
+
+
 # -- analysis -------------------------------------------------------------------
 
 class OverlappingDecodeError(FuturecallError):

@@ -27,14 +27,16 @@ cancellation gate on the writers it superseded again.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
-from typing import Any, Callable
+from typing import TYPE_CHECKING, Any
 
 from .errors import EXECUTION_ERROR, ErrorInfo, GatesPendingError
 from .futures import FutureStore
 from .scheduler import PROPAGATING_EDGE_KINDS, CallRecord, Scheduler
-from .schema import DependencyAnnotation, FunctionSchema, copy_json, substitute_resolved
+from .schema import copy_json, substitute_resolved
 from .trace import EXEC, RunTrace
+
+if TYPE_CHECKING:
+    from .workload import ToolSpec
 
 
 class ToolExecutionError(Exception):
@@ -64,37 +66,12 @@ class StateStore:
         return {p: self._data[p] for p in sorted(self._data)}
 
 
-@dataclass
-class ToolBinding:
-    """A registered tool: schema, annotation, latency model and behavior.
-
-    ``behavior(args, invocation_index, state)`` must be deterministic for a
-    given argument set and invocation index; that is what makes replays exact.
-    The latency model is either one fixed delay or a nonempty per-invocation
-    list (the last entry repeats).
-    """
-
-    behavior: Callable[[dict, int, StateStore], Any]
-    latency: float | list[float] = 0.0
-    schema: FunctionSchema | None = None
-    annotation: DependencyAnnotation | None = None
-    invocations: int = 0
-
-    def latency_for(self, invocation_index: int) -> float:
-        if isinstance(self.latency, list):
-            return float(self.latency[min(invocation_index, len(self.latency) - 1)])
-        return float(self.latency)
-
-    def next_invocation(self) -> int:
-        index = self.invocations
-        self.invocations += 1
-        return index
-
-
 class Executor:
     """Runs dispatched calls on logical workers and handles failure fallout.
 
     Building one binds its ``dispatch`` into ``scheduler.on_dispatch``.
+    ``tools`` maps a tool name to the ``ToolSpec`` its calls run, through
+    its ``latency_for`` and ``behavior``; the executor never changes one.
     ``settle`` writes each ended call's execution interval into ``trace``,
     the run's trace, so the executor holds no reference back to the driver.
     """
@@ -104,7 +81,7 @@ class Executor:
         store: FutureStore,
         scheduler: Scheduler,
         clock,
-        tools: dict[str, ToolBinding],
+        tools: dict[str, ToolSpec],
         state: StateStore,
         trace: RunTrace,
     ):

@@ -113,9 +113,5 @@ class RunTrace:
         lines.append(json.dumps(self.summary(), sort_keys=True, separators=(",", ":")))
         return "\n".join(lines) + "\n"
 
-    def write_jsonl(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(self.to_jsonl())
-
     def context_json(self) -> list[dict]:
         return [m.to_json() for m in self.messages]

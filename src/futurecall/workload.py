@@ -62,7 +62,7 @@ from types import NoneType
 from typing import Any, Container
 
 from .errors import ParseError, ValidationError
-from .executor import StateStore, ToolBinding, ToolExecutionError
+from .executor import StateStore, ToolExecutionError
 from .futures import looks_like_future_id
 from .schema import AWAIT_FUTURE_NAME, DependencyAnnotation, FunctionSchema, copy_json, map_leaves
 from .schema import json_fields, tool_from_json
@@ -191,6 +191,21 @@ MAX_SCHEDULE = 1e6
 
 @dataclass
 class ToolSpec:
+    """One mock tool: the parsed entry, and the object a run calls.
+
+    ``behavior(args, invocation, state)`` is deterministic for a given
+    argument set and invocation index, which is what makes replays exact.
+    A function tool raises at the indices ``error_at`` names, reads and
+    writes the mock backend through its state operations at completion
+    time (what the scheduling-safety oracle compares across modes), and
+    returns ``returns[invocation]``; a thinking tool answers from its
+    subquery table, standing in for a delegate decoder. In a ``latency``
+    or ``returns`` list the last entry repeats. A run never changes a tool:
+    it numbers each tool's invocations itself, so runs may share one
+    spec's tools. A test may set ``behavior`` on an instance to inject
+    Python code.
+    """
+
     schema: FunctionSchema
     annotation: DependencyAnnotation | None = None
     latency: float | list[float] = 0.0
@@ -200,6 +215,31 @@ class ToolSpec:
     state_writes: list[tuple[str, str]] = field(default_factory=list)
     kind: str = "function"
     answers: dict[str, str] = field(default_factory=dict)
+
+    def latency_for(self, invocation: int) -> float:
+        if isinstance(self.latency, list):
+            return float(self.latency[min(invocation, len(self.latency) - 1)])
+        return float(self.latency)
+
+    def behavior(self, args: dict, invocation: int, state: StateStore) -> Any:
+        name = self.schema.name
+        if self.kind == "thinking":
+            subquery = args.get("subquery", "")
+            if subquery in self.answers:
+                return {"answer": self.answers[subquery]}
+            raise ToolExecutionError(f"{name}: no delegate answer for {subquery!r}")
+        if invocation in self.error_at:
+            raise ToolExecutionError(self.error_at[invocation])
+        observed = {path: state.read(path, subtree=subtree) for path, subtree in self.state_reads}
+        call_tag = f"{name}#{invocation}"
+        for path, template in self.state_writes:
+            state.write(path, _render_write_value(template, call_tag, args, observed))
+        if self.returns is not None:
+            return copy_json(self.returns[min(invocation, len(self.returns) - 1)])
+        result: dict[str, Any] = {"tool": name, "invocation": invocation}
+        if observed:
+            result["observed"] = observed
+        return result
 
 
 @dataclass
@@ -401,7 +441,7 @@ def strip_annotations(base: WorkloadSpec) -> WorkloadSpec:
     return spec
 
 
-# -- tool binding construction ---------------------------------------------------
+# -- tool behavior ---------------------------------------------------------------
 
 
 def _render_write_value(template: str, call_id: str, args: dict, reads: dict) -> Any:
@@ -413,60 +453,6 @@ def _render_write_value(template: str, call_id: str, args: dict, reads: dict) ->
     return rendered
 
 
-def build_tool_bindings(spec: WorkloadSpec) -> dict[str, ToolBinding]:
-    """Turn tool specs into executable mock bindings.
-
-    Scripted tools return ``returns[invocation]`` (last value repeats) and can
-    be set to raise at specific invocations. Declarative state operations read
-    and write the shared mock backend atomically at completion time, which is
-    what the scheduling-safety oracle compares across modes. Thinking tools
-    answer from their subquery table, standing in for a delegate decoder.
-    """
-    bindings: dict[str, ToolBinding] = {}
-    for tool in spec.tools:
-        bindings[tool.schema.name] = ToolBinding(
-            behavior=_make_behavior(tool),
-            latency=tool.latency,
-            schema=tool.schema,
-            annotation=tool.annotation,
-        )
-    return bindings
-
-
-def _make_behavior(tool: ToolSpec):
-    name = tool.schema.name
-
-    if tool.kind == "thinking":
-        answers = dict(tool.answers)
-
-        def think(args: dict, invocation: int, state: StateStore):
-            subquery = args.get("subquery", "")
-            if subquery in answers:
-                return {"answer": answers[subquery]}
-            raise ToolExecutionError(f"{name}: no delegate answer for {subquery!r}")
-
-        return think
-
-    returns = list(tool.returns) if tool.returns is not None else None
-    error_at = dict(tool.error_at)
-    state_reads = list(tool.state_reads)
-    state_writes = list(tool.state_writes)
-
-    def behavior(args: dict, invocation: int, state: StateStore):
-        if invocation in error_at:
-            raise ToolExecutionError(error_at[invocation])
-        observed = {}
-        for path, subtree in state_reads:
-            observed[path] = state.read(path, subtree=subtree)
-        call_tag = f"{name}#{invocation}"
-        for path, template in state_writes:
-            state.write(path, _render_write_value(template, call_tag, args, observed))
-        if returns is not None:
-            value = returns[min(invocation, len(returns) - 1)]
-            return copy_json(value)
-        result: dict[str, Any] = {"tool": name, "invocation": invocation}
-        if observed:
-            result["observed"] = observed
-        return result
-
-    return behavior
+def build_tool_bindings(spec: WorkloadSpec) -> dict[str, ToolSpec]:
+    """A run's tool table: the spec's own tools, each under its name."""
+    return {tool.schema.name: tool for tool in spec.tools}

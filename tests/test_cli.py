@@ -433,3 +433,28 @@ def test_module_entry_point_runs_the_cli(capsys):
     assert done.returncode == 0, done.stderr
     assert main(["run", "--workload", fixture_path("fig1"), "--mode", "async-parallel"]) == 0
     assert done.stdout == capsys.readouterr().out
+
+
+def test_unwritable_output_path_exits_2(tmp_path):
+    root = pathlib.Path(futurecall.__file__).resolve().parents[2]
+    target = tmp_path / "missing" / "t.jsonl"
+    done = subprocess.run(
+        [sys.executable, "-m", "futurecall", "run",
+         "--workload", "fixtures/fig1.json", "--out-trace", str(target)],
+        cwd=root, env={**os.environ, "PYTHONPATH": "src"},
+        capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 2, done.stderr
+    assert done.stderr.startswith(f"error: cannot write {target}: ")
+    assert not target.parent.exists()
+
+
+def test_sweep_csv_sits_beside_an_extensionless_report(tmp_path, monkeypatch, capsys):
+    # Only the report's extension is replaced, never a dot in a directory.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sub").mkdir()
+    argv = ["compare", "--workload", fixture_path("pairs"), "--sweep", "1,2"]
+    argv += ["--mode", "sync-sequential", "--mode", "async-parallel", "--out-report", "./sub/report"]
+    assert main(argv) == 0
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["report", "report.csv", "sub"]
+    assert (tmp_path / "sub" / "report.csv").read_text().startswith("delay,mode,")

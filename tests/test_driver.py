@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import copy
 import gc
 import json
 import threading
@@ -359,7 +360,9 @@ def rewriting_run(spec, mode):
     """Run with a behavior that rewrites its arguments in place and records
     what it was given in the backend state."""
     driver = TurnDriver(spec, mode)
-    grow = driver.tools["grow"].behavior
+    # The spec's own tool is shared by both runs; patch a copy of it.
+    tool = driver.tools["grow"] = copy.copy(driver.tools["grow"])
+    grow = tool.behavior
 
     def rewrite(args, invocation, state):
         state.write(f"/seen/{invocation}", json.dumps(args, sort_keys=True))
@@ -369,7 +372,7 @@ def rewriting_run(spec, mode):
             args["prev"]["xs"].append(99)
         return grow(args, invocation, state)
 
-    driver.tools["grow"].behavior = rewrite
+    tool.behavior = rewrite
     return driver.run()
 
 
@@ -386,6 +389,42 @@ def test_tool_behavior_cannot_rewrite_the_emitted_call(mode):
     ]
     assert first.final_state["/seen/1"] == json.dumps({"prev": {"xs": [7]}, "xs": [3]})
     assert rewriting_run(spec, mode).to_jsonl() == first.to_jsonl()
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_runs_of_one_spec_number_invocations_from_zero_and_leave_it_unchanged(mode):
+    # The spec's tools are the objects both runs call: the invocation
+    # count belongs to each run, not to the tool.
+    spec = workload_from_json(
+        {
+            "tools": [
+                {
+                    "schema": {"name": "t", "description": "", "parameters": {}},
+                    "annotation": {"reads": [], "writes": []},
+                    "latency": [1, 2, 3],
+                    "returns": ["a", "b", "c"],
+                }
+            ],
+            "script": [
+                {"emit": [{"id": f"F{k}", "name": "t"} for k in (1, 2, 3)]},
+                {"when": {"resolved": ["F1", "F2", "F3"]}, "final": "x"},
+            ],
+        }
+    )
+    before = copy.deepcopy(spec)
+    traces = []
+    for _ in range(2):
+        driver = TurnDriver(spec, mode)
+        traces.append(driver.run())
+        assert [driver.calls[f"F{k}"].invocation_index for k in (1, 2, 3)] == [0, 1, 2]
+        assert [driver.calls[f"F{k}"].result.state.value for k in (1, 2, 3)] == ["a", "b", "c"]
+    assert traces[0].to_jsonl() == traces[1].to_jsonl()
+    assert spec == before
+
+
+def test_a_run_calls_the_spec_own_tools():
+    spec = mutable_args_workload()
+    assert TurnDriver(spec, "async-parallel").tools["grow"] is spec.tools[0]
 
 
 def late_literal_workload():

@@ -6,10 +6,10 @@ import pytest
 
 from futurecall import DependencyAnnotation, FutureStore, RunTrace, SessionState, VirtualClock, run_workload
 from futurecall.errors import GatesPendingError
-from futurecall.executor import Executor, StateStore, ToolBinding
+from futurecall.executor import Executor, StateStore
 from futurecall.scheduler import CallRecord, Scheduler
 from futurecall.schema import AccessDecl, FunctionSchema
-from futurecall.workload import workload_from_json
+from futurecall.workload import ToolSpec, workload_from_json
 
 from randgen import random_arg_dag_workload, reachable_from
 
@@ -61,12 +61,7 @@ def test_dispatch_with_pending_gate_raises():
     clock = VirtualClock()
     store = FutureStore(clock)
     scheduler = Scheduler(store, SessionState(), clock)
-    tools = {
-        "t": ToolBinding(
-            behavior=lambda a, i, s: {},
-            schema=FunctionSchema(name="t"),
-        )
-    }
+    tools = {"t": ToolSpec(FunctionSchema(name="t"))}
     executor = Executor(store, scheduler, clock, tools, StateStore(), RunTrace(mode="async-parallel"))
     scheduler.on_dispatch = lambda call: None  # disconnect auto-dispatch
     ann = DependencyAnnotation(writes=[AccessDecl("/a", False)])
@@ -85,10 +80,9 @@ def test_unsubstitutable_argument_fails_the_consumer_and_cancels_its_dependents(
     clock = VirtualClock()
     store = FutureStore(clock)
     scheduler = Scheduler(store, SessionState(), clock)
-    tools = {
-        "gen": ToolBinding(behavior=lambda a, i, s: (n for n in range(3)), latency=1),
-        "t": ToolBinding(behavior=lambda a, i, s: {}, latency=1),
-    }
+    gen = ToolSpec(FunctionSchema(name="gen"), latency=1)
+    gen.behavior = lambda a, i, s: (n for n in range(3))
+    tools = {"gen": gen, "t": ToolSpec(FunctionSchema(name="t"), latency=1)}
     trace = RunTrace(mode="async-parallel")
     Executor(store, scheduler, clock, tools, StateStore(), trace)
     writes_c = DependencyAnnotation(writes=[AccessDecl("/c", False)])

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import socket
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, HTTPServer
@@ -17,7 +18,7 @@ from futurecall import (
     lint_context,
     run_workload,
 )
-from futurecall.errors import ValidationError
+from futurecall.errors import DecoderError, ValidationError
 from futurecall.workload import workload_from_json
 
 
@@ -25,11 +26,12 @@ class _StubHandler(BaseHTTPRequestHandler):
     def do_POST(self):
         body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
         self.server.requests.append(body)
+        self.server.auth.append(self.headers.get("Authorization"))
         time.sleep(self.server.delays.get(len(self.server.requests), 0.0))
         reply = self.server.replies.pop(0)
         envelope = reply.pop("envelope") if "envelope" in reply else {"choices": [{"message": reply}]}
         data = json.dumps(envelope).encode()
-        self.send_response(200)
+        self.send_response(self.server.status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(data)))
         self.end_headers()
@@ -43,7 +45,8 @@ class _StubHandler(BaseHTTPRequestHandler):
 def stub(monkeypatch):
     monkeypatch.setenv("NO_PROXY", "127.0.0.1")
     server = HTTPServer(("127.0.0.1", 0), _StubHandler)
-    server.requests, server.replies = [], []
+    server.requests, server.replies, server.auth = [], [], []
+    server.status = 200  # of every reply
     server.delays = {}  # request number (from 1) -> seconds to wait before replying
     thread = threading.Thread(target=server.serve_forever, args=(0.01,), daemon=True)
     thread.start()
@@ -217,3 +220,29 @@ def tool_call(function):
 def test_malformed_reply_is_a_validation_error(stub, reply, message):
     with pytest.raises(ValidationError, match=message):
         run_live(stub, "async-parallel", reply)
+
+
+@pytest.mark.parametrize("status, api_key", [(500, ""), (401, "sk-stub-secret-key")])
+def test_error_status_is_a_decoder_error_without_the_key(stub, status, api_key):
+    stub.status = status
+    spec, decoder = live_setup(stub, {"content": "done"})
+    decoder.api_key = api_key
+    with pytest.raises(DecoderError) as raised:
+        run_workload(spec, "async-parallel", clock="wall", decoder=decoder)
+    message = str(raised.value)
+    assert f"http://127.0.0.1:{stub.server_port}/chat/completions" in message
+    assert f"HTTP {status}" in message
+    if api_key:
+        assert stub.auth == [f"Bearer {api_key}"]
+        assert api_key not in message
+
+
+def test_refused_connection_is_a_decoder_error(monkeypatch):
+    monkeypatch.setenv("NO_PROXY", "127.0.0.1")
+    with socket.socket() as sock:  # bound, then closed: nothing listens there
+        sock.bind(("127.0.0.1", 0))
+        port = sock.getsockname()[1]
+    spec = workload_from_json({"tools": [], "script": [{"final": "unused"}], "delay_scale": 0.001})
+    decoder = ChatCompletionsDecoder(tool_schemas=[], endpoint=f"http://127.0.0.1:{port}", model="stub")
+    with pytest.raises(DecoderError, match=f"127.0.0.1:{port}/chat/completions failed: ConnectionError"):
+        run_workload(spec, "async-parallel", clock="wall", decoder=decoder)

@@ -25,7 +25,7 @@ from futurecall import (
 )
 from futurecall.driver import await_detection_offset
 from futurecall.errors import ErrorInfo
-from futurecall.executor import Executor, StateStore, ToolBinding, ToolExecutionError
+from futurecall.executor import Executor, StateStore, ToolExecutionError
 from futurecall.scheduler import (
     ADMITTED,
     DISPATCHED,
@@ -42,6 +42,7 @@ from futurecall.scheduler import (
 )
 from futurecall.schema import AccessDecl, FunctionSchema, ParamSpec
 from futurecall.trace import RunTrace
+from futurecall.workload import ToolSpec
 
 # -- interval properties ------------------------------------------------------
 
@@ -507,7 +508,8 @@ class SchedulerMachine(RuleBasedStateMachine):
         self.session = SessionState(bindings={"cwd": "/s"})
         self.scheduler = Scheduler(self.store, self.session, self.clock)
         self.doomed: set[str] = set()
-        tool = ToolBinding(behavior=self._behave, latency=[1, 2, 1, 3, 2, 2, 1, 3])
+        tool = ToolSpec(FunctionSchema(name="t"), latency=[1, 2, 1, 3, 2, 2, 1, 3])
+        tool.behavior = self._behave
         self.executor = Executor(
             self.store, self.scheduler, self.clock, {"t": tool}, StateStore(), RunTrace(mode="async-parallel")
         )
