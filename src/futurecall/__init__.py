@@ -41,7 +41,7 @@ from .driver import (
 )
 from .errors import ErrorInfo, FuturecallError
 from .executor import Executor, StateStore, ToolExecutionError
-from .futures import FutureState, FutureStore
+from .futures import FutureStore
 from .scheduler import (
     Access,
     AccessLabel,
@@ -83,7 +83,6 @@ __all__ = [
     "ErrorInfo",
     "Executor",
     "FunctionSchema",
-    "FutureState",
     "FutureStore",
     "FuturecallError",
     "Interval",

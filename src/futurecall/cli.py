@@ -224,12 +224,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--workload", required=True, help="workload JSON file")
         p.add_argument("--clock", choices=("virtual", "wall"), default="virtual")
         p.add_argument("--delay-scale", type=float, default=None)
-        p.add_argument("--out-trace", default=None, help="trace JSONL output path")
         p.add_argument("--out-report", default=None, help="report JSON output path")
-        p.add_argument("--dump-context", default=None, help="full message list JSON path")
 
     run_p = sub.add_parser("run", help="run one workload in one mode")
     add_common(run_p)
+    run_p.add_argument("--out-trace", default=None, help="trace JSONL output path")
+    run_p.add_argument("--dump-context", default=None, help="full message list JSON path")
     run_p.add_argument("--mode", choices=MODES, default="async-sequential")
     run_p.set_defaults(fn=cmd_run)
 

@@ -321,7 +321,7 @@ class TurnDriver:
         self.calls: dict[str, CallRecord] = {}
         self._awaited: set[str] = set()  # call ids whose outcome an await returned
         self._used_ids: set[str] = set()  # every call and await id emitted so far
-        self._settled_seen = 0  # length of store.settled_calls at the last boundary
+        self._settled_seen = 0  # length of store.settled at the last boundary
         self._trigger: tuple[list[str], int] = ([], 0)  # requires list, count known settled
         self._turn_no = 0
         self._boundary_no = 0
@@ -395,7 +395,7 @@ class TurnDriver:
         which happens exactly once per call. Each settled call is reported
         by then: an async boundary has just run, and a sync batch reports
         each call it runs."""
-        return len(self.store.settled_calls) == len(self.calls)
+        return len(self.store.settled) == len(self.calls)
 
     def _trigger_satisfied(self, requires: list[str]) -> bool:
         """True once every required call's result future has settled; the
@@ -452,21 +452,18 @@ class TurnDriver:
         bindings: dict[str, Any] = {}
         failures: list[dict] = []
         now = self.clock.now()
-        settled = self.store.settled_calls
+        settled = self.store.settled
         start, self._settled_seen = self._settled_seen, len(settled)
-        for call_id in settled[start:]:
-            if call_id in self._awaited:
+        for result in settled[start:]:
+            if result.owner_call in self._awaited:
                 continue  # an await already returned it
-            result = self.calls[call_id].result
-            fid, state = result.fid, result.state
-            if state.status == RESOLVED:
-                bindings[fid] = state.value
-                for field_id in self.store.field_ids(fid):
-                    field_state = self.store.state_of(field_id)
-                    if field_state.status == RESOLVED:
-                        bindings[field_id] = field_state.value
+            if result.status == RESOLVED:
+                bindings[result.fid] = result.value
+                for field in result.fields:
+                    if field.status == RESOLVED:
+                        bindings[field.fid] = field.value
             else:
-                failures.append({"call": call_id, "future": fid, **state.error.to_json()})
+                failures.append({"call": result.owner_call, "future": result.fid, **result.error.to_json()})
 
         def integrate(content: dict) -> None:
             self._append(Message(role="user", content=content))
@@ -617,12 +614,12 @@ class TurnDriver:
     def _ref_value(self, call_id: str, fpath: str | None) -> Any:
         # Sync modes finish every call before the next decode, so each
         # referenced call is terminal here.
-        state = self.calls[call_id].result.state
-        if state.status != RESOLVED:
-            return {"error": state.error.to_json()}
+        result = self.calls[call_id].result
+        if result.status != RESOLVED:
+            return {"error": result.error.to_json()}
         if fpath is None:
-            return state.value
-        found, value = extract_field(state.value, fpath)
+            return result.value
+        found, value = extract_field(result.value, fpath)
         return value if found else {"error": f"path not found: {fpath}"}
 
     # -- await handling -----------------------------------------------------------------------
@@ -647,20 +644,16 @@ class TurnDriver:
             error = {"error": f"unknown futures: {sorted(unknown)}"}
             self._append(Message(role="tool", content=error, call_id=spec.call_id))
             return
-        states = self.store.wait_for(list(translated))
+        records = self.store.wait_for(list(translated))
         t_end = self.clock.now()
         if is_async(self.mode):
             self.trace.record(t1, t_end, AWAIT, spec.call_id, self._turn_no)
         values: dict[str, Any] = {}
         for fid in translated:
-            state = states[fid]
-            if state.status == RESOLVED:
-                values[fid] = state.value
-            else:
-                values[fid] = {"error": state.error.to_json()}
-            call = self.calls.get(self.store.owner_of(fid))
-            if call is not None and call.result.fid == fid:
-                self._awaited.add(call.call_id)
+            record = records[fid]
+            values[fid] = record.value if record.status == RESOLVED else {"error": record.error.to_json()}
+            if record.path is None:
+                self._awaited.add(record.owner_call)
         self._append(Message(role="tool", content=values, call_id=spec.call_id))
 
 

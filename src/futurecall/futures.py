@@ -4,14 +4,14 @@ A future is identified by ``fut_<n>``; addressing one field of a pending
 structured result appends a dotted path, e.g. ``fut_3.fuelLevel``. Field
 futures are registered lazily on first reference and resolve automatically by
 path extraction once their base future resolves; a field of a failed or
-cancelled base takes the base's state as it is.
+cancelled base takes the base's status and its ``ErrorInfo``.
 
 The store holds only what the model can name: call results and their fields.
 Waiting is one primitive, ``Latch``: a ``done`` flag plus waiters, each a
 countdown over the latches it waits on that runs its callback when the last
-one opens. A future record is a latch that opens on its terminal transition;
-the scheduler's access-label and session-version gates are plain latches it
-opens itself.
+one opens. A future record is a latch that opens on its terminal transition
+and holds the outcome; the scheduler's access-label and session-version
+gates are plain latches it opens itself.
 """
 
 from __future__ import annotations
@@ -34,23 +34,6 @@ CANCELLED = "cancelled"
 
 FUTURE_ID_RE = re.compile(r"fut_\d+(\.[^.\s]+)*")
 _SEGMENT_RE = re.compile(r"[^.\s]+")
-
-
-@dataclass(slots=True)
-class FutureState:
-    """Snapshot of a future: pending, or one of three final outcomes. A
-    failed or cancelled future's ``error`` names the call that failed."""
-
-    status: str
-    value: Any = None
-    error: ErrorInfo | None = None
-
-    @property
-    def is_terminal(self) -> bool:
-        return self.status != PENDING
-
-
-PENDING_STATE = FutureState(PENDING)
 
 
 def split_future_id(fid: str) -> tuple[str, str | None]:
@@ -137,15 +120,23 @@ def when_all(latches: Iterable[Latch], callback: Callable[[], None], last: bool 
 
 
 class FutureRecord(Latch):
-    """One future: a latch that opens on its terminal transition."""
+    """One future and its outcome: a latch that opens on its terminal
+    transition. ``status`` is pending, with ``value`` and ``error`` None,
+    until then; a failed or cancelled future's ``error`` names the call that
+    failed. ``path`` is a field's dotted path, None for a base, and a base's
+    ``fields`` are its registered field records in registration order."""
 
-    __slots__ = ("fid", "state", "owner_call")
+    __slots__ = ("fid", "owner_call", "path", "status", "value", "error", "fields")
 
-    def __init__(self, fid: str, owner_call: str | None = None):
+    def __init__(self, fid: str, owner_call: str | None = None, path: str | None = None):
         super().__init__()
         self.fid = fid
-        self.state = PENDING_STATE
         self.owner_call = owner_call
+        self.path = path
+        self.status = PENDING
+        self.value: Any = None
+        self.error: ErrorInfo | None = None
+        self.fields: list[FutureRecord] = []
 
 
 class FutureStore:
@@ -155,26 +146,23 @@ class FutureStore:
     is single-threaded on either clock: every handler runs on the thread that
     drives the clock.
 
-    ``settled_calls`` lists the owner call of each result future, in the
-    order the futures turned terminal; field futures add nothing. A reader
-    keeps its own position in it, as the driver's turn boundary does.
+    ``settled`` lists each result (base) record in the order it turned
+    terminal; field futures add nothing, and a base's fields are in its
+    ``fields``. A reader keeps its own position in it, as the driver's turn
+    boundary does.
     """
 
     def __init__(self, clock=None):
         self._clock = clock
         self._records: dict[str, FutureRecord] = {}
-        self._fields: dict[str, list[str]] = {}  # base id -> registered field ids
         self._counter = 0
         self.terminal_count = 0
-        self.settled_calls: list[str] = []
+        self.settled: list[FutureRecord] = []
 
     # -- bookkeeping -----------------------------------------------------
 
     def ids(self) -> list[str]:
         return list(self._records)
-
-    def field_ids(self, base: str) -> list[str]:
-        return list(self._fields.get(base, []))
 
     def pending_ids(self) -> list[str]:
         return [fid for fid, rec in self._records.items() if not rec.done]
@@ -199,30 +187,20 @@ class FutureStore:
         fid = f"{base}.{path}"
         if fid in self._records:
             return fid
-        self._records[fid] = FutureRecord(fid, base_rec.owner_call)
-        self._fields.setdefault(base, []).append(fid)
-        if base_rec.state.is_terminal:
-            self._settle_field(fid, base_rec)
+        field = self._records[fid] = FutureRecord(fid, base_rec.owner_call, path)
+        base_rec.fields.append(field)
+        if base_rec.done:
+            self._settle_field(field, base_rec)
         return fid
 
-    def _settle_field(self, fid: str, base_rec: FutureRecord) -> None:
-        _, path = split_future_id(fid)
-        state = base_rec.state
-        if state.status == RESOLVED:
-            found, value = extract_field(state.value, path or "")
-            if found:
-                self.resolve(fid, value)
-            else:
-                self.fail(
-                    fid,
-                    ErrorInfo(
-                        EXECUTION_ERROR,
-                        f"path not found: {path!r} in result of {base_rec.fid}",
-                        base_rec.owner_call,
-                    ),
-                )
-        else:
-            self._transition(fid, state)
+    def _settle_field(self, field: FutureRecord, base: FutureRecord) -> None:
+        status, value, error = base.status, None, base.error
+        if status == RESOLVED:
+            found, value = extract_field(base.value, field.path)
+            if not found:
+                message = f"path not found: {field.path!r} in result of {base.fid}"
+                status, error = FAILED, ErrorInfo(EXECUTION_ERROR, message, base.owner_call)
+        self._transition(field, status, value, error)
 
     # -- lookup ----------------------------------------------------------
 
@@ -251,37 +229,38 @@ class FutureStore:
             raise UnknownFutureError(f"unknown future {fid!r}")
         return rec
 
-    def state_of(self, fid: str) -> FutureState:
-        return self._require(fid).state
+    def state_of(self, fid: str) -> FutureRecord:
+        """The future's record. It is live, not a snapshot: a later
+        transition shows in it."""
+        return self._require(fid)
 
     def latch(self, fid: str) -> FutureRecord:
-        """The future's record: a latch for ``when_all`` holding its state."""
+        """The future's record, as a latch for ``when_all``."""
         return self._require(fid)
 
     # -- terminal transitions ---------------------------------------------
 
-    def _transition(self, fid: str, state: FutureState) -> None:
-        rec = self._require(fid)
+    def _transition(self, rec: FutureRecord, status: str, value: Any, error: ErrorInfo | None) -> None:
         if rec.done:
-            raise AlreadyTerminalError(f"{fid} is already {rec.state.status}")
-        rec.state = state
+            raise AlreadyTerminalError(f"{rec.fid} is already {rec.status}")
+        rec.status, rec.value, rec.error = status, value, error
         self.terminal_count += 1
-        if rec.owner_call is not None and "." not in fid:
-            self.settled_calls.append(rec.owner_call)
+        if rec.path is None:
+            self.settled.append(rec)
         rec.open()
-        for field_id in self._fields.get(fid, ()):
-            if not self._records[field_id].done:
-                self._settle_field(field_id, rec)
+        for field in rec.fields:
+            if not field.done:
+                self._settle_field(field, rec)
 
     def resolve(self, fid: str, value: Any) -> None:
-        self._transition(fid, FutureState(RESOLVED, value=value))
+        self._transition(self._require(fid), RESOLVED, value, None)
 
     def fail(self, fid: str, error: ErrorInfo) -> None:
-        self._transition(fid, FutureState(FAILED, error=error))
+        self._transition(self._require(fid), FAILED, None, error)
 
     def cancel(self, fid: str, error: ErrorInfo) -> None:
         """Cancel a pending future; ``error`` says which call's failure did."""
-        self._transition(fid, FutureState(CANCELLED, error=error))
+        self._transition(self._require(fid), CANCELLED, None, error)
 
     # -- waiting -----------------------------------------------------------
 
@@ -296,8 +275,9 @@ class FutureStore:
         for rec in self._records.values():
             rec.waiters.clear()
 
-    def wait_for(self, fids: list[str]) -> dict[str, FutureState]:
-        """Suspend until every id is terminal; other runnable work proceeds.
+    def wait_for(self, fids: list[str]) -> dict[str, FutureRecord]:
+        """Suspend until every id is terminal, then return each id's record
+        (live, not a snapshot); other runnable work proceeds.
 
         Suspension pumps the clock, so queued executor and scheduler events keep
         firing while this caller waits.
@@ -305,4 +285,4 @@ class FutureStore:
         records = {fid: self._require(fid) for fid in fids}
         if self._clock is not None:
             self._clock.run_until(lambda: all(rec.done for rec in records.values()))
-        return {fid: rec.state for fid, rec in records.items()}
+        return records

@@ -79,9 +79,9 @@ TERMINAL_STATUSES = {DONE, FAILED, CANCELLED}
 class FailedPathDependency(FuturecallError):
     """A path template needs a future that terminated without a value."""
 
-    def __init__(self, fid: str, state):
-        super().__init__(f"path template depends on {fid} which is {state.status}")
-        self.state = state
+    def __init__(self, fid: str, record: FutureRecord):
+        super().__init__(f"path template depends on {fid} which is {record.status}")
+        self.record = record
 
 
 @dataclass(slots=True)
@@ -351,8 +351,7 @@ class CallRecord:
     def status(self) -> str:
         result = self.result
         if result.done:
-            outcome = result.state.status
-            return DONE if outcome == RESOLVED else outcome
+            return DONE if result.status == RESOLVED else result.status
         if self.exec_start is not None:
             return RUNNING
         if self.dispatched_at is not None:
@@ -430,9 +429,9 @@ def resolve_paths(
                         record = store.latch(value)
                         if not record.done:
                             return record
-                        if record.state.status != RESOLVED:
-                            raise FailedPathDependency(value, record.state)
-                        value = record.state.value
+                        if record.status != RESOLVED:
+                            raise FailedPathDependency(value, record)
+                        value = record.value
                     if isinstance(value, bool):
                         value = "true" if value else "false"
                     elif not isinstance(value, (str, int, float)):
@@ -572,7 +571,7 @@ class Scheduler:
                 # The head can never be admitted; cancel it instead of
                 # blocking everything queued behind it.
                 queue.popleft()
-                self.mark_cancelled(head, exc.state.error.origin_call)
+                self.mark_cancelled(head, exc.record.error.origin_call)
                 continue
             if not isinstance(resolved, list):
                 self._head_wait = resolved
@@ -678,7 +677,7 @@ class Scheduler:
         call.released = True
         version = call.session_version
         if version is not None and call.status == DONE:
-            self._end_session_write(version, call.result.state.value)
+            self._end_session_write(version, call.result.value)
         index = self.label_index
         for label in call.labels:
             if not label.gate.done:

@@ -393,10 +393,10 @@ def substitute_resolved(args: Any, store: FutureStore, only: Container[str]) -> 
 
     def leaf(node: Any, path: tuple) -> Any:
         if isinstance(node, str) and node in only:
-            state = store.state_of(node)
-            if state.status != RESOLVED:
-                raise UnresolvedArgumentError(f"{node} is {state.status}, not resolved")
-            return copy.deepcopy(state.value)
+            record = store.state_of(node)
+            if record.status != RESOLVED:
+                raise UnresolvedArgumentError(f"{node} is {record.status}, not resolved")
+            return copy.deepcopy(record.value)
         return node
 
     return map_leaves(args, leaf)

@@ -36,8 +36,9 @@ with its default; ``| null`` marks a key where null also means the default:
       "session_bindings": {"cwd": "/fs/home"}
     }
 
-A tool's ``schema``, its ``name`` and every ``path`` are required. A call
-without an ``id`` gets ``call<turn>_<index>``. A schema file for
+A tool's ``schema``, its ``name`` and every ``path`` are required, and no
+tool may be named ``await_future``, the built-in await. A call without an
+``id`` gets ``call<turn>_<index>``. A schema file for
 ``validate-annotations`` is ``{"tools": [...]}`` of schemas, each with its
 ``annotation`` key inline. Keys not shown are ignored, among them an
 annotation's ``outputs``: a tool's example result is its schema's.
@@ -255,6 +256,8 @@ class WorkloadSpec:
         names = {t.schema.name for t in self.tools}
         if len(names) != len(self.tools):
             raise ValidationError(f"duplicate tool names in {[t.schema.name for t in self.tools]}")
+        if AWAIT_FUTURE_NAME in names:
+            raise ValidationError(f"tool name {AWAIT_FUTURE_NAME!r} is reserved for the built-in await")
         emitted: set[str] = set()
         awaits: set[str] = set()
         for turn_no, turn in enumerate(self.script):

@@ -73,6 +73,23 @@ def test_run_argument_reference_to_an_await_exits_2(tmp_path, capsys):
     assert "C2 references await 'A1'" in capsys.readouterr().err
 
 
+
+def test_run_rejects_a_tool_named_await_future(tmp_path, capsys):
+    # The built-in await would shadow the tool: its calls would never run.
+    data = {
+        "tools": [{"schema": {"name": "await_future", "description": "", "parameters": {}}, "latency": 1}],
+        "script": [
+            {"emit": [{"id": "C1", "name": "await_future", "args": {"future_ids": []}}]},
+            {"final": "done"},
+        ],
+    }
+    path = tmp_path / "reserved.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(ValidationError, match="'await_future' is reserved"):
+        load_workload(str(path))
+    assert main(["run", "--workload", str(path)]) == 2
+    assert "tool name 'await_future' is reserved" in capsys.readouterr().err
+
 def test_run_malformed_tool_schema_exits_2(tmp_path, capsys):
     data = {
         "tools": [{"schema": "x", "latency": 1, "returns": [{}]}],
@@ -193,6 +210,19 @@ def test_compare_needs_two_modes():
     )
     assert code == 2
 
+
+
+@pytest.mark.parametrize("flag", ["--out-trace", "--dump-context"])
+def test_compare_rejects_run_only_output_flags(tmp_path, capsys, flag):
+    # compare writes neither file, so it does not take the flags.
+    out = tmp_path / "out.json"
+    argv = ["compare", "--workload", fixture_path("fig1"), "--mode", "sync-sequential",
+            "--mode", "async-parallel", flag, str(out)]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+    assert not out.exists()
 
 def test_compare_sweep_writes_csv(tmp_path, capsys):
     report_path = tmp_path / "sweep.json"

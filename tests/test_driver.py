@@ -417,7 +417,7 @@ def test_runs_of_one_spec_number_invocations_from_zero_and_leave_it_unchanged(mo
         driver = TurnDriver(spec, mode)
         traces.append(driver.run())
         assert [driver.calls[f"F{k}"].invocation_index for k in (1, 2, 3)] == [0, 1, 2]
-        assert [driver.calls[f"F{k}"].result.state.value for k in (1, 2, 3)] == ["a", "b", "c"]
+        assert [driver.calls[f"F{k}"].result.value for k in (1, 2, 3)] == ["a", "b", "c"]
     assert traces[0].to_jsonl() == traces[1].to_jsonl()
     assert spec == before
 
@@ -560,6 +560,37 @@ class TestAwait:
                 }
             }
         }
+
+    @staticmethod
+    def saved_await_run(future_ids, mode):
+        """F1 returns {"saved": 1}; an await of ``future_ids``; a final answer
+        triggered on F1. Returns the await's values and the bound futures."""
+        schema = {"name": "save", "description": "", "parameters": {}, "outputs": {"saved": 0}}
+        workload = workload_from_json(
+            {
+                "tools": [{"schema": schema, "latency": 4, "returns": [{"saved": 1}]}],
+                "script": [
+                    {"emit": [{"id": "F1", "name": "save", "args": {}}]},
+                    {"emit": [{"id": "AW", "name": "await_future", "args": {"future_ids": future_ids}}]},
+                    {"when": {"resolved": ["F1"]}, "final": "saved"},
+                ],
+            }
+        )
+        trace = run_workload(workload, mode)
+        (values,) = [m.content for m in trace.messages if m.role == "tool" and m.call_id == "AW"]
+        return values, [m.content["resolved_futures"] for m in binding_messages(trace)]
+
+    @pytest.mark.parametrize("mode", ["async-sequential", "async-parallel"])
+    def test_await_of_a_field_leaves_the_base_to_the_boundary(self, mode):
+        values, bound = self.saved_await_run(["@F1.saved"], mode)
+        assert values == {"fut_0.saved": 1}
+        assert bound == [{"fut_0": {"saved": 1}, "fut_0.saved": 1}]
+
+    @pytest.mark.parametrize("mode", ["async-sequential", "async-parallel"])
+    def test_await_of_the_base_takes_it_off_the_boundary(self, mode):
+        values, bound = self.saved_await_run(["@F1"], mode)
+        assert values == {"fut_0": {"saved": 1}}
+        assert bound == []
 
     def test_await_tool_message_carries_values(self):
         trace = run_workload(await_workload(), "async-sequential")

@@ -95,11 +95,11 @@ def test_unsubstitutable_argument_fails_the_consumer_and_cancels_its_dependents(
     scheduler.submit(p, c, d)
     clock.run_until(lambda: d.terminal)
     assert p.status == "done" and c.status == "failed"
-    error = c.result.state.error
+    error = c.result.error
     assert (error.kind, error.origin_call) == ("execution-error", "C")
     assert list(trace.exec_intervals_by_call()) == ["P"]
     assert d.status == "cancelled"
-    assert d.result.state.error.origin_call == "C"
+    assert d.result.error.origin_call == "C"
     assert scheduler.unopened_gates() == []
 
 

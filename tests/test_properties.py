@@ -551,7 +551,7 @@ class SchedulerMachine(RuleBasedStateMachine):
     def teardown(self):
         try:
             for fid in self.external:
-                if not self.store.state_of(fid).is_terminal:
+                if not self.store.state_of(fid).done:
                     self.store.resolve(fid, "late")
             self.clock.run_until(lambda: not self.clock.pending())
             self.drained_runs_leave_nothing_shut()
@@ -594,7 +594,7 @@ class SchedulerMachine(RuleBasedStateMachine):
 
     @rule(pick=st.integers(0, 40), fail=st.booleans())
     def settle_external(self, pick, fail):
-        pending = [fid for fid in self.external if not self.store.state_of(fid).is_terminal]
+        pending = [fid for fid in self.external if not self.store.state_of(fid).done]
         if pending:
             fid = pending[pick % len(pending)]
             if fail:
@@ -630,7 +630,7 @@ class SchedulerMachine(RuleBasedStateMachine):
     @invariant()
     def drained_runs_leave_nothing_shut(self):
         if self.clock.pending() or any(
-            not self.store.state_of(fid).is_terminal for fid in self.external
+            not self.store.state_of(fid).done for fid in self.external
         ):
             return
         assert all(c.terminal for c in self.calls), [c.call_id for c in self.calls if not c.terminal]
