@@ -34,7 +34,6 @@ from .driver import (
     ChatCompletionsDecoder,
     Message,
     ScriptedDecoder,
-    ToolCall,
     TurnDriver,
     lint_context,
     run_workload,
@@ -96,7 +95,6 @@ __all__ = [
     "ScriptedDecoder",
     "SessionState",
     "StateStore",
-    "ToolCall",
     "ToolExecutionError",
     "TraceEvent",
     "TurnDriver",

@@ -22,7 +22,7 @@ from . import analysis
 from .driver import MODES, run_workload
 from .errors import FuturecallError, ParseError, ValidationError
 from .scheduler import READ, WRITE, Access, conflicts, fallback_accesses
-from .schema import DependencyAnnotation, load_schema_file
+from .schema import DependencyAnnotation, load_schema_file, split_path
 from .trace import RunTrace
 from .workload import WorkloadSpec, load_workload, make_latency_sweep, number
 
@@ -151,19 +151,18 @@ def cmd_compare(args: argparse.Namespace) -> int:
 def static_accesses(annotation: DependencyAnnotation | None) -> list[Access]:
     """Literal access set of an annotation for offline pair comparison.
 
-    Path templates are compared as written: a ``$session/name`` prefix stays
-    the two segments ``$session`` and ``name``, and a ``{param}`` segment
-    stays its parsed tuple, which equals only the same template. Unannotated
-    tools get the root fallback.
+    Path templates are compared as written, split at "/": a
+    ``$session/name`` prefix stays the two segments ``$session`` and
+    ``name``, and a ``{param}`` stays its text, which equals only the same
+    template. Unannotated tools get the root fallback.
     """
     if annotation is None:
         return fallback_accesses()
-    out = []
-    for mode, decls in ((READ, annotation.reads), (WRITE, annotation.writes)):
-        for decl in decls:
-            head = () if decl.binding is None else ("$session", decl.binding)
-            out.append(Access(head + decl.segments, mode, decl.subtree))
-    return out
+    return [
+        Access(split_path(decl.path), mode, decl.subtree)
+        for mode, decls in ((READ, annotation.reads), (WRITE, annotation.writes))
+        for decl in decls
+    ]
 
 
 def annotations_conflict(

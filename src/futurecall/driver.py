@@ -81,26 +81,17 @@ def is_parallel(mode: str) -> bool:
 
 
 @dataclass(slots=True)
-class ToolCall:
-    call_id: str
-    name: str
-    args: Any
-
-    def to_json(self) -> dict:
-        return {"call_id": self.call_id, "name": self.name, "args": self.args}
-
-
-@dataclass(slots=True)
 class Message:
     role: str  # system | user | assistant | tool
     content: Any = None
-    tool_calls: list[ToolCall] | None = None
+    tool_calls: list[CallSpec] | None = None
     call_id: str | None = None
 
     def to_json(self) -> dict:
         out: dict[str, Any] = {"role": self.role, "content": self.content}
         if self.tool_calls is not None:
-            out["tool_calls"] = [tc.to_json() for tc in self.tool_calls]
+            calls = self.tool_calls
+            out["tool_calls"] = [{"call_id": c.call_id, "name": c.name, "args": c.args} for c in calls]
         if self.call_id is not None:
             out["call_id"] = self.call_id
         return out
@@ -558,7 +549,7 @@ class TurnDriver:
             Message(
                 role="assistant",
                 content="",
-                tool_calls=[ToolCall(r.call_id, r.tool, r.args) for r in records],
+                tool_calls=[CallSpec(r.call_id, r.tool, r.args) for r in records],
             )
         )
         if is_async(self.mode):
@@ -636,7 +627,7 @@ class TurnDriver:
             Message(
                 role="assistant",
                 content="",
-                tool_calls=[ToolCall(spec.call_id, AWAIT_FUTURE_NAME, {"future_ids": translated})],
+                tool_calls=[CallSpec(spec.call_id, AWAIT_FUTURE_NAME, {"future_ids": translated})],
             )
         )
         unknown = [fid for fid in translated if not self.store.known(fid)]

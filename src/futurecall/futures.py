@@ -152,7 +152,7 @@ class FutureStore:
     boundary does.
     """
 
-    def __init__(self, clock=None):
+    def __init__(self, clock):
         self._clock = clock
         self._records: dict[str, FutureRecord] = {}
         self._counter = 0
@@ -283,6 +283,5 @@ class FutureStore:
         firing while this caller waits.
         """
         records = {fid: self._require(fid) for fid in fids}
-        if self._clock is not None:
-            self._clock.run_until(lambda: all(rec.done for rec in records.values()))
+        self._clock.run_until(lambda: all(rec.done for rec in records.values()))
         return records

@@ -63,7 +63,7 @@ from .errors import (
 )
 from .futures import CANCELLED, FAILED, RESOLVED, FutureRecord, FutureStore, Latch
 from .futures import looks_like_future_id, when_all
-from .schema import READ, WRITE, Access, DependencyAnnotation, scan_future_refs
+from .schema import DOT_PARTS, READ, WRITE, Access, DependencyAnnotation, scan_future_refs, split_path
 
 # Call lifecycle: queued, admitted, dispatched, running, then the result
 # future's outcome ("done" for resolved); "cancelled" may follow any status
@@ -392,12 +392,14 @@ def resolve_paths(
     """Materialize a call's access set, or return the latch it waits on.
 
     A literal template gives the access its declaration prebuilt. Every
-    other parsed template is filled: a ``{param}`` with the call's argument
-    value (a future's resolved value) and a ``$session/name`` prefix with the
-    binding's current path, read as literal segments. While a needed value
-    is still pending this returns the latch to wait on instead: the pending
-    future's record, or the gate of the latest session write in flight. A
-    template it cannot fill gives the call the unannotated fallback.
+    other one is read by one rule: fill its text, a ``{param}`` with the
+    call's argument value (a future's resolved value) and ``$session/name``
+    with the binding's current path, then ``split_path`` it once; filled
+    text is never read as a template again. While a needed value is pending
+    this returns the latch to wait on instead: the pending future's record,
+    or the gate of the latest session write in flight. A template it cannot
+    fill, or whose filled text has a "." or ".." segment, gives the call the
+    unannotated fallback.
     """
     if annotation is None:
         return fallback_accesses()
@@ -408,37 +410,33 @@ def resolve_paths(
             if decl.literal is not None:
                 accesses.append(decl.literal[mode])
                 continue
-            filled: list[str] = []
+            parts = decl.parts
+            text = parts[0]
             if decl.binding is not None:
                 if session.writes_in_flight:
                     return session.latest_gate()
                 bound = session.bindings.get(decl.binding)
                 if not isinstance(bound, str) or not bound.startswith("/"):
                     return fallback_accesses()
-                filled = [part for part in bound.split("/") if part]
-            for segment in decl.segments:
-                if isinstance(segment, str):
-                    filled.append(segment)
-                    continue
-                text = segment[0]
-                for i in range(1, len(segment), 2):
-                    if segment[i] not in args:
-                        return fallback_accesses()
-                    value = args[segment[i]]
-                    if isinstance(value, str) and looks_like_future_id(value) and store.known(value):
-                        record = store.latch(value)
-                        if not record.done:
-                            return record
-                        if record.status != RESOLVED:
-                            raise FailedPathDependency(value, record)
-                        value = record.value
-                    if isinstance(value, bool):
-                        value = "true" if value else "false"
-                    elif not isinstance(value, (str, int, float)):
-                        return fallback_accesses()
-                    text += str(value) + segment[i + 1]
-                filled.append(text)
-            accesses.append(Access(tuple(filled), mode, decl.subtree))
+                text = bound + "/" + text
+            for i in range(1, len(parts), 2):
+                value = args.get(parts[i])  # a missing argument cannot fill, as null cannot
+                if isinstance(value, str) and looks_like_future_id(value) and store.known(value):
+                    record = store.latch(value)
+                    if not record.done:
+                        return record
+                    if record.status != RESOLVED:
+                        raise FailedPathDependency(value, record)
+                    value = record.value
+                if isinstance(value, bool):
+                    value = "true" if value else "false"
+                elif not isinstance(value, (str, int, float)):
+                    return fallback_accesses()
+                text += str(value) + parts[i + 1]
+            path = split_path(text)
+            if "/." in text and not DOT_PARTS.isdisjoint(path):  # every segment follows a "/"
+                return fallback_accesses()
+            accesses.append(Access(path, mode, decl.subtree))
     return accesses
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import copy
 import json
+import re
 from dataclasses import dataclass, field, replace
 from types import NoneType
 from typing import Any, Callable, Container
@@ -133,9 +134,17 @@ class FunctionSchema:
 
 # A template rooted here names a session binding: ``$session/name/tail``.
 SESSION_PREFIX = "$session/"
+DOT_PARTS = frozenset({".", ".."})
+# A ``{param}`` placeholder; its name holds no "/".
+PLACEHOLDER = re.compile(r"\{([^}/]*)\}")
 
 READ = "read"
 WRITE = "write"
+
+
+def split_path(text: str) -> tuple[str, ...]:
+    """The segments a path's text names: split at "/", empty parts dropped."""
+    return tuple(filter(None, text.split("/")))
 
 
 @dataclass(slots=True)
@@ -158,14 +167,15 @@ class AccessDecl:
 
     The template is parsed once, when the declaration is built. ``binding``
     is the session binding name of a ``$session/name/...`` template and None
-    for a /-rooted one; ``segments`` are the rest of the path, empty segments
-    dropped. A segment without braces is its literal text. One with
-    ``{param}`` placeholders is a tuple alternating literal text and
-    parameter names, starting and ending with literal text:
-    ``"v{major}.{minor}"`` is ``("v", "major", ".", "minor", "")``. A
+    for a /-rooted one. ``parts`` alternate literal text and ``{param}``
+    names over the rest of the template (after the binding's name and its
+    "/"), starting and ending with literal text:
+    ``"/ws/{dir}/{file}"`` is ``("/ws/", "dir", "/", "file", "")``. Every
+    path is read by one rule: fill the text, then ``split_path`` it, so a
+    "/" in a filled value separates segments as one in the template does. A
     template that is neither /-rooted nor session-relative, names no binding
-    after ``$session/``, or opens a brace it does not close raises
-    BadPathTemplateError.
+    after ``$session/``, has a "." or ".." segment, or has a brace pair that
+    is unclosed or spans a "/" raises BadPathTemplateError.
 
     A literal template, with no binding and no placeholder, resolves to the
     same accesses for every call: ``literal`` maps each mode to its one
@@ -175,37 +185,25 @@ class AccessDecl:
     path: str
     subtree: bool = False
     binding: str | None = field(init=False, repr=False)
-    segments: tuple[str | tuple[str, ...], ...] = field(init=False, repr=False)
+    parts: tuple[str, ...] = field(init=False, repr=False)
     literal: dict[str, Access] | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        path = self.path
-        binding = None
-        if path.startswith(SESSION_PREFIX):
-            binding, _, path = path[len(SESSION_PREFIX) :].partition("/")
+        rest, binding = self.path, None
+        if rest.startswith(SESSION_PREFIX):
+            binding, _, rest = rest[len(SESSION_PREFIX) :].partition("/")
             if not binding:
                 raise BadPathTemplateError("$session/ needs a binding name")
-        elif not path.startswith("/"):
-            raise BadPathTemplateError(f"path template must be /-rooted: {path!r}")
-        segments: list[str | tuple[str, ...]] = []
-        for text in path.split("/"):
-            if "{" not in text:
-                if text:
-                    segments.append(text)
-                continue
-            parts, rest = [], text
-            while (start := rest.find("{")) >= 0:
-                end = rest.find("}", start)
-                if end < 0:
-                    raise BadPathTemplateError(f"unbalanced braces in segment {text!r}")
-                parts += [rest[:start], rest[start + 1 : end]]
-                rest = rest[end + 1 :]
-            parts.append(rest)
-            segments.append(tuple(parts))
-        self.binding, self.segments = binding, tuple(segments)
-        self.literal = None
-        if binding is None and "{" not in path:
-            self.literal = {mode: Access(self.segments, mode, self.subtree) for mode in (READ, WRITE)}
+        elif not rest.startswith("/"):
+            raise BadPathTemplateError(f"path template must be /-rooted: {rest!r}")
+        if not DOT_PARTS.isdisjoint(path := split_path(self.path)):
+            raise BadPathTemplateError(f"'.' or '..' segment in path template {self.path!r}")
+        parts = tuple(PLACEHOLDER.split(rest))
+        if any("{" in text for text in parts[::2]):
+            raise BadPathTemplateError(f"unbalanced braces in path template {self.path!r}")
+        self.binding, self.parts, self.literal = binding, parts, None
+        if binding is None and len(parts) == 1:
+            self.literal = {mode: Access(path, mode, self.subtree) for mode in (READ, WRITE)}
 
 
 @dataclass
@@ -217,10 +215,12 @@ class DependencyAnnotation:
     ``{paramName}``); each ``AccessDecl`` holds its template parsed.
     Admission only fills them: a ``{param}`` takes the call's argument
     value (a future's once it resolves) and ``$session/name`` the binding's
-    current path, and neither is read as a template again. A call whose
-    templates cannot be filled (a missing argument, a value that is not a
-    scalar, a binding that is missing or not a /-rooted string) gets the
-    footprint of an unannotated tool: the whole tree, read and written.
+    current path, and neither is read as a template again. The filled text
+    is then split at "/", as a literal template is. A call whose templates
+    cannot be filled (a missing argument, a value that is not a scalar, a
+    binding that is missing or not a /-rooted string) or whose filled text
+    has a "." or ".." segment gets the footprint of an unannotated tool: the
+    whole tree, read and written.
     """
 
     reads: list[AccessDecl] = field(default_factory=list)

@@ -41,7 +41,10 @@ tool may be named ``await_future``, the built-in await. A call without an
 ``id`` gets ``call<turn>_<index>``. A schema file for
 ``validate-annotations`` is ``{"tools": [...]}`` of schemas, each with its
 ``annotation`` key inline. Keys not shown are ignored, among them an
-annotation's ``outputs``: a tool's example result is its schema's.
+annotation's ``outputs``: a tool's example result is its schema's. A
+``path`` is filled, then split at "/": a "/" in a ``{param}`` value
+separates segments, and a "." or ".." segment is rejected (or, filled in,
+falls back to the whole tree).
 
 Argument values of the form ``"@F2"`` or ``"@F2.field"`` reference the result
 of an earlier call; in async modes they turn into future identifiers, in sync

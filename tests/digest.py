@@ -10,6 +10,8 @@ program that print the same first line behave the same on all of these runs.
 It then prints one ``source runs raised sha256`` line for each of
 ``fixtures``, ``burst`` and ``agent-mix``, hashed the same way over that
 source's runs alone, so a changed first line names the input that moved.
+``tests/digest.txt`` pins the four lines; CI diffs the output against it,
+and a change that alters outputs on purpose re-pins that file.
 pytest does not collect this file: its name does not start with ``test``.
 """
 

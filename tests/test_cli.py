@@ -328,6 +328,20 @@ def test_validate_annotations_rejects_malformed_template(tmp_path, capsys, path)
     assert "tool 'a'" in capsys.readouterr().err
 
 
+def test_dot_segment_in_a_literal_template_exits_2(tmp_path, capsys):
+    # Split at "/", "/a/../b" names ("a", "..", "b"), not the /b it seems to.
+    tool = annotated_tool("a", writes=["/a/../b"])
+    workload = tmp_path / "w.json"
+    workload.write_text(json.dumps({"tools": [{"schema": tool, "annotation": tool["annotation"]}],
+                                    "script": [{"final": "x"}]}))
+    assert main(["run", "--workload", str(workload)]) == 2
+    assert "'.' or '..' segment" in capsys.readouterr().err
+    bad = schema_file(tmp_path, "bad.json", [tool])
+    good = schema_file(tmp_path, "good.json", [annotated_tool("a", writes=["/b"])])
+    assert main(["validate-annotations", "--predicted", bad, "--truth", good]) == 2
+    assert "'.' or '..' segment" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("annotation", ["x", {"reads": 5}], ids=["string", "int-reads"])
 def test_validate_annotations_rejects_malformed_annotation(tmp_path, capsys, annotation):
     tool = {"name": "a", "description": "", "parameters": {}, "annotation": annotation}

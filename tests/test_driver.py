@@ -9,7 +9,7 @@ import time
 import pytest
 
 from futurecall import MODES, TurnDriver, VirtualClock, WallClock, lint_context, run_workload
-from futurecall.driver import Message, ScriptedDecoder, ToolCall, await_detection_offset
+from futurecall.driver import Message, ScriptedDecoder, await_detection_offset
 from futurecall.errors import (
     ContextOverflowError,
     ScriptExhaustedError,
@@ -330,6 +330,54 @@ def test_unfillable_template_runs_under_the_fallback(mode, case):
     serial = run_workload(unfillable_template_workload(case), "sync-sequential")
     assert trace.final_state == serial.final_state
     assert "save#0" in trace.final_state["/log"]
+
+
+def slash_value_workload():
+    """W writes /fs/{path} with path "src/main.py"; L, emitted in the same
+    turn, reads /fs/src as a subtree and copies what it sees to /out."""
+    return workload_from_json(
+        {
+            "tools": [
+                {
+                    "schema": {"name": "write_file", "description": "", "parameters": {}},
+                    "annotation": {"writes": [{"path": "/fs/{path}"}]},
+                    "latency": 5,
+                    "state": {"writes": [{"path": "/fs/src/main.py", "value": "{call}"}]},
+                },
+                {
+                    "schema": {"name": "list_dir", "description": "", "parameters": {}},
+                    "annotation": {"reads": [{"path": "/fs/src", "subtree": True}],
+                                   "writes": [{"path": "/out"}]},
+                    "latency": 1,
+                    "state": {
+                        "reads": [{"path": "/fs/src", "subtree": True}],
+                        "writes": [{"path": "/out", "value": "{reads}"}],
+                    },
+                },
+            ],
+            "script": [
+                {
+                    "emit": [
+                        {"id": "W", "name": "write_file", "args": {"path": "src/main.py"}},
+                        {"id": "L", "name": "list_dir", "args": {}},
+                    ],
+                },
+                {"when": {"resolved": ["W", "L"]}, "final": "x"},
+            ],
+        }
+    )
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_a_slash_in_a_filled_value_separates_segments(mode):
+    # /fs/{path} filled with "src/main.py" names /fs/src/main.py, inside the
+    # subtree L reads, so L waits for W and sees its write in every mode.
+    trace = run_workload(slash_value_workload(), mode)
+    serial = run_workload(slash_value_workload(), "sync-sequential")
+    assert trace.final_state["/out"] == serial.final_state["/out"]
+    assert "write_file#0" in trace.final_state["/out"]
+    if mode.startswith("async"):
+        assert ("W", "L", "gate-raw") in trace.edges
 
 
 def mutable_args_workload():
@@ -676,7 +724,7 @@ class TestProtocolAndDeterminism:
 
     def test_lint_catches_out_of_order_tool_message(self):
         messages = [
-            Message(role="assistant", content="", tool_calls=[ToolCall("C1", "t", {})]),
+            Message(role="assistant", content="", tool_calls=[CallSpec("C1", "t", {})]),
             Message(role="user", content="interloper"),
             Message(role="tool", content={}, call_id="C1"),
         ]

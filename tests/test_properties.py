@@ -186,6 +186,47 @@ def test_transform_idempotent_for_any_parameter_map(params):
     assert all(p.accepts_future for p in once.parameters.values())
 
 
+# -- one rule for every access path ---------------------------------------------------
+
+# Path segments with none of "/", "{", "}", and never "." or "..".
+path_segments = st.lists(
+    st.text(st.sampled_from("ab.$-_ 1"), min_size=1, max_size=4).filter(lambda t: t not in (".", "..")),
+    min_size=1,
+    max_size=4,
+)
+
+
+def _resolved(template: str, args: dict, session: SessionState, store: FutureStore) -> list:
+    accesses = []
+    for subtree in (False, True):
+        decl = AccessDecl(template, subtree)
+        annotation = DependencyAnnotation(reads=[decl], writes=[decl])
+        accesses += resolve_paths(annotation, args, session, store)
+    return accesses
+
+
+@settings(max_examples=200)
+@given(path_segments, st.data())
+def test_a_filled_template_names_the_region_its_text_spells(segments, data):
+    # Replace any stretch of a literal path's text by a {v} whose value is
+    # that stretch: the template resolves to the literal path's accesses.
+    store, session = FutureStore(VirtualClock()), SessionState()
+    text = "/" + "/".join(segments)
+    i = data.draw(st.integers(1, len(text)))
+    j = data.draw(st.integers(i, len(text)))
+    template = text[:i] + "{v}" + text[j:]
+    expected = _resolved(text, {}, session, store)
+    assert _resolved(template, {"v": text[i:j]}, session, store) == expected
+    # The same with the path's first m segments bound to $session/b.
+    m = data.draw(st.integers(0, len(segments)))
+    session.bindings["b"] = "/" + "/".join(segments[:m])
+    rest = "/" + "/".join(segments[m:])
+    i = data.draw(st.integers(1, len(rest)))
+    j = data.draw(st.integers(i, len(rest)))
+    template = "$session/b" + rest[:i] + "{v}" + rest[j:]
+    assert _resolved(template, {"v": rest[i:j]}, session, store) == expected
+
+
 # -- version-chain gating against a scan of every unreleased label ----------------
 
 # Segments spelled like an access mode or a missing key must behave as plain

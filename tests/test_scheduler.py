@@ -142,6 +142,24 @@ class TestResolvePaths:
         out = resolve_paths(ann, {"v": "{w}", "w": "z"}, session, store)
         assert ["/" + "/".join(a.path) for a in out] == ["/x/{w}-z"]
 
+    def test_a_filled_value_is_split_at_slashes(self):
+        scheduler, store, session, _ = make_scheduler()
+        ann = annotation(writes=[("/fs/{path}", False)])
+        out = resolve_paths(ann, {"path": "src//main.py/"}, session, store)
+        assert [a.path for a in out] == [("fs", "src", "main.py")]
+
+    @pytest.mark.parametrize("value", ["../etc", "./x"])
+    def test_dot_segment_in_a_filled_value_falls_back(self, value):
+        scheduler, store, session, _ = make_scheduler()
+        ann = annotation(writes=[("/fs/{path}", False)])
+        assert resolve_paths(ann, {"path": value}, session, store) == scheduler_mod.fallback_accesses()
+
+    def test_dot_segment_in_a_session_binding_falls_back(self):
+        scheduler, store, session, _ = make_scheduler()
+        session.bindings["cwd"] = "/ws/../x"
+        out = resolve_paths(annotation(reads=[("$session/cwd/a", False)]), {}, session, store)
+        assert out == scheduler_mod.fallback_accesses()
+
     def test_no_annotation_gets_root_fallback(self):
         scheduler, store, session, _ = make_scheduler()
         out = resolve_paths(None, {}, session, store)
@@ -893,7 +911,7 @@ class TestAdmissionWork:
         ]
 
     def test_store_has_no_observer_api(self):
-        store = FutureStore()
+        store = FutureStore(VirtualClock())
         assert not hasattr(FutureStore, "add_observer")
         assert not hasattr(store, "_observers")
 

@@ -235,7 +235,7 @@ class TestWorkloadLoading:
             )
 
     @pytest.mark.parametrize(
-        "path", ["files/x", "$session/", "$session//x", "/files/{name", "/a/{x}{y"]
+        "path", ["files/x", "$session/", "$session//x", "/files/{name", "/a/{x}{y", "/a/{x/y}", "/a/./{x}"]
     )
     def test_malformed_annotation_template_rejected(self, path):
         with pytest.raises(ValidationError, match="tool 't'"):
