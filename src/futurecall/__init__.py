@@ -10,7 +10,6 @@ module quantifies where the latency savings come from.
 
 from .analysis import (
     DependencyDag,
-    Interval,
     SavingsReport,
     annotation_confusion,
     classify_regime,
@@ -84,7 +83,6 @@ __all__ = [
     "FunctionSchema",
     "FutureStore",
     "FuturecallError",
-    "Interval",
     "MODES",
     "Message",
     "RunTrace",

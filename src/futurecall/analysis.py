@@ -5,11 +5,12 @@ decomposition, critical-path speedup bounds with overhead sensitivity,
 operating-regime classification, paired significance tests, and the
 annotation-quality comparator. All functions are pure.
 
-Notation used throughout: for a set of time intervals I, the sequential sum
-S(I) is the total of the individual durations and the effective union D(I) is
-the measure of their merged union. For a trace with decode intervals M and
-execution intervals E, the total saving against a fully serialized baseline
-splits exactly into inter-function parallelism and decode-execution overlap:
+Notation used throughout: an interval is a (start, end) pair of times with
+end >= start. For a set of intervals I, the sequential sum S(I) is the total
+of the individual durations and the effective union D(I) is the measure of
+their merged union. For a trace with decode intervals M and execution
+intervals E, the total saving against a fully serialized baseline splits
+exactly into inter-function parallelism and decode-execution overlap:
 
     t_saving = S(M) + S(E) - D(M u E)
              = [S(E) - D(E)] + [D(M) + D(E) - D(M u E)]
@@ -33,52 +34,38 @@ from .scheduler import TERMINAL_STATUSES
 from .trace import RunTrace
 
 
-@dataclass(slots=True)
-class Interval:
-    start: float
-    end: float
-
-    def __post_init__(self):
-        if self.end < self.start:
-            raise DomainError(f"interval end {self.end} before start {self.start}")
-
-    @property
-    def duration(self) -> float:
-        return self.end - self.start
-
-
-def _coerce(intervals: Iterable) -> list[Interval]:
-    """Intervals as they are, (start, end) pairs as new checked Intervals."""
+def _checked(intervals: Iterable) -> list[tuple[float, float]]:
+    """(start, end) pairs as float pairs; an end before its start is a
+    DomainError."""
     out = []
-    for item in intervals:
-        if isinstance(item, Interval):
-            out.append(item)
-        else:
-            start, end = item
-            out.append(Interval(float(start), float(end)))
+    for start, end in intervals:
+        start, end = float(start), float(end)
+        if end < start:
+            raise DomainError(f"interval end {end} before start {start}")
+        out.append((start, end))
     return out
 
 
-def _sum(ivs: list[Interval]) -> float:
-    return sum(iv.duration for iv in ivs)
+def _sum(ivs: list[tuple[float, float]]) -> float:
+    return sum(end - start for start, end in ivs)
 
 
-def _union(ivs: list[Interval]) -> float:
+def _union(ivs: list[tuple[float, float]]) -> float:
     total = 0.0
     cursor = -math.inf
-    for iv in sorted(ivs, key=lambda iv: (iv.start, iv.end)):
-        if iv.start > cursor:
-            total += iv.duration
-            cursor = iv.end
-        elif iv.end > cursor:
-            total += iv.end - cursor
-            cursor = iv.end
+    for start, end in sorted(ivs):
+        if start > cursor:
+            total += end - start
+            cursor = end
+        elif end > cursor:
+            total += end - cursor
+            cursor = end
     return total
 
 
 def sequential_sum(intervals: Iterable) -> float:
     """S(I): cumulative duration, counting overlaps multiply."""
-    return _sum(_coerce(intervals))
+    return _sum(_checked(intervals))
 
 
 def effective_union(intervals: Iterable) -> float:
@@ -87,7 +74,7 @@ def effective_union(intervals: Iterable) -> float:
     Intervals are treated as half-open for the measure; zero-length intervals
     contribute nothing.
     """
-    return _union(_coerce(intervals))
+    return _union(_checked(intervals))
 
 
 @dataclass(frozen=True)
@@ -114,8 +101,8 @@ def savings_decomposition(m_intervals: Iterable, e_intervals: Iterable) -> Savin
     t_saving = delta_ff + delta_de holds exactly and is checked: a DomainError
     reports times whose float sums lose it (such as infinite ones).
     """
-    m_ivs = _coerce(m_intervals)
-    e_ivs = _coerce(e_intervals)
+    m_ivs = _checked(m_intervals)
+    e_ivs = _checked(e_intervals)
     s_m = _sum(m_ivs)
     d_m = _union(m_ivs)
     if abs(d_m - s_m) > 1e-9:
@@ -341,13 +328,13 @@ def trace_dag(trace: RunTrace) -> DependencyDag:
 
 def trace_to_inputs(trace: RunTrace):
     """Extract (t_llm, t_tool, t_cp, M, E) from a complete trace; M and E are
-    lists of Interval, built once here, which ``savings_decomposition``
-    takes as they are."""
+    lists of checked (start, end) float pairs, the form every function here
+    takes."""
     non_terminal = [c for c, s in trace.call_status.items() if s not in TERMINAL_STATUSES]
     if non_terminal:
         raise IncompleteTraceError(f"calls not terminal: {sorted(non_terminal)}")
-    m_intervals = _coerce(trace.decode_intervals())
-    e_intervals = _coerce(trace.exec_intervals())
+    m_intervals = _checked(trace.decode_intervals())
+    e_intervals = _checked(trace.exec_intervals())
     t_llm = _sum(m_intervals)
     t_tool = _sum(e_intervals)
     t_cp = critical_path(trace_dag(trace))

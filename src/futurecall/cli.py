@@ -22,7 +22,7 @@ from . import analysis
 from .driver import MODES, run_workload
 from .errors import FuturecallError, ParseError, ValidationError
 from .scheduler import READ, WRITE, Access, conflicts, fallback_accesses
-from .schema import DependencyAnnotation, load_schema_file, split_path
+from .schema import DependencyAnnotation, load_schema_file
 from .trace import RunTrace
 from .workload import WorkloadSpec, load_workload, make_latency_sweep, number
 
@@ -149,17 +149,15 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 
 def static_accesses(annotation: DependencyAnnotation | None) -> list[Access]:
-    """Literal access set of an annotation for offline pair comparison.
-
-    Path templates are compared as written, split at "/": a
-    ``$session/name`` prefix stays the two segments ``$session`` and
-    ``name``, and a ``{param}`` stays its text, which equals only the same
-    template. Unannotated tools get the root fallback.
+    """Accesses that bound every run-time access of an annotation, for
+    offline pair comparison: a literal template's own, and for any other a
+    subtree access in the same mode at its ``prefix``. Unannotated tools
+    get the root fallback.
     """
     if annotation is None:
         return fallback_accesses()
     return [
-        Access(split_path(decl.path), mode, decl.subtree)
+        decl.literal[mode] if decl.literal is not None else Access(decl.prefix, mode, True)
         for mode, decls in ((READ, annotation.reads), (WRITE, annotation.writes))
         for decl in decls
     ]

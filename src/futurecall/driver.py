@@ -13,10 +13,12 @@ is integrated as it settles, so a late failure reopens the conversation at
 once.
 
 That leaves two execution models. Sync modes run each turn as one batch:
-same-turn calls overlap in time, their effects and results apply in emitted
-order, and ``@Fk`` references become concrete values. Async modes submit
-each turn's calls to the dependency-aware scheduler as one unit, and
-references become future identifiers. Either way the executor's ``settle``
+same-turn calls overlap in time, and their effects and results apply in
+emitted order. Async modes submit each turn's calls to the dependency-aware
+scheduler as one unit. Either way an ``@Fk[.path]`` reference names the
+call's result future or one of its field futures: async modes pass its
+identifier, and sync modes, where it has settled, pass its outcome as
+``reported`` renders it, a value or an ``ErrorInfo``. The executor's ``settle``
 ends each call that ran, and every assistant tool call is immediately
 followed by a tool message for its call id.
 
@@ -46,7 +48,7 @@ from .errors import (
     ValidationError,
 )
 from .executor import Executor, StateStore
-from .futures import RESOLVED, FutureStore, extract_field
+from .futures import RESOLVED, FutureRecord, FutureStore
 from .scheduler import CallRecord, Scheduler, SessionState
 from .schema import AWAIT_FUTURE_NAME, copy_json, futurize_output_template, map_leaves
 from .trace import AWAIT, DECODE, INTEGRATE, RunTrace
@@ -263,6 +265,12 @@ def _to_chat_message(msg: Message) -> dict:
     if msg.role == "tool" and msg.call_id is not None:
         out["tool_call_id"] = msg.call_id
     return out
+
+
+def reported(record: FutureRecord) -> Any:
+    """A settled future's outcome as a reader receives it: its value, or
+    its ``ErrorInfo`` under "error"."""
+    return record.value if record.status == RESOLVED else {"error": record.error.to_json()}
 
 
 def await_detection_offset(tokens: list[tuple[str, float]] | None, decode_time: float) -> float:
@@ -527,7 +535,7 @@ class TurnDriver:
         and answer each call with its outcome.
         """
         self._decode(turn.decode_time)
-        bind = self._ref_future if is_async(self.mode) else self._ref_value
+        bind = self._ref_future if is_async(self.mode) else self._ref_outcome
         records: list[CallRecord] = []
         for spec in turn.emit:
             tool = self.tools[spec.name]
@@ -539,7 +547,7 @@ class TurnDriver:
                 invocation_index=next(self._invocations[spec.name]),
                 turn=self._turn_no,
             )
-            record.result = self.store.latch(self.store.create(owner_call=spec.call_id))
+            record.result = self.store.state_of(self.store.create(owner_call=spec.call_id))
             records.append(record)
         # Registered only now: a decoder cannot name a placeholder it has
         # not received yet, so a same-turn reference stays literal.
@@ -581,8 +589,7 @@ class TurnDriver:
             record.exec_start, record.exec_end = t0, t0 + latency
             value, error = self.executor.invoke(record, copy_json(record.args))
             self.executor.settle(record, value, error)
-            content = value if error is None else {"error": error.to_json()}
-            self._append(Message(role="tool", content=content, call_id=record.call_id))
+            self._append(Message(role="tool", content=reported(record.result), call_id=record.call_id))
 
     # -- argument references ------------------------------------------------------------
 
@@ -602,16 +609,10 @@ class TurnDriver:
         fid = self.calls[call_id].result.fid
         return fid if fpath is None else self.store.create_field(fid, fpath)
 
-    def _ref_value(self, call_id: str, fpath: str | None) -> Any:
-        # Sync modes finish every call before the next decode, so each
-        # referenced call is terminal here.
-        result = self.calls[call_id].result
-        if result.status != RESOLVED:
-            return {"error": result.error.to_json()}
-        if fpath is None:
-            return result.value
-        found, value = extract_field(result.value, fpath)
-        return value if found else {"error": f"path not found: {fpath}"}
+    def _ref_outcome(self, call_id: str, fpath: str | None) -> Any:
+        # Sync modes finish every call before the next decode, so the
+        # future an async run would pass has settled here.
+        return reported(self.store.state_of(self._ref_future(call_id, fpath)))
 
     # -- await handling -----------------------------------------------------------------------
 
@@ -642,7 +643,7 @@ class TurnDriver:
         values: dict[str, Any] = {}
         for fid in translated:
             record = records[fid]
-            values[fid] = record.value if record.status == RESOLVED else {"error": record.error.to_json()}
+            values[fid] = reported(record)
             if record.path is None:
                 self._awaited.add(record.owner_call)
         self._append(Message(role="tool", content=values, call_id=spec.call_id))

@@ -230,12 +230,8 @@ class FutureStore:
         return rec
 
     def state_of(self, fid: str) -> FutureRecord:
-        """The future's record. It is live, not a snapshot: a later
-        transition shows in it."""
-        return self._require(fid)
-
-    def latch(self, fid: str) -> FutureRecord:
-        """The future's record, as a latch for ``when_all``."""
+        """The future's record, also the latch that opens when it settles.
+        It is live, not a snapshot: a later transition shows in it."""
         return self._require(fid)
 
     # -- terminal transitions ---------------------------------------------

@@ -54,13 +54,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import AbstractSet, Any, Callable, Iterator, NamedTuple, Sequence
 
-from .errors import (
-    CANCELLED_DEPENDENCY,
-    DuplicateCallIdError,
-    ErrorInfo,
-    FuturecallError,
-    NotTerminalError,
-)
+from .errors import CANCELLED_DEPENDENCY, DuplicateCallIdError, ErrorInfo, NotTerminalError
 from .futures import CANCELLED, FAILED, RESOLVED, FutureRecord, FutureStore, Latch
 from .futures import looks_like_future_id, when_all
 from .schema import DOT_PARTS, READ, WRITE, Access, DependencyAnnotation, scan_future_refs, split_path
@@ -74,14 +68,6 @@ DISPATCHED = "dispatched"
 RUNNING = "running"
 DONE = "done"
 TERMINAL_STATUSES = {DONE, FAILED, CANCELLED}
-
-
-class FailedPathDependency(FuturecallError):
-    """A path template needs a future that terminated without a value."""
-
-    def __init__(self, fid: str, record: FutureRecord):
-        super().__init__(f"path template depends on {fid} which is {record.status}")
-        self.record = record
 
 
 @dataclass(slots=True)
@@ -395,11 +381,12 @@ def resolve_paths(
     other one is read by one rule: fill its text, a ``{param}`` with the
     call's argument value (a future's resolved value) and ``$session/name``
     with the binding's current path, then ``split_path`` it once; filled
-    text is never read as a template again. While a needed value is pending
-    this returns the latch to wait on instead: the pending future's record,
-    or the gate of the latest session write in flight. A template it cannot
-    fill, or whose filled text has a "." or ".." segment, gives the call the
-    unannotated fallback.
+    text is never read as a template again. While a needed value is not
+    there this returns a latch instead: the gate of the latest session
+    write in flight, or the record of a future that is not resolved, which
+    is pending (wait on it) or settled as failed or cancelled (the call
+    can never be admitted). A template it cannot fill, or whose filled text
+    has a "." or ".." segment, gives the call the unannotated fallback.
     """
     if annotation is None:
         return fallback_accesses()
@@ -422,11 +409,9 @@ def resolve_paths(
             for i in range(1, len(parts), 2):
                 value = args.get(parts[i])  # a missing argument cannot fill, as null cannot
                 if isinstance(value, str) and looks_like_future_id(value) and store.known(value):
-                    record = store.latch(value)
-                    if not record.done:
-                        return record
+                    record = store.state_of(value)
                     if record.status != RESOLVED:
-                        raise FailedPathDependency(value, record)
+                        return record
                     value = record.value
                 if isinstance(value, bool):
                     value = "true" if value else "false"
@@ -509,7 +494,7 @@ class Scheduler:
                 if queue:
                     self.try_admit(now)
                 if call.result is None:
-                    call.result = store.latch(store.create(owner_call=call.call_id))
+                    call.result = store.state_of(store.create(owner_call=call.call_id))
                 call.submitted_at = now
                 registered[call.call_id] = call
                 if scan is None or scan[index]:
@@ -563,22 +548,21 @@ class Scheduler:
             if self._head_wait is not None and not self._head_wait.done:
                 break
             self._head_wait = None
-            try:
-                resolved = resolve_paths(head.annotation, head.args, self.session, self.store)
-            except FailedPathDependency as exc:
-                # The head can never be admitted; cancel it instead of
-                # blocking everything queued behind it.
+            resolved = resolve_paths(head.annotation, head.args, self.session, self.store)
+            if isinstance(resolved, list):
                 queue.popleft()
-                self.mark_cancelled(head, exc.record.error.origin_call)
-                continue
-            if not isinstance(resolved, list):
+                self._admit(head, resolved, now)
+            elif resolved.done:
+                # A needed future failed or was cancelled: the head can never
+                # be admitted, so it is cancelled instead of blocking the queue.
+                queue.popleft()
+                self.mark_cancelled(head, resolved.error.origin_call)
+            else:
                 self._head_wait = resolved
                 # Woken last: calls already waiting on the same input (its
                 # consumers) go on before the head is admitted.
                 when_all([resolved], lambda: self.pump(), last=True)
                 break
-            queue.popleft()
-            self._admit(head, resolved, now)
 
     def _admit(self, call: CallRecord, accesses: list[Access], now: float) -> None:
         """Register the call's labels and ready it: at once when every

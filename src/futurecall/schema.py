@@ -161,7 +161,7 @@ class Access:
     subtree: bool
 
 
-@dataclass
+@dataclass(slots=True)
 class AccessDecl:
     """One read or write label: a path template plus its scope flag.
 
@@ -179,7 +179,12 @@ class AccessDecl:
 
     A literal template, with no binding and no placeholder, resolves to the
     same accesses for every call: ``literal`` maps each mode to its one
-    ``Access``, built here. It is None for any other template.
+    ``Access``, built here. It is None for any other template. ``prefix``
+    is the subtree every filling of a template lies in: a literal
+    template's own path, the whole segments of ``parts[0]`` before its last
+    "/" for any other /-rooted one, so ``/a/x{p}`` has ``("a",)``, and the
+    root for a session-relative one, whose binding is known only at
+    admission.
     """
 
     path: str
@@ -187,6 +192,7 @@ class AccessDecl:
     binding: str | None = field(init=False, repr=False)
     parts: tuple[str, ...] = field(init=False, repr=False)
     literal: dict[str, Access] | None = field(init=False, repr=False, compare=False)
+    prefix: tuple[str, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         rest, binding = self.path, None
@@ -201,9 +207,12 @@ class AccessDecl:
         parts = tuple(PLACEHOLDER.split(rest))
         if any("{" in text for text in parts[::2]):
             raise BadPathTemplateError(f"unbalanced braces in path template {self.path!r}")
-        self.binding, self.parts, self.literal = binding, parts, None
+        self.binding, self.parts, self.literal, self.prefix = binding, parts, None, ()
         if binding is None and len(parts) == 1:
             self.literal = {mode: Access(path, mode, self.subtree) for mode in (READ, WRITE)}
+            self.prefix = path
+        elif binding is None:
+            self.prefix = split_path(parts[0].rpartition("/")[0])
 
 
 @dataclass

@@ -46,10 +46,11 @@ annotation's ``outputs``: a tool's example result is its schema's. A
 separates segments, and a "." or ".." segment is rejected (or, filled in,
 falls back to the whole tree).
 
-Argument values of the form ``"@F2"`` or ``"@F2.field"`` reference the result
-of an earlier call; in async modes they turn into future identifiers, in sync
-modes into the concrete resolved value. An ``await_future`` call has no
-result, so a reference to one is rejected. Script entries are consumed in
+Argument values of the form ``"@F2"`` or ``"@F2.field"`` name the result
+future of an earlier call or one of its field futures. Async modes pass the
+future's identifier; sync modes pass its settled outcome, the value or, for
+a failed call or a missing field, ``{"error": ...}`` with its ErrorInfo. An
+``await_future`` call has no result, so a reference to one is rejected. Script entries are consumed in
 order, each waiting for its trigger. A turn that emits several calls decodes
 as one turn under a parallel-calling decoder and as one turn per call under a
 sequential one.

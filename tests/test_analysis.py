@@ -19,7 +19,7 @@ from futurecall import (
     savings_decomposition,
     sequential_sum,
 )
-from futurecall.analysis import Interval, SavingsReport, trace_to_inputs
+from futurecall.analysis import SavingsReport, trace_to_inputs
 from futurecall.errors import (
     CycleDetectedError,
     DegenerateInputError,
@@ -73,7 +73,7 @@ class TestIntervalOps:
 
     def test_invalid_interval_rejected(self):
         with pytest.raises(DomainError):
-            Interval(5, 3)
+            sequential_sum([(5, 3)])
 
     def test_union_matches_rasterization_oracle(self):
         rng = random.Random(7)
@@ -152,7 +152,7 @@ class TestSavingsDecomposition:
         trace = run_fixture(name, mode)
         m, e = trace.decode_intervals(), trace.exec_intervals()
         t_llm, t_tool, _, m_ivs, e_ivs = trace_to_inputs(trace)
-        assert all(isinstance(iv, Interval) for iv in m_ivs + e_ivs)
+        assert m_ivs == m and e_ivs == e
         s_m, s_e = sequential_sum(m), sequential_sum(e)
         d_m, d_e, d_union = effective_union(m), effective_union(e), effective_union(m + e)
         expected = SavingsReport(

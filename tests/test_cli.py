@@ -10,10 +10,11 @@ import sys
 import pytest
 
 import futurecall
-from futurecall import load_workload
-from futurecall.cli import main
+from futurecall import FutureStore, VirtualClock, load_workload
+from futurecall.cli import annotations_conflict, main
 from futurecall.errors import ValidationError
-from futurecall.schema import load_schema_file
+from futurecall.scheduler import SessionState, conflicts, resolve_paths
+from futurecall.schema import AccessDecl, DependencyAnnotation, load_schema_file
 
 from conftest import AWAIT_REF_WORKLOAD, AWAIT_TRIGGER_WORKLOAD, fixture_path
 
@@ -366,9 +367,13 @@ def test_validate_annotations_rejects_non_string_description(tmp_path, capsys, t
     assert "description must be a string, got 5" in capsys.readouterr().err
 
 
-def test_validate_annotations_compares_templates_as_written(tmp_path, capsys):
-    # A session template and the /-rooted path spelled the same way are one
-    # region; two {param} templates are the same region only when they match.
+def test_validate_annotations_bounds_templates_by_their_prefix(tmp_path, capsys):
+    # A {param} template is bounded by a subtree access at the whole
+    # segments before its first "{", and a $session/ template by the root
+    # subtree, as no binding is known offline. So "session" writes the
+    # whole tree and conflicts with all four others, and "name" writes
+    # under /files and conflicts with "other" and "same" too; "rooted"
+    # reads only /$session/cwd/x.
     tools = [
         annotated_tool("session", writes=["$session/cwd/x"]),
         annotated_tool("rooted", reads=["/$session/cwd/x"]),
@@ -379,7 +384,22 @@ def test_validate_annotations_compares_templates_as_written(tmp_path, capsys):
     path = schema_file(tmp_path, "templates.json", tools)
     assert main(["validate-annotations", "--predicted", path, "--truth", path]) == 0
     metrics = json.loads(capsys.readouterr().out.strip())
-    assert (metrics["tp"], metrics["fp"], metrics["fn"], metrics["tn"]) == (4, 0, 0, 16)
+    assert (metrics["tp"], metrics["fp"], metrics["fn"], metrics["tn"]) == (12, 0, 0, 8)
+
+
+def test_a_template_write_conflicts_with_a_subtree_read_under_its_prefix():
+    # The scheduler serializes a write of /fs/{path} with a subtree read of
+    # /fs/src whenever path starts with "src/"; the offline relation must
+    # say the two may conflict, and still keep /logs apart from both.
+    write = DependencyAnnotation(writes=[AccessDecl("/fs/{path}")])
+    read = DependencyAnnotation(reads=[AccessDecl("/fs/src", True)])
+    logs = DependencyAnnotation(writes=[AccessDecl("/logs")])
+    session = SessionState()
+    store = FutureStore(VirtualClock())
+    filled = resolve_paths(write, {"path": "src/main.py"}, session, store)
+    assert conflicts(filled[0], resolve_paths(read, {}, session, store)[0])
+    assert annotations_conflict(write, read) and annotations_conflict(read, write)
+    assert not annotations_conflict(write, logs) and not annotations_conflict(logs, read)
 
 
 @pytest.mark.parametrize("kind", [[], {"x": 1}], ids=["list", "object"])

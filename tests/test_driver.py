@@ -272,6 +272,61 @@ class TestSyncBatch:
         assert error.message == "KeyError: 'missing'"
 
 
+def missing_field_workload():
+    """F1 returns {"id": "a"}; F2 takes ``@F1.missing``, a field F1's result lacks."""
+    return workload_from_json(
+        {
+            "tools": [
+                {
+                    "schema": {"name": "lookup", "description": "", "parameters": {}},
+                    "annotation": {"reads": [], "writes": []},
+                    "latency": 2,
+                    "returns": [{"id": "a"}],
+                },
+                {
+                    "schema": {"name": "take", "description": "", "parameters": {}},
+                    "annotation": {"reads": [], "writes": []},
+                    "latency": 1,
+                    "returns": [{"ok": True}],
+                },
+            ],
+            "script": [
+                {"emit": [{"id": "F1", "name": "lookup", "args": {}}], "decode_time": 1},
+                {
+                    "when": {"resolved": ["F1"]},
+                    "emit": [{"id": "F2", "name": "take", "args": {"x": "@F1.missing"}}],
+                    "decode_time": 1,
+                },
+                {"when": {"resolved": ["F2"]}, "final": "x", "decode_time": 1},
+            ],
+        }
+    )
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_a_missing_field_reaches_its_reader_as_the_field_future_error(mode):
+    # A sync reference reads the field future an async one names: F2 runs
+    # and receives that future's ErrorInfo, where an async F2 is cancelled.
+    driver = TurnDriver(missing_field_workload(), mode)
+    received = []
+    take = driver.tools["take"].behavior
+    driver.tools["take"].behavior = lambda args, i, state: received.append(args) or take(args, i, state)
+    trace = driver.run()
+    error = {
+        "kind": "execution-error",
+        "message": "path not found: 'missing' in result of fut_0",
+        "origin_call": "F1",
+    }
+    if mode.startswith("sync"):
+        assert trace.call_status == {"F1": "done", "F2": "done"}
+        assert received == [{"x": {"error": error}}]
+        assert emitted_args(trace, "F2") == {"x": {"error": error}}
+    else:
+        assert trace.call_status == {"F1": "done", "F2": "cancelled"}
+        assert received == []
+        assert driver.calls["F2"].result.error.origin_call == "F1"
+
+
 def unfillable_template_workload(case):
     """F2 saves under a path template it cannot fill; F3 then lists what
     was saved. F2 is emitted before F1 resolves, so in async modes its

@@ -23,6 +23,7 @@ from futurecall import (
     substitute_resolved,
     transform_schema,
 )
+from futurecall.cli import annotations_conflict
 from futurecall.driver import await_detection_offset
 from futurecall.errors import ErrorInfo
 from futurecall.executor import Executor, StateStore, ToolExecutionError
@@ -40,7 +41,7 @@ from futurecall.scheduler import (
     conflicts,
     resolve_paths,
 )
-from futurecall.schema import AccessDecl, FunctionSchema, ParamSpec
+from futurecall.schema import DOT_PARTS, AccessDecl, FunctionSchema, ParamSpec
 from futurecall.trace import RunTrace
 from futurecall.workload import ToolSpec
 
@@ -225,6 +226,38 @@ def test_a_filled_template_names_the_region_its_text_spells(segments, data):
     j = data.draw(st.integers(i, len(rest)))
     template = "$session/b" + rest[:i] + "{v}" + rest[j:]
     assert _resolved(template, {"v": rest[i:j]}, session, store) == expected
+
+
+# A template is "/" or "$session/cwd/", then segments of literal text and
+# placeholders; values fill a path: scalars whose text has no "." or ".."
+# part, and bindings that are /-rooted paths.
+template_segments = st.sampled_from(["a", "b", "{p}", "{q}", "a{p}", "{p}b", "{p}{q}"])
+templates = st.tuples(
+    st.sampled_from(["/", "$session/cwd/"]), st.lists(template_segments, max_size=3)
+).map(lambda t: t[0] + "/".join(t[1]))
+template_decls = st.tuples(templates, st.booleans()).map(lambda t: AccessDecl(*t))
+template_annotations = st.builds(
+    DependencyAnnotation,
+    reads=st.lists(template_decls, max_size=2),
+    writes=st.lists(template_decls, max_size=2),
+)
+fill_values = st.one_of(
+    st.text(st.sampled_from("ab/"), max_size=4).filter(lambda t: DOT_PARTS.isdisjoint(t.split("/"))),
+    st.integers(-3, 3),
+    st.booleans(),
+)
+fill_args = st.fixed_dictionaries({"p": fill_values, "q": fill_values})
+bindings = st.lists(st.sampled_from(["a", "b"]), max_size=2).map(lambda s: "/" + "/".join(s))
+
+
+@settings(max_examples=300)
+@given(template_annotations, template_annotations, fill_args, fill_args, bindings, bindings)
+def test_templates_that_conflict_when_filled_may_conflict_offline(a, b, args_a, args_b, cwd_a, cwd_b):
+    store = FutureStore(VirtualClock())
+    filled_a = resolve_paths(a, args_a, SessionState(bindings={"cwd": cwd_a}), store)
+    filled_b = resolve_paths(b, args_b, SessionState(bindings={"cwd": cwd_b}), store)
+    if any(conflicts(x, y) for x in filled_a for y in filled_b):
+        assert annotations_conflict(a, b) and annotations_conflict(b, a)
 
 
 # -- version-chain gating against a scan of every unreleased label ----------------

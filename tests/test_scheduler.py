@@ -114,10 +114,18 @@ class TestResolvePaths:
         fid = store.create()
         ann = annotation(writes=[("/files/{name}", False)])
         out = resolve_paths(ann, {"name": fid}, session, store)
-        assert out is store.latch(fid)
+        assert out is store.state_of(fid)
         store.resolve(fid, "a.txt")
         out = resolve_paths(ann, {"name": fid}, session, store)
         assert ["/" + "/".join(a.path) for a in out] == ["/files/a.txt"]
+
+    def test_failed_future_returns_its_settled_record(self):
+        scheduler, store, session, _ = make_scheduler()
+        fid = store.create(owner_call="P")
+        store.fail(fid, ErrorInfo("execution-error", "boom", "P"))
+        out = resolve_paths(annotation(writes=[("/files/{name}", False)]), {"name": fid}, session, store)
+        assert out is store.state_of(fid)
+        assert (out.status, out.error.origin_call) == ("failed", "P")
 
     def test_unknown_parameter_falls_back(self):
         scheduler, store, session, _ = make_scheduler()
@@ -132,7 +140,7 @@ class TestResolvePaths:
         assert out == scheduler_mod.fallback_accesses()
         fid = store.create()
         ann = annotation(reads=[("/y", False)], writes=[("/x/{v}", False)])
-        assert resolve_paths(ann, {"v": fid}, session, store) is store.latch(fid)
+        assert resolve_paths(ann, {"v": fid}, session, store) is store.state_of(fid)
         store.resolve(fid, ["a", "b"])
         assert resolve_paths(ann, {"v": fid}, session, store) == scheduler_mod.fallback_accesses()
 
