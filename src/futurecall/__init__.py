@@ -63,7 +63,6 @@ from .workload import (
     WorkloadSpec,
     load_workload,
     make_latency_sweep,
-    strip_annotations,
     workload_from_json,
 )
 
@@ -118,7 +117,6 @@ __all__ = [
     "savings_decomposition",
     "scan_future_refs",
     "sequential_sum",
-    "strip_annotations",
     "substitute_resolved",
     "trace_to_inputs",
     "transform_schema",

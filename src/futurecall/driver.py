@@ -631,7 +631,7 @@ class TurnDriver:
                 tool_calls=[CallSpec(spec.call_id, AWAIT_FUTURE_NAME, {"future_ids": translated})],
             )
         )
-        unknown = [fid for fid in translated if not self.store.known(fid)]
+        unknown = [fid for fid in translated if self.store.find(fid) is None]
         if unknown:
             error = {"error": f"unknown futures: {sorted(unknown)}"}
             self._append(Message(role="tool", content=error, call_id=spec.call_id))

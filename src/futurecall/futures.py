@@ -1,10 +1,11 @@
 """Symbolic futures: string placeholders handed out while work is in flight.
 
 A future is identified by ``fut_<n>``; addressing one field of a pending
-structured result appends a dotted path, e.g. ``fut_3.fuelLevel``. Field
-futures are registered lazily on first reference and resolve automatically by
-path extraction once their base future resolves; a field of a failed or
-cancelled base takes the base's status and its ``ErrorInfo``.
+structured result appends a dotted path, e.g. ``fut_3.fuelLevel``. A
+well-formed field id of a registered base is registered the first time any
+layer names it (``FutureStore.find``) and resolves by path extraction once
+its base future resolves; a field of a failed or cancelled base takes the
+base's status and its ``ErrorInfo``.
 
 The store holds only what the model can name: call results and their fields.
 Waiting is one primitive, ``Latch``: a ``done`` flag plus waiters, each a
@@ -33,26 +34,11 @@ FAILED = "failed"
 CANCELLED = "cancelled"
 
 FUTURE_ID_RE = re.compile(r"fut_\d+(\.[^.\s]+)*")
-_SEGMENT_RE = re.compile(r"[^.\s]+")
-
-
-def split_future_id(fid: str) -> tuple[str, str | None]:
-    """Split ``fut_3.a.b`` into (``fut_3``, ``a.b``); field part is None for bases."""
-    if "." not in fid:
-        return fid, None
-    base, _, path = fid.partition(".")
-    return base, path
 
 
 def looks_like_future_id(text: str) -> bool:
     # The prefix test settles most strings without the regex.
     return text.startswith("fut_") and FUTURE_ID_RE.fullmatch(text) is not None
-
-
-def valid_field_path(path: str) -> bool:
-    """True when every dotted segment can appear inside a future identifier."""
-    segments = path.split(".")
-    return all(_SEGMENT_RE.fullmatch(seg) for seg in segments)
 
 
 def extract_field(value: Any, path: str) -> tuple[bool, Any]:
@@ -140,7 +126,8 @@ class FutureRecord(Latch):
 
 
 class FutureStore:
-    """The result and field futures of one conversation run.
+    """The result and field futures of one conversation run; ``find`` is
+    the one rule for what an id names, and every lookup goes through it.
 
     Mutations are atomic with respect to each other because the whole runtime
     is single-threaded on either clock: every handler runs on the thread that
@@ -176,11 +163,8 @@ class FutureStore:
         return fid
 
     def create_field(self, base: str, path: str) -> str:
-        """Register (or fetch) the field future ``base.path``.
-
-        The base must already exist. If the base is already terminal the field
-        future is settled immediately from the base outcome.
-        """
+        """Register (or fetch) the field future ``base.path`` of an existing
+        base, settled at once from the base's outcome if the base is."""
         base_rec = self._records.get(base)
         if base_rec is None:
             raise UnknownFutureError(f"unknown base future {base!r}")
@@ -204,35 +188,25 @@ class FutureStore:
 
     # -- lookup ----------------------------------------------------------
 
-    def known(self, fid: str) -> bool:
-        """True for registered ids and for field ids whose base is registered."""
-        if fid in self._records:
-            return True
-        base, fpath = split_future_id(fid)
-        return fpath is not None and base in self._records
-
-    def owner_of(self, fid: str) -> str | None:
+    def find(self, fid: str) -> FutureRecord | None:
+        """A registered id's record; for a well-formed field id of a
+        registered base, the field, registered now if no layer named it
+        before (``create_field``); None for anything else."""
         rec = self._records.get(fid)
-        if rec is None:
-            base, _ = split_future_id(fid)
-            rec = self._records.get(base)
-        return rec.owner_call if rec else None
-
-    def _require(self, fid: str) -> FutureRecord:
-        rec = self._records.get(fid)
-        if rec is None:
-            # Lazily materialize field futures of a known base.
-            base, fpath = split_future_id(fid)
-            if fpath is not None and base in self._records:
-                self.create_field(base, fpath)
-                return self._records[fid]
-            raise UnknownFutureError(f"unknown future {fid!r}")
+        if rec is None and looks_like_future_id(fid):
+            base, dot, path = fid.partition(".")
+            if dot and base in self._records:
+                rec = self._records[self.create_field(base, path)]
         return rec
 
     def state_of(self, fid: str) -> FutureRecord:
-        """The future's record, also the latch that opens when it settles.
-        It is live, not a snapshot: a later transition shows in it."""
-        return self._require(fid)
+        """``find``'s record, also the latch that opens when the future
+        settles, or UnknownFutureError for an id that names none. It is
+        live, not a snapshot: a later transition shows in it."""
+        rec = self.find(fid)
+        if rec is None:
+            raise UnknownFutureError(f"unknown future {fid!r}")
+        return rec
 
     # -- terminal transitions ---------------------------------------------
 
@@ -249,21 +223,20 @@ class FutureStore:
                 self._settle_field(field, rec)
 
     def resolve(self, fid: str, value: Any) -> None:
-        self._transition(self._require(fid), RESOLVED, value, None)
+        self._transition(self.state_of(fid), RESOLVED, value, None)
 
     def fail(self, fid: str, error: ErrorInfo) -> None:
-        self._transition(self._require(fid), FAILED, None, error)
+        self._transition(self.state_of(fid), FAILED, None, error)
 
     def cancel(self, fid: str, error: ErrorInfo) -> None:
         """Cancel a pending future; ``error`` says which call's failure did."""
-        self._transition(self._require(fid), CANCELLED, None, error)
+        self._transition(self.state_of(fid), CANCELLED, None, error)
 
     # -- waiting -----------------------------------------------------------
 
     def add_waiter(self, fids: Iterable[str], callback: Callable[[], None]) -> None:
         """Invoke ``callback`` exactly once when every listed future is terminal."""
-        records = self._records
-        when_all([records.get(fid) or self._require(fid) for fid in fids], callback)
+        when_all([self.state_of(fid) for fid in fids], callback)
 
     def drop_waiters(self) -> None:
         """Forget every waiter on a future that never settled, as a run
@@ -278,6 +251,6 @@ class FutureStore:
         Suspension pumps the clock, so queued executor and scheduler events keep
         firing while this caller waits.
         """
-        records = {fid: self._require(fid) for fid in fids}
+        records = {fid: self.state_of(fid) for fid in fids}
         self._clock.run_until(lambda: all(rec.done for rec in records.values()))
         return records

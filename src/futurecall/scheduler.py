@@ -55,8 +55,7 @@ from dataclasses import dataclass, field
 from typing import AbstractSet, Any, Callable, Iterator, NamedTuple, Sequence
 
 from .errors import CANCELLED_DEPENDENCY, DuplicateCallIdError, ErrorInfo, NotTerminalError
-from .futures import CANCELLED, FAILED, RESOLVED, FutureRecord, FutureStore, Latch
-from .futures import looks_like_future_id, when_all
+from .futures import CANCELLED, FAILED, RESOLVED, FutureRecord, FutureStore, Latch, when_all
 from .schema import DOT_PARTS, READ, WRITE, Access, DependencyAnnotation, scan_future_refs, split_path
 
 # Call lifecycle: queued, admitted, dispatched, running, then the result
@@ -379,7 +378,8 @@ def resolve_paths(
 
     A literal template gives the access its declaration prebuilt. Every
     other one is read by one rule: fill its text, a ``{param}`` with the
-    call's argument value (a future's resolved value) and ``$session/name``
+    call's argument value (the resolved value of the future a string value
+    names by ``store.find``, which may register a field) and ``$session/name``
     with the binding's current path, then ``split_path`` it once; filled
     text is never read as a template again. While a needed value is not
     there this returns a latch instead: the gate of the latest session
@@ -408,8 +408,8 @@ def resolve_paths(
                 text = bound + "/" + text
             for i in range(1, len(parts), 2):
                 value = args.get(parts[i])  # a missing argument cannot fill, as null cannot
-                if isinstance(value, str) and looks_like_future_id(value) and store.known(value):
-                    record = store.state_of(value)
+                record = store.find(value) if isinstance(value, str) else None
+                if record is not None:
                     if record.status != RESOLVED:
                         return record
                     value = record.value
@@ -510,7 +510,7 @@ class Scheduler:
         call.argument_futures = found = set()
         for fid in scan_future_refs(call.args, self.store):
             found.add(fid)
-            producer = self.store.owner_of(fid)
+            producer = self.store.state_of(fid).owner_call
             if producer and producer != call.call_id and producer not in producers:
                 producers.add(producer)
                 self.edges.append(DependencyEdge(producer, call.call_id, "arg"))

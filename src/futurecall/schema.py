@@ -22,7 +22,7 @@ from .errors import (
     UnresolvedArgumentError,
     ValidationError,
 )
-from .futures import FUTURE_ID_RE, RESOLVED, FutureStore, looks_like_future_id, valid_field_path
+from .futures import FUTURE_ID_RE, RESOLVED, FutureStore
 
 PARAM_TYPES = {"string", "number", "integer", "boolean", "array", "object"}
 
@@ -352,8 +352,9 @@ def copy_json(node: Any) -> Any:
 def futurize_output_template(example: Any, base: str, store: FutureStore) -> Any:
     """Replace every scalar leaf of an example output with a field future id.
 
-    The returned value has the same shape as the example; each registered
-    field future resolves by path extraction once the base future resolves.
+    The returned value has the same shape as the example; each leaf becomes
+    the field ``store.find`` registers for its path, or keeps its example
+    value where ``find`` refuses the id (a key with a dot or whitespace).
     Without a template the bare base identifier stands in for the whole value.
     """
     if example is None:
@@ -364,18 +365,15 @@ def futurize_output_template(example: Any, base: str, store: FutureStore) -> Any
             return node
         if not path:
             return base
-        dotted = ".".join(str(key) for key in path)
-        if not valid_field_path(dotted):
-            # Keys that cannot appear in a dotted identifier (dots,
-            # whitespace) keep their literal example value.
-            return node
-        return store.create_field(base, dotted)
+        field = store.find(base + "." + ".".join(str(key) for key in path))
+        return node if field is None else field.fid
 
     return map_leaves(example, leaf)
 
 
 def scan_future_refs(args: Any, store: FutureStore) -> list[str]:
-    """Find every string leaf that is a registered future (or field) identifier.
+    """Find every string leaf that names a future by ``store.find``, which
+    registers a named field of a registered base if no layer did before.
 
     Matching is exact whole-leaf equality, never substring search, so prose
     arguments that merely mention an identifier are left alone. The ids come
@@ -384,7 +382,7 @@ def scan_future_refs(args: Any, store: FutureStore) -> list[str]:
     refs: list[str] = []
 
     def leaf(node: Any, path: tuple) -> Any:
-        if isinstance(node, str) and looks_like_future_id(node) and store.known(node):
+        if isinstance(node, str) and store.find(node) is not None:
             refs.append(node)
         return node
 

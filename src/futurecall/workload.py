@@ -440,14 +440,6 @@ def make_latency_sweep(base: WorkloadSpec, delays: list[float]) -> list[Workload
     return out
 
 
-def strip_annotations(base: WorkloadSpec) -> WorkloadSpec:
-    """Copy of the workload with every dependency annotation removed."""
-    spec = copy.deepcopy(base)
-    for tool in spec.tools:
-        tool.annotation = None
-    return spec
-
-
 # -- tool behavior ---------------------------------------------------------------
 
 

@@ -1,12 +1,13 @@
 from __future__ import annotations
 
+import copy
 import gc
 import pathlib
 from contextlib import contextmanager
 
 import pytest
 
-from futurecall import lint_context, load_workload, run_workload
+from futurecall import WorkloadSpec, lint_context, load_workload, run_workload
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 FIXTURE_NAMES = ["fig1", "vehicle", "diamond", "fail-chain", "thinking", "pairs", "templated"]
@@ -40,6 +41,14 @@ def fixture_path(name: str) -> str:
 @pytest.fixture
 def fig1():
     return load_workload(fixture_path("fig1"))
+
+
+def strip_annotations(base: WorkloadSpec) -> WorkloadSpec:
+    """Copy of the workload with every dependency annotation removed."""
+    spec = copy.deepcopy(base)
+    for tool in spec.tools:
+        tool.annotation = None
+    return spec
 
 
 def run_fixture(name: str, mode: str, **kwargs):

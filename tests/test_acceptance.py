@@ -23,9 +23,8 @@ from futurecall import (
     sequential_sum,
 )
 from futurecall.analysis import trace_to_inputs
-from futurecall.workload import strip_annotations
 
-from conftest import FIXTURE_NAMES, fixture_path
+from conftest import FIXTURE_NAMES, fixture_path, strip_annotations
 from randgen import random_workload
 
 

@@ -624,6 +624,46 @@ AWAIT_TOKENS = [
 ]
 
 
+def field_read_behind_a_write(write_latency: int):
+    """F1 returns {"a": 1}; W writes /x; U reads /x and names the field id
+    fut_0.a, which no output template registered; a final answer triggered
+    on F1."""
+
+    def tool(name, latency, annotation, returns=None):
+        schema = {"name": name, "description": "", "parameters": {}}
+        entry = {"schema": schema, "latency": latency, "annotation": annotation}
+        return entry if returns is None else {**entry, "returns": returns}
+
+    return workload_from_json(
+        {
+            "tools": [
+                tool("get", 5, {"reads": [], "writes": []}, [{"a": 1}]),
+                tool("write", write_latency, {"reads": [], "writes": [{"path": "/x"}]}),
+                tool("use", 1, {"reads": [{"path": "/x"}], "writes": []}),
+            ],
+            "script": [
+                {"emit": [{"id": "F1", "name": "get"}]},
+                {"emit": [{"id": "W", "name": "write"}]},
+                {"emit": [{"id": "U", "name": "use", "args": {"v": "fut_0.a"}}]},
+                {"when": {"resolved": ["F1"]}, "final": "done"},
+            ],
+        }
+    )
+
+
+@pytest.mark.parametrize("write_latency", [20, 0])
+@pytest.mark.parametrize("mode", ["async-sequential", "async-parallel"])
+def test_a_named_field_id_is_bound_with_its_base_however_long_its_reader_waits(mode, write_latency):
+    # U's submission registers fut_0.a, so F1's boundary binds it whether U
+    # has dispatched by then (W at 0) or still waits behind W (W at 20).
+    trace = run_workload(field_read_behind_a_write(write_latency), mode)
+    bound = [m.content["resolved_futures"] for m in binding_messages(trace)]
+    assert [b for b in bound if "fut_0" in b] == [{"fut_0": {"a": 1}, "fut_0.a": 1}]
+    edges = [("F1", "U", "arg")] + ([("W", "U", "gate-raw")] if write_latency else [])
+    assert trace.edges == edges
+    assert trace.end_to_end == (23.0 if write_latency else 7.0)
+
+
 class TestAwait:
     def test_detection_offset_requires_complete_argument_array(self):
         tokens = [(t, o) for t, o in AWAIT_TOKENS]
@@ -707,6 +747,11 @@ class TestAwait:
         trace = run_workload(data, "async-sequential")
         await_events = [e for e in trace.events if e.kind == "await"]
         assert await_events[0].t0 == await_events[0].t1
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_await_of_a_malformed_field_id_names_it_unknown_at_once(self, mode):
+        values, _ = self.saved_await_run(["fut_0.saved x"], mode)
+        assert values == {"error": "unknown futures: ['fut_0.saved x']"}
 
     def test_unknown_future_in_await_yields_error_tool_message(self):
         data = await_workload()

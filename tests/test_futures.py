@@ -10,7 +10,6 @@ from futurecall.futures import (
     PENDING,
     RESOLVED,
     extract_field,
-    split_future_id,
 )
 
 
@@ -169,8 +168,48 @@ def test_field_future_requires_known_base():
         store.create_field("fut_9", "x")
 
 
-def test_split_and_extract_helpers():
-    assert split_future_id("fut_3") == ("fut_3", None)
-    assert split_future_id("fut_3.fuelLevel") == ("fut_3", "fuelLevel")
+def test_find_returns_a_registered_record():
+    store, _ = make_store()
+    fid = store.create(owner_call="C1")
+    field_id = store.create_field(fid, "a")
+    assert store.find(fid) is store.state_of(fid)
+    assert store.find(fid).owner_call == "C1"
+    assert store.find(field_id).path == "a"
+    assert store.ids() == [fid, field_id]
+
+
+def test_find_registers_a_well_formed_field_of_a_registered_base():
+    store, _ = make_store()
+    fid = store.create(owner_call="C1")
+    field = store.find(f"{fid}.a.0")
+    assert field.fid == f"{fid}.a.0" and field.path == "a.0" and field.owner_call == "C1"
+    assert field.status == PENDING
+    assert store.ids() == [fid, field.fid]
+    assert store.find(field.fid) is field
+    store.resolve(fid, {"a": [4]})
+    assert field.value == 4
+
+
+def test_find_settles_a_field_of_a_settled_base_at_once():
+    store, _ = make_store()
+    fid = store.create()
+    store.resolve(fid, {"a": 1})
+    field = store.find(f"{fid}.a")
+    assert field.status == RESOLVED and field.value == 1
+    assert store.ids() == [fid, field.fid]
+
+
+@pytest.mark.parametrize("text", ["fut_0.a b", "fut_0..a", "fut_0.", "fut_0.a.", "fut_1.a", "fut_1", "plain", ""])
+def test_find_refuses_what_names_no_record_and_registers_nothing(text):
+    store, _ = make_store()
+    store.create()
+    assert store.find(text) is None
+    assert store.ids() == ["fut_0"]
+    with pytest.raises(UnknownFutureError):
+        store.state_of(text)
+    assert store.ids() == ["fut_0"]
+
+
+def test_extract_field():
     assert extract_field({"a": [{"b": 5}]}, "a.0.b") == (True, 5)
     assert extract_field({"a": 1}, "a.b") == (False, None)

@@ -41,7 +41,7 @@ from futurecall.scheduler import (
     conflicts,
     resolve_paths,
 )
-from futurecall.schema import DOT_PARTS, AccessDecl, FunctionSchema, ParamSpec
+from futurecall.schema import DOT_PARTS, AccessDecl, FunctionSchema, ParamSpec, map_leaves
 from futurecall.trace import RunTrace
 from futurecall.workload import ToolSpec
 
@@ -158,13 +158,42 @@ def test_scan_never_reports_unregistered_ids(numbers):
     assert all(fid == registered for fid in refs)
 
 
-@settings(max_examples=40)
-@given(json_value)
-def test_scan_is_pure(args):
+# Leaves naming fut_0, a field of it (well-formed or not), a field of an
+# unregistered base, or nothing.
+scan_leaves = st.one_of(
+    st.sampled_from(["fut_0", "fut_1.a", "fut_0 .a", "plain", "a.b"]),
+    st.text(st.sampled_from("ab0. \t"), max_size=5).map(lambda path: "fut_0." + path),
+)
+scan_args = st.recursive(
+    scan_leaves,
+    lambda children: st.one_of(
+        st.lists(children, max_size=3),
+        st.dictionaries(st.sampled_from("xyz"), children, max_size=3),
+    ),
+    max_leaves=10,
+)
+
+
+def _well_formed_field(text: str, base: str) -> bool:
+    """True for ``base.path`` where every dotted segment is non-empty text
+    without whitespace."""
+    prefix, dot, path = text.partition(".")
+    return prefix == base and bool(dot) and all(
+        segment and not any(ch.isspace() for ch in segment) for segment in path.split(".")
+    )
+
+
+@settings(max_examples=80)
+@given(scan_args)
+def test_scan_registers_exactly_the_named_fields_of_a_registered_base(args):
     store = FutureStore(VirtualClock())
-    before = store.ids()
-    scan_future_refs(args, store)
-    assert store.ids() == before
+    base = store.create()
+    leaves: list = []
+    map_leaves(args, lambda node, path: leaves.append(node))
+    fields = {leaf for leaf in leaves if _well_formed_field(leaf, base)}
+    refs = scan_future_refs(args, store)
+    assert set(store.ids()) == {base} | fields
+    assert refs == [leaf for leaf in leaves if leaf == base or leaf in fields]
 
 
 # -- schema transformation property ---------------------------------------------------
@@ -646,7 +675,7 @@ class SchedulerMachine(RuleBasedStateMachine):
         args: dict = {"who": f"C{n}", "name": "lit"}
         if sources and name_from < 30:
             source = sources[name_from % len(sources)]
-            if self.store.owner_of(source) is not None:
+            if self.store.state_of(source).owner_call is not None:
                 source = self.store.create_field(source, "id")
             args["name"] = source
         if sources and arg_from < 15:

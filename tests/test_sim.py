@@ -13,12 +13,11 @@ from futurecall.driver import MODES
 from futurecall.workload import (
     MAX_SCHEDULE,
     parse_call_ref,
-    strip_annotations,
     workload_from_json,
     worst_case_schedule,
 )
 
-from conftest import AWAIT_REF_WORKLOAD, AWAIT_TRIGGER_WORKLOAD, fixture_path
+from conftest import AWAIT_REF_WORKLOAD, AWAIT_TRIGGER_WORKLOAD, fixture_path, strip_annotations
 
 
 class TestVirtualClock:
