@@ -5,12 +5,14 @@ futures goes straight from dispatched to running, with no waiter, and hands
 its tool behavior a plain copy of its arguments. Any other call first awaits
 the argument futures the scheduler recorded at submission; that wait is
 non-blocking, so a call parked on its arguments never delays other
-dispatchable calls. Exactly the recorded ids are then substituted by their
-values: a string leaf that only became a known future id after submission
-stays literal text, as it does in a sync run. The behavior runs across its
-latency interval, then ``settle`` ends it as it ends a sync call: it traces
-the execution interval if the call started, resolves or fails the result
-future and releases the call's access labels.
+dispatchable calls. Exactly the recorded futures are then substituted by
+their values, read off the records the scheduler holds, so no argument id
+is looked up again. A string leaf that names a future of the call's own
+turn, or one registered only after submission, stays literal text in the
+arguments and in the path templates alike, as it does in a sync run. The
+behavior runs across its latency interval, then ``settle`` ends it as it
+ends a sync call: it traces the execution interval if the call started,
+resolves or fails the result future and releases the call's access labels.
 
 When a call fails, every call transitively dependent on it is cancelled, its
 result future carrying an error that names the failed call, and independent
@@ -107,22 +109,22 @@ class Executor:
             raise GatesPendingError(f"{call.call_id}: {shut} blocking gates still shut")
         now = call.dispatched_at = self.clock.now()
         if call.argument_futures:
-            self.store.add_waiter(sorted(call.argument_futures), lambda: self._on_arguments_ready(call))
+            self.store.add_waiter(call.argument_futures.values(), lambda: self._on_arguments_ready(call))
         else:
             self._start(call, copy_json(call.args), now)
 
     def _on_arguments_ready(self, call: CallRecord) -> None:
         if call.terminal:
             return
-        fids = call.argument_futures
-        for fid in sorted(fids):
-            error = self.store.state_of(fid).error
+        found = call.argument_futures
+        for fid in sorted(found):
+            error = found[fid].error
             if error is not None:
                 # The producing call failed upstream; this call consumes it.
                 self.scheduler.mark_cancelled(call, error.origin_call)
                 return
         try:
-            concrete = substitute_resolved(call.args, self.store, fids)
+            concrete = substitute_resolved(call.args, found)
         except Exception as exc:  # substitution failure surfaces as the call's failure
             self.settle(call, None, ErrorInfo(EXECUTION_ERROR, str(exc), call.call_id))
             return

@@ -234,9 +234,10 @@ class FutureStore:
 
     # -- waiting -----------------------------------------------------------
 
-    def add_waiter(self, fids: Iterable[str], callback: Callable[[], None]) -> None:
-        """Invoke ``callback`` exactly once when every listed future is terminal."""
-        when_all([self.state_of(fid) for fid in fids], callback)
+    def add_waiter(self, records: Iterable[FutureRecord], callback: Callable[[], None]) -> None:
+        """Invoke ``callback`` exactly once when every listed record is
+        terminal; the caller already holds the records, so none is looked up."""
+        when_all(records, callback)
 
     def drop_waiters(self) -> None:
         """Forget every waiter on a future that never settled, as a run

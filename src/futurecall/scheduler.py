@@ -28,9 +28,9 @@ pass dispatches what its admissions readied. A call whose blocking gates
 are all open at admission is queued for dispatch at once, with no waiter;
 otherwise one waiter on its gates queues it once the last gate opens, and
 the pass that dispatches it runs only then. A head that cannot resolve its
-paths yet waits on the one input it needs, a pending future or the
-in-flight session write's gate, and is not looked at again until that
-input is settled.
+paths yet waits on the one input it needs, a pending argument future that
+its submission recorded or the in-flight session write's gate, and is not
+looked at again until that input is settled.
 
 Indexed labels sit in a trie keyed by path segment, so a conflict lookup
 visits the path's ancestors, the equal node and, for a subtree access, the
@@ -52,7 +52,8 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from dataclasses import dataclass, field
-from typing import AbstractSet, Any, Callable, Iterator, NamedTuple, Sequence
+from types import MappingProxyType
+from typing import AbstractSet, Any, Callable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import CANCELLED_DEPENDENCY, DuplicateCallIdError, ErrorInfo, NotTerminalError
 from .futures import CANCELLED, FAILED, RESOLVED, FutureRecord, FutureStore, Latch, when_all
@@ -290,18 +291,27 @@ class SessionState:
         return self.writes[version][0]
 
 
+# Shared by every call that names no future; being unhashable, a mapping
+# proxy cannot be a plain dataclass default.
+_NO_FUTURES: Mapping[str, FutureRecord] = MappingProxyType({})
+
+
 @dataclass(slots=True)
 class CallRecord:
     """One decoded function call moving through the scheduling pipeline.
 
     ``turn`` is the number of the decode turn that emitted the call.
     ``result`` is the record of the call's result future; ``Scheduler.submit``
-    creates it unless the caller already has. ``argument_futures`` holds the
-    future ids that ``Scheduler.submit`` found among the string leaves of
-    ``args``; the executor waits on and substitutes exactly those.
-    ``blocking_gates``, ``argument_futures`` and ``labels`` start as shared
-    empty values; submission and admission assign their own, and nothing
-    changes them in place.
+    creates it unless the caller already has. ``argument_futures`` maps each
+    id that ``Scheduler.submit`` found among the string leaves of ``args``
+    to its record, in leaf order. That is the one decision of what the
+    arguments name: a future of an earlier turn. An id of the call's own
+    turn (its own future included) or one registered after submission is
+    literal text. Path templates are filled from this map, and the executor
+    waits on and substitutes exactly these records; no layer looks an
+    argument id up again. ``blocking_gates``, ``argument_futures`` and
+    ``labels`` start as shared empty values; submission and admission assign
+    their own, and nothing changes them in place.
 
     ``status`` and ``terminal`` are read off the stamps and ``result``: the
     call is terminal once its result future settles, and its status is then
@@ -318,7 +328,7 @@ class CallRecord:
     invocation_index: int = 0
     turn: int = 0
     blocking_gates: AbstractSet[Latch] = frozenset()
-    argument_futures: AbstractSet[str] = frozenset()
+    argument_futures: Mapping[str, FutureRecord] = field(default_factory=lambda: _NO_FUTURES)
     labels: Sequence[AccessLabel] = ()
     session_version: int | None = None
     submitted_at: float = 0.0
@@ -372,21 +382,23 @@ def resolve_paths(
     annotation: DependencyAnnotation | None,
     args: dict,
     session: SessionState,
-    store: FutureStore,
+    found: Mapping[str, FutureRecord],
 ) -> list[Access] | Latch:
     """Materialize a call's access set, or return the latch it waits on.
 
     A literal template gives the access its declaration prebuilt. Every
     other one is read by one rule: fill its text, a ``{param}`` with the
-    call's argument value (the resolved value of the future a string value
-    names by ``store.find``, which may register a field) and ``$session/name``
-    with the binding's current path, then ``split_path`` it once; filled
-    text is never read as a template again. While a needed value is not
-    there this returns a latch instead: the gate of the latest session
-    write in flight, or the record of a future that is not resolved, which
-    is pending (wait on it) or settled as failed or cancelled (the call
-    can never be admitted). A template it cannot fill, or whose filled text
-    has a "." or ".." segment, gives the call the unannotated fallback.
+    call's argument value and ``$session/name`` with the binding's current
+    path, then ``split_path`` it once; filled text is never read as a
+    template again. ``found`` is the call's ``argument_futures``: a value
+    that is an id in it fills with its record's resolved value, and any
+    other string, a future id or not, is literal text. While a needed value
+    is not there this returns a latch instead: the gate of the latest
+    session write in flight, or the record of a future that is not
+    resolved, which is pending (wait on it) or settled as failed or
+    cancelled (the call can never be admitted). A template it cannot fill,
+    or whose filled text has a "." or ".." segment, gives the call the
+    unannotated fallback.
     """
     if annotation is None:
         return fallback_accesses()
@@ -408,7 +420,7 @@ def resolve_paths(
                 text = bound + "/" + text
             for i in range(1, len(parts), 2):
                 value = args.get(parts[i])  # a missing argument cannot fill, as null cannot
-                record = store.find(value) if isinstance(value, str) else None
+                record = found.get(value) if isinstance(value, str) else None
                 if record is not None:
                     if record.status != RESOLVED:
                         return record
@@ -474,6 +486,8 @@ class Scheduler:
         registered, if an id is already submitted or repeats within it. A
         call's argument edges are recorded once the calls ahead of it are
         admitted as far as the queue head allows, after their gate edges.
+        A call's arguments can name only futures of earlier turns: an id
+        whose future a call of this turn owns stays literal text.
         ``scan[i]`` false skips the search of the i-th call's ``args`` for
         future ids, for a caller that knows none can be there: the call
         then has no argument futures and no argument edges. Without
@@ -481,7 +495,8 @@ class Scheduler:
         for call in calls:
             if call.call_id in self.calls:
                 raise DuplicateCallIdError(f"call id {call.call_id!r} already submitted")
-        if len({call.call_id for call in calls}) < len(calls):
+        turn_ids = {call.call_id for call in calls}
+        if len(turn_ids) < len(calls):
             raise DuplicateCallIdError("a call id repeats within the turn")
         now = self.clock.now()
         store, registered, queue = self.store, self.calls, self.queue
@@ -498,22 +513,27 @@ class Scheduler:
                 call.submitted_at = now
                 registered[call.call_id] = call
                 if scan is None or scan[index]:
-                    self._record_argument_edges(call)
+                    self._record_argument_edges(call, turn_ids)
                 queue.append(call)
         finally:
             self._pumping = False
         self.pump()
         return calls[-1].result.fid
 
-    def _record_argument_edges(self, call: CallRecord) -> None:
+    def _record_argument_edges(self, call: CallRecord, turn_ids: AbstractSet[str]) -> None:
+        """Fill ``argument_futures`` by the one scan of the arguments, less
+        the futures of the call's own turn, with one ``arg`` edge per producer."""
+        found: dict[str, FutureRecord] = {}
         producers: set[str] = set()
-        call.argument_futures = found = set()
-        for fid in scan_future_refs(call.args, self.store):
-            found.add(fid)
-            producer = self.store.state_of(fid).owner_call
-            if producer and producer != call.call_id and producer not in producers:
+        for record in scan_future_refs(call.args, self.store):
+            producer = record.owner_call
+            if producer in turn_ids:
+                continue
+            found[record.fid] = record
+            if producer and producer not in producers:
                 producers.add(producer)
                 self.edges.append(DependencyEdge(producer, call.call_id, "arg"))
+        call.argument_futures = found
 
     # -- admission -------------------------------------------------------------
 
@@ -548,7 +568,7 @@ class Scheduler:
             if self._head_wait is not None and not self._head_wait.done:
                 break
             self._head_wait = None
-            resolved = resolve_paths(head.annotation, head.args, self.session, self.store)
+            resolved = resolve_paths(head.annotation, head.args, self.session, head.argument_futures)
             if isinstance(resolved, list):
                 queue.popleft()
                 self._admit(head, resolved, now)

@@ -14,7 +14,7 @@ import json
 import re
 from dataclasses import dataclass, field, replace
 from types import NoneType
-from typing import Any, Callable, Container
+from typing import Any, Callable, Mapping
 
 from .errors import (
     BadPathTemplateError,
@@ -22,7 +22,7 @@ from .errors import (
     UnresolvedArgumentError,
     ValidationError,
 )
-from .futures import FUTURE_ID_RE, RESOLVED, FutureStore
+from .futures import FUTURE_ID_RE, RESOLVED, FutureRecord, FutureStore
 
 PARAM_TYPES = {"string", "number", "integer", "boolean", "array", "object"}
 
@@ -371,36 +371,39 @@ def futurize_output_template(example: Any, base: str, store: FutureStore) -> Any
     return map_leaves(example, leaf)
 
 
-def scan_future_refs(args: Any, store: FutureStore) -> list[str]:
-    """Find every string leaf that names a future by ``store.find``, which
-    registers a named field of a registered base if no layer did before.
+def scan_future_refs(args: Any, store: FutureStore) -> list[FutureRecord]:
+    """The record ``store.find`` gives each string leaf that names a future;
+    ``find`` registers a named field of a registered base if no layer did
+    before.
 
     Matching is exact whole-leaf equality, never substring search, so prose
-    arguments that merely mention an identifier are left alone. The ids come
-    in leaf order, once per leaf that holds one.
+    arguments that merely mention an identifier are left alone. The records
+    come in leaf order, once per leaf that names one.
     """
-    refs: list[str] = []
+    refs: list[FutureRecord] = []
 
     def leaf(node: Any, path: tuple) -> Any:
-        if isinstance(node, str) and store.find(node) is not None:
-            refs.append(node)
+        if isinstance(node, str):
+            record = store.find(node)
+            if record is not None:
+                refs.append(record)
         return node
 
     map_leaves(args, leaf)
     return refs
 
 
-def substitute_resolved(args: Any, store: FutureStore, only: Container[str]) -> Any:
-    """Replace each string leaf that is an id in ``only`` with that future's
-    resolved value; every other leaf is kept.
+def substitute_resolved(args: Any, found: Mapping[str, FutureRecord]) -> Any:
+    """Replace each string leaf that is an id in ``found`` with the resolved
+    value of the record it maps to; every other leaf is kept, literal text.
 
     Raises UnresolvedArgumentError when any such future is not in the
     Resolved state; callers wait on argument futures before substituting.
     """
 
     def leaf(node: Any, path: tuple) -> Any:
-        if isinstance(node, str) and node in only:
-            record = store.state_of(node)
+        if isinstance(node, str) and node in found:
+            record = found[node]
             if record.status != RESOLVED:
                 raise UnresolvedArgumentError(f"{node} is {record.status}, not resolved")
             return copy.deepcopy(record.value)

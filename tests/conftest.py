@@ -51,6 +51,18 @@ def strip_annotations(base: WorkloadSpec) -> WorkloadSpec:
     return spec
 
 
+def recording_tool(name, path=None, latency=1, returns=None):
+    """A tool that writes the arguments it was given to /seen/<name>, and
+    that writes the filled template ``path`` when one is given."""
+    return {
+        "schema": {"name": name, "description": "", "parameters": {}},
+        "annotation": {"writes": [{"path": path}] if path else []},
+        "latency": latency,
+        "returns": [returns if returns is not None else {}],
+        "state": {"writes": [{"path": f"/seen/{name}", "value": "{args}"}]},
+    }
+
+
 def run_fixture(name: str, mode: str, **kwargs):
     """Load a repo fixture fresh, run it, and lint the produced context."""
     trace = run_workload(load_workload(fixture_path(name)), mode, **kwargs)

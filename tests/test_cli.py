@@ -10,7 +10,7 @@ import sys
 import pytest
 
 import futurecall
-from futurecall import FutureStore, VirtualClock, load_workload
+from futurecall import load_workload
 from futurecall.cli import annotations_conflict, main
 from futurecall.errors import ValidationError
 from futurecall.scheduler import SessionState, conflicts, resolve_paths
@@ -170,6 +170,24 @@ def test_run_runtime_error_exits_3(tmp_path):
     path = tmp_path / "overflow.json"
     path.write_text(json.dumps(data))
     assert main(["run", "--workload", str(path)]) == 3
+
+
+def test_run_a_call_given_its_own_future_id_exits_0(tmp_path, capsys):
+    # A's result is fut_0, so its argument can only be literal text: a call
+    # names the futures of earlier turns alone.
+    data = {
+        "tools": [{"schema": {"name": "t", "description": "", "parameters": {}}, "latency": 1,
+                   "annotation": {"writes": [{"path": "/a/{x}"}]}}],
+        "script": [
+            {"emit": [{"id": "A", "name": "t", "args": {"x": "fut_0"}}]},
+            {"when": {"resolved": ["A"]}, "final": "x"},
+        ],
+    }
+    path = tmp_path / "own_future.json"
+    path.write_text(json.dumps(data))
+    for mode in ("async-sequential", "async-parallel"):
+        assert main(["run", "--workload", str(path), "--mode", mode]) == 0
+        assert json.loads(capsys.readouterr().out.strip().splitlines()[-1])["end_to_end"] == 3.0
 
 
 def test_compare_speedup_and_bound(tmp_path, capsys):
@@ -395,9 +413,8 @@ def test_a_template_write_conflicts_with_a_subtree_read_under_its_prefix():
     read = DependencyAnnotation(reads=[AccessDecl("/fs/src", True)])
     logs = DependencyAnnotation(writes=[AccessDecl("/logs")])
     session = SessionState()
-    store = FutureStore(VirtualClock())
-    filled = resolve_paths(write, {"path": "src/main.py"}, session, store)
-    assert conflicts(filled[0], resolve_paths(read, {}, session, store)[0])
+    filled = resolve_paths(write, {"path": "src/main.py"}, session, {})
+    assert conflicts(filled[0], resolve_paths(read, {}, session, {})[0])
     assert annotations_conflict(write, read) and annotations_conflict(read, write)
     assert not annotations_conflict(write, logs) and not annotations_conflict(logs, read)
 

@@ -17,7 +17,7 @@ from futurecall.errors import (
 )
 from futurecall.workload import CallSpec, ScriptTurn, load_workload, workload_from_json
 
-from conftest import FIXTURE_NAMES, fixture_path, no_cyclic_garbage, run_fixture
+from conftest import FIXTURE_NAMES, fixture_path, no_cyclic_garbage, recording_tool, run_fixture
 
 
 class TestFig1Schedules:
@@ -1088,3 +1088,90 @@ class TestRunTeardown:
         assert [edge.kind for edge in driver.scheduler.edges] == ["arg", "arg"]
         assert driver.calls["F1"].exec_start is not None
         assert driver.calls["F2"].dispatched_at is not None
+
+
+# -- literal future ids: a call names only the futures of earlier turns -------------
+
+
+def one_turn_literal_workload(tools, a_args, b_args):
+    """A and B in one turn, so A's result is fut_0 and B's fut_1."""
+    return workload_from_json(
+        {
+            "tools": [recording_tool("a", tools.get("a")), recording_tool("b", tools.get("b"))],
+            "script": [
+                {"emit": [{"id": "A", "name": "a", "args": a_args}, {"id": "B", "name": "b", "args": b_args}]},
+                {"when": {"resolved": ["A", "B"]}, "final": "x"},
+            ],
+        }
+    )
+
+
+def late_registration_workload():
+    """P (latency 10) is fut_0. The next turn emits X, whose template waits
+    on P's field, and Y, whose template holds the literal fut_3; Z, emitted
+    a turn later, is fut_3, and its id first names a future only then."""
+    return workload_from_json(
+        {
+            "tools": [
+                recording_tool("p", latency=10, returns={"id": "p1"}),
+                recording_tool("x", "/x/{x}"),
+                recording_tool("y", "/y/{x}"),
+                recording_tool("z"),
+            ],
+            "script": [
+                {"emit": [{"id": "P", "name": "p"}]},
+                {"emit": [{"id": "X", "name": "x", "args": {"x": "@P.id"}},
+                          {"id": "Y", "name": "y", "args": {"x": "fut_3"}}]},
+                {"emit": [{"id": "Z", "name": "z"}]},
+                {"when": {"resolved": ["P", "X", "Y", "Z"]}, "final": "x"},
+            ],
+        }
+    )
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize(
+    "template, fid",
+    [(None, "fut_0"), ("/a/{x}", "fut_0"), ("/a/{x}", "fut_1")],
+    ids=["own-argument", "own-template", "later-call-template"],
+)
+def test_a_call_given_an_id_of_its_own_turn_gets_the_text(mode, template, fid):
+    # A's own future, or B's, queued behind A, in A's template.
+    spec = one_turn_literal_workload({"a": template}, {"x": fid}, {})
+    trace = run_workload(spec, mode)
+    assert set(trace.call_status.values()) == {"done"}
+    assert trace.final_state["/seen/a"] == json.dumps({"x": fid})
+    assert trace.final_state == run_workload(spec, "sync-sequential").final_state
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_an_id_registered_after_submission_is_literal_text(mode):
+    driver = TurnDriver(late_registration_workload(), mode)
+    trace = driver.run()
+    assert set(trace.call_status.values()) == {"done"}
+    assert trace.final_state["/seen/y"] == '{"x": "fut_3"}'
+    assert trace.final_state == run_workload(late_registration_workload(), "sync-sequential").final_state
+    if mode.startswith("async"):
+        assert [label.access.path for label in driver.calls["Y"].labels] == [("y", "fut_3")]
+        assert [label.access.path for label in driver.calls["X"].labels] == [("x", "p1")]
+        assert ("Z", "Y", "arg") not in trace.edges
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize(
+    "a_args, b_args, seen",
+    [({}, {"y": "fut_0"}, "/seen/b"), ({"x": "fut_1"}, {}, "/seen/a")],
+    ids=["B-names-A", "A-names-B"],
+)
+def test_a_same_turn_future_id_is_literal_text(mode, a_args, b_args, seen):
+    spec = one_turn_literal_workload({}, a_args, b_args)
+    trace = run_workload(spec, mode)
+    serial = run_workload(spec, "sync-sequential")
+    assert set(trace.call_status.values()) == {"done"}
+    if mode == "async-sequential" and b_args:
+        # Split into one-call turns, B names A's placeholder of an earlier turn.
+        assert trace.edges == [("A", "B", "arg")]
+        assert trace.final_state[seen] == '{"y": {}}'
+    else:
+        assert [edge for edge in trace.edges if edge[2] == "arg"] == []
+        assert trace.final_state == serial.final_state

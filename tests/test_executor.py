@@ -92,7 +92,10 @@ def test_unsubstitutable_argument_fails_the_consumer_and_cancels_its_dependents(
     c = CallRecord(call_id="C", tool="t", args={"x": p.result.fid}, annotation=writes_c)
     c.result = store.state_of(store.create(owner_call="C"))
     d = CallRecord(call_id="D", tool="t", args={"y": c.result.fid}, annotation=reads_c)
-    scheduler.submit(p, c, d)
+    # Three turns: a call names only futures handed back in earlier turns.
+    scheduler.submit(p)
+    scheduler.submit(c)
+    scheduler.submit(d)
     clock.run_until(lambda: d.terminal)
     assert p.status == "done" and c.status == "failed"
     error = c.result.error

@@ -119,7 +119,7 @@ def test_waiters_woken_exactly_once():
     store, _ = make_store()
     f0, f1 = store.create(), store.create()
     calls = []
-    store.add_waiter([f0, f1], lambda: calls.append("woke"))
+    store.add_waiter([store.state_of(f0), store.state_of(f1)], lambda: calls.append("woke"))
     store.resolve(f0, 1)
     assert calls == []
     store.resolve(f1, 2)

@@ -24,7 +24,7 @@ from futurecall import (
     transform_schema,
 )
 from futurecall.cli import annotations_conflict
-from futurecall.driver import await_detection_offset
+from futurecall.driver import ASYNC_SEQUENTIAL, MODES, TurnDriver, await_detection_offset, is_async
 from futurecall.errors import ErrorInfo
 from futurecall.executor import Executor, StateStore, ToolExecutionError
 from futurecall.scheduler import (
@@ -43,7 +43,9 @@ from futurecall.scheduler import (
 )
 from futurecall.schema import DOT_PARTS, AccessDecl, FunctionSchema, ParamSpec, map_leaves
 from futurecall.trace import RunTrace
-from futurecall.workload import ToolSpec
+from futurecall.workload import ToolSpec, workload_from_json
+
+from conftest import recording_tool
 
 # -- interval properties ------------------------------------------------------
 
@@ -145,8 +147,8 @@ def test_substitute_after_resolution_reconstructs_template(template):
     base = store.create()
     futurized = futurize_output_template(template, base, store)
     store.resolve(base, template)
-    ids = set(scan_future_refs(futurized, store))
-    assert substitute_resolved(futurized, store, ids) == template
+    found = {record.fid: record for record in scan_future_refs(futurized, store)}
+    assert substitute_resolved(futurized, found) == template
 
 
 @given(st.lists(st.integers(0, 1000), max_size=8))
@@ -155,7 +157,7 @@ def test_scan_never_reports_unregistered_ids(numbers):
     registered = store.create()
     args = {"xs": [f"fut_{n + 1}" for n in numbers], "ok": registered}
     refs = scan_future_refs(args, store)
-    assert all(fid == registered for fid in refs)
+    assert all(record.fid == registered for record in refs)
 
 
 # Leaves naming fut_0, a field of it (well-formed or not), a field of an
@@ -193,7 +195,7 @@ def test_scan_registers_exactly_the_named_fields_of_a_registered_base(args):
     fields = {leaf for leaf in leaves if _well_formed_field(leaf, base)}
     refs = scan_future_refs(args, store)
     assert set(store.ids()) == {base} | fields
-    assert refs == [leaf for leaf in leaves if leaf == base or leaf in fields]
+    assert [record.fid for record in refs] == [leaf for leaf in leaves if leaf == base or leaf in fields]
 
 
 # -- schema transformation property ---------------------------------------------------
@@ -226,12 +228,12 @@ path_segments = st.lists(
 )
 
 
-def _resolved(template: str, args: dict, session: SessionState, store: FutureStore) -> list:
+def _resolved(template: str, args: dict, session: SessionState) -> list:
     accesses = []
     for subtree in (False, True):
         decl = AccessDecl(template, subtree)
         annotation = DependencyAnnotation(reads=[decl], writes=[decl])
-        accesses += resolve_paths(annotation, args, session, store)
+        accesses += resolve_paths(annotation, args, session, {})
     return accesses
 
 
@@ -240,13 +242,13 @@ def _resolved(template: str, args: dict, session: SessionState, store: FutureSto
 def test_a_filled_template_names_the_region_its_text_spells(segments, data):
     # Replace any stretch of a literal path's text by a {v} whose value is
     # that stretch: the template resolves to the literal path's accesses.
-    store, session = FutureStore(VirtualClock()), SessionState()
+    session = SessionState()
     text = "/" + "/".join(segments)
     i = data.draw(st.integers(1, len(text)))
     j = data.draw(st.integers(i, len(text)))
     template = text[:i] + "{v}" + text[j:]
-    expected = _resolved(text, {}, session, store)
-    assert _resolved(template, {"v": text[i:j]}, session, store) == expected
+    expected = _resolved(text, {}, session)
+    assert _resolved(template, {"v": text[i:j]}, session) == expected
     # The same with the path's first m segments bound to $session/b.
     m = data.draw(st.integers(0, len(segments)))
     session.bindings["b"] = "/" + "/".join(segments[:m])
@@ -254,7 +256,7 @@ def test_a_filled_template_names_the_region_its_text_spells(segments, data):
     i = data.draw(st.integers(1, len(rest)))
     j = data.draw(st.integers(i, len(rest)))
     template = "$session/b" + rest[:i] + "{v}" + rest[j:]
-    assert _resolved(template, {"v": rest[i:j]}, session, store) == expected
+    assert _resolved(template, {"v": rest[i:j]}, session) == expected
 
 
 # A template is "/" or "$session/cwd/", then segments of literal text and
@@ -282,11 +284,62 @@ bindings = st.lists(st.sampled_from(["a", "b"]), max_size=2).map(lambda s: "/" +
 @settings(max_examples=300)
 @given(template_annotations, template_annotations, fill_args, fill_args, bindings, bindings)
 def test_templates_that_conflict_when_filled_may_conflict_offline(a, b, args_a, args_b, cwd_a, cwd_b):
-    store = FutureStore(VirtualClock())
-    filled_a = resolve_paths(a, args_a, SessionState(bindings={"cwd": cwd_a}), store)
-    filled_b = resolve_paths(b, args_b, SessionState(bindings={"cwd": cwd_b}), store)
+    filled_a = resolve_paths(a, args_a, SessionState(bindings={"cwd": cwd_a}), {})
+    filled_b = resolve_paths(b, args_b, SessionState(bindings={"cwd": cwd_b}), {})
     if any(conflicts(x, y) for x in filled_a for y in filled_b):
         assert annotations_conflict(a, b) and annotations_conflict(b, a)
+
+
+# -- literal future ids -----------------------------------------------------------
+
+
+@st.composite
+def literal_id_turns(draw):
+    """2-3 turns of 1-2 calls. Call i is the i-th emitted, so its result is
+    fut_i; its ``x`` (which fills its template /c<i>/{x}) and its ``y`` leaf
+    each hold a literal fut_k, k up to two past the last call: its own id,
+    an earlier or a same-turn call's, a later call's or one never made."""
+    sizes = draw(st.lists(st.integers(1, 2), min_size=2, max_size=3))
+    n = sum(sizes)
+    ids = st.integers(0, n + 2)
+    calls = [(draw(ids), draw(ids), draw(st.integers(0, 3))) for _ in range(n)]
+    return sizes, calls
+
+
+def _literal_id_workload(sizes, calls):
+    tools = [
+        recording_tool(f"t{i}", f"/c{i}/{{x}}", latency=latency, returns=f"v{i}")
+        for i, (_, _, latency) in enumerate(calls)
+    ]
+    emits = [{"id": f"C{i}", "name": f"t{i}", "args": {"x": f"fut_{k}", "y": [f"fut_{j}"]}}
+             for i, (k, j, _) in enumerate(calls)]
+    turns = list(itertools.accumulate(sizes, initial=0))
+    script = [{"emit": emits[lo:hi]} for lo, hi in zip(turns, turns[1:])]
+    script.append({"when": {"resolved": [e["id"] for e in emits]}, "final": "x"})
+    return workload_from_json({"tools": tools, "script": script})
+
+
+@settings(max_examples=60, deadline=None)
+@given(literal_id_turns())
+def test_a_literal_id_names_a_future_only_of_an_earlier_turn(drawn):
+    sizes, calls = drawn
+    turn_of = [t for t, size in enumerate(sizes) for _ in range(size)]
+    for mode in MODES:
+        driver = TurnDriver(_literal_id_workload(sizes, calls), mode)
+        trace = driver.run()
+        assert set(trace.call_status.values()) == {"done"}
+        # Async-sequential submits each call as a turn of its own.
+        turn = (lambda i: i) if mode == ASYNC_SEQUENTIAL else turn_of.__getitem__
+
+        def arrives(i, k):
+            earlier = is_async(mode) and k < len(calls) and turn(k) < turn(i)
+            return f"v{k}" if earlier else f"fut_{k}"
+
+        for i, (k, j, _) in enumerate(calls):
+            x, y = arrives(i, k), arrives(i, j)
+            assert trace.final_state[f"/seen/t{i}"] == json.dumps({"x": x, "y": [y]}, sort_keys=True)
+            if is_async(mode):
+                assert [label.access.path for label in driver.calls[f"C{i}"].labels] == [(f"c{i}", x)]
 
 
 # -- version-chain gating against a scan of every unreleased label ----------------
@@ -466,7 +519,7 @@ def test_blocking_gates_reduce_a_scan_of_unreleased_labels(ops, durations):
             decls[mode].append(AccessDecl("/" + "/".join(segments), subtree))
         annotation = DependencyAnnotation(reads=decls[READ], writes=decls[WRITE])
         call = CallRecord(call_id=f"C{n}", tool="t", args={}, annotation=annotation)
-        accesses = resolve_paths(annotation, {}, session, store)
+        accesses = resolve_paths(annotation, {}, session, {})
 
         # The reference: every label of a call that is not terminal.
         unreleased = [lab for c in calls if not c.terminal for lab in c.labels]

@@ -101,76 +101,86 @@ class TestResolvePaths:
     def test_parameter_substitution(self):
         scheduler, store, session, _ = make_scheduler()
         ann = annotation(writes=[("/files/{name}", False)])
-        out = resolve_paths(ann, {"name": "a.txt"}, session, store)
+        out = resolve_paths(ann, {"name": "a.txt"}, session, {})
         assert ["/" + "/".join(a.path) for a in out] == ["/files/a.txt"]
 
     def test_plain_path_always_resolvable(self):
         scheduler, store, session, _ = make_scheduler()
-        out = resolve_paths(annotation(reads=[("/x", False)]), {}, session, store)
+        out = resolve_paths(annotation(reads=[("/x", False)]), {}, session, {})
         assert ["/" + "/".join(a.path) for a in out] == ["/x"]
 
     def test_pending_future_defers(self):
         scheduler, store, session, _ = make_scheduler()
         fid = store.create()
+        found = {fid: store.state_of(fid)}
         ann = annotation(writes=[("/files/{name}", False)])
-        out = resolve_paths(ann, {"name": fid}, session, store)
-        assert out is store.state_of(fid)
+        out = resolve_paths(ann, {"name": fid}, session, found)
+        assert out is found[fid]
         store.resolve(fid, "a.txt")
-        out = resolve_paths(ann, {"name": fid}, session, store)
+        out = resolve_paths(ann, {"name": fid}, session, found)
         assert ["/" + "/".join(a.path) for a in out] == ["/files/a.txt"]
 
     def test_failed_future_returns_its_settled_record(self):
         scheduler, store, session, _ = make_scheduler()
         fid = store.create(owner_call="P")
         store.fail(fid, ErrorInfo("execution-error", "boom", "P"))
-        out = resolve_paths(annotation(writes=[("/files/{name}", False)]), {"name": fid}, session, store)
-        assert out is store.state_of(fid)
+        found = {fid: store.state_of(fid)}
+        out = resolve_paths(annotation(writes=[("/files/{name}", False)]), {"name": fid}, session, found)
+        assert out is found[fid]
         assert (out.status, out.error.origin_call) == ("failed", "P")
+
+    def test_a_future_id_the_scan_did_not_record_is_literal_text(self):
+        scheduler, store, session, _ = make_scheduler()
+        fid = store.create(owner_call="P")
+        store.resolve(fid, "a.txt")
+        out = resolve_paths(annotation(writes=[("/files/{name}", False)]), {"name": fid}, session, {})
+        assert [a.path for a in out] == [("files", fid)]
 
     def test_unknown_parameter_falls_back(self):
         scheduler, store, session, _ = make_scheduler()
-        out = resolve_paths(annotation(reads=[("/x/{nope}", False)]), {}, session, store)
+        out = resolve_paths(annotation(reads=[("/x/{nope}", False)]), {}, session, {})
         assert out == scheduler_mod.fallback_accesses()
 
     def test_non_scalar_substitution_falls_back(self):
         scheduler, store, session, _ = make_scheduler()
         out = resolve_paths(
-            annotation(reads=[("/x/{v}", False)]), {"v": {"k": 1}}, session, store
+            annotation(reads=[("/x/{v}", False)]), {"v": {"k": 1}}, session, {}
         )
         assert out == scheduler_mod.fallback_accesses()
         fid = store.create()
+        found = {fid: store.state_of(fid)}
         ann = annotation(reads=[("/y", False)], writes=[("/x/{v}", False)])
-        assert resolve_paths(ann, {"v": fid}, session, store) is store.state_of(fid)
+        assert resolve_paths(ann, {"v": fid}, session, found) is found[fid]
         store.resolve(fid, ["a", "b"])
-        assert resolve_paths(ann, {"v": fid}, session, store) == scheduler_mod.fallback_accesses()
+        assert resolve_paths(ann, {"v": fid}, session, found) == scheduler_mod.fallback_accesses()
 
     def test_substituted_text_is_not_a_template(self):
         scheduler, store, session, _ = make_scheduler()
         ann = annotation(reads=[("/x/{v}-{w}", False)])
-        out = resolve_paths(ann, {"v": "{w}", "w": "z"}, session, store)
+        out = resolve_paths(ann, {"v": "{w}", "w": "z"}, session, {})
         assert ["/" + "/".join(a.path) for a in out] == ["/x/{w}-z"]
 
     def test_a_filled_value_is_split_at_slashes(self):
         scheduler, store, session, _ = make_scheduler()
         ann = annotation(writes=[("/fs/{path}", False)])
-        out = resolve_paths(ann, {"path": "src//main.py/"}, session, store)
+        out = resolve_paths(ann, {"path": "src//main.py/"}, session, {})
         assert [a.path for a in out] == [("fs", "src", "main.py")]
 
     @pytest.mark.parametrize("value", ["../etc", "./x"])
     def test_dot_segment_in_a_filled_value_falls_back(self, value):
         scheduler, store, session, _ = make_scheduler()
         ann = annotation(writes=[("/fs/{path}", False)])
-        assert resolve_paths(ann, {"path": value}, session, store) == scheduler_mod.fallback_accesses()
+        assert resolve_paths(ann, {"path": value}, session, {}) == scheduler_mod.fallback_accesses()
 
     def test_dot_segment_in_a_session_binding_falls_back(self):
         scheduler, store, session, _ = make_scheduler()
         session.bindings["cwd"] = "/ws/../x"
-        out = resolve_paths(annotation(reads=[("$session/cwd/a", False)]), {}, session, store)
+        out = resolve_paths(annotation(reads=[("$session/cwd/a", False)]), {}, session, {})
         assert out == scheduler_mod.fallback_accesses()
 
     def test_no_annotation_gets_root_fallback(self):
         scheduler, store, session, _ = make_scheduler()
-        out = resolve_paths(None, {}, session, store)
+        out = resolve_paths(None, {}, session, {})
         assert {("/" + "/".join(a.path), a.mode, a.subtree) for a in out} == {
             ("/", READ, True),
             ("/", WRITE, True),
@@ -180,7 +190,7 @@ class TestResolvePaths:
         scheduler, store, session, _ = make_scheduler()
         session.bindings["cwd"] = "/fs/home"
         ann = annotation(reads=[("$session/cwd/notes.txt", False)])
-        out = resolve_paths(ann, {}, session, store)
+        out = resolve_paths(ann, {}, session, {})
         assert ["/" + "/".join(a.path) for a in out] == ["/fs/home/notes.txt"]
 
     def test_session_path_defers_while_write_in_flight(self):
@@ -188,23 +198,23 @@ class TestResolvePaths:
         session.bindings["cwd"] = "/fs/home"
         session.reserve_write("W1")
         ann = annotation(reads=[("$session/cwd", False)])
-        assert resolve_paths(ann, {}, session, store) is session.writes[1][0]
+        assert resolve_paths(ann, {}, session, {}) is session.writes[1][0]
         session.complete_write(1, {"cwd": "/fs/other"}).open()
-        out = resolve_paths(ann, {}, session, store)
+        out = resolve_paths(ann, {}, session, {})
         assert ["/" + "/".join(a.path) for a in out] == ["/fs/other"]
 
     def test_unknown_session_binding_falls_back(self):
         scheduler, store, session, _ = make_scheduler()
         session.bindings.update(cwd=["/fs"], rel="fs/home")
         for name in ("nope", "cwd", "rel"):
-            out = resolve_paths(annotation(reads=[(f"$session/{name}/x", False)]), {}, session, store)
+            out = resolve_paths(annotation(reads=[(f"$session/{name}/x", False)]), {}, session, {})
             assert out == scheduler_mod.fallback_accesses(), name
 
     def test_session_binding_is_a_literal_path(self):
         scheduler, store, session, _ = make_scheduler()
         session.bindings["cwd"] = "/ws/{dir}"
         ann = annotation(reads=[("$session/cwd/{name}", False)])
-        out = resolve_paths(ann, {"dir": "src", "name": "a.py"}, session, store)
+        out = resolve_paths(ann, {"dir": "src", "name": "a.py"}, session, {})
         assert ["/" + "/".join(a.path) for a in out] == ["/ws/{dir}/a.py"]
 
 
@@ -792,6 +802,41 @@ class TestArgumentWork:
         assert [e for e in trace.edges if e[2] == "arg"] == [("A", "C", "arg"), ("B", "D", "arg")]
         assert counts == {"scan_future_refs": 2, "substitute_resolved": 2, "add_waiter": 2}
 
+    def test_an_argument_future_is_looked_up_once_by_the_scan(self, monkeypatch):
+        # From the second turn's submission on, the argument futures fut_0
+        # (C's "@A") and fut_1 (D's literal) are looked up only by the scan,
+        # once per leaf: the edges, the waiter, the error check and the
+        # substitution read the records it found.
+        lookups, submitted = [], []
+        submit, find, state_of = Scheduler.submit, FutureStore.find, FutureStore.state_of
+
+        def counted_submit(self, *calls, **kwargs):
+            submitted.extend(call.call_id for call in calls)
+            return submit(self, *calls, **kwargs)
+
+        def counted(name, original):
+            def lookup(self, fid):
+                if "C" in submitted and fid in ("fut_0", "fut_1"):
+                    lookups.append((name, fid))
+                return original(self, fid)
+
+            return lookup
+
+        monkeypatch.setattr(Scheduler, "submit", counted_submit)
+        monkeypatch.setattr(FutureStore, "find", counted("find", find))
+        monkeypatch.setattr(FutureStore, "state_of", counted("state_of", state_of))
+        spec = TestBindingWork().two_turns(
+            [
+                {"id": "C", "name": "t", "args": {"x": "@A"}},
+                {"id": "D", "name": "t", "args": {"y": ["fut_1"]}},
+                {"id": "E", "name": "t", "args": {"z": "A"}},
+            ]
+        )
+        trace = run_workload(spec, "async-parallel")
+        assert set(trace.call_status.values()) == {"done"}
+        assert [e for e in trace.edges if e[2] == "arg"] == [("A", "C", "arg"), ("B", "D", "arg")]
+        assert lookups == [("find", "fut_0"), ("find", "fut_1")]
+
 
 class TestAdmissionWork:
     """What a blocked head and the gates cost, counted: a head is resolved
@@ -818,8 +863,8 @@ class TestAdmissionWork:
         seen = []
         resolve = scheduler_mod.resolve_paths
 
-        def counted(annotation, args, session, store):
-            out = resolve(annotation, args, session, store)
+        def counted(annotation, args, session, found):
+            out = resolve(annotation, args, session, found)
             if args.get("who") == call_id:
                 seen.append(out)
             return out

@@ -124,7 +124,7 @@ def test_scan_finds_registered_refs_only():
     base = s.create()
     s.create_field(base, "engineState")
     refs = scan_future_refs({"mode": f"{base}.engineState"}, s)
-    assert refs == [f"{base}.engineState"]
+    assert refs == [s.state_of(f"{base}.engineState")]
     assert scan_future_refs({"mode": "eco"}, s) == []
 
 
@@ -132,7 +132,7 @@ def test_scan_filters_unregistered_ids():
     s = store()
     f0 = s.create()
     refs = scan_future_refs({"xs": [f0, 3, "fut_9"]}, s)
-    assert refs == [f0]
+    assert refs == [s.state_of(f0)]
 
 
 def test_scan_requires_exact_leaf_match():
@@ -141,34 +141,35 @@ def test_scan_requires_exact_leaf_match():
     assert scan_future_refs({"note": f"please use {f0} here"}, s) == []
 
 
-def ref_ids(args, s):
-    """The future ids a call with these arguments would wait on."""
-    return set(scan_future_refs(args, s))
+def found_in(args, s):
+    """The records a call with these arguments would wait on, by id."""
+    return {record.fid: record for record in scan_future_refs(args, s)}
 
 
 def test_substitute_resolved_replaces_values():
     s = store()
     base = s.create()
     s.resolve(base, {"engineState": "running"})
-    out = substitute_resolved({"mode": f"{base}.engineState"}, s, {f"{base}.engineState"})
+    field = s.state_of(f"{base}.engineState")
+    out = substitute_resolved({"mode": field.fid}, {field.fid: field})
     assert out == {"mode": "running"}
 
 
 def test_substitute_identity_without_refs():
     s = store()
     args = {"mode": "eco", "xs": [1, {"k": "v"}]}
-    assert substitute_resolved(args, s, ref_ids(args, s)) == args
+    assert substitute_resolved(args, found_in(args, s)) == args
 
 
 def test_substitute_rejects_unresolved():
     s = store()
     pending = s.create()
     with pytest.raises(UnresolvedArgumentError):
-        substitute_resolved({"x": pending}, s, {pending})
+        substitute_resolved({"x": pending}, {pending: s.state_of(pending)})
     cancelled = s.create()
     s.cancel(cancelled, ErrorInfo("cancelled-dependency", "cancelled because C0 failed", "C0"))
     with pytest.raises(UnresolvedArgumentError):
-        substitute_resolved({"x": cancelled}, s, {cancelled})
+        substitute_resolved({"x": cancelled}, {cancelled: s.state_of(cancelled)})
 
 
 def test_substitute_after_futurize_reconstructs_value():
@@ -178,4 +179,4 @@ def test_substitute_after_futurize_reconstructs_value():
     futurized = futurize_output_template(template, base, s)
     value = {"a": {"b": 10}, "xs": [20, 30], "name": "n"}
     s.resolve(base, value)
-    assert substitute_resolved(futurized, s, ref_ids(futurized, s)) == value
+    assert substitute_resolved(futurized, found_in(futurized, s)) == value
