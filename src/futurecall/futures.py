@@ -10,16 +10,19 @@ base's status and its ``ErrorInfo``.
 The store holds only what the model can name: call results and their fields.
 Waiting is one primitive, ``Latch``: a ``done`` flag plus waiters, each a
 countdown over the latches it waits on that runs its callback when the last
-one opens. A future record is a latch that opens on its terminal transition
-and holds the outcome; the scheduler's access-label and session-version
-gates are plain latches it opens itself.
+one opens. A latch holds its waiters in a list only once something waits on
+it; until then, and again once it opens, they are the shared empty tuple. A
+future record is a latch that opens on its terminal transition and holds
+the outcome, and a base's ``fields`` start as that tuple too. The
+scheduler's access labels are latches themselves, and its session-version
+gates plain latches; it opens both itself.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable
+from typing import AbstractSet, Any, Callable, Iterable
 
 from .errors import (
     EXECUTION_ERROR,
@@ -68,19 +71,23 @@ class _Waiter:
 class Latch:
     """A one-shot event: ``done`` flips once, and the waiters registered
     before then count it down in registration order. A waiter registered
-    with ``last`` runs after the others, when the opening is done."""
+    with ``last`` runs after the others, when the opening is done.
+    ``waiters`` is the shared empty tuple until the first waiter comes."""
 
     __slots__ = ("done", "waiters")
 
     def __init__(self):
         self.done = False
-        self.waiters: list[_Waiter] = []
+        self.waiters: list[_Waiter] | tuple[()] = ()
 
     def open(self) -> None:
         if self.done:
             raise AlreadyTerminalError("latch is already open")
         self.done = True
-        waiters, self.waiters = self.waiters, []
+        waiters = self.waiters
+        if not waiters:
+            return
+        self.waiters = ()
         late = []
         for waiter in waiters:
             waiter.remaining -= 1
@@ -102,7 +109,10 @@ def when_all(latches: Iterable[Latch], callback: Callable[[], None], last: bool 
         return
     waiter = _Waiter(len(pending), callback, last)
     for latch in pending:
-        latch.waiters.append(waiter)
+        if latch.waiters:
+            latch.waiters.append(waiter)
+        else:
+            latch.waiters = [waiter]
 
 
 class FutureRecord(Latch):
@@ -110,7 +120,8 @@ class FutureRecord(Latch):
     transition. ``status`` is pending, with ``value`` and ``error`` None,
     until then; a failed or cancelled future's ``error`` names the call that
     failed. ``path`` is a field's dotted path, None for a base, and a base's
-    ``fields`` are its registered field records in registration order."""
+    ``fields`` are its registered field records in registration order: the
+    shared empty tuple until the first one."""
 
     __slots__ = ("fid", "owner_call", "path", "status", "value", "error", "fields")
 
@@ -122,7 +133,7 @@ class FutureRecord(Latch):
         self.status = PENDING
         self.value: Any = None
         self.error: ErrorInfo | None = None
-        self.fields: list[FutureRecord] = []
+        self.fields: list[FutureRecord] | tuple[()] = ()
 
 
 class FutureStore:
@@ -172,7 +183,10 @@ class FutureStore:
         if fid in self._records:
             return fid
         field = self._records[fid] = FutureRecord(fid, base_rec.owner_call, path)
-        base_rec.fields.append(field)
+        if base_rec.fields:
+            base_rec.fields.append(field)
+        else:
+            base_rec.fields = [field]
         if base_rec.done:
             self._settle_field(field, base_rec)
         return fid
@@ -188,15 +202,20 @@ class FutureStore:
 
     # -- lookup ----------------------------------------------------------
 
-    def find(self, fid: str) -> FutureRecord | None:
+    def find(self, fid: str, hidden: AbstractSet[str] = frozenset()) -> FutureRecord | None:
         """A registered id's record; for a well-formed field id of a
         registered base, the field, registered now if no layer named it
-        before (``create_field``); None for anything else."""
+        before (``create_field``); None for anything else. An id of a
+        future that a call in ``hidden`` owns is None as well, and a field
+        of one is not registered."""
         rec = self._records.get(fid)
         if rec is None and looks_like_future_id(fid):
             base, dot, path = fid.partition(".")
-            if dot and base in self._records:
+            base_rec = self._records.get(base) if dot else None
+            if base_rec is not None and base_rec.owner_call not in hidden:
                 rec = self._records[self.create_field(base, path)]
+        if rec is not None and rec.owner_call in hidden:
+            return None
         return rec
 
     def state_of(self, fid: str) -> FutureRecord:
@@ -243,7 +262,7 @@ class FutureStore:
         """Forget every waiter on a future that never settled, as a run
         that raised leaves them."""
         for rec in self._records.values():
-            rec.waiters.clear()
+            rec.waiters = ()
 
     def wait_for(self, fids: list[str]) -> dict[str, FutureRecord]:
         """Suspend until every id is terminal, then return each id's record

@@ -2,26 +2,26 @@
 
 Decoded calls enter a FIFO admission queue. The head is admitted once its
 resource path templates resolve (argument- and session-parameterized segments
-included). Admission registers read/write access labels, each with a gate:
-a scheduler-side latch, never a future the model can see. The gates of the
+included). Admission registers read/write access labels. A label is its own
+gate: a scheduler-side latch, never a future the model can see. The
 conflicting labels in the index become the call's blocking dependencies.
-Completing (or cancelling) a call releases its labels, which opens the gates.
+Completing (or cancelling) a call releases its labels, which opens them.
 
 Gating follows version chains: a read waits on the last writer of its region,
 and a write waits on the last writer and the readers since. On admission,
 each write access supersedes the labels that lie inside its region: they
 leave the index, and every later access that would have conflicted with
-them conflicts with the write, so it waits on them through the write's gate.
+them conflicts with the write, so it waits on them through the write's label.
 The recorded edges are thus a subset of those that gating on every
 unreleased conflicting label would record, with the same transitive closure:
 conflicting operations are ordered along each region's version chain
 (Bernstein, Hadzilacos & Goodman, "Concurrency Control and Recovery in
-Database Systems", 1987, ch. 5). A superseded label's gate still opens
-when its owner releases. A cancelled call never writes, so its labels leave
-the index at once and the labels they superseded come back while their
-owners have not released; a label's gate then opens once the gates of
-the labels it superseded are open, since calls admitted before the
-cancellation wait on those only through it.
+Database Systems", 1987, ch. 5). A superseded label still opens when its
+owner releases. A cancelled call never writes, so its labels leave the
+index at once and the labels they superseded come back while their owners
+have not released; a label then opens once the labels it superseded are
+open, since calls admitted before the cancellation wait on those only
+through it.
 
 Everything is event-driven. A decoded turn is submitted whole, and one
 pass dispatches what its admissions readied. A call whose blocking gates
@@ -70,20 +70,22 @@ DONE = "done"
 TERMINAL_STATUSES = {DONE, FAILED, CANCELLED}
 
 
-@dataclass(slots=True)
-class AccessLabel:
-    """A live access registered in the state tree, with the gate that opens
-    when its owner releases it.
+class AccessLabel(Latch):
+    """A live access registered in the state tree. The label is itself the
+    gate on it: a latch that opens when its owner releases it.
 
     ``seq`` is the label's registration order within its scheduler.
     ``replaced`` holds the labels a write superseded on admission.
     """
 
-    access: Access
-    owner: str
-    gate: Latch
-    seq: int
-    replaced: Sequence["AccessLabel"] = field(default=(), compare=False, repr=False)
+    __slots__ = ("access", "owner", "seq", "replaced")
+
+    def __init__(self, access: Access, owner: str, seq: int, replaced: Sequence[AccessLabel] = ()):
+        super().__init__()
+        self.access = access
+        self.owner = owner
+        self.seq = seq
+        self.replaced = replaced
 
 
 def regions_overlap(a: Access, b: Access) -> bool:
@@ -143,7 +145,12 @@ class _PathNode:
 class LabelIndex:
     """Unsuperseded live labels by path: a lookup touches the path's depth,
     the nodes below a subtree access and the labels it returns; iteration
-    yields labels in registration order."""
+    yields labels in registration order.
+
+    ``remove`` and ``supersede`` prune on the walk they make to the label's
+    node: a branch left with neither labels nor children is cut below the
+    deepest node on the path that keeps either, so subtree walks only ever
+    see live state."""
 
     def __init__(self):
         self._root = _PathNode()
@@ -163,31 +170,42 @@ class LabelIndex:
         node.labels.setdefault(key, {})[label.seq] = label
         self._live[label.seq] = label
 
+    def _walk(self, path: tuple[str, ...]) -> tuple[_PathNode | None, _PathNode, str | None]:
+        """The node at ``path``, None if there is none, and where to cut its
+        branch once it is left empty: the deepest node above it that has
+        labels or another child, and that node's segment on the path (None
+        for the root, which stays)."""
+        node = self._root
+        keep, cut = node, None
+        for segment in path:
+            if cut is None or node.labels or len(node.children) > 1:
+                keep, cut = node, segment
+            node = node.children.get(segment)
+            if node is None:
+                break
+        return node, keep, cut
+
     def remove(self, label: AccessLabel) -> None:
         """Drop a label; one a later write already superseded is gone."""
         if self._live.pop(label.seq, None) is None:
             return
         access = label.access
-        node = self._root
-        for segment in access.path:
-            node = node.children[segment]
+        node, keep, cut = self._walk(access.path)
         key = (access.mode, access.subtree)
         labels = node.labels[key]
         del labels[label.seq]
         if not labels:
             del node.labels[key]
-            if not node.labels and not node.children:
-                self._prune(access.path)
+            if not node.labels and not node.children and cut is not None:
+                del keep.children[cut]
 
     def supersede(self, write: Access) -> list[AccessLabel]:
         """Drop and return every label inside the write access's region: the
         non-subtree labels at its path or, for a subtree write, every label
         at or below its path."""
-        node = self._root
-        for segment in write.path:
-            node = node.children.get(segment)
-            if node is None:
-                return []
+        node, keep, cut = self._walk(write.path)
+        if node is None:
+            return []
         if write.subtree:
             groups = [labels for below in (node, *node.descendants()) for labels in below.labels.values()]
             node.labels, node.children = {}, {}
@@ -196,8 +214,8 @@ class LabelIndex:
         dropped = [label for labels in groups for label in labels.values()]
         for label in dropped:
             del self._live[label.seq]
-        if not node.labels and not node.children:
-            self._prune(write.path)
+        if not node.labels and not node.children and cut is not None:
+            del keep.children[cut]
         return dropped
 
     def restore(self, labels: list[AccessLabel]) -> None:
@@ -208,21 +226,6 @@ class LabelIndex:
             self.add(label)
         if fresh:
             self._live = dict(sorted(self._live.items()))
-
-    def _prune(self, segments: tuple[str, ...]) -> None:
-        """Drop the nodes along the path left with neither labels nor
-        children, so subtree walks only ever see live state."""
-        trail = [self._root]
-        for segment in segments:
-            node = trail[-1].children.get(segment)
-            if node is None:
-                break
-            trail.append(node)
-        for depth in range(len(trail) - 1, 0, -1):
-            node = trail[depth]
-            if node.labels or node.children:
-                break
-            del trail[depth - 1].children[segments[depth - 1]]
 
     def overlapping(self, access: Access) -> list[AccessLabel]:
         """Live labels that may conflict with the access: subtree labels on
@@ -354,7 +357,7 @@ class CallRecord:
         return QUEUED if self.admitted_at is None else ADMITTED
 
 
-# A consumer waits on an argument future, on a conflicting access label's gate
+# A consumer waits on an argument future, on a conflicting access label
 # (read/write after write, write after read) or on a session binding's write.
 EDGE_KINDS = frozenset({"arg", "gate-raw", "gate-waw", "gate-war", "session-raw", "session-waw"})
 # The kinds that carry a failed call's effect to its consumer.
@@ -487,7 +490,8 @@ class Scheduler:
         call's argument edges are recorded once the calls ahead of it are
         admitted as far as the queue head allows, after their gate edges.
         A call's arguments can name only futures of earlier turns: an id
-        whose future a call of this turn owns stays literal text.
+        whose future a call of this turn owns stays literal text, and a
+        field id of one registers no field.
         ``scan[i]`` false skips the search of the i-th call's ``args`` for
         future ids, for a caller that knows none can be there: the call
         then has no argument futures and no argument edges. Without
@@ -521,14 +525,13 @@ class Scheduler:
         return calls[-1].result.fid
 
     def _record_argument_edges(self, call: CallRecord, turn_ids: AbstractSet[str]) -> None:
-        """Fill ``argument_futures`` by the one scan of the arguments, less
-        the futures of the call's own turn, with one ``arg`` edge per producer."""
+        """Fill ``argument_futures`` by the one scan of the arguments, which
+        passes over the futures of the call's own turn and registers no
+        field of them, with one ``arg`` edge per producer."""
         found: dict[str, FutureRecord] = {}
         producers: set[str] = set()
-        for record in scan_future_refs(call.args, self.store):
+        for record in scan_future_refs(call.args, self.store, turn_ids):
             producer = record.owner_call
-            if producer in turn_ids:
-                continue
             found[record.fid] = record
             if producer and producer not in producers:
                 producers.add(producer)
@@ -595,7 +598,7 @@ class Scheduler:
         replaced = [index.supersede(access) if access.mode == WRITE else () for access in accesses]
         labels = call.labels = []
         for access, dropped in zip(accesses, replaced):
-            label = AccessLabel(access, call.call_id, Latch(), next(self._seq), dropped)
+            label = AccessLabel(access, call.call_id, next(self._seq), dropped)
             labels.append(label)
             index.add(label)
         call.admitted_at = now
@@ -606,8 +609,8 @@ class Scheduler:
             self._ready.append(entry)
 
     def blocking_gates(self, call: CallRecord, accesses: list[Access]) -> set[Latch]:
-        """Gates of every indexed conflicting label, plus the preceding
-        session gate. The index holds only unsuperseded labels, so these are
+        """Every indexed conflicting label, plus the preceding session
+        gate. The index holds only unsuperseded labels, so these are
         the last writer and the readers since on each region accessed.
 
         Gates and edges are recorded in label registration order, then
@@ -628,7 +631,7 @@ class Scheduler:
         recorded: set[tuple[str, str]] = set()
         edges = self.edges
         for _, index, label in hits:
-            gates.add(label.gate)
+            gates.add(label)
             key = (label.owner, _GATE_EDGE_KINDS[label.access.mode, accesses[index].mode])
             if key not in recorded:
                 recorded.add(key)
@@ -664,14 +667,14 @@ class Scheduler:
             self.pump()
 
     def release(self, call: CallRecord) -> None:
-        """Open each of a terminal call's label gates, then drop the label if
-        it is still indexed; a superseded label has already left the index.
-        A gate that readies a call runs its own pass, so nothing is left for
-        one here.
+        """Open each of a terminal call's labels, then drop the label if it
+        is still indexed; a superseded label has already left the index.
+        A label that readies a call runs its own pass, so nothing is left
+        for one here.
 
         A done session writer's result advances the session, and its version
-        gate opens before its label gates; a failed or cancelled writer's
-        opens after them."""
+        gate opens before its labels; a failed or cancelled writer's opens
+        after them."""
         if not call.terminal:
             raise NotTerminalError(f"{call.call_id} is {call.status}")
         if call.released:
@@ -682,8 +685,8 @@ class Scheduler:
             self._end_session_write(version, call.result.value)
         index = self.label_index
         for label in call.labels:
-            if not label.gate.done:
-                self._open(label.gate)
+            if not label.done:
+                self._open(label)
             index.remove(label)
         if version is not None and call.status != DONE:
             self._end_session_write(version)
@@ -694,13 +697,13 @@ class Scheduler:
             self._open(gate)
 
     def unopened_gates(self) -> list[str]:
-        """The label and session gates still shut, by owner and access; at
+        """The labels and session gates still shut, by owner and access; at
         drain time every one of them is a leak."""
         shut = [
             f"{label.owner} {label.access.mode} /{'/'.join(label.access.path)}"
             for call in self.calls.values()
             for label in call.labels
-            if not label.gate.done
+            if not label.done
         ]
         for version, (gate, _) in enumerate(self.session.writes):
             if not gate.done:
@@ -708,14 +711,14 @@ class Scheduler:
         return shut
 
     def drop_waiters(self) -> None:
-        """Forget the waiters on every gate and future that never opened, as
-        a run that raised leaves them: their callbacks hold this scheduler
-        or its executor."""
+        """Forget the waiters on every label, gate and future that never
+        opened, as a run that raised leaves them: their callbacks hold this
+        scheduler or its executor."""
         for call in self.calls.values():
             for label in call.labels:
-                label.gate.waiters.clear()
+                label.waiters = ()
         for gate, _ in self.session.writes:
-            gate.waiters.clear()
+            gate.waiters = ()
         self.store.drop_waiters()
 
     # -- cancellation support ------------------------------------------------------
@@ -723,8 +726,7 @@ class Scheduler:
     def mark_cancelled(self, call: CallRecord, origin_call: str) -> None:
         """Terminal cancellation because ``origin_call`` failed: cancels the
         result future with that error and withdraws the call's labels at
-        once; each label gate opens once the gates of the labels it
-        superseded are open."""
+        once; each label opens once the labels it superseded are open."""
         if call.terminal:
             return
         error = ErrorInfo(CANCELLED_DEPENDENCY, f"cancelled because {origin_call} failed", origin_call)
@@ -738,9 +740,8 @@ class Scheduler:
         The call never writes, so its labels leave the index at once and the
         superseded labels whose owners have not released go back: calls
         admitted from now on gate on those directly. Calls admitted earlier
-        wait on them only through this call's labels, so each label's gate,
-        like the call's session version, opens once what it replaced is
-        open. ``replaced`` is narrowed to those labels, so a later walk
+        wait on them only through this call's labels, so each label, like
+        the call's session version, opens once what it replaced is open. ``replaced`` is narrowed to those labels, so a later walk
         through this call takes one step.
         """
         call.released = True
@@ -761,7 +762,7 @@ class Scheduler:
             back.update(found)
         index.restore(list(back.values()))
         for label in call.labels:
-            when_all([old.gate for old in label.replaced], lambda gate=label.gate: self._open(gate))
+            when_all(label.replaced, lambda label=label: self._open(label))
         version = call.session_version
         if version is not None:
             previous = self.session.writes[version - 1][0]

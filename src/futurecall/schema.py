@@ -14,7 +14,7 @@ import json
 import re
 from dataclasses import dataclass, field, replace
 from types import NoneType
-from typing import Any, Callable, Mapping
+from typing import AbstractSet, Any, Callable, Mapping
 
 from .errors import (
     BadPathTemplateError,
@@ -371,10 +371,11 @@ def futurize_output_template(example: Any, base: str, store: FutureStore) -> Any
     return map_leaves(example, leaf)
 
 
-def scan_future_refs(args: Any, store: FutureStore) -> list[FutureRecord]:
+def scan_future_refs(args: Any, store: FutureStore, hidden: AbstractSet[str] = frozenset()) -> list[FutureRecord]:
     """The record ``store.find`` gives each string leaf that names a future;
     ``find`` registers a named field of a registered base if no layer did
-    before.
+    before. A leaf naming a future that a call in ``hidden`` owns, or a
+    field of one, names none, and registers nothing.
 
     Matching is exact whole-leaf equality, never substring search, so prose
     arguments that merely mention an identifier are left alone. The records
@@ -384,7 +385,7 @@ def scan_future_refs(args: Any, store: FutureStore) -> list[FutureRecord]:
 
     def leaf(node: Any, path: tuple) -> Any:
         if isinstance(node, str):
-            record = store.find(node)
+            record = store.find(node, hidden)
             if record is not None:
                 refs.append(record)
         return node

@@ -1175,3 +1175,25 @@ def test_a_same_turn_future_id_is_literal_text(mode, a_args, b_args, seen):
     else:
         assert [edge for edge in trace.edges if edge[2] == "arg"] == []
         assert trace.final_state == serial.final_state
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_a_field_id_of_a_same_turn_future_registers_no_field(mode):
+    # A returns {"a": 1} and is given the field id of its own result: the
+    # text reaches A, and no boundary binds a field the model never received.
+    spec = workload_from_json(
+        {
+            "tools": [recording_tool("a", returns={"a": 1})],
+            "script": [
+                {"emit": [{"id": "A", "name": "a", "args": {"x": "fut_0.a"}}]},
+                {"when": {"resolved": ["A"]}, "final": "x"},
+            ],
+        }
+    )
+    driver = TurnDriver(spec, mode)
+    trace = driver.run()
+    assert set(trace.call_status.values()) == {"done"}
+    assert trace.final_state["/seen/a"] == '{"x": "fut_0.a"}'
+    assert driver.store.ids() == ["fut_0"]
+    bound = [m.content["resolved_futures"] for m in binding_messages(trace)]
+    assert bound == ([] if mode.startswith("sync") else [{"fut_0": {"a": 1}}])

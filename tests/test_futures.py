@@ -9,7 +9,10 @@ from futurecall.futures import (
     FAILED,
     PENDING,
     RESOLVED,
+    FutureRecord,
+    Latch,
     extract_field,
+    when_all,
 )
 
 
@@ -208,6 +211,59 @@ def test_find_refuses_what_names_no_record_and_registers_nothing(text):
     with pytest.raises(UnknownFutureError):
         store.state_of(text)
     assert store.ids() == ["fut_0"]
+
+
+def test_find_hides_the_futures_of_hidden_owners_and_registers_no_field_of_them():
+    store, _ = make_store()
+    mine, other = store.create(owner_call="A"), store.create(owner_call="B")
+    assert store.find(mine, {"A"}) is None
+    assert store.find(f"{mine}.a", {"A"}) is None
+    assert store.find(f"{other}.a", {"A"}).owner_call == "B"
+    assert store.ids() == [mine, other, f"{other}.a"]
+    assert store.find(mine).owner_call == "A"
+
+
+# -- lazy waiter and field lists ------------------------------------------------------
+
+
+def test_a_fresh_latch_or_record_holds_the_shared_empty_tuple():
+    record = FutureRecord("fut_0")
+    assert Latch().waiters == ()
+    assert record.waiters == () and record.fields == ()
+
+
+def test_the_first_waiter_makes_a_list_and_opening_puts_the_tuple_back():
+    latch, fired = Latch(), []
+    when_all([latch], lambda: fired.append(1))
+    assert isinstance(latch.waiters, list) and len(latch.waiters) == 1
+    latch.open()
+    assert fired == [1]
+    assert latch.waiters == ()
+
+
+def test_a_waiter_on_an_open_latch_makes_no_list():
+    latch, fired = Latch(), []
+    latch.open()
+    when_all([latch], lambda: fired.append(1))
+    assert fired == [1] and latch.waiters == ()
+
+
+def test_the_first_field_makes_the_base_a_list_and_a_field_holds_none():
+    store, _ = make_store()
+    fid = store.create()
+    field_id = store.create_field(fid, "a")
+    base = store.state_of(fid)
+    assert base.fields == [store.state_of(field_id)]
+    assert store.state_of(field_id).fields == ()
+
+
+def test_drop_waiters_leaves_the_empty_tuple():
+    store, _ = make_store()
+    fid = store.create()
+    store.add_waiter([store.state_of(fid)], lambda: None)
+    assert len(store.state_of(fid).waiters) == 1
+    store.drop_waiters()
+    assert store.state_of(fid).waiters == ()
 
 
 def test_extract_field():

@@ -528,7 +528,7 @@ def test_blocking_gates_reduce_a_scan_of_unreleased_labels(ops, durations):
         for label in unreleased:
             for access in accesses:
                 if conflicts(label.access, access):
-                    gates.add(label.gate)
+                    gates.add(label)
                     edges.add((label.owner, call.call_id, _scan_edge_kind(label.access.mode, access.mode)))
         indexed = scheduler.live_labels
         assert [lab.seq for lab in indexed] == sorted(lab.seq for lab in indexed)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 from collections import Counter
 
 import pytest
@@ -14,6 +15,7 @@ from futurecall.errors import (
     LeakedFutureError,
     NotTerminalError,
 )
+from futurecall.futures import Latch
 from futurecall.schema import AccessDecl
 from futurecall.workload import workload_from_json
 from futurecall.scheduler import (
@@ -279,7 +281,7 @@ class TestBlockingGates:
         c2 = call("F2", annotation(reads=[("/a", False)]))
         scheduler.submit(c1)
         scheduler.submit(c2)
-        assert c2.blocking_gates == {c1.labels[0].gate}
+        assert c2.blocking_gates == {c1.labels[0]}
         assert ("F1", "F2", "gate-raw") in [
             (e.producer, e.consumer, e.kind) for e in scheduler.edges
         ]
@@ -576,6 +578,24 @@ class TestWorkGrowth:
         assert counts["conflicts"] == len(trace.edges) <= 2 * n
         assert counts["state_of"] <= 4 * n
 
+    def test_a_drained_burst_turn_keeps_no_latch_but_its_labels_records_and_session_gates(self):
+        # A label is its own gate, and a latch or record holds a list only
+        # once a waiter or field comes: here none is left once all open.
+        gc.collect()
+        before = {id(obj): obj for obj in gc.get_objects() if isinstance(obj, Latch)}
+        driver = TurnDriver(self.burst_turn([f"C{k}" for k in range(256)]), "async-parallel")
+        trace = driver.run()
+        assert set(trace.call_status.values()) == {"done"}
+        labels = [label for call in driver.scheduler.calls.values() for label in call.labels]
+        records = [driver.store.state_of(fid) for fid in driver.store.ids()]
+        session = [gate for gate, _ in driver.session.writes]
+        kept = {id(latch) for latch in labels + records + session}
+        alive = [obj for obj in gc.get_objects() if isinstance(obj, Latch) and id(obj) not in before]
+        assert [type(obj).__name__ for obj in alive if id(obj) not in kept] == []
+        assert len(labels) == 16 + 2 * 240 and len(records) == 256
+        assert all(latch.waiters == () for latch in labels + records + session)
+        assert all(record.fields == () for record in records)
+
     @pytest.mark.parametrize("n", [64, 256])
     def test_trigger_wait_binds_every_outcome_at_one_boundary(self, n):
         # The calls settle at many instants while the final answer waits on
@@ -815,10 +835,10 @@ class TestArgumentWork:
             return submit(self, *calls, **kwargs)
 
         def counted(name, original):
-            def lookup(self, fid):
+            def lookup(self, fid, *rest):
                 if "C" in submitted and fid in ("fut_0", "fut_1"):
                     lookups.append((name, fid))
-                return original(self, fid)
+                return original(self, fid, *rest)
 
             return lookup
 
