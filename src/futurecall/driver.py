@@ -530,9 +530,10 @@ class TurnDriver:
         ``@Fk`` references are bound only in calls whose ``spec.refs``
         (filled when the turn was checked) names any; every other call keeps
         its spec's arguments, shared and never written: a tool behavior gets
-        its own copy. Async modes then submit the calls to the scheduler and
-        answer each with a placeholder; sync modes run the turn as one batch
-        and answer each call with its outcome.
+        its own copy, and the assistant message carries its spec itself.
+        Async modes then submit the calls to the scheduler and answer each
+        with a placeholder; sync modes run the turn as one batch and answer
+        each call with its outcome.
         """
         self._decode(turn.decode_time)
         bind = self._ref_future if is_async(self.mode) else self._ref_outcome
@@ -557,7 +558,10 @@ class TurnDriver:
             Message(
                 role="assistant",
                 content="",
-                tool_calls=[CallSpec(r.call_id, r.tool, r.args) for r in records],
+                tool_calls=[
+                    spec if r.args is spec.args else CallSpec(spec.call_id, spec.name, r.args)
+                    for spec, r in zip(turn.emit, records)
+                ],
             )
         )
         if is_async(self.mode):

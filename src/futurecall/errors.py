@@ -63,10 +63,6 @@ class NotTerminalError(FuturecallError):
     pass
 
 
-class GatesPendingError(FuturecallError):
-    pass
-
-
 # -- simulation ----------------------------------------------------------------
 
 class EmptyQueueError(FuturecallError):

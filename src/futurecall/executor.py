@@ -1,10 +1,11 @@
 """Workers that run dispatched calls and propagate failures.
 
-Each dispatched call gets an independent worker. A call without argument
-futures goes straight from dispatched to running, with no waiter, and hands
-its tool behavior a plain copy of its arguments. Any other call first awaits
-the argument futures the scheduler recorded at submission; that wait is
-non-blocking, so a call parked on its arguments never delays other
+Each dispatched call gets an independent worker; the scheduler hands over
+only calls that are not terminal and whose gates are open. A call without
+argument futures goes straight from dispatched to running, with no waiter,
+and hands its tool behavior a plain copy of its arguments. Any other call
+first awaits the argument futures the scheduler recorded at submission; that
+wait is non-blocking, so a call parked on its arguments never delays other
 dispatchable calls. Exactly the recorded futures are then substituted by
 their values, read off the records the scheduler holds, so no argument id
 is looked up again. A string leaf that names a future of the call's own
@@ -31,7 +32,7 @@ from __future__ import annotations
 from collections import deque
 from typing import TYPE_CHECKING, Any
 
-from .errors import EXECUTION_ERROR, ErrorInfo, GatesPendingError
+from .errors import EXECUTION_ERROR, ErrorInfo
 from .futures import FutureStore
 from .scheduler import PROPAGATING_EDGE_KINDS, CallRecord, Scheduler
 from .schema import copy_json, substitute_resolved
@@ -100,13 +101,8 @@ class Executor:
     # -- dispatch ---------------------------------------------------------------
 
     def dispatch(self, call: CallRecord) -> None:
-        """Dispatch a call whose gates are open. One without argument
+        """Dispatch a call the scheduler readied. One without argument
         futures starts running at once, on a copy of its arguments."""
-        if call.terminal:
-            return
-        shut = sum(1 for gate in call.blocking_gates if not gate.done)
-        if shut:
-            raise GatesPendingError(f"{call.call_id}: {shut} blocking gates still shut")
         now = call.dispatched_at = self.clock.now()
         if call.argument_futures:
             self.store.add_waiter(call.argument_futures.values(), lambda: self._on_arguments_ready(call))

@@ -27,7 +27,9 @@ Everything is event-driven. A decoded turn is submitted whole, and one
 pass dispatches what its admissions readied. A call whose blocking gates
 are all open at admission is queued for dispatch at once, with no waiter;
 otherwise one waiter on its gates queues it once the last gate opens, and
-the pass that dispatches it runs only then. A head that cannot resolve its
+the pass that dispatches it runs only then; that waiter alone holds the
+gates. A pass skips each call that is terminal when it reaches it. A head
+that cannot resolve its
 paths yet waits on the one input it needs, a pending argument future that
 its submission recorded or the in-flight session write's gate, and is not
 looked at again until that input is settled.
@@ -262,7 +264,8 @@ class SessionState:
     ``writes[v]`` is version v's (gate, owner call id): the gate opens when
     that write finishes. Version 0 is the starting context, its gate open
     and its owner None. Each write waits on the gate before its own, so the
-    gates open in version order. Bindings name session resources for
+    gates open in version order: the newest write is in flight while
+    ``writes[-1]``'s gate is shut. Bindings name session resources for
     ``$session/...`` path templates.
     """
 
@@ -274,24 +277,9 @@ class SessionState:
         initial.open()
         self.writes.append((initial, None))
 
-    def latest_gate(self) -> Latch:
-        return self.writes[-1][0]
-
     def reserve_write(self, owner: str) -> int:
         self.writes.append((Latch(), owner))
         return len(self.writes) - 1
-
-    @property
-    def writes_in_flight(self) -> bool:
-        return not self.latest_gate().done
-
-    def complete_write(self, version: int, result: Any = None) -> Latch:
-        """Return a finished write's gate, for the caller to open. A done
-        writer's dict result is merged into the bindings by key; a failed
-        or cancelled writer passes none."""
-        if isinstance(result, dict):
-            self.bindings.update(result)
-        return self.writes[version][0]
 
 
 # Shared by every call that names no future; being unhashable, a mapping
@@ -312,9 +300,10 @@ class CallRecord:
     turn (its own future included) or one registered after submission is
     literal text. Path templates are filled from this map, and the executor
     waits on and substitutes exactly these records; no layer looks an
-    argument id up again. ``blocking_gates``, ``argument_futures`` and
-    ``labels`` start as shared empty values; submission and admission assign
-    their own, and nothing changes them in place.
+    argument id up again. ``argument_futures`` and ``labels`` start as
+    shared empty values; submission and admission assign their own, and
+    nothing changes them in place. Only the waiter that readies the call
+    holds its blocking gates.
 
     ``status`` and ``terminal`` are read off the stamps and ``result``: the
     call is terminal once its result future settles, and its status is then
@@ -330,7 +319,6 @@ class CallRecord:
     result: FutureRecord | None = None
     invocation_index: int = 0
     turn: int = 0
-    blocking_gates: AbstractSet[Latch] = frozenset()
     argument_futures: Mapping[str, FutureRecord] = field(default_factory=lambda: _NO_FUTURES)
     labels: Sequence[AccessLabel] = ()
     session_version: int | None = None
@@ -415,8 +403,9 @@ def resolve_paths(
             parts = decl.parts
             text = parts[0]
             if decl.binding is not None:
-                if session.writes_in_flight:
-                    return session.latest_gate()
+                latest = session.writes[-1][0]
+                if not latest.done:
+                    return latest
                 bound = session.bindings.get(decl.binding)
                 if not isinstance(bound, str) or not bound.startswith("/"):
                     return fallback_accesses()
@@ -590,7 +579,7 @@ class Scheduler:
     def _admit(self, call: CallRecord, accesses: list[Access], now: float) -> None:
         """Register the call's labels and ready it: at once when every
         blocking gate is open, else through one waiter on them."""
-        gates = call.blocking_gates = self.blocking_gates(call, accesses)
+        gates = self.blocking_gates(call, accesses)
         annotation = call.annotation
         if annotation is not None and annotation.session_write:
             call.session_version = self.session.reserve_write(call.call_id)
@@ -648,15 +637,16 @@ class Scheduler:
     # -- dispatch & release ------------------------------------------------------
 
     def _try_dispatch(self) -> None:
-        """Dispatch, in admission order, the calls whose gates all became
-        terminal since the last pass; calls readied meanwhile wait for the
-        next pass."""
+        """Dispatch, in admission order, the calls whose gates all opened
+        since the last pass, skipping each that is terminal when the loop
+        reaches it; calls readied meanwhile wait for the next pass."""
         if not self._ready:
             return
         ready, self._ready = self._ready, []
         ready.sort()  # admission seqs are unique: calls are never compared
-        for call in [call for _, call in ready if not call.terminal]:
-            self.on_dispatch(call)
+        for _, call in ready:
+            if not call.terminal:
+                self.on_dispatch(call)
 
     def _open(self, gate: Latch) -> None:
         """Open a gate, then run a pass if that readied a call: each gate
@@ -692,7 +682,12 @@ class Scheduler:
             self._end_session_write(version)
 
     def _end_session_write(self, version: int, result: Any = None) -> None:
-        gate = self.session.complete_write(version, result)
+        """Merge a done writer's dict result into the bindings by key, then
+        open its version gate; a failed or cancelled writer passes none."""
+        session = self.session
+        if isinstance(result, dict):
+            session.bindings.update(result)
+        gate = session.writes[version][0]
         if not gate.done:
             self._open(gate)
 

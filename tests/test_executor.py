@@ -5,7 +5,6 @@ import random
 import pytest
 
 from futurecall import DependencyAnnotation, FutureStore, RunTrace, SessionState, VirtualClock, run_workload
-from futurecall.errors import GatesPendingError
 from futurecall.executor import Executor, StateStore
 from futurecall.scheduler import CallRecord, Scheduler
 from futurecall.schema import AccessDecl, FunctionSchema
@@ -55,23 +54,6 @@ def test_gated_call_dispatches_at_release_time():
     data.tools[1].annotation.reads = data.tools[0].annotation.writes  # quick reads /slow
     trace = run_workload(data, "async-sequential")
     assert trace.exec_intervals_by_call()["Q"] == (10.0, 11.0)
-
-
-def test_dispatch_with_pending_gate_raises():
-    clock = VirtualClock()
-    store = FutureStore(clock)
-    scheduler = Scheduler(store, SessionState(), clock)
-    tools = {"t": ToolSpec(FunctionSchema(name="t"))}
-    executor = Executor(store, scheduler, clock, tools, StateStore(), RunTrace(mode="async-parallel"))
-    scheduler.on_dispatch = lambda call: None  # disconnect auto-dispatch
-    ann = DependencyAnnotation(writes=[AccessDecl("/a", False)])
-    c1 = CallRecord(call_id="F1", tool="t", args={}, annotation=ann)
-    c2 = CallRecord(call_id="F2", tool="t", args={}, annotation=ann)
-    scheduler.submit(c1)
-    scheduler.submit(c2)
-    assert c2.blocking_gates
-    with pytest.raises(GatesPendingError):
-        executor.dispatch(c2)
 
 
 def test_unsubstitutable_argument_fails_the_consumer_and_cancels_its_dependents():

@@ -487,6 +487,14 @@ def test_blocking_gates_reduce_a_scan_of_unreleased_labels(ops, durations):
     session = SessionState()
     scheduler = Scheduler(store, session, clock)
     executor = Executor(store, scheduler, clock, {}, StateStore(), RunTrace(mode="async-parallel"))
+    blocking_gates = scheduler.blocking_gates
+    captured: dict[str, set] = {}
+
+    def capture(call, accesses):
+        found = captured[call.call_id] = blocking_gates(call, accesses)
+        return found
+
+    scheduler.blocking_gates = capture
     calls: list[CallRecord] = []
 
     def dispatch(call: CallRecord) -> None:
@@ -544,7 +552,7 @@ def test_blocking_gates_reduce_a_scan_of_unreleased_labels(ops, durations):
         before = len(scheduler.edges)
         scheduler.submit(call)
         calls.append(call)
-        assert call.blocking_gates <= gates
+        assert captured[call.call_id] <= gates
         assert set(scheduler.edges[before:]) <= edges
         scan_edges |= edges
 
@@ -673,9 +681,15 @@ class SchedulerMachine(RuleBasedStateMachine):
         cancel = self.executor.cancel_transitive
         self.executor.cancel_transitive = lambda call_id: _checked_cancel(self.scheduler, cancel, call_id)
         dispatch = self.scheduler.on_dispatch
+        blocking_gates = self.scheduler.blocking_gates
+        self.gates: dict[str, set] = {}
+
+        def capture(call, accesses):
+            found = self.gates[call.call_id] = blocking_gates(call, accesses)
+            return found
 
         def checked_dispatch(call: CallRecord) -> None:
-            assert all(gate.done for gate in call.blocking_gates), call.call_id
+            assert all(gate.done for gate in self.gates[call.call_id]), call.call_id
             for earlier in self.calls[: self.calls.index(call)]:
                 assert earlier.terminal or not (
                     any(conflicts(a.access, b.access) for a in earlier.labels for b in call.labels)
@@ -683,6 +697,7 @@ class SchedulerMachine(RuleBasedStateMachine):
                 ), (earlier.call_id, call.call_id)
             dispatch(call)
 
+        self.scheduler.blocking_gates = capture
         self.scheduler.on_dispatch = checked_dispatch
         self.calls: list[CallRecord] = []
         self.external: list[str] = []  # futures no call produces

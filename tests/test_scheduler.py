@@ -86,6 +86,20 @@ def make_scheduler():
     return scheduler, store, session, clock
 
 
+def capture_gates(scheduler) -> dict[str, set]:
+    """Each admitted call's gates by call id, as ``Scheduler.blocking_gates``
+    returns them; the scheduler keeps no copy once they open."""
+    gates: dict[str, set] = {}
+    blocking_gates = scheduler.blocking_gates
+
+    def capture(call, accesses):
+        found = gates[call.call_id] = blocking_gates(call, accesses)
+        return found
+
+    scheduler.blocking_gates = capture
+    return gates
+
+
 def annotation(reads=(), writes=(), session_read=False, session_write=False):
     return DependencyAnnotation(
         reads=[AccessDecl(p, s) for p, s in reads],
@@ -201,7 +215,8 @@ class TestResolvePaths:
         session.reserve_write("W1")
         ann = annotation(reads=[("$session/cwd", False)])
         assert resolve_paths(ann, {}, session, {}) is session.writes[1][0]
-        session.complete_write(1, {"cwd": "/fs/other"}).open()
+        scheduler._end_session_write(1, {"cwd": "/fs/other"})
+        assert session.writes[1][0].done
         out = resolve_paths(ann, {}, session, {})
         assert ["/" + "/".join(a.path) for a in out] == ["/fs/other"]
 
@@ -277,39 +292,41 @@ class TestAdmission:
 class TestBlockingGates:
     def test_conflicting_write_read_creates_gate(self):
         scheduler, store, _, _ = make_scheduler()
+        gates = capture_gates(scheduler)
         c1 = call("F1", annotation(writes=[("/a", False)]))
         c2 = call("F2", annotation(reads=[("/a", False)]))
         scheduler.submit(c1)
         scheduler.submit(c2)
-        assert c2.blocking_gates == {c1.labels[0]}
+        assert gates["F2"] == {c1.labels[0]}
         assert ("F1", "F2", "gate-raw") in [
             (e.producer, e.consumer, e.kind) for e in scheduler.edges
         ]
 
     def test_disjoint_paths_no_gates(self):
         scheduler, _, _, _ = make_scheduler()
+        gates = capture_gates(scheduler)
         c1 = call("F1", annotation(writes=[("/a", False)]))
         c2 = call("F2", annotation(reads=[("/b", False)]))
         scheduler.submit(c1)
         scheduler.submit(c2)
-        assert c2.blocking_gates == set()
+        assert gates["F2"] == set()
 
     def test_session_reader_blocks_on_version_gate_one(self):
         scheduler, store, session, _ = make_scheduler()
+        gates = capture_gates(scheduler)
         writer = call("W1", annotation(session_write=True))
         reader = call("R1", annotation(session_read=True))
         scheduler.submit(writer)
         scheduler.submit(reader)
-        assert reader.blocking_gates == {session.writes[1][0]}
+        assert gates["R1"] == {session.writes[1][0]}
 
     def test_session_readers_share_one_gate(self):
         scheduler, _, session, _ = make_scheduler()
+        gates = capture_gates(scheduler)
         scheduler.submit(call("W1", annotation(session_write=True)))
-        r1 = call("R1", annotation(session_read=True))
-        r2 = call("R2", annotation(session_read=True))
-        scheduler.submit(r1)
-        scheduler.submit(r2)
-        assert r1.blocking_gates == r2.blocking_gates == {session.writes[1][0]}
+        scheduler.submit(call("R1", annotation(session_read=True)))
+        scheduler.submit(call("R2", annotation(session_read=True)))
+        assert gates["R1"] == gates["R2"] == {session.writes[1][0]}
 
 
 class TestRelease:
@@ -368,12 +385,13 @@ class TestRelease:
         scheduler.release(w)
         assert dispatched == ([w, s, r] if status == "done" else [w, r, s])
         assert session.bindings["cwd"] == ("/new" if status == "done" else "/old")
-        assert not session.writes_in_flight
+        assert session.writes[-1][0].done
 
     def test_cancelled_session_writer_holds_its_version_behind_the_previous_one(self):
         # R1 reads the session behind W2 alone; W2 is cancelled before it
         # runs, and W1, the writer before it, is still running.
         scheduler, store, session, _ = make_scheduler()
+        gates = capture_gates(scheduler)
         dispatched = []
         scheduler.on_dispatch = dispatched.append
         w1 = call("W1", annotation(session_write=True))
@@ -381,15 +399,15 @@ class TestRelease:
         r1 = call("R1", annotation(session_read=True))
         for c in (w1, w2, r1):
             scheduler.submit(c)
-        assert r1.blocking_gates == {session.writes[2][0]}
+        assert gates["R1"] == {session.writes[2][0]}
         scheduler.mark_cancelled(w2, "origin")
         assert dispatched == [w1]
-        assert session.writes_in_flight
+        assert not session.writes[-1][0].done
         w1.dispatched_at = 0.0
         store.resolve(w1.result.fid, {})
         scheduler.release(w1)
         assert dispatched == [w1, r1]
-        assert not session.writes_in_flight
+        assert session.writes[-1][0].done
 
     def test_cancelled_head_with_failed_path_dependency(self):
         scheduler, store, _, _ = make_scheduler()
