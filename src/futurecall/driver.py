@@ -50,7 +50,7 @@ from .errors import (
 from .executor import Executor, StateStore
 from .futures import RESOLVED, FutureRecord, FutureStore
 from .scheduler import CallRecord, Scheduler, SessionState
-from .schema import AWAIT_FUTURE_NAME, copy_json, futurize_output_template, map_leaves
+from .schema import AWAIT_FUTURE_NAME, copy_json, futurize_output_template, load_json, map_leaves
 from .trace import AWAIT, DECODE, INTEGRATE, RunTrace
 from .workload import (
     CallSpec,
@@ -214,9 +214,13 @@ class ChatCompletionsDecoder:
             got = type(exc).__name__ if exc.response is None else f"HTTP {exc.response.status_code}"
             raise DecoderError(f"live decoder endpoint {url} failed: {got}") from exc
         try:
-            message = response.json()["choices"][0]["message"]
+            reply = load_json(response.content)
+        except ValueError as exc:
+            raise ValidationError(f"live reply is not valid JSON: {exc}") from exc
+        try:
+            message = reply["choices"][0]["message"]
             tool_calls = message.get("tool_calls")
-        except (ValueError, LookupError, TypeError, AttributeError) as exc:
+        except (LookupError, TypeError, AttributeError) as exc:
             raise ValidationError(f"live reply without choices[0].message: {exc!r}") from exc
         if tool_calls:
             if not isinstance(tool_calls, list):
@@ -239,9 +243,9 @@ class ChatCompletionsDecoder:
         if not isinstance(name, str):
             raise ValidationError(f"live tool call without function.name: {tool_call!r}")
         try:
-            args = json.loads(function.get("arguments") or "{}")
+            args = load_json(function.get("arguments") or "{}")
         except (TypeError, ValueError) as exc:
-            raise ValidationError(f"live tool call {name!r}: arguments are not JSON text") from exc
+            raise ValidationError(f"live tool call {name!r}: arguments are not JSON text: {exc}") from exc
         call_id = tool_call.get("id", default_id)
         if not isinstance(call_id, str):
             raise ValidationError(f"live tool call {name!r}: id must be a string")

@@ -44,6 +44,34 @@ JSON_NAMES = {dict: "an object", list: "a list", str: "a string", int: "a number
               float: "a number", bool: "true or false", NoneType: "null"}
 
 
+# The deepest nesting of objects and arrays that JSON text from outside the
+# program may have. Argument, output and result trees are walked by
+# recursion, and about 500 levels take that past Python's default stack.
+MAX_JSON_DEPTH = 100
+
+
+def load_json(text: str | bytes) -> Any:
+    """Parse JSON text from outside the program. Text that is not JSON, or
+    that nests objects and arrays deeper than ``MAX_JSON_DEPTH``, raises
+    ``ValueError``; so does text too deep for ``json`` itself to parse."""
+    too_deep = f"it nests objects and arrays deeper than {MAX_JSON_DEPTH} levels"
+    try:
+        data = json.loads(text)
+    except RecursionError:
+        raise ValueError(too_deep) from None
+    level = [data]
+    for _ in range(MAX_JSON_DEPTH):
+        level = [
+            child
+            for node in level
+            if isinstance(node, (dict, list))
+            for child in (node.values() if isinstance(node, dict) else node)
+        ]
+    if any(isinstance(node, (dict, list)) for node in level):
+        raise ValueError(too_deep)
+    return data
+
+
 def json_fields(obj: Any, table: dict[str, Any], where: str) -> dict[str, Any]:
     """The keys of a JSON object that its table lists, each value checked.
 
@@ -417,8 +445,8 @@ def load_schema_file(path: str) -> list[tuple[FunctionSchema, DependencyAnnotati
     """Read a ``{"tools": [...]}`` schema document with inline annotations."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+            data = load_json(fh.read())
+    except (OSError, ValueError) as exc:
         raise ValidationError(f"cannot read schema file {path}: {exc}") from exc
     if not isinstance(data, dict) or not isinstance(data.get("tools"), list):
         raise ValidationError(f'{path}: expected a {{"tools": [...]}} document')

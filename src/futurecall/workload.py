@@ -44,7 +44,9 @@ tool may be named ``await_future``, the built-in await. A call without an
 annotation's ``outputs``: a tool's example result is its schema's. A
 ``path`` is filled, then split at "/": a "/" in a ``{param}`` value
 separates segments, and a "." or ".." segment is rejected (or, filled in,
-falls back to the whole tree).
+falls back to the whole tree). A workload or schema file, like a live
+decoder's reply, may nest objects and arrays at most ``MAX_JSON_DEPTH``
+(100) levels deep, counting the document's own object as one.
 
 Argument values of the form ``"@F2"`` or ``"@F2.field"`` name the result
 future of an earlier call or one of its field futures. Async modes pass the
@@ -70,7 +72,7 @@ from .errors import ParseError, ValidationError
 from .executor import StateStore, ToolExecutionError
 from .futures import looks_like_future_id
 from .schema import AWAIT_FUTURE_NAME, DependencyAnnotation, FunctionSchema, copy_json, map_leaves
-from .schema import json_fields, tool_from_json
+from .schema import json_fields, load_json, tool_from_json
 
 CALL_REF_RE = re.compile(r"@([A-Za-z_][\w-]*)(\.[^.\s]+(?:\.[^.\s]+)*)?")
 
@@ -322,10 +324,10 @@ def load_workload(path: str) -> WorkloadSpec:
     """Parse and validate a workload file."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+            data = load_json(fh.read())
     except OSError as exc:
         raise ParseError(f"cannot read workload {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
         raise ParseError(f"workload {path} is not valid JSON: {exc}") from exc
     return workload_from_json(data)
 

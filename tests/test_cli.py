@@ -14,7 +14,7 @@ from futurecall import load_workload
 from futurecall.cli import annotations_conflict, main
 from futurecall.errors import ValidationError
 from futurecall.scheduler import SessionState, conflicts, resolve_paths
-from futurecall.schema import AccessDecl, DependencyAnnotation, load_schema_file
+from futurecall.schema import MAX_JSON_DEPTH, AccessDecl, DependencyAnnotation, load_schema_file
 
 from conftest import AWAIT_REF_WORKLOAD, AWAIT_TRIGGER_WORKLOAD, fixture_path
 
@@ -58,6 +58,63 @@ def test_run_invalid_workload_exits_2(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text('{"tools": [], "script": []}')
     assert main(["run", "--workload", str(bad)]) == 2
+
+
+def test_a_file_that_is_not_utf8_exits_2(tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe{}")
+    assert main(["run", "--workload", str(bad)]) == 2
+    assert main(["validate-annotations", "--predicted", str(bad), "--truth", str(bad)]) == 2
+
+
+def deep_workload(place: str, depth: int) -> str:
+    """Workload text whose ``place`` (args, outputs or returns) nests lists
+    so that the whole document is ``depth`` levels deep. The document's own
+    levels down to the value are 6 for args and 4 for the others."""
+    deep = '"DEEP"'
+    document = {
+        "tools": [
+            {
+                "schema": {"name": "t", "parameters": {}, "outputs": deep if place == "outputs" else None},
+                "returns": [deep if place == "returns" else {}],
+                "latency": 1,
+            }
+        ],
+        "script": [
+            {"emit": [{"id": "F1", "name": "t", "args": {"a": deep} if place == "args" else {}}]},
+            {"when": {"resolved": ["F1"]}, "final": "done"},
+        ],
+    }
+    levels = depth - (6 if place == "args" else 4)
+    return json.dumps(document).replace(json.dumps(deep), "[" * levels + "1" + "]" * levels)
+
+
+@pytest.mark.parametrize("mode", futurecall.MODES)
+@pytest.mark.parametrize("place", ["args", "outputs", "returns"])
+def test_a_workload_nested_to_the_depth_bound_runs(tmp_path, capsys, place, mode):
+    path = tmp_path / "deep.json"
+    path.write_text(deep_workload(place, MAX_JSON_DEPTH))
+    assert main(["run", "--workload", str(path), "--mode", mode]) == 0
+    assert json.loads(capsys.readouterr().out)["end_to_end"] > 0
+
+
+@pytest.mark.parametrize("depth", [MAX_JSON_DEPTH + 1, 100_000])
+@pytest.mark.parametrize("place", ["args", "outputs", "returns"])
+def test_a_workload_nested_past_the_depth_bound_exits_2(tmp_path, capsys, place, depth):
+    path = tmp_path / "deep.json"
+    path.write_text(deep_workload(place, depth))
+    assert main(["run", "--workload", str(path), "--mode", "async-parallel"]) == 2
+    assert f"deeper than {MAX_JSON_DEPTH} levels" in capsys.readouterr().err
+
+
+def test_a_schema_file_nested_past_the_depth_bound_exits_2(tmp_path, capsys):
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps({"tools": [{"name": "t", "parameters": {}}]}))
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"tools": [{"name": "t", "parameters": {}, "outputs": ' + "[" * 98 + "]" * 98 + "}]}")
+    argv = ["validate-annotations", "--predicted", str(good), "--truth", str(bad)]
+    assert main(argv) == 2
+    assert f"deeper than {MAX_JSON_DEPTH} levels" in capsys.readouterr().err
 
 
 def test_run_trigger_on_an_await_exits_2(tmp_path, capsys):

@@ -244,6 +244,18 @@ def emitted_args(trace, call_id):
     raise AssertionError(f"{call_id} never emitted")
 
 
+@pytest.mark.parametrize("mode", MODES)
+def test_a_reference_free_call_is_emitted_as_its_parsed_spec(mode):
+    # Only a call whose @Fk references were bound gets a spec of its own.
+    spec = ref_workload()
+    f1, f2 = (call for turn in spec.script for call in turn.emit)
+    trace = run_workload(spec, mode)
+    emitted = {c.call_id: c for m in trace.messages for c in m.tool_calls or []}
+    assert emitted["F1"] is f1
+    assert emitted["F2"] is not f2 and f2.args == {"name": "@F1.id"}
+    assert emitted["F2"].args == {"name": "fut_0.id" if mode.startswith("async") else "a.txt"}
+
+
 class TestSyncBatch:
     @pytest.mark.parametrize("mode", ["sync-sequential", "sync-parallel"])
     def test_context_shows_concrete_arguments(self, mode):

@@ -1,7 +1,8 @@
 """Mutation fuzz of untrusted input.
 
 Each example replaces one or two values, anywhere in a repo fixture or in a
-schema file built from the fixtures' tools, with a small JSON value. Whatever
+schema file built from the fixtures' tools, with a small JSON value, or with
+lists nested about as deep as ``MAX_JSON_DEPTH`` allows or far deeper. Whatever
 the result, ``futurecall`` must answer with an exit code (0, 2 for bad input,
 3 for a runtime error) and never raise. A live decoder's reply is mutated the
 same way and may only become a checked turn or a ValidationError. The
@@ -14,6 +15,7 @@ import contextlib
 import copy
 import io
 import json
+import re
 from types import SimpleNamespace
 
 import pytest
@@ -23,6 +25,7 @@ from hypothesis import strategies as st
 from futurecall.cli import main
 from futurecall.driver import MODES, ChatCompletionsDecoder
 from futurecall.errors import ValidationError
+from futurecall.schema import MAX_JSON_DEPTH
 from futurecall.workload import check_turn
 
 from conftest import FIXTURE_NAMES, fixture_path
@@ -42,6 +45,19 @@ JSON_VALUES = st.recursive(
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_KEYS, inner, max_size=3),
     max_leaves=4,
 )
+
+
+# Stands for that many nested lists, which ``_dumps`` writes out: deeper
+# than ``json`` itself can write or read.
+DEEP_VALUES = (st.integers(MAX_JSON_DEPTH - 8, MAX_JSON_DEPTH + 2) | st.just(100_000)).map("<deep {}>".format)
+
+
+def _dumps(document) -> str:
+    def nest(match):
+        depth = int(match[1])
+        return "[" * depth + "1" + "]" * depth
+
+    return re.sub(r'"<deep (\d+)>"', nest, json.dumps(document))
 
 
 def _slots(node, path=()):
@@ -64,7 +80,7 @@ def _mutate(document, data):
         node = document
         for parent in parents:
             node = node[parent]
-        node[key] = data.draw(JSON_VALUES, label="value")
+        node[key] = data.draw(JSON_VALUES | DEEP_VALUES, label="value")
     return document
 
 
@@ -95,7 +111,7 @@ def _schema_document():
 @given(data=st.data())
 def test_mutated_workload_gets_an_exit_code(tmp_path, name, data):
     path = tmp_path / "workload.json"
-    path.write_text(json.dumps(_mutate(_load(name), data)))
+    path.write_text(_dumps(_mutate(_load(name), data)))
     mode = data.draw(st.sampled_from(MODES), label="mode")
     assert _exit_code(["run", "--workload", str(path), "--mode", mode]) in (0, 2, 3)
 
@@ -107,7 +123,7 @@ def test_mutated_schema_file_gets_an_exit_code(tmp_path, data):
     truth = tmp_path / "truth.json"
     truth.write_text(json.dumps(document))
     predicted = tmp_path / "predicted.json"
-    predicted.write_text(json.dumps(_mutate(document, data)))
+    predicted.write_text(_dumps(_mutate(document, data)))
     argv = ["validate-annotations", "--predicted", str(predicted), "--truth", str(truth)]
     if data.draw(st.booleans(), label="swap"):
         argv = ["validate-annotations", "--predicted", str(truth), "--truth", str(predicted)]
@@ -142,7 +158,7 @@ _REPLIES = [
 @given(data=st.data())
 def test_mutated_live_reply_is_a_checked_turn_or_a_validation_error(monkeypatch, data):
     envelope = _mutate(data.draw(st.sampled_from(_REPLIES), label="reply"), data)
-    response = SimpleNamespace(raise_for_status=lambda: None, json=lambda: envelope)
+    response = SimpleNamespace(raise_for_status=lambda: None, content=_dumps(envelope).encode())
     monkeypatch.setattr("requests.post", lambda *args, **kwargs: response)
     decoder = ChatCompletionsDecoder([], endpoint="http://localhost")
     try:

@@ -1,5 +1,6 @@
-"""Every name a ``futurecall`` module imports is read in that module, and
-every function, method and class the package defines has a reader.
+"""Every name a ``futurecall`` module imports is read in that module,
+every function, method and class the package defines has a reader, and so
+does every attribute it stores.
 
 The package's ``__init__.py`` re-exports names it never reads, so it is left
 out; ``from __future__`` imports bind no name that code reads. A definition
@@ -7,6 +8,10 @@ is read when a package module other than ``__init__.py`` reads its name as
 a name or an attribute, or when ``bench/*.py`` names it as a name, an
 attribute or a string (``bench/tracing.py`` patches methods by their name).
 Tests do not count as readers: a definition only a test calls is dead code.
+A stored attribute is a dataclass or ``NamedTuple`` field, a ``__slots__``
+entry or a ``self.x =`` target; it is read by the same rule, except that
+only an attribute read counts in the package, so state written and never
+read is found.
 """
 
 from __future__ import annotations
@@ -31,6 +36,24 @@ UNREAD_ALLOWED = {
     "transform_schema": "the future-accepting schema a live decoder will be offered (ROADMAP item 7)",
     "await_future_schema": "the await tool a live decoder will be offered (ROADMAP item 7)",
     "ChatCompletionsDecoder": "the live decoder, built by its user and not by the package",
+}
+
+
+# Stored attributes with no reader in the package or the bench, each kept
+# for a reason.
+UNREAD_ATTRIBUTES_ALLOWED = {
+    "FunctionSchema.returns_description": "the tool surface a live decoder will be offered (ROADMAP item 7); "
+    "transform_schema and await_future_schema write it",
+    **{
+        f"SavingsReport.{name}": "read through dataclasses.asdict into the report"
+        for name in ("s_m", "s_e", "d_e", "d_union")
+    },
+    **{
+        f"PairedTestResult.{name}": "read through dataclasses.asdict into the report"
+        for name in ("geomean_speedup", "t_stat", "p_value")
+    },
+    "DependencyEdge.producer": "edges are unpacked by position",
+    "DependencyEdge.consumer": "edges are unpacked by position",
 }
 
 
@@ -105,6 +128,88 @@ def test_a_definition_left_behind_is_found():
     }
     bench = ["import futurecall\nPATCHED = [(futurecall.FutureStore, 'state_of')]\n"]
     assert unread_definitions(package, bench) == ["owner_of (futures.py:6)", "resolve (futures.py:10)"]
+
+
+def stored_attributes(source: str) -> dict[str, int]:
+    """``Class.attr`` to its first line, for every field a class body
+    annotates, every ``__slots__`` entry and every ``self.attr`` a method
+    of the class assigns."""
+    stored: dict[str, int] = {}
+    for cls in ast.walk(ast.parse(source)):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for node in cls.body:
+            if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                stored.setdefault(f"{cls.name}.{node.target.id}", node.lineno)
+            elif isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__slots__" for t in node.targets):
+                for entry in node.value.elts:
+                    stored.setdefault(f"{cls.name}.{entry.value}", node.lineno)
+        for node in ast.walk(cls):
+            if (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.ctx, ast.Store)
+                and getattr(node.value, "id", None) == "self"
+            ):
+                stored.setdefault(f"{cls.name}.{node.attr}", node.lineno)
+    return stored
+
+
+def unread_attributes(package: dict[str, str], bench: list[str]) -> list[str]:
+    """The stored attributes of the package sources (module file name to
+    text, ``__init__.py`` left out) that no package module reads as an
+    attribute and no bench source names."""
+    stored: dict[str, str] = {}
+    read: set[str] = set()
+    for name, source in sorted(package.items()):
+        if name == "__init__.py":
+            continue
+        for attr, line in stored_attributes(source).items():
+            stored.setdefault(attr, f"{name}:{line}")
+        read.update(
+            node.attr
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+        )
+    for source in bench:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                read.add(node.value)
+    return sorted(f"{attr} ({where})" for attr, where in stored.items() if attr.partition(".")[2] not in read)
+
+
+def test_every_stored_attribute_is_read():
+    package = {path.name: path.read_text(encoding="utf-8") for path in SRC.glob("*.py")}
+    bench = [path.read_text(encoding="utf-8") for path in (ROOT / "bench").glob("*.py")]
+    unread = [entry.partition(" ")[0] for entry in unread_attributes(package, bench)]
+    assert [attr for attr in unread if attr not in UNREAD_ATTRIBUTES_ALLOWED] == []
+    # An allowed attribute that gains a reader leaves the list.
+    assert sorted(unread) == sorted(UNREAD_ATTRIBUTES_ALLOWED)
+
+
+def test_a_field_left_behind_is_found():
+    scheduler = (
+        "from dataclasses import dataclass\n"
+        "@dataclass\nclass CallRecord:\n    call_id: str\n    blocking_gates: set\n"
+        "class Label:\n    __slots__ = ('owner', 'seq')\n"
+        "class Scheduler:\n"
+        "    def __init__(self):\n        self.calls = {}\n        self._pumps = 0\n"
+        "    def admit(self, call, label):\n"
+        "        call.blocking_gates = set()\n        self.calls[call.call_id] = label.owner\n"
+    )
+    package = {
+        "__init__.py": "from .scheduler import CallRecord\nCallRecord.blocking_gates\n",
+        "scheduler.py": scheduler,
+        "executor.py": "def dispatch(call):\n    call.call_id\n",
+    }
+    bench = ["PATCHED = ['seq']\n"]
+    assert unread_attributes(package, bench) == [
+        "CallRecord.blocking_gates (scheduler.py:5)",
+        "Scheduler._pumps (scheduler.py:11)",
+    ]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)

@@ -19,6 +19,7 @@ from futurecall import (
     run_workload,
 )
 from futurecall.errors import DecoderError, ValidationError
+from futurecall.schema import MAX_JSON_DEPTH
 from futurecall.workload import workload_from_json
 
 
@@ -186,6 +187,14 @@ def test_calls_run_while_the_next_turn_decodes(stub, mode):
     assert {"resolved_futures": {placeholder: {"sent": True}}} in bound
 
 
+def nested(depth):
+    """A value that nests ``depth`` lists around one number."""
+    value = 1
+    for _ in range(depth):
+        value = [value]
+    return value
+
+
 def tool_call(function):
     return {"content": "", "tool_calls": [{"id": "c0", "type": "function", "function": function}]}
 
@@ -203,6 +212,9 @@ def tool_call(function):
         ({"content": "", "tool_calls": True}, "tool_calls must be a list"),
         ({"content": 5}, "content must be a string or null"),
         ({"content": ["x"]}, "content must be a string or null"),
+        # The envelope's own three levels and the message make it one too deep.
+        ({"content": nested(MAX_JSON_DEPTH - 3)}, "nests objects and arrays deeper than 100"),
+        (tool_call({"name": "send", "arguments": "[" * 100_000 + "]" * 100_000}), "arguments are not JSON"),
     ],
     ids=[
         "unparsable-arguments",
@@ -215,6 +227,8 @@ def tool_call(function):
         "true-tool-calls",
         "number-content",
         "list-content",
+        "deep-reply",
+        "deep-arguments",
     ],
 )
 def test_malformed_reply_is_a_validation_error(stub, reply, message):

@@ -409,6 +409,22 @@ class TestRelease:
         assert dispatched == [w1, r1]
         assert session.writes[-1][0].done
 
+    def test_a_call_cancelled_by_an_earlier_dispatch_of_its_pass_is_not_dispatched(self):
+        scheduler, _, _, _ = make_scheduler()
+        c1 = call("F1", annotation(writes=[("/a", False)]))
+        c2 = call("F2", annotation(writes=[("/b", False)]))
+        dispatched = []
+
+        def dispatch(c):
+            dispatched.append(c)
+            if c is c1:
+                scheduler.mark_cancelled(c2, "F1")
+
+        scheduler.on_dispatch = dispatch
+        scheduler.submit(c1, c2)
+        assert dispatched == [c1]
+        assert c2.status == "cancelled"
+
     def test_cancelled_head_with_failed_path_dependency(self):
         scheduler, store, _, _ = make_scheduler()
         producer = store.create(owner_call="P")
@@ -613,6 +629,12 @@ class TestWorkGrowth:
         assert len(labels) == 16 + 2 * 240 and len(records) == 256
         assert all(latch.waiters == () for latch in labels + records + session)
         assert all(record.fields == () for record in records)
+        # A call keeps no set of its gates, and the context holds the
+        # parsed specs themselves.
+        held = [obj for call in driver.scheduler.calls.values() for obj in gc.get_referents(call)]
+        assert not any(isinstance(obj, (set, frozenset)) for obj in held)
+        (message,) = [m for m in driver.messages if m.tool_calls]
+        assert all(a is b for a, b in zip(message.tool_calls, driver.workload.script[0].emit, strict=True))
 
     @pytest.mark.parametrize("n", [64, 256])
     def test_trigger_wait_binds_every_outcome_at_one_boundary(self, n):
