@@ -63,6 +63,20 @@ def recording_tool(name, path=None, latency=1, returns=None):
     }
 
 
+def capture_gates(scheduler) -> dict[str, set]:
+    """Each admitted call's gates by call id, as ``Scheduler.blocking_gates``
+    returns them; the scheduler keeps no copy once they open."""
+    gates: dict[str, set] = {}
+    blocking_gates = scheduler.blocking_gates
+
+    def capture(call, accesses):
+        found = gates[call.call_id] = blocking_gates(call, accesses)
+        return found
+
+    scheduler.blocking_gates = capture
+    return gates
+
+
 def run_fixture(name: str, mode: str, **kwargs):
     """Load a repo fixture fresh, run it, and lint the produced context."""
     trace = run_workload(load_workload(fixture_path(name)), mode, **kwargs)

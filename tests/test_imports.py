@@ -72,6 +72,20 @@ def unused_imports(source: str) -> list[str]:
     return sorted(f"{name} (line {line})" for name, line in bound.items() if name not in read)
 
 
+def bench_names(bench: list[str]) -> set[str]:
+    """Every name, attribute and string constant in the bench sources."""
+    names: set[str] = set()
+    for source in bench:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                names.add(node.value)
+    return names
+
+
 def unread_definitions(package: dict[str, str], bench: list[str]) -> list[str]:
     """The functions, methods and classes defined in the package sources
     (module file name to text) that no reader reads; dunder names are
@@ -88,14 +102,7 @@ def unread_definitions(package: dict[str, str], bench: list[str]) -> list[str]:
                 read.add(node.id)
             elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                 read.add(node.attr)
-    for source in bench:
-        for node in ast.walk(ast.parse(source)):
-            if isinstance(node, ast.Name):
-                read.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                read.add(node.attr)
-            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-                read.add(node.value)
+    read |= bench_names(bench)
     return sorted(
         f"{name} ({where})"
         for name, where in defined.items()
@@ -170,14 +177,7 @@ def unread_attributes(package: dict[str, str], bench: list[str]) -> list[str]:
             for node in ast.walk(ast.parse(source))
             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
         )
-    for source in bench:
-        for node in ast.walk(ast.parse(source)):
-            if isinstance(node, ast.Name):
-                read.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                read.add(node.attr)
-            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-                read.add(node.value)
+    read |= bench_names(bench)
     return sorted(f"{attr} ({where})" for attr, where in stored.items() if attr.partition(".")[2] not in read)
 
 

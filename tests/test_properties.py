@@ -45,7 +45,7 @@ from futurecall.schema import DOT_PARTS, AccessDecl, FunctionSchema, ParamSpec, 
 from futurecall.trace import RunTrace
 from futurecall.workload import ToolSpec, workload_from_json
 
-from conftest import recording_tool
+from conftest import capture_gates, recording_tool
 
 # -- interval properties ------------------------------------------------------
 
@@ -487,14 +487,7 @@ def test_blocking_gates_reduce_a_scan_of_unreleased_labels(ops, durations):
     session = SessionState()
     scheduler = Scheduler(store, session, clock)
     executor = Executor(store, scheduler, clock, {}, StateStore(), RunTrace(mode="async-parallel"))
-    blocking_gates = scheduler.blocking_gates
-    captured: dict[str, set] = {}
-
-    def capture(call, accesses):
-        found = captured[call.call_id] = blocking_gates(call, accesses)
-        return found
-
-    scheduler.blocking_gates = capture
+    captured = capture_gates(scheduler)
     calls: list[CallRecord] = []
 
     def dispatch(call: CallRecord) -> None:
@@ -681,12 +674,7 @@ class SchedulerMachine(RuleBasedStateMachine):
         cancel = self.executor.cancel_transitive
         self.executor.cancel_transitive = lambda call_id: _checked_cancel(self.scheduler, cancel, call_id)
         dispatch = self.scheduler.on_dispatch
-        blocking_gates = self.scheduler.blocking_gates
-        self.gates: dict[str, set] = {}
-
-        def capture(call, accesses):
-            found = self.gates[call.call_id] = blocking_gates(call, accesses)
-            return found
+        self.gates = capture_gates(self.scheduler)
 
         def checked_dispatch(call: CallRecord) -> None:
             assert all(gate.done for gate in self.gates[call.call_id]), call.call_id
@@ -697,7 +685,6 @@ class SchedulerMachine(RuleBasedStateMachine):
                 ), (earlier.call_id, call.call_id)
             dispatch(call)
 
-        self.scheduler.blocking_gates = capture
         self.scheduler.on_dispatch = checked_dispatch
         self.calls: list[CallRecord] = []
         self.external: list[str] = []  # futures no call produces

@@ -29,6 +29,8 @@ from futurecall.scheduler import (
     resolve_paths,
 )
 
+from conftest import capture_gates
+
 
 def rp(text: str) -> tuple[str, ...]:
     return tuple(part for part in text.split("/") if part)
@@ -84,20 +86,6 @@ def make_scheduler():
     session = SessionState()
     scheduler = Scheduler(store, session, clock)
     return scheduler, store, session, clock
-
-
-def capture_gates(scheduler) -> dict[str, set]:
-    """Each admitted call's gates by call id, as ``Scheduler.blocking_gates``
-    returns them; the scheduler keeps no copy once they open."""
-    gates: dict[str, set] = {}
-    blocking_gates = scheduler.blocking_gates
-
-    def capture(call, accesses):
-        found = gates[call.call_id] = blocking_gates(call, accesses)
-        return found
-
-    scheduler.blocking_gates = capture
-    return gates
 
 
 def annotation(reads=(), writes=(), session_read=False, session_write=False):
