@@ -16,11 +16,12 @@ That leaves two execution models. Sync modes run each turn as one batch:
 same-turn calls overlap in time, and their effects and results apply in
 emitted order. Async modes submit each turn's calls to the dependency-aware
 scheduler as one unit. Either way an ``@Fk[.path]`` reference names the
-call's result future or one of its field futures: async modes pass its
-identifier, and sync modes, where it has settled, pass its outcome as
-``reported`` renders it, a value or an ``ErrorInfo``. The executor's ``settle``
-ends each call that ran, and every assistant tool call is immediately
-followed by a tool message for its call id.
+record of the call's result or of one of its fields, taken from the call
+and never looked up by id; only ids the decoder writes, as in an await,
+go through ``FutureStore.find``. Async modes pass the record's id, and
+sync modes, where it has settled, its outcome as ``reported`` renders it.
+The executor's ``settle`` ends each call that ran, and every assistant
+tool call is immediately followed by a tool message for its call id.
 
 Decoding is strictly sequential. Scripted decoders pick their next turn by
 the integration state of required call outcomes, so sync and async runs share
@@ -35,6 +36,7 @@ import json
 import os
 import time
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Any, Callable
 
 from .clock import VirtualClock, WallClock
@@ -540,7 +542,9 @@ class TurnDriver:
         each call with its outcome.
         """
         self._decode(turn.decode_time)
-        bind = self._ref_future if is_async(self.mode) else self._ref_outcome
+        # Sync modes finish every call before the next decode, so the
+        # future an async run would pass has settled here.
+        bind = attrgetter("fid") if is_async(self.mode) else reported
         records: list[CallRecord] = []
         for spec in turn.emit:
             tool = self.tools[spec.name]
@@ -552,7 +556,7 @@ class TurnDriver:
                 invocation_index=next(self._invocations[spec.name]),
                 turn=self._turn_no,
             )
-            record.result = self.store.state_of(self.store.create(owner_call=spec.call_id))
+            record.result = self.store.create(owner_call=spec.call_id)
             records.append(record)
         # Registered only now: a decoder cannot name a placeholder it has
         # not received yet, so a same-turn reference stays literal.
@@ -601,26 +605,20 @@ class TurnDriver:
 
     # -- argument references ------------------------------------------------------------
 
-    def _substitute_refs(self, args: Any, bind) -> Any:
+    def _substitute_refs(self, args: Any, bind: Callable[[FutureRecord], Any]) -> Any:
         """Replace each ``@Fk[.path]`` leaf naming an emitted call with
-        ``bind(call id, field path)``; other leaves stay literal text."""
+        ``bind`` of the call's result record, or of its field ``path``;
+        other leaves stay literal text."""
 
         def leaf(node: Any, _path: tuple) -> Any:
             ref = parse_call_ref(node)
             if ref is None or ref[0] not in self.calls:
                 return node
-            return bind(*ref)
+            call_id, fpath = ref
+            record = self.calls[call_id].result
+            return bind(record if fpath is None else self.store.create_field(record, fpath))
 
         return map_leaves(args, leaf)
-
-    def _ref_future(self, call_id: str, fpath: str | None) -> str:
-        fid = self.calls[call_id].result.fid
-        return fid if fpath is None else self.store.create_field(fid, fpath)
-
-    def _ref_outcome(self, call_id: str, fpath: str | None) -> Any:
-        # Sync modes finish every call before the next decode, so the
-        # future an async run would pass has settled here.
-        return reported(self.store.state_of(self._ref_future(call_id, fpath)))
 
     # -- await handling -----------------------------------------------------------------------
 
@@ -631,7 +629,7 @@ class TurnDriver:
             offset = turn.decode_time
         t0, t1 = self._decode(offset)
         raw_ids = spec.args.get("future_ids", [])
-        translated = self._substitute_refs(raw_ids, self._ref_future)
+        translated = self._substitute_refs(raw_ids, attrgetter("fid"))
         self._append(
             Message(
                 role="assistant",
@@ -639,18 +637,19 @@ class TurnDriver:
                 tool_calls=[CallSpec(spec.call_id, AWAIT_FUTURE_NAME, {"future_ids": translated})],
             )
         )
-        unknown = [fid for fid in translated if self.store.find(fid) is None]
+        # The ids are model text: ``find`` parses each, once per occurrence.
+        records = [self.store.find(fid) for fid in translated]
+        unknown = [fid for fid, record in zip(translated, records) if record is None]
         if unknown:
             error = {"error": f"unknown futures: {sorted(unknown)}"}
             self._append(Message(role="tool", content=error, call_id=spec.call_id))
             return
-        records = self.store.wait_for(list(translated))
+        self.store.wait_for(records)
         t_end = self.clock.now()
         if is_async(self.mode):
             self.trace.record(t1, t_end, AWAIT, spec.call_id, self._turn_no)
         values: dict[str, Any] = {}
-        for fid in translated:
-            record = records[fid]
+        for fid, record in zip(translated, records):
             values[fid] = reported(record)
             if record.path is None:
                 self._awaited.add(record.owner_call)

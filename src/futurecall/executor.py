@@ -156,9 +156,9 @@ class Executor:
         if call.exec_start is not None:
             self.trace.record(call.exec_start, call.exec_end, EXEC, call.call_id, call.turn)
         if error is None:
-            self.store.resolve(call.result.fid, value)
+            self.store.resolve(call.result, value)
         else:
-            self.store.fail(call.result.fid, error)
+            self.store.fail(call.result, error)
             self.cancel_transitive(call.call_id)
         self.scheduler.release(call)
 

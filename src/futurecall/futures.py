@@ -1,11 +1,12 @@
 """Symbolic futures: string placeholders handed out while work is in flight.
 
 A future is identified by ``fut_<n>``; addressing one field of a pending
-structured result appends a dotted path, e.g. ``fut_3.fuelLevel``. A
-well-formed field id of a registered base is registered the first time any
-layer names it (``FutureStore.find``) and resolves by path extraction once
-its base future resolves; a field of a failed or cancelled base takes the
-base's status and its ``ErrorInfo``.
+structured result appends a dotted path, e.g. ``fut_3.fuelLevel``. A field
+resolves by path extraction once its base future resolves; a field of a
+failed or cancelled base takes the base's status and its ``ErrorInfo``.
+Records inside, ids parsed only from model or script text: every layer
+passes on the ``FutureRecord`` it holds, and ``FutureStore.find`` reads an
+id, registering a well-formed field of a registered base when first named.
 
 The store holds only what the model can name: call results and their fields.
 Waiting is one primitive, ``Latch``: a ``done`` flag plus waiters, each a
@@ -137,8 +138,8 @@ class FutureRecord(Latch):
 
 
 class FutureStore:
-    """The result and field futures of one conversation run; ``find`` is
-    the one rule for what an id names, and every lookup goes through it.
+    """The result and field futures of one conversation run, taken and
+    returned as records; ``find`` is the one rule for what an id names.
 
     Mutations are atomic with respect to each other because the whole runtime
     is single-threaded on either clock: every handler runs on the thread that
@@ -167,29 +168,29 @@ class FutureStore:
 
     # -- creation --------------------------------------------------------
 
-    def create(self, owner_call: str | None = None) -> str:
-        fid = f"fut_{self._counter}"
+    def create(self, owner_call: str | None = None) -> FutureRecord:
+        """A new pending result (base) future, its id the next ``fut_<n>``."""
+        rec = FutureRecord(f"fut_{self._counter}", owner_call)
         self._counter += 1
-        self._records[fid] = FutureRecord(fid, owner_call)
-        return fid
+        self._records[rec.fid] = rec
+        return rec
 
-    def create_field(self, base: str, path: str) -> str:
-        """Register (or fetch) the field future ``base.path`` of an existing
-        base, settled at once from the base's outcome if the base is."""
-        base_rec = self._records.get(base)
-        if base_rec is None:
-            raise UnknownFutureError(f"unknown base future {base!r}")
-        fid = f"{base}.{path}"
-        if fid in self._records:
-            return fid
-        field = self._records[fid] = FutureRecord(fid, base_rec.owner_call, path)
-        if base_rec.fields:
-            base_rec.fields.append(field)
+    def create_field(self, base: FutureRecord, path: str) -> FutureRecord:
+        """The field future ``path`` of ``base``, registered now if it is
+        not yet (else the record already registered), and settled at once
+        from the base's outcome if the base is."""
+        fid = f"{base.fid}.{path}"
+        field = self._records.get(fid)
+        if field is not None:
+            return field
+        field = self._records[fid] = FutureRecord(fid, base.owner_call, path)
+        if base.fields:
+            base.fields.append(field)
         else:
-            base_rec.fields = [field]
-        if base_rec.done:
-            self._settle_field(field, base_rec)
-        return fid
+            base.fields = [field]
+        if base.done:
+            self._settle_field(field, base)
+        return field
 
     def _settle_field(self, field: FutureRecord, base: FutureRecord) -> None:
         status, value, error = base.status, None, base.error
@@ -213,7 +214,7 @@ class FutureStore:
             base, dot, path = fid.partition(".")
             base_rec = self._records.get(base) if dot else None
             if base_rec is not None and base_rec.owner_call not in hidden:
-                rec = self._records[self.create_field(base, path)]
+                rec = self.create_field(base_rec, path)
         if rec is not None and rec.owner_call in hidden:
             return None
         return rec
@@ -241,15 +242,15 @@ class FutureStore:
             if not field.done:
                 self._settle_field(field, rec)
 
-    def resolve(self, fid: str, value: Any) -> None:
-        self._transition(self.state_of(fid), RESOLVED, value, None)
+    def resolve(self, rec: FutureRecord, value: Any) -> None:
+        self._transition(rec, RESOLVED, value, None)
 
-    def fail(self, fid: str, error: ErrorInfo) -> None:
-        self._transition(self.state_of(fid), FAILED, None, error)
+    def fail(self, rec: FutureRecord, error: ErrorInfo) -> None:
+        self._transition(rec, FAILED, None, error)
 
-    def cancel(self, fid: str, error: ErrorInfo) -> None:
+    def cancel(self, rec: FutureRecord, error: ErrorInfo) -> None:
         """Cancel a pending future; ``error`` says which call's failure did."""
-        self._transition(self.state_of(fid), CANCELLED, None, error)
+        self._transition(rec, CANCELLED, None, error)
 
     # -- waiting -----------------------------------------------------------
 
@@ -264,13 +265,11 @@ class FutureStore:
         for rec in self._records.values():
             rec.waiters = ()
 
-    def wait_for(self, fids: list[str]) -> dict[str, FutureRecord]:
-        """Suspend until every id is terminal, then return each id's record
-        (live, not a snapshot); other runnable work proceeds.
+    def wait_for(self, records: list[FutureRecord]) -> None:
+        """Suspend until every listed record is terminal (each is live, so
+        its outcome is read from it); other runnable work proceeds.
 
         Suspension pumps the clock, so queued executor and scheduler events keep
         firing while this caller waits.
         """
-        records = {fid: self.state_of(fid) for fid in fids}
-        self._clock.run_until(lambda: all(rec.done for rec in records.values()))
-        return records
+        self._clock.run_until(lambda: all(rec.done for rec in records))

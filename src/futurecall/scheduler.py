@@ -502,7 +502,7 @@ class Scheduler:
                 if queue:
                     self.try_admit(now)
                 if call.result is None:
-                    call.result = store.state_of(store.create(owner_call=call.call_id))
+                    call.result = store.create(owner_call=call.call_id)
                 call.submitted_at = now
                 registered[call.call_id] = call
                 if scan is None or scan[index]:
@@ -725,7 +725,7 @@ class Scheduler:
         if call.terminal:
             return
         error = ErrorInfo(CANCELLED_DEPENDENCY, f"cancelled because {origin_call} failed", origin_call)
-        self.store.cancel(call.result.fid, error)
+        self.store.cancel(call.result, error)
         self._withdraw(call)
 
     def _withdraw(self, call: CallRecord) -> None:

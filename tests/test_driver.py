@@ -765,6 +765,11 @@ class TestAwait:
         values, _ = self.saved_await_run(["fut_0.saved x"], mode)
         assert values == {"error": "unknown futures: ['fut_0.saved x']"}
 
+    @pytest.mark.parametrize("mode", MODES)
+    def test_await_listing_an_unknown_id_twice_reports_it_twice(self, mode):
+        values, _ = self.saved_await_run(["fut_9", "@F1", "fut_9"], mode)
+        assert values == {"error": "unknown futures: ['fut_9', 'fut_9']"}
+
     def test_unknown_future_in_await_yields_error_tool_message(self):
         data = await_workload()
         data.script[1].emit[0].args = {"future_ids": ["fut_77"]}

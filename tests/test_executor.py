@@ -70,9 +70,9 @@ def test_unsubstitutable_argument_fails_the_consumer_and_cancels_its_dependents(
     writes_c = DependencyAnnotation(writes=[AccessDecl("/c", False)])
     reads_c = DependencyAnnotation(reads=[AccessDecl("/c", False)])
     p = CallRecord(call_id="P", tool="gen", args={}, annotation=writes_c)
-    p.result = store.state_of(store.create(owner_call="P"))
+    p.result = store.create(owner_call="P")
     c = CallRecord(call_id="C", tool="t", args={"x": p.result.fid}, annotation=writes_c)
-    c.result = store.state_of(store.create(owner_call="C"))
+    c.result = store.create(owner_call="C")
     d = CallRecord(call_id="D", tool="t", args={"y": c.result.fid}, annotation=reads_c)
     # Three turns: a call names only futures handed back in earlier turns.
     scheduler.submit(p)

@@ -27,6 +27,7 @@ from futurecall.cli import annotations_conflict
 from futurecall.driver import ASYNC_SEQUENTIAL, MODES, TurnDriver, await_detection_offset, is_async
 from futurecall.errors import ErrorInfo
 from futurecall.executor import Executor, StateStore, ToolExecutionError
+from futurecall.futures import FutureRecord
 from futurecall.scheduler import (
     ADMITTED,
     DISPATCHED,
@@ -135,7 +136,7 @@ def shape(node):
 @given(json_value)
 def test_futurize_preserves_shape(template):
     store = FutureStore(VirtualClock())
-    base = store.create()
+    base = store.create().fid
     out = futurize_output_template(template, base, store)
     assert shape(out) == shape(template)
 
@@ -145,7 +146,7 @@ def test_futurize_preserves_shape(template):
 def test_substitute_after_resolution_reconstructs_template(template):
     store = FutureStore(VirtualClock())
     base = store.create()
-    futurized = futurize_output_template(template, base, store)
+    futurized = futurize_output_template(template, base.fid, store)
     store.resolve(base, template)
     found = {record.fid: record for record in scan_future_refs(futurized, store)}
     assert substitute_resolved(futurized, found) == template
@@ -154,7 +155,7 @@ def test_substitute_after_resolution_reconstructs_template(template):
 @given(st.lists(st.integers(0, 1000), max_size=8))
 def test_scan_never_reports_unregistered_ids(numbers):
     store = FutureStore(VirtualClock())
-    registered = store.create()
+    registered = store.create().fid
     args = {"xs": [f"fut_{n + 1}" for n in numbers], "ok": registered}
     refs = scan_future_refs(args, store)
     assert all(record.fid == registered for record in refs)
@@ -189,7 +190,7 @@ def _well_formed_field(text: str, base: str) -> bool:
 @given(scan_args)
 def test_scan_registers_exactly_the_named_fields_of_a_registered_base(args):
     store = FutureStore(VirtualClock())
-    base = store.create()
+    base = store.create().fid
     leaves: list = []
     map_leaves(args, lambda node, path: leaves.append(node))
     fields = {leaf for leaf in leaves if _well_formed_field(leaf, base)}
@@ -512,7 +513,7 @@ def test_blocking_gates_reduce_a_scan_of_unreleased_labels(ops, durations):
             running = [c for c in live if c.status == DISPATCHED]
             if running:
                 call = running[arg % len(running)]
-                store.resolve(call.result.fid, {})
+                store.resolve(call.result, {})
                 scheduler.release(call)
             continue
         decls = {READ: [], WRITE: []}
@@ -687,7 +688,7 @@ class SchedulerMachine(RuleBasedStateMachine):
 
         self.scheduler.on_dispatch = checked_dispatch
         self.calls: list[CallRecord] = []
-        self.external: list[str] = []  # futures no call produces
+        self.external: list[FutureRecord] = []  # futures no call produces
         self.head_waits: set[tuple[str, int]] = set()
         self._when_all = scheduler_mod.when_all
         scheduler_mod.when_all = self._record_when_all
@@ -708,9 +709,9 @@ class SchedulerMachine(RuleBasedStateMachine):
 
     def teardown(self):
         try:
-            for fid in self.external:
-                if not self.store.state_of(fid).done:
-                    self.store.resolve(fid, "late")
+            for rec in self.external:
+                if not rec.done:
+                    self.store.resolve(rec, "late")
             self.clock.run_until(lambda: not self.clock.pending())
             self.drained_runs_leave_nothing_shut()
         finally:
@@ -726,15 +727,15 @@ class SchedulerMachine(RuleBasedStateMachine):
     )
     def submit(self, reads, writes, subtree, session_write, name_from, arg_from):
         n = len(self.calls)
-        sources = [c.result.fid for c in self.calls] + self.external
+        sources = [c.result for c in self.calls] + self.external
         args: dict = {"who": f"C{n}", "name": "lit"}
         if sources and name_from < 30:
             source = sources[name_from % len(sources)]
-            if self.store.state_of(source).owner_call is not None:
+            if source.owner_call is not None:
                 source = self.store.create_field(source, "id")
-            args["name"] = source
+            args["name"] = source.fid
         if sources and arg_from < 15:
-            args["x"] = sources[arg_from % len(sources)]
+            args["x"] = sources[arg_from % len(sources)].fid
         paths = reads + writes
         annotation = DependencyAnnotation(
             reads=[AccessDecl(p, subtree) for p in reads],
@@ -752,13 +753,13 @@ class SchedulerMachine(RuleBasedStateMachine):
 
     @rule(pick=st.integers(0, 40), fail=st.booleans())
     def settle_external(self, pick, fail):
-        pending = [fid for fid in self.external if not self.store.state_of(fid).done]
+        pending = [rec for rec in self.external if not rec.done]
         if pending:
-            fid = pending[pick % len(pending)]
+            rec = pending[pick % len(pending)]
             if fail:
-                self.store.fail(fid, ErrorInfo("execution-error", "external", None))
+                self.store.fail(rec, ErrorInfo("execution-error", "external", None))
             else:
-                self.store.resolve(fid, f"e{pick}")
+                self.store.resolve(rec, f"e{pick}")
 
     @rule()
     def step(self):
@@ -787,9 +788,7 @@ class SchedulerMachine(RuleBasedStateMachine):
 
     @invariant()
     def drained_runs_leave_nothing_shut(self):
-        if self.clock.pending() or any(
-            not self.store.state_of(fid).done for fid in self.external
-        ):
+        if self.clock.pending() or any(not rec.done for rec in self.external):
             return
         assert all(c.terminal for c in self.calls), [c.call_id for c in self.calls if not c.terminal]
         assert self.scheduler.unopened_gates() == []

@@ -115,28 +115,31 @@ class TestResolvePaths:
 
     def test_pending_future_defers(self):
         scheduler, store, session, _ = make_scheduler()
-        fid = store.create()
-        found = {fid: store.state_of(fid)}
+        rec = store.create()
+        fid = rec.fid
+        found = {fid: rec}
         ann = annotation(writes=[("/files/{name}", False)])
         out = resolve_paths(ann, {"name": fid}, session, found)
         assert out is found[fid]
-        store.resolve(fid, "a.txt")
+        store.resolve(rec, "a.txt")
         out = resolve_paths(ann, {"name": fid}, session, found)
         assert ["/" + "/".join(a.path) for a in out] == ["/files/a.txt"]
 
     def test_failed_future_returns_its_settled_record(self):
         scheduler, store, session, _ = make_scheduler()
-        fid = store.create(owner_call="P")
-        store.fail(fid, ErrorInfo("execution-error", "boom", "P"))
-        found = {fid: store.state_of(fid)}
+        rec = store.create(owner_call="P")
+        fid = rec.fid
+        store.fail(rec, ErrorInfo("execution-error", "boom", "P"))
+        found = {fid: rec}
         out = resolve_paths(annotation(writes=[("/files/{name}", False)]), {"name": fid}, session, found)
         assert out is found[fid]
         assert (out.status, out.error.origin_call) == ("failed", "P")
 
     def test_a_future_id_the_scan_did_not_record_is_literal_text(self):
         scheduler, store, session, _ = make_scheduler()
-        fid = store.create(owner_call="P")
-        store.resolve(fid, "a.txt")
+        rec = store.create(owner_call="P")
+        fid = rec.fid
+        store.resolve(rec, "a.txt")
         out = resolve_paths(annotation(writes=[("/files/{name}", False)]), {"name": fid}, session, {})
         assert [a.path for a in out] == [("files", fid)]
 
@@ -151,11 +154,12 @@ class TestResolvePaths:
             annotation(reads=[("/x/{v}", False)]), {"v": {"k": 1}}, session, {}
         )
         assert out == scheduler_mod.fallback_accesses()
-        fid = store.create()
-        found = {fid: store.state_of(fid)}
+        rec = store.create()
+        fid = rec.fid
+        found = {fid: rec}
         ann = annotation(reads=[("/y", False)], writes=[("/x/{v}", False)])
         assert resolve_paths(ann, {"v": fid}, session, found) is found[fid]
-        store.resolve(fid, ["a", "b"])
+        store.resolve(rec, ["a", "b"])
         assert resolve_paths(ann, {"v": fid}, session, found) == scheduler_mod.fallback_accesses()
 
     def test_substituted_text_is_not_a_template(self):
@@ -262,7 +266,7 @@ class TestAdmission:
     def test_blocked_head_blocks_rest_of_queue(self):
         scheduler, store, _, _ = make_scheduler()
         pending = store.create()
-        c1 = call("F1", annotation(writes=[("/f/{n}", False)]), args={"n": pending})
+        c1 = call("F1", annotation(writes=[("/f/{n}", False)]), args={"n": pending.fid})
         c2 = call("F2", annotation(reads=[("/b", False)]))
         scheduler.submit(c1)
         scheduler.submit(c2)
@@ -328,7 +332,7 @@ class TestRelease:
         scheduler.submit(c2)
         assert dispatched == [c1]
         c1.dispatched_at = 0.0
-        store.resolve(c1.result.fid, {})
+        store.resolve(c1.result, {})
         scheduler.release(c1)
         assert dispatched == [c1, c2]
         assert scheduler.live_labels == c2.labels
@@ -345,7 +349,7 @@ class TestRelease:
         c1 = call("F1", annotation())  # empty annotation: no labels
         scheduler.submit(c1)
         c1.dispatched_at = 0.0
-        store.resolve(c1.result.fid, {})
+        store.resolve(c1.result, {})
         scheduler.release(c1)
         assert c1.released
 
@@ -366,9 +370,9 @@ class TestRelease:
         assert dispatched == [w]
         w.dispatched_at = 0.0
         if status == "done":
-            store.resolve(w.result.fid, {"cwd": "/new"})
+            store.resolve(w.result, {"cwd": "/new"})
         else:
-            store.fail(w.result.fid, ErrorInfo("execution-error", "boom", "W"))
+            store.fail(w.result, ErrorInfo("execution-error", "boom", "W"))
         assert w.status == status
         scheduler.release(w)
         assert dispatched == ([w, s, r] if status == "done" else [w, r, s])
@@ -392,7 +396,7 @@ class TestRelease:
         assert dispatched == [w1]
         assert not session.writes[-1][0].done
         w1.dispatched_at = 0.0
-        store.resolve(w1.result.fid, {})
+        store.resolve(w1.result, {})
         scheduler.release(w1)
         assert dispatched == [w1, r1]
         assert session.writes[-1][0].done
@@ -416,12 +420,12 @@ class TestRelease:
     def test_cancelled_head_with_failed_path_dependency(self):
         scheduler, store, _, _ = make_scheduler()
         producer = store.create(owner_call="P")
-        c1 = call("F1", annotation(writes=[("/f/{n}", False)]), args={"n": producer})
+        c1 = call("F1", annotation(writes=[("/f/{n}", False)]), args={"n": producer.fid})
         scheduler.submit(c1)
         assert c1.status == "queued"
         store.fail(producer, ErrorInfo("execution-error", "boom", "P"))
         assert c1.status == "cancelled"
-        assert store.state_of(c1.result.fid).status == "cancelled"
+        assert c1.result.status == "cancelled"
 
 
 class TestGateDag:
@@ -430,7 +434,7 @@ class TestGateDag:
         # blocked head, even though its own paths are fine.
         scheduler, store, _, _ = make_scheduler()
         pending = store.create()
-        head = call("H", annotation(reads=[("/f/{n}", False)]), args={"n": pending})
+        head = call("H", annotation(reads=[("/f/{n}", False)]), args={"n": pending.fid})
         later = call("L", annotation(reads=[("/elsewhere", False)]))
         scheduler.submit(head)
         scheduler.submit(later)
@@ -497,9 +501,14 @@ class TestWorkGrowth:
 
     @staticmethod
     def count_calls(monkeypatch) -> dict[str, int]:
-        """Count ``FutureStore.state_of`` and ``scheduler.conflicts`` calls."""
-        counts = {"state_of": 0, "conflicts": 0}
-        state_of, conflicts_fn = FutureStore.state_of, scheduler_mod.conflicts
+        """Count ``FutureStore.find``, ``FutureStore.state_of`` and
+        ``scheduler.conflicts`` calls."""
+        counts = {"find": 0, "state_of": 0, "conflicts": 0}
+        find, state_of, conflicts_fn = FutureStore.find, FutureStore.state_of, scheduler_mod.conflicts
+
+        def counted_find(self, fid, hidden=frozenset()):
+            counts["find"] += 1
+            return find(self, fid, hidden)
 
         def counted_state_of(self, fid):
             counts["state_of"] += 1
@@ -509,6 +518,7 @@ class TestWorkGrowth:
             counts["conflicts"] += 1
             return conflicts_fn(a, b)
 
+        monkeypatch.setattr(FutureStore, "find", counted_find)
         monkeypatch.setattr(FutureStore, "state_of", counted_state_of)
         monkeypatch.setattr(scheduler_mod, "conflicts", counted_conflicts)
         return counts
@@ -599,6 +609,16 @@ class TestWorkGrowth:
         # candidate here is a distinct edge.
         assert counts["conflicts"] == len(trace.edges) <= 2 * n
         assert counts["state_of"] <= 4 * n
+
+    def test_a_failure_free_burst_turn_looks_up_no_future_by_id(self, monkeypatch):
+        # Each layer passes on the record it made or was handed; ids are
+        # parsed only from model or script text, and this turn names none.
+        # Looking each result up again at creation and at resolution made
+        # 512 of each.
+        counts = self.count_calls(monkeypatch)
+        trace = run_workload(self.burst_turn([f"C{k}" for k in range(256)]), "async-parallel")
+        assert set(trace.call_status.values()) == {"done"}
+        assert counts["find"] == counts["state_of"] == 0
 
     def test_a_drained_burst_turn_keeps_no_latch_but_its_labels_records_and_session_gates(self):
         # A label is its own gate, and a latch or record holds a list only

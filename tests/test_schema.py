@@ -77,7 +77,7 @@ def store():
 
 def test_futurize_flat_template():
     s = store()
-    base = s.create()
+    base = s.create().fid
     out = futurize_output_template(
         {"engineState": "", "fuelLevel": 0.0, "batteryVoltage": 0.0}, base, s
     )
@@ -90,19 +90,19 @@ def test_futurize_flat_template():
 
 def test_futurize_without_template_returns_base_id():
     s = store()
-    base = s.create()
+    base = s.create().fid
     assert futurize_output_template(None, base, s) == base
 
 
 def test_futurize_nested_template():
     s = store()
-    base = s.create()
+    base = s.create().fid
     assert futurize_output_template({"a": {"b": 1}}, base, s) == {"a": {"b": f"{base}.a.b"}}
 
 
 def test_futurize_preserves_shape_and_keeps_empty_containers():
     s = store()
-    base = s.create()
+    base = s.create().fid
     template = {"xs": [1, 2], "empty": {}, "nested": {"k": "v"}, "none": None}
     out = futurize_output_template(template, base, s)
     assert out["empty"] == {}
@@ -121,23 +121,22 @@ def test_futurize_preserves_shape_and_keeps_empty_containers():
 
 def test_scan_finds_registered_refs_only():
     s = store()
-    base = s.create()
-    s.create_field(base, "engineState")
-    refs = scan_future_refs({"mode": f"{base}.engineState"}, s)
-    assert refs == [s.state_of(f"{base}.engineState")]
+    field = s.create_field(s.create(), "engineState")
+    refs = scan_future_refs({"mode": field.fid}, s)
+    assert refs == [field]
     assert scan_future_refs({"mode": "eco"}, s) == []
 
 
 def test_scan_filters_unregistered_ids():
     s = store()
     f0 = s.create()
-    refs = scan_future_refs({"xs": [f0, 3, "fut_9"]}, s)
-    assert refs == [s.state_of(f0)]
+    refs = scan_future_refs({"xs": [f0.fid, 3, "fut_9"]}, s)
+    assert refs == [f0]
 
 
 def test_scan_requires_exact_leaf_match():
     s = store()
-    f0 = s.create()
+    f0 = s.create().fid
     assert scan_future_refs({"note": f"please use {f0} here"}, s) == []
 
 
@@ -150,7 +149,7 @@ def test_substitute_resolved_replaces_values():
     s = store()
     base = s.create()
     s.resolve(base, {"engineState": "running"})
-    field = s.state_of(f"{base}.engineState")
+    field = s.create_field(base, "engineState")
     out = substitute_resolved({"mode": field.fid}, {field.fid: field})
     assert out == {"mode": "running"}
 
@@ -165,18 +164,18 @@ def test_substitute_rejects_unresolved():
     s = store()
     pending = s.create()
     with pytest.raises(UnresolvedArgumentError):
-        substitute_resolved({"x": pending}, {pending: s.state_of(pending)})
+        substitute_resolved({"x": pending.fid}, {pending.fid: pending})
     cancelled = s.create()
     s.cancel(cancelled, ErrorInfo("cancelled-dependency", "cancelled because C0 failed", "C0"))
     with pytest.raises(UnresolvedArgumentError):
-        substitute_resolved({"x": cancelled}, {cancelled: s.state_of(cancelled)})
+        substitute_resolved({"x": cancelled.fid}, {cancelled.fid: cancelled})
 
 
 def test_substitute_after_futurize_reconstructs_value():
     s = store()
     base = s.create()
     template = {"a": {"b": 1}, "xs": [2, 3], "name": ""}
-    futurized = futurize_output_template(template, base, s)
+    futurized = futurize_output_template(template, base.fid, s)
     value = {"a": {"b": 10}, "xs": [20, 30], "name": "n"}
     s.resolve(base, value)
     assert substitute_resolved(futurized, found_in(futurized, s)) == value
