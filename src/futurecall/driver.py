@@ -15,13 +15,16 @@ once.
 That leaves two execution models. Sync modes run each turn as one batch:
 same-turn calls overlap in time, and their effects and results apply in
 emitted order. Async modes submit each turn's calls to the dependency-aware
-scheduler as one unit. Either way an ``@Fk[.path]`` reference names the
-record of the call's result or of one of its fields, taken from the call
-and never looked up by id; only ids the decoder writes, as in an await,
-go through ``FutureStore.find``. Async modes pass the record's id, and
-sync modes, where it has settled, its outcome as ``reported`` renders it.
-The executor's ``settle`` ends each call that ran, and every assistant
-tool call is immediately followed by a tool message for its call id.
+scheduler as one unit. Either way the driver alone checks that a call id is
+new and creates the call's result future, and it writes each call once into
+the scheduler's registry, the run's only one; the trace keeps the run's own
+message and edge lists. An ``@Fk[.path]`` reference names the record of the
+call's result or of one of its fields, taken from the call and never looked
+up by id; only ids the decoder writes, as in an await, go through
+``FutureStore.find``. Async modes pass the record's id, and sync modes,
+where it has settled, its outcome as ``reported`` renders it. The executor's
+``settle`` ends each call that ran, and every assistant tool call is
+immediately followed by a tool message for its call id.
 
 Decoding is strictly sequential. Scripted decoders pick their next turn by
 the integration state of required call outcomes, so sync and async runs share
@@ -323,7 +326,7 @@ class TurnDriver:
         self.executor = Executor(self.store, self.scheduler, self.clock, self.tools, self.state, self.trace)
         self.decoder = decoder or ScriptedDecoder(workload.script, is_parallel(mode))
         self.messages: list[Message] = []
-        self.calls: dict[str, CallRecord] = {}
+        self.calls: dict[str, CallRecord] = self.scheduler.calls  # the run's one registry
         self._awaited: set[str] = set()  # call ids whose outcome an await returned
         self._used_ids: set[str] = set()  # every call and await id emitted so far
         self._settled_seen = 0  # length of store.settled at the last boundary
@@ -434,6 +437,8 @@ class TurnDriver:
             ) from exc
 
     def _finish(self) -> None:
+        """Check the drained run, then fill in the trace; it takes the run's
+        own message and edge lists, which nothing appends to any more."""
         self.trace.finished = self.clock.now()
         leaked = sorted(self.store.pending_ids()) + self.scheduler.unopened_gates()
         if leaked:
@@ -443,8 +448,8 @@ class TurnDriver:
             raise ProtocolViolationError("; ".join(violations))
         self.trace.final_answer = self.final_answer
         self.trace.final_state = self.state.snapshot()
-        self.trace.messages = list(self.messages)
-        self.trace.edges = list(map(tuple, self.scheduler.edges))
+        self.trace.messages = self.messages
+        self.trace.edges = self.scheduler.edges
         for call_id, call in self.calls.items():
             self.trace.call_status[call_id] = call.status
 
@@ -586,7 +591,7 @@ class TurnDriver:
             template = self.tools[record.tool].schema.outputs
             placeholder = futurize_output_template(template, record.result.fid, self.store)
             self._append(Message(role="tool", content=placeholder, call_id=record.call_id))
-        self.scheduler.submit(*records, scan=[bool(spec.refs) or spec.literal_futures for spec in specs])
+        self.scheduler.submit(records, [bool(spec.refs) or spec.literal_futures for spec in specs])
 
     def _run_batch(self, records: list[CallRecord]) -> None:
         """Sync execution: same-turn calls overlap in time, but their effects
@@ -628,18 +633,19 @@ class TurnDriver:
         if not is_async(self.mode):
             offset = turn.decode_time
         t0, t1 = self._decode(offset)
-        raw_ids = spec.args.get("future_ids", [])
-        translated = self._substitute_refs(raw_ids, attrgetter("fid"))
+        # Each ``@Fk[.path]`` becomes the record it names; any other id is
+        # model text, which ``find`` parses once per occurrence.
+        named = self._substitute_refs(spec.args.get("future_ids", []), lambda record: record)
+        ids = [leaf if isinstance(leaf, str) else leaf.fid for leaf in named]
+        records = [self.store.find(leaf) if isinstance(leaf, str) else leaf for leaf in named]
         self._append(
             Message(
                 role="assistant",
                 content="",
-                tool_calls=[CallSpec(spec.call_id, AWAIT_FUTURE_NAME, {"future_ids": translated})],
+                tool_calls=[CallSpec(spec.call_id, AWAIT_FUTURE_NAME, {"future_ids": ids})],
             )
         )
-        # The ids are model text: ``find`` parses each, once per occurrence.
-        records = [self.store.find(fid) for fid in translated]
-        unknown = [fid for fid, record in zip(translated, records) if record is None]
+        unknown = [fid for fid, record in zip(ids, records) if record is None]
         if unknown:
             error = {"error": f"unknown futures: {sorted(unknown)}"}
             self._append(Message(role="tool", content=error, call_id=spec.call_id))
@@ -649,7 +655,7 @@ class TurnDriver:
         if is_async(self.mode):
             self.trace.record(t1, t_end, AWAIT, spec.call_id, self._turn_no)
         values: dict[str, Any] = {}
-        for fid, record in zip(translated, records):
+        for fid, record in zip(ids, records):
             values[fid] = reported(record)
             if record.path is None:
                 self._awaited.add(record.owner_call)

@@ -51,10 +51,6 @@ class LeakedFutureError(FuturecallError):
 
 # -- scheduling / execution ---------------------------------------------------
 
-class DuplicateCallIdError(FuturecallError):
-    pass
-
-
 class BadPathTemplateError(FuturecallError):
     pass
 

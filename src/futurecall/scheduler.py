@@ -57,7 +57,7 @@ from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import AbstractSet, Any, Callable, Iterator, Mapping, NamedTuple, Sequence
 
-from .errors import CANCELLED_DEPENDENCY, DuplicateCallIdError, ErrorInfo, NotTerminalError
+from .errors import CANCELLED_DEPENDENCY, ErrorInfo, NotTerminalError
 from .futures import CANCELLED, FAILED, RESOLVED, FutureRecord, FutureStore, Latch, when_all
 from .schema import DOT_PARTS, READ, WRITE, Access, DependencyAnnotation, scan_future_refs, split_path
 
@@ -292,8 +292,8 @@ class CallRecord:
     """One decoded function call moving through the scheduling pipeline.
 
     ``turn`` is the number of the decode turn that emitted the call.
-    ``result`` is the record of the call's result future; ``Scheduler.submit``
-    creates it unless the caller already has. ``argument_futures`` maps each
+    ``result`` is the record of the call's result future, which the caller
+    creates before it submits the call. ``argument_futures`` maps each
     id that ``Scheduler.submit`` found among the string leaves of ``args``
     to its record, in leaf order. That is the one decision of what the
     arguments name: a future of an earlier turn. An id of the call's own
@@ -362,11 +362,14 @@ _GATE_EDGE_KINDS = {
 
 
 class DependencyEdge(NamedTuple):
-    """A recorded producer -> consumer constraint between two calls."""
+    """A recorded producer -> consumer constraint between two calls. A
+    trace keeps the scheduler's edges, so one prints as its plain tuple."""
 
     producer: str
     consumer: str
     kind: str  # one of EDGE_KINDS
+
+    __repr__ = tuple.__repr__
 
 
 def resolve_paths(
@@ -444,7 +447,9 @@ class Scheduler:
     admits a turn's calls one by one, then pumps once for the whole turn;
     ``pump`` runs such a pass, and runs again after a gate opening readies
     a call, on cancellation and when the blocked head's input settles;
-    nothing else can admit or ready a call.
+    nothing else can admit or ready a call. ``calls`` is the run's one
+    call registry, which the driver fills: it checks that each id is new
+    and gives each call its result future before submitting it.
     """
 
     def __init__(self, store: FutureStore, session: SessionState, clock):
@@ -471,47 +476,34 @@ class Scheduler:
 
     # -- submission ----------------------------------------------------------
 
-    def submit(self, *calls: CallRecord, scan: Sequence[bool] | None = None) -> str:
-        """Enqueue one decoded turn's calls, a single call being a one-call
-        turn, and pump once for all of them; returns the last call's result
-        future at once. The turn is rejected whole, before any call is
-        registered, if an id is already submitted or repeats within it. A
-        call's argument edges are recorded once the calls ahead of it are
-        admitted as far as the queue head allows, after their gate edges.
-        A call's arguments can name only futures of earlier turns: an id
-        whose future a call of this turn owns stays literal text, and a
-        field id of one registers no field.
-        ``scan[i]`` false skips the search of the i-th call's ``args`` for
-        future ids, for a caller that knows none can be there: the call
-        then has no argument futures and no argument edges. Without
-        ``scan`` every call is searched."""
-        for call in calls:
-            if call.call_id in self.calls:
-                raise DuplicateCallIdError(f"call id {call.call_id!r} already submitted")
-        turn_ids = {call.call_id for call in calls}
-        if len(turn_ids) < len(calls):
-            raise DuplicateCallIdError("a call id repeats within the turn")
+    def submit(self, calls: Sequence[CallRecord], scan: Sequence[bool]) -> None:
+        """Enqueue one decoded turn's calls, each already registered with
+        its result future, and pump once for all of them. A call's argument
+        edges are recorded once the calls ahead of it are admitted as far as
+        the queue head allows, after their gate edges. A call's arguments
+        can name only futures of earlier turns: an id whose future a call of
+        this turn owns stays literal text, and a field id of one registers
+        no field. ``scan[i]`` false skips the search of the i-th call's
+        ``args`` for future ids, for a caller that knows none can be there:
+        the call then has no argument futures and no argument edges."""
         now = self.clock.now()
-        store, registered, queue = self.store, self.calls, self.queue
+        turn_ids = {call.call_id for call in calls}
+        queue = self.queue
         # Admission may cancel a head, and a cancellation asks for a pass:
         # the guard holds that request for the turn's one pass, which
         # admits the last call.
         self._pumping = True
         try:
-            for index, call in enumerate(calls):
+            for call, search in zip(calls, scan):
                 if queue:
                     self.try_admit(now)
-                if call.result is None:
-                    call.result = store.create(owner_call=call.call_id)
                 call.submitted_at = now
-                registered[call.call_id] = call
-                if scan is None or scan[index]:
+                if search:
                     self._record_argument_edges(call, turn_ids)
                 queue.append(call)
         finally:
             self._pumping = False
         self.pump()
-        return calls[-1].result.fid
 
     def _record_argument_edges(self, call: CallRecord, turn_ids: AbstractSet[str]) -> None:
         """Fill ``argument_futures`` by the one scan of the arguments, which
@@ -578,7 +570,9 @@ class Scheduler:
 
     def _admit(self, call: CallRecord, accesses: list[Access], now: float) -> None:
         """Register the call's labels and ready it: at once when every
-        blocking gate is open, else through one waiter on them."""
+        blocking gate is open, else through one waiter on them. Its gates
+        are computed first, before it reserves its session version and
+        registers its labels, so none of them is the call's own."""
         gates = self.blocking_gates(call, accesses)
         annotation = call.annotation
         if annotation is not None and annotation.session_write:
@@ -613,7 +607,7 @@ class Scheduler:
             (label.seq, index, label)
             for index, access in enumerate(accesses)
             for label in overlapping(access)
-            if label.owner != consumer and conflicts(label.access, access)
+            if conflicts(label.access, access)
         ]
         hits.sort()  # (seq, index) pairs are unique: labels are never compared
         gates: set[Latch] = set()
@@ -629,7 +623,7 @@ class Scheduler:
         if annotation is not None and (annotation.session_read or annotation.session_write):
             gate, producer = self.session.writes[-1]
             gates.add(gate)
-            if producer and producer != consumer:
+            if producer:
                 kind = "session-raw" if annotation.session_read else "session-waw"
                 edges.append(DependencyEdge(producer, consumer, kind))
         return gates

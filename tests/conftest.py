@@ -8,6 +8,7 @@ from contextlib import contextmanager
 import pytest
 
 from futurecall import WorkloadSpec, lint_context, load_workload, run_workload
+from futurecall.scheduler import CallRecord
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 FIXTURE_NAMES = ["fig1", "vehicle", "diamond", "fail-chain", "thinking", "pairs", "templated"]
@@ -61,6 +62,16 @@ def recording_tool(name, path=None, latency=1, returns=None):
         "returns": [returns if returns is not None else {}],
         "state": {"writes": [{"path": f"/seen/{name}", "value": "{args}"}]},
     }
+
+
+def new_call(scheduler, call_id, annotation=None, args=None, tool="t", **fields) -> CallRecord:
+    """A call record built as ``TurnDriver._emit_calls`` builds one, for a
+    test that drives the scheduler alone: with its result future, and
+    written into the run's call registry, which the scheduler holds."""
+    call = CallRecord(call_id=call_id, tool=tool, args={} if args is None else args, annotation=annotation, **fields)
+    call.result = scheduler.store.create(owner_call=call_id)
+    scheduler.calls[call_id] = call
+    return call
 
 
 def capture_gates(scheduler) -> dict[str, set]:

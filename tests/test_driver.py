@@ -8,13 +8,14 @@ import time
 
 import pytest
 
-from futurecall import MODES, TurnDriver, VirtualClock, WallClock, lint_context, run_workload
-from futurecall.driver import Message, ScriptedDecoder, await_detection_offset
+from futurecall import MODES, FutureStore, TurnDriver, VirtualClock, WallClock, lint_context, run_workload
+from futurecall.driver import Message, ScriptedDecoder, await_detection_offset, is_async
 from futurecall.errors import (
     ContextOverflowError,
     ScriptExhaustedError,
     ValidationError,
 )
+from futurecall.scheduler import DependencyEdge
 from futurecall.workload import CallSpec, ScriptTurn, load_workload, workload_from_json
 
 from conftest import FIXTURE_NAMES, fixture_path, no_cyclic_garbage, recording_tool, run_fixture
@@ -766,6 +767,29 @@ class TestAwait:
         assert values == {"error": "unknown futures: ['fut_0.saved x']"}
 
     @pytest.mark.parametrize("mode", MODES)
+    def test_an_await_of_references_looks_up_no_id(self, mode, monkeypatch):
+        # The await binds @F1 and @F1.saved to the records they name, so
+        # neither goes through ``find`` by id.
+        awaiting, looked_up = [], []
+        handle, find = TurnDriver._handle_await, FutureStore.find
+
+        def handle_await(self, turn):
+            awaiting.append(turn)
+            handle(self, turn)
+            awaiting.pop()
+
+        def counted_find(self, fid, *rest):
+            if awaiting:
+                looked_up.append(fid)
+            return find(self, fid, *rest)
+
+        monkeypatch.setattr(TurnDriver, "_handle_await", handle_await)
+        monkeypatch.setattr(FutureStore, "find", counted_find)
+        values, _ = self.saved_await_run(["@F1", "@F1.saved"], mode)
+        assert values == {"fut_0": {"saved": 1}, "fut_0.saved": 1}
+        assert looked_up == []
+
+    @pytest.mark.parametrize("mode", MODES)
     def test_await_listing_an_unknown_id_twice_reports_it_twice(self, mode):
         values, _ = self.saved_await_run(["fut_9", "@F1", "fut_9"], mode)
         assert values == {"error": "unknown futures: ['fut_9', 'fut_9']"}
@@ -856,6 +880,42 @@ class TestProtocolAndDeterminism:
         trace = run_fixture("fig1", "async-sequential")
         dumped = json.dumps(trace.context_json())
         assert json.loads(dumped)[0]["role"] == "user"
+
+
+def vehicle_run(mode):
+    """The vehicle fixture's driver and trace; async runs record two edges."""
+    driver = TurnDriver(load_workload(fixture_path("vehicle")), mode)
+    return driver, driver.run()
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_the_trace_keeps_the_scheduler_edge_list(mode):
+    driver, trace = vehicle_run(mode)
+    assert trace.edges is driver.scheduler.edges
+    assert len(trace.edges) == (2 if is_async(mode) else 0)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_the_trace_keeps_the_run_message_list(mode):
+    driver, trace = vehicle_run(mode)
+    assert trace.messages is driver.messages
+    assert lint_context(trace.messages) == []
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_driver_and_scheduler_share_one_call_registry(mode):
+    driver, trace = vehicle_run(mode)
+    assert driver.calls is driver.scheduler.calls
+    assert list(driver.calls) == list(trace.call_status)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_trace_edges_print_as_plain_tuples(mode):
+    # The golden edge pins and the digest hash ``repr(trace.edges)``.
+    _, trace = vehicle_run(mode)
+    assert all(type(edge) is DependencyEdge for edge in trace.edges)
+    assert repr(trace.edges) == repr([tuple(edge) for edge in trace.edges])
+    assert repr(DependencyEdge("SE", "DS", "arg")) == "('SE', 'DS', 'arg')"
 
 
 class TestGuards:

@@ -6,10 +6,11 @@ import pytest
 
 from futurecall import DependencyAnnotation, FutureStore, RunTrace, SessionState, VirtualClock, run_workload
 from futurecall.executor import Executor, StateStore
-from futurecall.scheduler import CallRecord, Scheduler
+from futurecall.scheduler import Scheduler
 from futurecall.schema import AccessDecl, FunctionSchema
 from futurecall.workload import ToolSpec, workload_from_json
 
+from conftest import new_call
 from randgen import random_arg_dag_workload, reachable_from
 
 
@@ -69,15 +70,12 @@ def test_unsubstitutable_argument_fails_the_consumer_and_cancels_its_dependents(
     Executor(store, scheduler, clock, tools, StateStore(), trace)
     writes_c = DependencyAnnotation(writes=[AccessDecl("/c", False)])
     reads_c = DependencyAnnotation(reads=[AccessDecl("/c", False)])
-    p = CallRecord(call_id="P", tool="gen", args={}, annotation=writes_c)
-    p.result = store.create(owner_call="P")
-    c = CallRecord(call_id="C", tool="t", args={"x": p.result.fid}, annotation=writes_c)
-    c.result = store.create(owner_call="C")
-    d = CallRecord(call_id="D", tool="t", args={"y": c.result.fid}, annotation=reads_c)
+    p = new_call(scheduler, "P", writes_c, tool="gen")
+    c = new_call(scheduler, "C", writes_c, {"x": p.result.fid})
+    d = new_call(scheduler, "D", reads_c, {"y": c.result.fid})
     # Three turns: a call names only futures handed back in earlier turns.
-    scheduler.submit(p)
-    scheduler.submit(c)
-    scheduler.submit(d)
+    for call in (p, c, d):
+        scheduler.submit([call], [True])
     clock.run_until(lambda: d.terminal)
     assert p.status == "done" and c.status == "failed"
     error = c.result.error

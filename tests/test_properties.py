@@ -46,7 +46,7 @@ from futurecall.schema import DOT_PARTS, AccessDecl, FunctionSchema, ParamSpec, 
 from futurecall.trace import RunTrace
 from futurecall.workload import ToolSpec, workload_from_json
 
-from conftest import capture_gates, recording_tool
+from conftest import capture_gates, new_call, recording_tool
 
 # -- interval properties ------------------------------------------------------
 
@@ -520,7 +520,7 @@ def test_blocking_gates_reduce_a_scan_of_unreleased_labels(ops, durations):
         for segments, mode, subtree in arg:
             decls[mode].append(AccessDecl("/" + "/".join(segments), subtree))
         annotation = DependencyAnnotation(reads=decls[READ], writes=decls[WRITE])
-        call = CallRecord(call_id=f"C{n}", tool="t", args={}, annotation=annotation)
+        call = new_call(scheduler, f"C{n}", annotation)
         accesses = resolve_paths(annotation, {}, session, {})
 
         # The reference: every label of a call that is not terminal.
@@ -544,7 +544,7 @@ def test_blocking_gates_reduce_a_scan_of_unreleased_labels(ops, durations):
             )
         }
         before = len(scheduler.edges)
-        scheduler.submit(call)
+        scheduler.submit([call], [True])
         calls.append(call)
         assert captured[call.call_id] <= gates
         assert set(scheduler.edges[before:]) <= edges
@@ -743,9 +743,9 @@ class SchedulerMachine(RuleBasedStateMachine):
             session_read=any(p.startswith("$") for p in paths),
             session_write=session_write,
         )
-        call = CallRecord(call_id=f"C{n}", tool="t", args=args, annotation=annotation, invocation_index=n)
+        call = new_call(self.scheduler, f"C{n}", annotation, args, invocation_index=n)
         self.calls.append(call)
-        self.scheduler.submit(call)
+        self.scheduler.submit([call], [True])
 
     @rule()
     def new_external(self):

@@ -10,7 +10,6 @@ import futurecall.futures as futures_mod
 import futurecall.scheduler as scheduler_mod
 from futurecall import DependencyAnnotation, FutureStore, TurnDriver, VirtualClock, run_workload
 from futurecall.errors import (
-    DuplicateCallIdError,
     ErrorInfo,
     LeakedFutureError,
     NotTerminalError,
@@ -22,14 +21,13 @@ from futurecall.scheduler import (
     READ,
     WRITE,
     Access,
-    CallRecord,
     Scheduler,
     SessionState,
     conflicts,
     resolve_paths,
 )
 
-from conftest import capture_gates
+from conftest import capture_gates, new_call
 
 
 def rp(text: str) -> tuple[str, ...]:
@@ -95,10 +93,6 @@ def annotation(reads=(), writes=(), session_read=False, session_write=False):
         session_read=session_read,
         session_write=session_write,
     )
-
-
-def call(call_id, ann=None, args=None):
-    return CallRecord(call_id=call_id, tool="t", args=args or {}, annotation=ann)
 
 
 class TestResolvePaths:
@@ -229,47 +223,31 @@ class TestResolvePaths:
 
 class TestAdmission:
     def test_submit_returns_future_immediately(self):
+        # Submission only enqueues and admits: the call is dispatched, and
+        # its result future stays pending until the call runs.
         scheduler, store, _, _ = make_scheduler()
-        c = call("F1", annotation(writes=[("/a", False)]))
-        fid = scheduler.submit(c)
-        assert fid.startswith("fut_")
-        assert c.status == "admitted" or c.status == "queued"
-
-    def test_duplicate_call_id_rejected(self):
-        scheduler, _, _, _ = make_scheduler()
-        scheduler.submit(call("F1"))
-        with pytest.raises(DuplicateCallIdError):
-            scheduler.submit(call("F1"))
-
-    @pytest.mark.parametrize("turn_ids", [["F2", "F1"], ["F2", "F3", "F2"]])
-    def test_a_turn_with_a_clashing_id_registers_none_of_its_calls(self, turn_ids):
-        # The clash is with a submitted call or within the turn; either way
-        # no call of the turn is registered, queued or given a future.
-        scheduler, store, _, _ = make_scheduler()
-        scheduler.submit(call("F1", annotation(writes=[("/a", False)])))
-        before = (dict(scheduler.calls), list(scheduler.queue), store.ids(), list(scheduler.edges))
-        turn = [call(i, annotation(writes=[("/a", False)])) for i in turn_ids]
-        with pytest.raises(DuplicateCallIdError):
-            scheduler.submit(*turn)
-        assert (dict(scheduler.calls), list(scheduler.queue), store.ids(), list(scheduler.edges)) == before
-        assert all(c.result is None and c.submitted_at == 0.0 for c in turn)
-        assert {label.owner for label in scheduler.live_labels} == {"F1"}
+        dispatched = []
+        scheduler.on_dispatch = dispatched.append
+        c = new_call(scheduler, "F1", annotation(writes=[("/a", False)]))
+        assert scheduler.submit([c], [True]) is None
+        assert dispatched == [c] and c.status == "admitted"
+        assert store.pending_ids() == [c.result.fid]
 
     def test_fifo_admission_both_heads_resolvable(self):
         scheduler, _, _, _ = make_scheduler()
-        c1 = call("F1", annotation(writes=[("/a", False)]))
-        c2 = call("F2", annotation(reads=[("/b", False)]))
-        scheduler.submit(c1)
-        scheduler.submit(c2)
+        c1 = new_call(scheduler, "F1", annotation(writes=[("/a", False)]))
+        c2 = new_call(scheduler, "F2", annotation(reads=[("/b", False)]))
+        scheduler.submit([c1], [True])
+        scheduler.submit([c2], [True])
         assert c1.status == "admitted" and c2.status == "admitted"
 
     def test_blocked_head_blocks_rest_of_queue(self):
         scheduler, store, _, _ = make_scheduler()
         pending = store.create()
-        c1 = call("F1", annotation(writes=[("/f/{n}", False)]), args={"n": pending.fid})
-        c2 = call("F2", annotation(reads=[("/b", False)]))
-        scheduler.submit(c1)
-        scheduler.submit(c2)
+        c1 = new_call(scheduler, "F1", annotation(writes=[("/f/{n}", False)]), args={"n": pending.fid})
+        c2 = new_call(scheduler, "F2", annotation(reads=[("/b", False)]))
+        scheduler.submit([c1], [True])
+        scheduler.submit([c2], [True])
         assert c1.status == "queued"
         assert c2.status == "queued"  # behind the unresolvable head
         store.resolve(pending, "x")
@@ -285,10 +263,10 @@ class TestBlockingGates:
     def test_conflicting_write_read_creates_gate(self):
         scheduler, store, _, _ = make_scheduler()
         gates = capture_gates(scheduler)
-        c1 = call("F1", annotation(writes=[("/a", False)]))
-        c2 = call("F2", annotation(reads=[("/a", False)]))
-        scheduler.submit(c1)
-        scheduler.submit(c2)
+        c1 = new_call(scheduler, "F1", annotation(writes=[("/a", False)]))
+        c2 = new_call(scheduler, "F2", annotation(reads=[("/a", False)]))
+        scheduler.submit([c1], [True])
+        scheduler.submit([c2], [True])
         assert gates["F2"] == {c1.labels[0]}
         assert ("F1", "F2", "gate-raw") in [
             (e.producer, e.consumer, e.kind) for e in scheduler.edges
@@ -297,27 +275,27 @@ class TestBlockingGates:
     def test_disjoint_paths_no_gates(self):
         scheduler, _, _, _ = make_scheduler()
         gates = capture_gates(scheduler)
-        c1 = call("F1", annotation(writes=[("/a", False)]))
-        c2 = call("F2", annotation(reads=[("/b", False)]))
-        scheduler.submit(c1)
-        scheduler.submit(c2)
+        c1 = new_call(scheduler, "F1", annotation(writes=[("/a", False)]))
+        c2 = new_call(scheduler, "F2", annotation(reads=[("/b", False)]))
+        scheduler.submit([c1], [True])
+        scheduler.submit([c2], [True])
         assert gates["F2"] == set()
 
     def test_session_reader_blocks_on_version_gate_one(self):
         scheduler, store, session, _ = make_scheduler()
         gates = capture_gates(scheduler)
-        writer = call("W1", annotation(session_write=True))
-        reader = call("R1", annotation(session_read=True))
-        scheduler.submit(writer)
-        scheduler.submit(reader)
+        writer = new_call(scheduler, "W1", annotation(session_write=True))
+        reader = new_call(scheduler, "R1", annotation(session_read=True))
+        scheduler.submit([writer], [True])
+        scheduler.submit([reader], [True])
         assert gates["R1"] == {session.writes[1][0]}
 
     def test_session_readers_share_one_gate(self):
         scheduler, _, session, _ = make_scheduler()
         gates = capture_gates(scheduler)
-        scheduler.submit(call("W1", annotation(session_write=True)))
-        scheduler.submit(call("R1", annotation(session_read=True)))
-        scheduler.submit(call("R2", annotation(session_read=True)))
+        scheduler.submit([new_call(scheduler, "W1", annotation(session_write=True))], [True])
+        scheduler.submit([new_call(scheduler, "R1", annotation(session_read=True))], [True])
+        scheduler.submit([new_call(scheduler, "R2", annotation(session_read=True))], [True])
         assert gates["R1"] == gates["R2"] == {session.writes[1][0]}
 
 
@@ -326,10 +304,10 @@ class TestRelease:
         scheduler, store, _, _ = make_scheduler()
         dispatched = []
         scheduler.on_dispatch = dispatched.append
-        c1 = call("F1", annotation(writes=[("/a", False)]))
-        c2 = call("F2", annotation(reads=[("/a", False)]))
-        scheduler.submit(c1)
-        scheduler.submit(c2)
+        c1 = new_call(scheduler, "F1", annotation(writes=[("/a", False)]))
+        c2 = new_call(scheduler, "F2", annotation(reads=[("/a", False)]))
+        scheduler.submit([c1], [True])
+        scheduler.submit([c2], [True])
         assert dispatched == [c1]
         c1.dispatched_at = 0.0
         store.resolve(c1.result, {})
@@ -339,15 +317,15 @@ class TestRelease:
 
     def test_release_requires_terminal(self):
         scheduler, _, _, _ = make_scheduler()
-        c1 = call("F1")
-        scheduler.submit(c1)
+        c1 = new_call(scheduler, "F1")
+        scheduler.submit([c1], [True])
         with pytest.raises(NotTerminalError):
             scheduler.release(c1)
 
     def test_release_without_labels_is_bookkeeping_only(self):
         scheduler, store, _, _ = make_scheduler()
-        c1 = call("F1", annotation())  # empty annotation: no labels
-        scheduler.submit(c1)
+        c1 = new_call(scheduler, "F1", annotation())  # empty annotation: no labels
+        scheduler.submit([c1], [True])
         c1.dispatched_at = 0.0
         store.resolve(c1.result, {})
         scheduler.release(c1)
@@ -362,11 +340,11 @@ class TestRelease:
         session.bindings["cwd"] = "/old"
         dispatched = []
         scheduler.on_dispatch = dispatched.append
-        w = call("W", annotation(writes=[("/a", False)], session_write=True))
-        s = call("S", annotation(session_read=True))
-        r = call("R", annotation(reads=[("/a", False)]))
+        w = new_call(scheduler, "W", annotation(writes=[("/a", False)], session_write=True))
+        s = new_call(scheduler, "S", annotation(session_read=True))
+        r = new_call(scheduler, "R", annotation(reads=[("/a", False)]))
         for c in (w, s, r):
-            scheduler.submit(c)
+            scheduler.submit([c], [True])
         assert dispatched == [w]
         w.dispatched_at = 0.0
         if status == "done":
@@ -386,11 +364,11 @@ class TestRelease:
         gates = capture_gates(scheduler)
         dispatched = []
         scheduler.on_dispatch = dispatched.append
-        w1 = call("W1", annotation(session_write=True))
-        w2 = call("W2", annotation(session_write=True))
-        r1 = call("R1", annotation(session_read=True))
+        w1 = new_call(scheduler, "W1", annotation(session_write=True))
+        w2 = new_call(scheduler, "W2", annotation(session_write=True))
+        r1 = new_call(scheduler, "R1", annotation(session_read=True))
         for c in (w1, w2, r1):
-            scheduler.submit(c)
+            scheduler.submit([c], [True])
         assert gates["R1"] == {session.writes[2][0]}
         scheduler.mark_cancelled(w2, "origin")
         assert dispatched == [w1]
@@ -403,8 +381,8 @@ class TestRelease:
 
     def test_a_call_cancelled_by_an_earlier_dispatch_of_its_pass_is_not_dispatched(self):
         scheduler, _, _, _ = make_scheduler()
-        c1 = call("F1", annotation(writes=[("/a", False)]))
-        c2 = call("F2", annotation(writes=[("/b", False)]))
+        c1 = new_call(scheduler, "F1", annotation(writes=[("/a", False)]))
+        c2 = new_call(scheduler, "F2", annotation(writes=[("/b", False)]))
         dispatched = []
 
         def dispatch(c):
@@ -413,15 +391,15 @@ class TestRelease:
                 scheduler.mark_cancelled(c2, "F1")
 
         scheduler.on_dispatch = dispatch
-        scheduler.submit(c1, c2)
+        scheduler.submit([c1, c2], [True, True])
         assert dispatched == [c1]
         assert c2.status == "cancelled"
 
     def test_cancelled_head_with_failed_path_dependency(self):
         scheduler, store, _, _ = make_scheduler()
         producer = store.create(owner_call="P")
-        c1 = call("F1", annotation(writes=[("/f/{n}", False)]), args={"n": producer.fid})
-        scheduler.submit(c1)
+        c1 = new_call(scheduler, "F1", annotation(writes=[("/f/{n}", False)]), args={"n": producer.fid})
+        scheduler.submit([c1], [True])
         assert c1.status == "queued"
         store.fail(producer, ErrorInfo("execution-error", "boom", "P"))
         assert c1.status == "cancelled"
@@ -434,10 +412,10 @@ class TestGateDag:
         # blocked head, even though its own paths are fine.
         scheduler, store, _, _ = make_scheduler()
         pending = store.create()
-        head = call("H", annotation(reads=[("/f/{n}", False)]), args={"n": pending.fid})
-        later = call("L", annotation(reads=[("/elsewhere", False)]))
-        scheduler.submit(head)
-        scheduler.submit(later)
+        head = new_call(scheduler, "H", annotation(reads=[("/f/{n}", False)]), args={"n": pending.fid})
+        later = new_call(scheduler, "L", annotation(reads=[("/elsewhere", False)]))
+        scheduler.submit([head], [True])
+        scheduler.submit([later], [True])
         assert later.status == "queued"
 
     def test_a_turn_blocked_partway_records_edges_and_dispatches_as_call_by_call(self, monkeypatch):
@@ -878,9 +856,9 @@ class TestArgumentWork:
         lookups, submitted = [], []
         submit, find, state_of = Scheduler.submit, FutureStore.find, FutureStore.state_of
 
-        def counted_submit(self, *calls, **kwargs):
+        def counted_submit(self, calls, scan):
             submitted.extend(call.call_id for call in calls)
-            return submit(self, *calls, **kwargs)
+            submit(self, calls, scan)
 
         def counted(name, original):
             def lookup(self, fid, *rest):
