@@ -392,7 +392,8 @@ class TurnDriver:
             self._finish()
         except BaseException:
             self.clock.shutdown()
-            self.scheduler.drop_waiters()
+            if is_async(self.mode):  # a sync run registers no waiter
+                self.scheduler.drop_waiters()
             raise
         finally:
             self.scheduler.on_dispatch = lambda call: None
@@ -440,7 +441,9 @@ class TurnDriver:
         """Check the drained run, then fill in the trace; it takes the run's
         own message and edge lists, which nothing appends to any more."""
         self.trace.finished = self.clock.now()
-        leaked = sorted(self.store.pending_ids()) + self.scheduler.unopened_gates()
+        # A sync call holds no label or session version.
+        shut = self.scheduler.unopened_gates() if is_async(self.mode) else []
+        leaked = sorted(self.store.pending_ids()) + shut
         if leaked:
             raise LeakedFutureError(f"pending futures or shut gates at drain time: {leaked}")
         violations = lint_context(self.messages)
@@ -558,10 +561,10 @@ class TurnDriver:
                 tool=spec.name,
                 args=self._substitute_refs(spec.args, bind) if spec.refs else spec.args,
                 annotation=tool.annotation,
+                result=self.store.create(owner_call=spec.call_id),
                 invocation_index=next(self._invocations[spec.name]),
                 turn=self._turn_no,
             )
-            record.result = self.store.create(owner_call=spec.call_id)
             records.append(record)
         # Registered only now: a decoder cannot name a placeholder it has
         # not received yet, so a same-turn reference stays literal.

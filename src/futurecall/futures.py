@@ -239,8 +239,7 @@ class FutureStore:
             self.settled.append(rec)
         rec.open()
         for field in rec.fields:
-            if not field.done:
-                self._settle_field(field, rec)
+            self._settle_field(field, rec)
 
     def resolve(self, rec: FutureRecord, value: Any) -> None:
         self._transition(rec, RESOLVED, value, None)

@@ -29,10 +29,9 @@ are all open at admission is queued for dispatch at once, with no waiter;
 otherwise one waiter on its gates queues it once the last gate opens, and
 the pass that dispatches it runs only then; that waiter alone holds the
 gates. A pass skips each call that is terminal when it reaches it. A head
-that cannot resolve its
-paths yet waits on the one input it needs, a pending argument future that
-its submission recorded or the in-flight session write's gate, and is not
-looked at again until that input is settled.
+that cannot resolve its paths yet waits on the one input it needs, a pending
+argument future that its submission recorded or the in-flight session
+write's gate, and is not looked at again until that input is settled.
 
 Indexed labels sit in a trie keyed by path segment, so a conflict lookup
 visits the path's ancestors, the equal node and, for a subtree access, the
@@ -55,7 +54,7 @@ import itertools
 from collections import deque
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import AbstractSet, Any, Callable, Iterator, Mapping, NamedTuple, Sequence
+from typing import AbstractSet, Any, Callable, Iterator, KeysView, Mapping, NamedTuple, Sequence
 
 from .errors import CANCELLED_DEPENDENCY, ErrorInfo, NotTerminalError
 from .futures import CANCELLED, FAILED, RESOLVED, FutureRecord, FutureStore, Latch, when_all
@@ -292,18 +291,17 @@ class CallRecord:
     """One decoded function call moving through the scheduling pipeline.
 
     ``turn`` is the number of the decode turn that emitted the call.
-    ``result`` is the record of the call's result future, which the caller
-    creates before it submits the call. ``argument_futures`` maps each
-    id that ``Scheduler.submit`` found among the string leaves of ``args``
-    to its record, in leaf order. That is the one decision of what the
-    arguments name: a future of an earlier turn. An id of the call's own
-    turn (its own future included) or one registered after submission is
-    literal text. Path templates are filled from this map, and the executor
-    waits on and substitutes exactly these records; no layer looks an
-    argument id up again. ``argument_futures`` and ``labels`` start as
-    shared empty values; submission and admission assign their own, and
-    nothing changes them in place. Only the waiter that readies the call
-    holds its blocking gates.
+    ``result``, the record of the call's result future, has no default: it
+    is created with the record. ``argument_futures`` maps each id that
+    ``Scheduler.submit`` found among the string leaves of ``args`` to its
+    record, in leaf order. That is the one decision of what the arguments
+    name: a future of an earlier turn. An id of the call's own turn (its own
+    future included) or one registered after submission is literal text.
+    Path templates are filled from this map, and the executor waits on and
+    substitutes exactly these records; no layer looks an argument id up
+    again. ``argument_futures`` and ``labels`` start as shared empty values;
+    submission and admission assign their own, and nothing changes them in
+    place. Only the waiter that readies the call holds its blocking gates.
 
     ``status`` and ``terminal`` are read off the stamps and ``result``: the
     call is terminal once its result future settles, and its status is then
@@ -316,7 +314,7 @@ class CallRecord:
     tool: str
     args: Any
     annotation: DependencyAnnotation | None
-    result: FutureRecord | None = None
+    result: FutureRecord
     invocation_index: int = 0
     turn: int = 0
     argument_futures: Mapping[str, FutureRecord] = field(default_factory=lambda: _NO_FUTURES)
@@ -591,15 +589,17 @@ class Scheduler:
         else:
             self._ready.append(entry)
 
-    def blocking_gates(self, call: CallRecord, accesses: list[Access]) -> set[Latch]:
+    def blocking_gates(self, call: CallRecord, accesses: list[Access]) -> KeysView[Latch]:
         """Every indexed conflicting label, plus the preceding session
         gate. The index holds only unsuperseded labels, so these are
         the last writer and the readers since on each region accessed.
 
         Gates and edges are recorded in label registration order, then
-        access order, as a scan over the indexed labels would record them. All
-        of a call's gate and session edges are recorded here, once per
-        (producer, kind), so de-duplication needs only this call's keys.
+        access order, as a scan over the indexed labels would record them;
+        the gates, each once and the session gate last, come as a set-like
+        view in that order, the same on every run. All of a call's gate and
+        session edges are recorded here, once per (producer, kind), so
+        de-duplication needs only this call's keys.
         """
         consumer = call.call_id
         overlapping = self.label_index.overlapping
@@ -610,11 +610,11 @@ class Scheduler:
             if conflicts(label.access, access)
         ]
         hits.sort()  # (seq, index) pairs are unique: labels are never compared
-        gates: set[Latch] = set()
+        gates: dict[Latch, None] = {}
         recorded: set[tuple[str, str]] = set()
         edges = self.edges
         for _, index, label in hits:
-            gates.add(label)
+            gates[label] = None
             key = (label.owner, _GATE_EDGE_KINDS[label.access.mode, accesses[index].mode])
             if key not in recorded:
                 recorded.add(key)
@@ -622,11 +622,11 @@ class Scheduler:
         annotation = call.annotation
         if annotation is not None and (annotation.session_read or annotation.session_write):
             gate, producer = self.session.writes[-1]
-            gates.add(gate)
+            gates[gate] = None
             if producer:
                 kind = "session-raw" if annotation.session_read else "session-waw"
                 edges.append(DependencyEdge(producer, consumer, kind))
-        return gates
+        return gates.keys()
 
     # -- dispatch & release ------------------------------------------------------
 
@@ -658,19 +658,17 @@ class Scheduler:
 
         A done session writer's result advances the session, and its version
         gate opens before its labels; a failed or cancelled writer's opens
-        after them."""
+        after them. A call is released once, when it settles, so a second
+        release raises ``AlreadyTerminalError`` at the first latch it opens."""
         if not call.terminal:
             raise NotTerminalError(f"{call.call_id} is {call.status}")
-        if call.released:
-            return
         call.released = True
         version = call.session_version
         if version is not None and call.status == DONE:
             self._end_session_write(version, call.result.value)
         index = self.label_index
         for label in call.labels:
-            if not label.done:
-                self._open(label)
+            self._open(label)
             index.remove(label)
         if version is not None and call.status != DONE:
             self._end_session_write(version)
@@ -681,9 +679,7 @@ class Scheduler:
         session = self.session
         if isinstance(result, dict):
             session.bindings.update(result)
-        gate = session.writes[version][0]
-        if not gate.done:
-            self._open(gate)
+        self._open(session.writes[version][0])
 
     def unopened_gates(self) -> list[str]:
         """The labels and session gates still shut, by owner and access; at
@@ -715,9 +711,9 @@ class Scheduler:
     def mark_cancelled(self, call: CallRecord, origin_call: str) -> None:
         """Terminal cancellation because ``origin_call`` failed: cancels the
         result future with that error and withdraws the call's labels at
-        once; each label opens once the labels it superseded are open."""
-        if call.terminal:
-            return
+        once; each label opens once the labels it superseded are open. Every
+        caller skips a terminal call, whose result would raise
+        ``AlreadyTerminalError``."""
         error = ErrorInfo(CANCELLED_DEPENDENCY, f"cancelled because {origin_call} failed", origin_call)
         self.store.cancel(call.result, error)
         self._withdraw(call)
@@ -730,8 +726,9 @@ class Scheduler:
         superseded labels whose owners have not released go back: calls
         admitted from now on gate on those directly. Calls admitted earlier
         wait on them only through this call's labels, so each label, like
-        the call's session version, opens once what it replaced is open. ``replaced`` is narrowed to those labels, so a later walk
-        through this call takes one step.
+        the call's session version, opens once what it replaced is open.
+        ``replaced`` is narrowed to those labels, so a later walk through
+        this call takes one step.
         """
         call.released = True
         index = self.label_index

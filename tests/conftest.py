@@ -68,8 +68,14 @@ def new_call(scheduler, call_id, annotation=None, args=None, tool="t", **fields)
     """A call record built as ``TurnDriver._emit_calls`` builds one, for a
     test that drives the scheduler alone: with its result future, and
     written into the run's call registry, which the scheduler holds."""
-    call = CallRecord(call_id=call_id, tool=tool, args={} if args is None else args, annotation=annotation, **fields)
-    call.result = scheduler.store.create(owner_call=call_id)
+    call = CallRecord(
+        call_id=call_id,
+        tool=tool,
+        args={} if args is None else args,
+        annotation=annotation,
+        result=scheduler.store.create(owner_call=call_id),
+        **fields,
+    )
     scheduler.calls[call_id] = call
     return call
 

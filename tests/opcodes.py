@@ -9,20 +9,14 @@ at seed 7, each in async-parallel and in sync-sequential, and prints one
 Python functions execute inside ``run_workload``; parsing each conversation
 (afresh for every run, so no run reuses another's parse) is not counted,
 and neither is time spent in C. The count is the same on every run of one
-tree, up to the ordering of hashed sets, which is why the script re-runs
-itself under ``PYTHONHASHSEED=0``. pytest does not collect this file: its
+tree, under any ``PYTHONHASHSEED``. pytest does not collect this file: its
 name does not start with ``test``.
 """
 
 from __future__ import annotations
 
-import os
 import pathlib
 import sys
-
-if os.environ.get("PYTHONHASHSEED") != "0":
-    os.environ["PYTHONHASHSEED"] = "0"
-    os.execv(sys.executable, [sys.executable, *sys.argv])
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]

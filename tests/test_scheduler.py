@@ -10,6 +10,7 @@ import futurecall.futures as futures_mod
 import futurecall.scheduler as scheduler_mod
 from futurecall import DependencyAnnotation, FutureStore, TurnDriver, VirtualClock, run_workload
 from futurecall.errors import (
+    AlreadyTerminalError,
     ErrorInfo,
     LeakedFutureError,
     NotTerminalError,
@@ -298,6 +299,22 @@ class TestBlockingGates:
         scheduler.submit([new_call(scheduler, "R2", annotation(session_read=True))], [True])
         assert gates["R1"] == gates["R2"] == {session.writes[1][0]}
 
+    def test_gates_come_once_each_in_hit_order_with_the_session_gate_last(self):
+        # C reads W's subtree and writes inside it, so W's label is hit
+        # twice; its write of /b hits both readers.
+        scheduler, _, session, _ = make_scheduler()
+        gates = capture_gates(scheduler)
+        w = new_call(scheduler, "W", annotation(writes=[("/a", True)]))
+        r1 = new_call(scheduler, "R1", annotation(reads=[("/b", False)]))
+        r2 = new_call(scheduler, "R2", annotation(reads=[("/b", False)]))
+        sw = new_call(scheduler, "SW", annotation(session_write=True))
+        c = new_call(
+            scheduler, "C", annotation(reads=[("/a", False)], writes=[("/a/x", False), ("/b", False)], session_read=True)
+        )
+        for call in (w, r1, r2, sw, c):
+            scheduler.submit([call], [True])
+        assert list(gates["C"]) == [w.labels[0], r1.labels[0], r2.labels[0], session.writes[1][0]]
+
 
 class TestRelease:
     def test_release_unblocks_dependent(self):
@@ -321,6 +338,27 @@ class TestRelease:
         scheduler.submit([c1], [True])
         with pytest.raises(NotTerminalError):
             scheduler.release(c1)
+
+    @pytest.mark.parametrize(
+        "ann", [annotation(writes=[("/a", False)]), annotation(session_write=True)], ids=["label", "session-writer"]
+    )
+    def test_second_release_of_a_done_call_raises(self, ann):
+        scheduler, store, _, _ = make_scheduler()
+        c1 = new_call(scheduler, "F1", ann)
+        scheduler.submit([c1], [True])
+        store.resolve(c1.result, {})
+        scheduler.release(c1)
+        with pytest.raises(AlreadyTerminalError):
+            scheduler.release(c1)
+
+    def test_cancelling_a_terminal_call_raises(self):
+        scheduler, store, _, _ = make_scheduler()
+        c1 = new_call(scheduler, "F1", annotation(writes=[("/a", False)]))
+        scheduler.submit([c1], [True])
+        store.resolve(c1.result, {})
+        with pytest.raises(AlreadyTerminalError):
+            scheduler.mark_cancelled(c1, "X")
+        assert c1.status == "done"
 
     def test_release_without_labels_is_bookkeeping_only(self):
         scheduler, store, _, _ = make_scheduler()
